@@ -58,8 +58,8 @@ class RatingDataset:
                 raise RatingDataError(
                     f"rating outside scale [{lo}, {hi}]"
                 )
-            codes = self.users * self.num_items + self.items
-            if len(np.unique(codes)) != len(codes):
+            codes = np.sort(self.users * self.num_items + self.items)
+            if np.any(codes[1:] == codes[:-1]):
                 raise RatingDataError("duplicate (user, item) pair")
         for name in ("users", "items", "ratings"):
             getattr(self, name).setflags(write=False)
@@ -110,9 +110,16 @@ class SplitBundle:
                   (self.train, self.validation, self.mcar, self.test)}
         if len(shapes) != 1:
             raise SplitError(f"splits disagree on the id space: {sorted(shapes)}")
-        if len(np.intersect1d(self.train.pair_codes(), self.validation.pair_codes())) > 0:
+        # every RatingDataset has unique pair codes, checked at construction
+        train_val = np.intersect1d(
+            self.train.pair_codes(), self.validation.pair_codes(), assume_unique=True
+        )
+        if len(train_val) > 0:
             raise SplitError("train and validation overlap as (user, item) sets")
-        if len(np.intersect1d(self.mcar.pair_codes(), self.test.pair_codes())) > 0:
+        mcar_test = np.intersect1d(
+            self.mcar.pair_codes(), self.test.pair_codes(), assume_unique=True
+        )
+        if len(mcar_test) > 0:
             raise SplitError("mcar and test overlap as (user, item) sets")
 
 

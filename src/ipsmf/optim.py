@@ -10,7 +10,7 @@ update noise caused by widely varying inverse-propensity weights.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -62,7 +62,11 @@ class TrainConfig:
 @dataclass
 class AdamState:
     """First/second moment accumulators shaped like the parameters, with one
-    update counter per parameter group (groups frozen in a phase do not age)."""
+    update counter per parameter group (groups frozen in a phase do not age).
+
+    ``scratch`` holds two parameter-shaped work buffers that :func:`adam_step`
+    overwrites on every call, so a step allocates no full-size temporaries.
+    """
 
     m: MFParameters
     v: MFParameters
@@ -70,6 +74,14 @@ class AdamState:
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
+    scratch: tuple[MFParameters, MFParameters] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.scratch = (_empty_like(self.m), _empty_like(self.m))
+
+
+def _empty_like(params: MFParameters) -> MFParameters:
+    return MFParameters(*(np.empty_like(params.group(g)) for g in PARAM_GROUPS))
 
 
 def init_adam_state(params: MFParameters) -> AdamState:
@@ -87,18 +99,39 @@ def adam_step(
     lr: float,
 ) -> tuple[MFParameters, AdamState]:
     """Bias-corrected adaptive-moment update applied in place to the groups in
-    `mask`; all other groups (and their moments) stay bit-identical."""
+    `mask`; all other groups (and their moments) stay bit-identical.
+
+    Per group, with ``t`` its step count::
+
+        m <- beta1 * m + (1 - beta1) * g
+        v <- beta2 * v + (1 - beta2) * g**2
+        theta <- theta - (lr * m / (1 - beta1**t)) / (sqrt(v / (1 - beta2**t)) + eps)
+
+    evaluated in this operation order in the state's scratch buffers.
+    """
+    beta1, beta2 = state.beta1, state.beta2
     for name in mask:
         state.steps[name] += 1
         t = state.steps[name]
         g = grads.group(name)
         m = state.m.group(name)
         v = state.v.group(name)
-        m[...] = state.beta1 * m + (1.0 - state.beta1) * g
-        v[...] = state.beta2 * v + (1.0 - state.beta2) * g**2
-        m_hat = m / (1.0 - state.beta1**t)
-        v_hat = v / (1.0 - state.beta2**t)
-        params.group(name)[...] -= lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        a, b = (s.group(name) for s in state.scratch)
+        np.multiply(m, beta1, out=m)
+        np.multiply(g, 1.0 - beta1, out=a)
+        np.add(m, a, out=m)
+        np.multiply(v, beta2, out=v)
+        np.square(g, out=a)
+        np.multiply(a, 1.0 - beta2, out=a)
+        np.add(v, a, out=v)
+        np.divide(m, 1.0 - beta1**t, out=a)
+        np.multiply(a, lr, out=a)
+        np.divide(v, 1.0 - beta2**t, out=b)
+        np.sqrt(b, out=b)
+        np.add(b, state.eps, out=b)
+        np.divide(a, b, out=a)
+        p = params.group(name)
+        np.subtract(p, a, out=p)
     return params, state
 
 
@@ -151,17 +184,19 @@ def ips_gradient(
     contributes ``2 * l2_weight * theta`` to every parameter.
     """
     propensities = _check_propensities(propensities, len(batch))
-    grads = MFParameters(
-        *(2.0 * l2_weight * params.group(g) for g in PARAM_GROUPS)
-    )
-    _add_data_gradient(
+    grads = _empty_like(params)
+    _masked_gradient(
         grads, params, batch.users, batch.items, batch.ratings, propensities,
-        PARAM_GROUPS,
+        l2_weight, PARAM_GROUPS,
     )
     return grads
 
 
-def _add_data_gradient(grads, params, users, items, ratings, propensities, mask):
+def _masked_gradient(grads, params, users, items, ratings, propensities, l2_weight, mask):
+    """Overwrite the `mask` groups of `grads` with the mini-batch gradient; the
+    other groups of `grads` are left as they are and must not be read."""
+    for g in mask:
+        np.multiply(params.group(g), 2.0 * l2_weight, out=grads.group(g))
     n = len(users)
     preds = (
         np.einsum("nd,nd->n", params.user_emb[users], params.item_emb[items])
@@ -180,18 +215,6 @@ def _add_data_gradient(grads, params, users, items, ratings, propensities, mask)
         grads.item_off += np.bincount(items, weights=coef, minlength=len(grads.item_off))
     if "global_off" in mask:
         grads.global_off += coef.sum()
-
-
-def _masked_gradient(params, users, items, ratings, propensities, l2_weight, mask):
-    grads = MFParameters(
-        *(
-            2.0 * l2_weight * params.group(g) if g in mask
-            else np.zeros_like(params.group(g))
-            for g in PARAM_GROUPS
-        )
-    )
-    _add_data_gradient(grads, params, users, items, ratings, propensities, mask)
-    return grads
 
 
 def evaluate_validation(
@@ -269,6 +292,7 @@ def _fit(
         global_offset=float(train.ratings.mean()),
     )
     state = init_adam_state(params)
+    grads = _empty_like(params)
     shuffle_rng = np.random.default_rng([config.seed, 1])
     phases = (
         [("all", PARAM_GROUPS)]
@@ -285,8 +309,8 @@ def _fit(
             perm = shuffle_rng.permutation(n)
             for start in range(0, n, config.batch_size):
                 idx = perm[start:start + config.batch_size]
-                grads = _masked_gradient(
-                    params, users[idx], items[idx], ratings[idx], p_train[idx],
+                _masked_gradient(
+                    grads, params, users[idx], items[idx], ratings[idx], p_train[idx],
                     config.l2_weight, mask,
                 )
                 adam_step(params, grads, state, mask, config.learning_rate)

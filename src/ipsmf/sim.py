@@ -24,6 +24,9 @@ logger = logging.getLogger(__name__)
 # default per-rating observation propensities for ratings 1..5.
 DEFAULT_RATING_DISTRIBUTION = (0.5148, 0.2525, 0.1496, 0.0554, 0.0277)
 DEFAULT_RATING_PROPENSITIES = (0.0123, 0.0102, 0.0213, 0.0568, 0.1795)
+# Rows of sort keys drawn at once by sample_unbiased; bounds its scratch memory
+# (8 MB of keys at 1,000 items) independently of the user count.
+UNBIASED_BLOCK_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -109,25 +112,45 @@ def convert_to_ratings(
 ) -> np.ndarray:
     """Quantile-convert a dense real matrix into integer ratings.
 
-    All cells are sorted ascending (stable, so ties keep array order) and
+    Cells are ranked ascending, ties ranked by flat (row-major) index, and
     assigned ratings by cumulative fractions of the target distribution: the
     lowest block becomes rating 1, the next block rating 2, and so on. Block
     boundaries are floor(cumulative fraction * cell count); leftover cells
     beyond the last boundary join the top rating bucket.
+
+    Only the cells at the inner boundaries are selected (``np.partition``), not
+    the whole ranking: a cell lies at or above boundary ``b`` with value ``v``
+    when it exceeds ``v``, or when it equals ``v`` and is not among the first
+    ``b - count(cells < v)`` cells equal to ``v`` in flat-index order. This is
+    the rank a stable sort gives, so ties split exactly as before.
+
+    Raises:
+        ValueError: if the distribution has a negative entry or does not sum
+            to 1, or if the engagement matrix holds NaN (NaN has no rank).
     """
     if abs(sum(target_distribution) - 1.0) > 1e-6:
         raise ValueError("target distribution must sum to 1")
+    if any(p < 0 for p in target_distribution):
+        raise ValueError("target distribution entries must be nonnegative")
     flat = np.asarray(engagement, dtype=float).ravel()
     n = flat.size
-    order = np.argsort(flat, kind="stable")
-    ratings = np.empty(n, dtype=np.int64)
+    missing = int(np.count_nonzero(np.isnan(flat)))
+    if missing:
+        raise ValueError(f"engagement holds {missing} NaN cells of {n}")
     cumulative = np.cumsum(target_distribution)
     # epsilon guards against float noise in the cumulative sums
     boundaries = np.floor(cumulative[:-1] * n + 1e-9).astype(np.int64)
-    start = 0
-    for value, stop in enumerate(list(boundaries) + [n], start=1):
-        ratings[order[start:stop]] = value
-        start = stop
+    # a cell's rating is 1 plus the number of boundaries at or below its rank;
+    # boundaries at 0 count for every cell, boundaries at n for none
+    ratings = np.full(n, 1 + np.count_nonzero(boundaries <= 0), dtype=np.int64)
+    inner = boundaries[(boundaries > 0) & (boundaries < n)]
+    if inner.size:
+        selected = np.partition(flat, np.unique(inner))
+        for b in inner:
+            v = selected[b]
+            ratings += flat > v
+            ties = np.flatnonzero(flat == v)
+            ratings[ties[b - np.count_nonzero(flat < v):]] += 1
     return ratings.reshape(np.asarray(engagement).shape)
 
 
@@ -212,7 +235,14 @@ def sample_unbiased(
     if per_user > num_items:
         raise ValueError("per_user cannot exceed the number of items")
     rng = np.random.default_rng(seed)
-    chosen = np.argsort(rng.random((num_users, num_items)), axis=1)[:, :per_user]
+    # the same key stream as one (num_users, num_items) draw, a block of rows
+    # at a time; each row keeps its per_user smallest keys in ascending order
+    chosen = np.empty((num_users, per_user), dtype=np.int64)
+    for start in range(0, num_users, UNBIASED_BLOCK_ROWS):
+        keys = rng.random((min(UNBIASED_BLOCK_ROWS, num_users - start), num_items))
+        top = np.argpartition(keys, per_user - 1, axis=1)[:, :per_user]
+        order = np.argsort(np.take_along_axis(keys, top, axis=1), axis=1, kind="stable")
+        chosen[start:start + len(keys)] = np.take_along_axis(top, order, axis=1)
     users = np.repeat(np.arange(num_users), per_user)
     items = chosen.ravel()
     pool = RatingDataset(
@@ -279,21 +309,29 @@ def _stream(seed: int, index: int) -> list[int]:
 
 def _load_engagement(spec: SimulationSpec) -> np.ndarray:
     """Read the dense engagement source, either as a grid or as fully covering
-    (user_index, item_index, value) triples."""
+    (user_index, item_index, value) triples. NaN values are rejected, naming
+    the file, because a NaN cell has no rating rank."""
+    path = spec.engagement_path
     shape = (spec.num_users, spec.num_items)
     if spec.engagement_format == "dense":
-        engagement = np.loadtxt(spec.engagement_path, delimiter=",")
+        engagement = np.loadtxt(path, delimiter=",")
         if engagement.shape != shape:
             raise ValueError(
-                f"engagement matrix shape {engagement.shape} does not match {shape}"
+                f"{path}: engagement matrix shape {engagement.shape} does not match {shape}"
             )
+        missing = int(np.count_nonzero(np.isnan(engagement)))
+        if missing:
+            raise ValueError(f"{path}: engagement matrix holds {missing} NaN cells")
         return engagement
-    rows = np.loadtxt(spec.engagement_path, delimiter=",", ndmin=2)
+    rows = np.loadtxt(path, delimiter=",", ndmin=2)
     if rows.shape[1] != 3:
-        raise ValueError("triples engagement file needs (user, item, value) columns")
+        raise ValueError(f"{path}: triples engagement file needs (user, item, value) columns")
+    missing = int(np.count_nonzero(np.isnan(rows[:, 2])))
+    if missing:
+        raise ValueError(f"{path}: engagement triples hold {missing} NaN values")
     engagement = np.full(shape, np.nan)
     engagement[rows[:, 0].astype(int), rows[:, 1].astype(int)] = rows[:, 2]
     if np.isnan(engagement).any():
         missing = int(np.isnan(engagement).sum())
-        raise ValueError(f"engagement triples leave {missing} cells uncovered")
+        raise ValueError(f"{path}: engagement triples leave {missing} cells uncovered")
     return engagement

@@ -1,8 +1,18 @@
 """Independent brute-force oracles used to cross-check estimator output.
 
-Everything here is computed with plain Python loops and dicts, deliberately
-avoiding the vectorized code paths under test.
+The estimator oracles are computed with plain Python loops and dicts,
+deliberately avoiding the vectorized code paths under test. The reference
+implementations at the end are the plain full-sort and allocating versions of
+the simulator and optimizer hot paths; the fast versions must match them bit
+for bit.
 """
+
+import numpy as np
+
+from ipsmf.data import RatingDataset, split_unbiased
+from ipsmf.model import MFParameters, PARAM_GROUPS, init_params, predict_many
+from ipsmf.optim import ITEM_PHASE_GROUPS, USER_PHASE_GROUPS, ips_loss
+from ipsmf.propensity import score_dataset
 
 
 def rating_counts(triples, rating_values):
@@ -98,3 +108,124 @@ def bootstrap_interval_oracle(values, num_resamples=4000, confidence=0.95, seed=
     low = quantiles[max(0, int(round(alpha * 10_000)) - 1)]
     high = quantiles[min(len(quantiles) - 1, int(round((1 - alpha) * 10_000)) - 1)]
     return low, high
+
+
+# --------------------------------------------------------------------------
+# reference implementations of the simulator and optimizer hot paths
+
+
+def convert_to_ratings_reference(engagement, target_distribution):
+    """Quantile conversion by a full stable argsort of every cell."""
+    flat = np.asarray(engagement, dtype=float).ravel()
+    n = flat.size
+    order = np.argsort(flat, kind="stable")
+    ratings = np.empty(n, dtype=np.int64)
+    cumulative = np.cumsum(target_distribution)
+    boundaries = np.floor(cumulative[:-1] * n + 1e-9).astype(np.int64)
+    start = 0
+    for value, stop in enumerate(list(boundaries) + [n], start=1):
+        ratings[order[start:stop]] = value
+        start = stop
+    return ratings.reshape(np.asarray(engagement).shape)
+
+
+def sample_unbiased_reference(truth, per_user, mcar_fraction, seed, rating_scale=(1, 5)):
+    """Unbiased pool from a full per-row argsort of one random key matrix."""
+    truth = np.asarray(truth)
+    num_users, num_items = truth.shape
+    rng = np.random.default_rng(seed)
+    chosen = np.argsort(rng.random((num_users, num_items)), axis=1)[:, :per_user]
+    users = np.repeat(np.arange(num_users), per_user)
+    items = chosen.ravel()
+    pool = RatingDataset(num_users, num_items, users, items, truth[users, items],
+                         rating_scale)
+    return split_unbiased(pool, mcar_fraction, seed)
+
+
+def adam_step_reference(params, grads, m, v, steps, mask, lr,
+                        beta1=0.9, beta2=0.999, eps=1e-8):
+    """Adam update through freshly allocated temporaries; `m`, `v` and `steps`
+    are dicts keyed by group name."""
+    for name in mask:
+        steps[name] += 1
+        t = steps[name]
+        g = grads.group(name)
+        m[name][...] = beta1 * m[name] + (1.0 - beta1) * g
+        v[name][...] = beta2 * v[name] + (1.0 - beta2) * g**2
+        m_hat = m[name] / (1.0 - beta1**t)
+        v_hat = v[name] / (1.0 - beta2**t)
+        params.group(name)[...] -= lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
+def masked_gradient_reference(params, users, items, ratings, propensities, l2_weight, mask):
+    """Mini-batch gradient in new arrays, zeros for the groups not in `mask`."""
+    grads = MFParameters(*(
+        2.0 * l2_weight * params.group(g) if g in mask else np.zeros_like(params.group(g))
+        for g in PARAM_GROUPS
+    ))
+    n = len(users)
+    preds = (
+        np.einsum("nd,nd->n", params.user_emb[users], params.item_emb[items])
+        + params.user_off[users]
+        + params.item_off[items]
+        + params.global_off
+    )
+    coef = 2.0 * (preds - ratings) / (propensities * n)
+    if "user_emb" in mask:
+        np.add.at(grads.user_emb, users, coef[:, None] * params.item_emb[items])
+    if "item_emb" in mask:
+        np.add.at(grads.item_emb, items, coef[:, None] * params.user_emb[users])
+    if "user_off" in mask:
+        grads.user_off += np.bincount(users, weights=coef, minlength=len(grads.user_off))
+    if "item_off" in mask:
+        grads.item_off += np.bincount(items, weights=coef, minlength=len(grads.item_off))
+    if "global_off" in mask:
+        grads.global_off += coef.sum()
+    return grads
+
+
+def fit_reference(data, propensity_model, config):
+    """The training loop of ``ipsmf.optim`` driven by the reference gradient
+    and Adam step; returns (best params, [(epoch, train, validation, test)])."""
+    train, validation, test = data.train, data.validation, data.test
+    users, items = train.users, train.items
+    ratings = train.ratings.astype(float)
+    p_train = np.asarray(score_dataset(propensity_model, train), dtype=float)
+    p_val = np.asarray(score_dataset(propensity_model, validation), dtype=float)
+    params = init_params(train.num_users, train.num_items, config.embedding_dim,
+                         seed=config.seed, scale=config.init_scale,
+                         global_offset=float(train.ratings.mean()))
+    m = {g: np.zeros_like(params.group(g)) for g in PARAM_GROUPS}
+    v = {g: np.zeros_like(params.group(g)) for g in PARAM_GROUPS}
+    steps = {g: 0 for g in PARAM_GROUPS}
+    shuffle_rng = np.random.default_rng([config.seed, 1])
+    phases = ([PARAM_GROUPS] if config.schedule == "concurrent"
+              else [USER_PHASE_GROUPS, ITEM_PHASE_GROUPS])
+    history = []
+    best_val, best_params, bad_evals = np.inf, params.copy(), 0
+    for epoch in range(1, config.max_epochs + 1):
+        for mask in phases:
+            perm = shuffle_rng.permutation(len(train))
+            for start in range(0, len(train), config.batch_size):
+                idx = perm[start:start + config.batch_size]
+                grads = masked_gradient_reference(
+                    params, users[idx], items[idx], ratings[idx], p_train[idx],
+                    config.l2_weight, mask,
+                )
+                adam_step_reference(params, grads, m, v, steps, mask,
+                                    config.learning_rate)
+        train_loss = ips_loss(params, train, p_train, config.l2_weight,
+                              train.num_users, train.num_items)
+        w = 1.0 / p_val
+        val_preds = predict_many(params, validation.users, validation.items)
+        val_score = float(np.sum(w * (val_preds - validation.ratings) ** 2) / np.sum(w))
+        test_preds = predict_many(params, test.users, test.items)
+        test_mse = float(np.mean((test_preds - test.ratings) ** 2))
+        history.append((epoch, train_loss, val_score, test_mse))
+        if val_score < best_val:
+            best_val, best_params, bad_evals = val_score, params.copy(), 0
+        else:
+            bad_evals += 1
+            if bad_evals >= config.patience:
+                break
+    return best_params, history

@@ -133,6 +133,10 @@ class TestDatasetInvariants:
         with pytest.raises(RatingDataError):
             make_dataset(2, 2, [(0, 0, 3), (0, 0, 4)])
 
+    def test_rejects_duplicate_pair_not_adjacent(self):
+        with pytest.raises(RatingDataError, match="duplicate"):
+            make_dataset(2, 2, [(0, 0, 3), (1, 1, 2), (0, 0, 4)])
+
     def test_rejects_bad_rating(self):
         with pytest.raises(RatingDataError):
             make_dataset(2, 2, [(0, 0, 6)])
@@ -236,6 +240,14 @@ class TestBundle:
         ds = make_dataset(2, 2, [(0, 0, 1)])
         with pytest.raises(SplitError):
             SplitBundle(train=ds, validation=ds, mcar=ds, test=make_dataset(2, 2, []))
+
+    def test_rejects_overlapping_mcar_test(self):
+        train = make_dataset(2, 2, [(0, 0, 1)])
+        validation = make_dataset(2, 2, [(1, 1, 2)])
+        mcar = make_dataset(2, 2, [(0, 1, 3), (1, 0, 4)])
+        test = make_dataset(2, 2, [(1, 1, 5), (1, 0, 4)])
+        with pytest.raises(SplitError, match="mcar and test"):
+            SplitBundle(train=train, validation=validation, mcar=mcar, test=test)
 
     def test_rejects_mismatched_id_spaces(self):
         a = make_dataset(2, 2, [(0, 0, 1)])

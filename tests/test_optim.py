@@ -17,6 +17,8 @@ from ipsmf.optim import (
     train_concurrent,
 )
 from ipsmf.propensity import PropensityModel, uniform_propensities
+from ipsmf.sim import SimulationSpec, simulate
+from oracles import fit_reference
 
 
 def make_dataset(n_users, n_items, triples, scale=(1, 5)):
@@ -315,6 +317,23 @@ class TestTraining:
         prop = uniform_propensities(bundle.train, 5, 5)
         with pytest.raises(ValueError, match="validation"):
             train_concurrent(broken, prop, self.config())
+
+
+@pytest.mark.parametrize("train", [train_concurrent, train_alternating])
+def test_fit_bit_equal_to_allocating_reference(train):
+    # c5-shaped: gamma=0.5 simulation, ground-truth IPS weights, desk settings
+    # with a patience short enough that early stopping picks the best epoch
+    sim = simulate(SimulationSpec(num_users=120, num_items=150, gamma=0.5, seed=1005))
+    schedule = "concurrent" if train is train_concurrent else "alternating"
+    config = TrainConfig(learning_rate=0.01, l2_weight=1e-5, batch_size=256,
+                         max_epochs=12, patience=3, embedding_dim=16,
+                         schedule=schedule, seed=3)
+    result = train(sim.bundle, sim.ground_truth_propensities, config)
+    best, history = fit_reference(sim.bundle, sim.ground_truth_propensities, config)
+    assert [(r.epoch, r.train_ips_loss, r.validation_snips_mse, r.test_mse)
+            for r in result.history] == history
+    for g in PARAM_GROUPS:
+        np.testing.assert_array_equal(result.params.group(g), best.group(g))
 
 
 class TestEvaluateValidation:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ipsmf.propensity import score, score_many
 from ipsmf.sim import (
@@ -15,6 +17,7 @@ from ipsmf.sim import (
     sample_unbiased,
     simulate,
 )
+from oracles import convert_to_ratings_reference, sample_unbiased_reference
 
 
 class TestConvertToRatings:
@@ -48,6 +51,57 @@ class TestConvertToRatings:
     def test_rejects_bad_distribution(self):
         with pytest.raises(ValueError):
             convert_to_ratings(np.zeros((2, 2)), (0.5, 0.2, 0.1, 0.1, 0.2))
+
+    def test_rejects_negative_distribution_entry(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            convert_to_ratings(np.zeros((2, 2)), (0.6, -0.1, 0.3, 0.1, 0.1))
+
+    def test_rejects_nan_engagement_with_count(self):
+        engagement = np.arange(12.0).reshape(3, 4)
+        engagement[0, 1] = engagement[2, 3] = np.nan
+        with pytest.raises(ValueError, match="2 NaN"):
+            convert_to_ratings(engagement)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("distribution", [
+        DEFAULT_RATING_DISTRIBUTION,
+        (0.2, 0.2, 0.2, 0.2, 0.2),
+        (0.5, 0.0, 0.25, 0.25, 0.0),  # zero-mass buckets repeat a boundary
+    ])
+    def test_tie_heavy_grid_matches_stable_argsort(self, seed, distribution):
+        # 3 distinct values over 40 x 30 cells: every boundary falls in a tie
+        engagement = np.random.default_rng(seed).integers(0, 3, size=(40, 30)).astype(float)
+        np.testing.assert_array_equal(
+            convert_to_ratings(engagement, distribution),
+            convert_to_ratings_reference(engagement, distribution),
+        )
+
+    @pytest.mark.parametrize("shape, distribution", [
+        ((7, 9), DEFAULT_RATING_DISTRIBUTION),  # all cells equal
+        ((2, 2), (0.1, 0.1, 0.1, 0.1, 0.6)),  # boundaries at 0
+        ((3, 3), (0.0, 0.0, 0.5, 0.5, 0.0)),  # boundaries at 0 and at n
+        ((2, 2), (1.0, 0.0, 0.0, 0.0, 0.0)),  # every boundary at n
+        ((3, 3), (0.0, 0.0, 0.0, 0.0, 1.0)),  # every boundary at 0
+    ])
+    def test_constant_and_edge_boundaries_match_stable_argsort(self, shape, distribution):
+        engagement = np.full(shape, 0.5)
+        np.testing.assert_array_equal(
+            convert_to_ratings(engagement, distribution),
+            convert_to_ratings_reference(engagement, distribution),
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        values=st.lists(st.integers(-2, 2), min_size=1, max_size=60),
+        weights=st.lists(st.integers(0, 5), min_size=5, max_size=5).filter(any),
+    )
+    def test_property_matches_stable_argsort(self, values, weights):
+        engagement = np.array(values, dtype=float).reshape(1, -1)
+        distribution = tuple(w / sum(weights) for w in weights)
+        ratings = convert_to_ratings(engagement, distribution)
+        np.testing.assert_array_equal(
+            ratings, convert_to_ratings_reference(engagement, distribution)
+        )
 
 
 class TestItemPropensities:
@@ -183,6 +237,17 @@ class TestSampleUnbiased:
             for u, i, r in ds.triples():
                 assert truth[u, i] == r
 
+    @pytest.mark.parametrize("seed", [0, 7, 31])
+    @pytest.mark.parametrize("per_user", [1, 3, 100, 300])
+    def test_matches_full_argsort(self, seed, per_user):
+        # more users than one block of keys, so the draw spans two blocks;
+        # at 100 of 300 items argpartition leaves the chosen keys unsorted
+        truth = np.random.default_rng(seed).integers(1, 6, size=(1100, 300))
+        got = sample_unbiased(truth, per_user, mcar_fraction=0.2, seed=seed)
+        want = sample_unbiased_reference(truth, per_user, mcar_fraction=0.2, seed=seed)
+        for a, b in zip(got, want):
+            assert a.triples() == b.triples()
+
     def test_rejects_per_user_above_item_count(self):
         truth = np.ones((3, 4), dtype=int)
         with pytest.raises(ValueError):
@@ -271,6 +336,23 @@ class TestSimulate:
                                     engagement_path=str(path),
                                     engagement_format="triples"))
         np.testing.assert_array_equal(result.truth, convert_to_ratings(eng))
+
+    def test_engagement_file_with_nan_names_the_file(self, tmp_path):
+        eng = generate_engagement(4, 3, seed=1)
+        eng[1, 2] = np.nan
+        path = tmp_path / "eng_nan.csv"
+        np.savetxt(path, eng, delimiter=",")
+        with pytest.raises(ValueError, match=r"eng_nan\.csv.*1 NaN"):
+            simulate(self.spec(num_users=4, num_items=3, unbiased_per_user=2,
+                               engagement_path=str(path)))
+
+    def test_engagement_triples_with_nan_name_the_file(self, tmp_path):
+        path = tmp_path / "nan_triples.csv"
+        path.write_text("0,0,1.5\n0,1,nan\n1,0,0.5\n1,1,2.0\n")
+        with pytest.raises(ValueError, match=r"nan_triples\.csv.*1 NaN"):
+            simulate(self.spec(num_users=2, num_items=2, unbiased_per_user=1,
+                               engagement_path=str(path),
+                               engagement_format="triples"))
 
     def test_engagement_triples_must_cover_all_cells(self, tmp_path):
         path = tmp_path / "partial.csv"
