@@ -400,24 +400,21 @@ def run_method(
     method: str,
     loaded: LoadedData,
     train_config: TrainConfig,
-    pipeline: dict,
+    prop: PropensityModel | None,
     clamp: bool = False,
 ):
-    """Fit one method on one bundle and evaluate on the test split.
+    """Train one method on one bundle with a built propensity model and
+    evaluate on the test split: the second of a run's two stages, after
+    :func:`build_propensity_model`. `prop` is None for avg.
 
-    Returns (report, train_result_or_None, propensity_model_or_None).
+    Returns (report, train_result_or_None).
     """
     bundle = loaded.bundle
     if method == "avg":
-        report = evaluate(fit_avg(bundle.train), bundle.test, clamp=clamp)
-        return report, None, None
-    prop = build_propensity_model(
-        method, bundle, pipeline, loaded.ground_truth, seed=train_config.seed
-    )
+        return evaluate(fit_avg(bundle.train), bundle.test, clamp=clamp), None
     train_fn = train_alternating if train_config.schedule == "alternating" else train_concurrent
     result = train_fn(bundle, prop, train_config)
-    report = evaluate(result.params, bundle.test, clamp=clamp)
-    return report, result, prop
+    return evaluate(result.params, bundle.test, clamp=clamp), result
 
 
 def _format_cell(value) -> str:
@@ -488,8 +485,11 @@ def _run_cell(args) -> list[dict]:
     for method in cfg.methods:
         train_config = cfg.train_settings(method, seed)
         pipeline = cfg.pipeline_settings(method)
-        report, result, prop = run_method(
-            method, loaded, train_config, pipeline, clamp=cfg.clamp_predictions
+        prop = build_propensity_model(
+            method, loaded.bundle, pipeline, loaded.ground_truth, seed=seed
+        )
+        report, result = run_method(
+            method, loaded, train_config, prop, clamp=cfg.clamp_predictions
         )
         record = {
             "row": _result_row(
@@ -567,17 +567,15 @@ def cmd_train(cfg: ExperimentConfig, out_dir: Path, threads: int = 1) -> Path:
     cmd_summarize(results_path, out_dir / "summary.csv")
 
     if cfg.data and "biased" in cfg.data:
-        # raw two-file input: record how it was split (identical for every run)
-        loaded = load_experiment_data(cfg, run_seed=cfg.seeds[0])
+        # raw two-file input: record how it was split (identical for every
+        # run, so any result row carries the split sizes)
+        sizes = rows[0]
         write_manifest(out_dir / "split_manifest.txt", {
             "config_hash": cfg.config_hash,
             "split_seed": cfg.data.get("split_seed", 0),
             "train_fraction": repr(cfg.data.get("train_fraction", 0.8)),
             "mcar_fraction": repr(cfg.data.get("mcar_fraction", 0.05)),
-            "n_train": len(loaded.bundle.train),
-            "n_validation": len(loaded.bundle.validation),
-            "n_mcar": len(loaded.bundle.mcar),
-            "n_test": len(loaded.bundle.test),
+            **{k: sizes[k] for k in ("n_train", "n_validation", "n_mcar", "n_test")},
         })
     return results_path
 
@@ -634,11 +632,18 @@ def cmd_tune(cfg: ExperimentConfig, out_dir: Path) -> Path:
     IPS methods are selected by self-normalized weighted validation MSE under
     their own propensities; mf and avg by plain validation MSE. A nonzero
     [tune] budget caps the number of grid points per method.
+
+    Every grid point runs the two stages of a run: the propensity model
+    (:func:`build_propensity_model`), then training and scoring. The first
+    stage depends only on the method and its pipeline settings (the seed and
+    data are fixed for the call), so each distinct (method, pipeline) model
+    is built once per call and shared by the grid points that need it.
     """
     out_dir.mkdir(parents=True, exist_ok=True)
     seed = cfg.seeds[0]
     loaded = load_experiment_data(cfg, run_seed=seed)
     budget = cfg.tune["budget"]
+    props: dict[tuple, PropensityModel | None] = {}
 
     tuned_rows = []
     for method in cfg.methods:
@@ -649,7 +654,14 @@ def cmd_tune(cfg: ExperimentConfig, out_dir: Path) -> Path:
             points = points[:budget]
         best = None
         for point in points:
-            score, clip_floor = _validation_score(cfg, loaded, method, seed, point)
+            pipeline = cfg.pipeline_settings(method)
+            pipeline.update({k: v for k, v in point.items() if k in PIPELINE_KEYS})
+            key = (method, tuple(sorted(pipeline.items())))
+            if key not in props:
+                props[key] = build_propensity_model(
+                    method, loaded.bundle, pipeline, loaded.ground_truth, seed=seed
+                )
+            score, clip_floor = _validation_score(cfg, loaded, method, seed, point, props[key])
             if best is None or score < best[0]:
                 best = (score, point, clip_floor)
         score, point, clip_floor = best
@@ -682,24 +694,21 @@ def _grid_points(cfg: ExperimentConfig, method: str) -> list[dict]:
     return points
 
 
-def _validation_score(cfg, loaded, method, seed, point) -> tuple[float, float | None]:
-    """Score one grid point on the validation split; returns (score, effective
-    clip floor). Weighted methods use self-normalized weighted MSE under their
-    own propensities, mf and avg plain MSE."""
+def _validation_score(cfg, loaded, method, seed, point, prop) -> tuple[float, float | None]:
+    """Score one grid point, trained with the built propensity model `prop`, on
+    the validation split; returns (score, effective clip floor). Weighted
+    methods use self-normalized weighted MSE under their own propensities, mf
+    and avg plain MSE."""
     bundle = loaded.bundle
-    pipeline = cfg.pipeline_settings(method)
-    pipeline.update({k: v for k, v in point.items() if k in PIPELINE_KEYS})
     if method == "avg":
         model = fit_avg(bundle.train)
         return evaluate(model, bundle.validation).mse, None
-    merged = dict(cfg.train)
-    merged.update({
-        k: v for k, v in cfg.method_overrides.get(method, {}).items() if k in TRAIN_KEYS
-    })
-    merged.update({k: v for k, v in point.items() if k in TRAIN_KEYS and k != "seed"})
-    train_config = TrainConfig(seed=seed, **merged)
+    train_config = replace(
+        cfg.train_settings(method, seed),
+        **{k: v for k, v in point.items() if k in TRAIN_KEYS},
+    )
     try:
-        report, result, prop = run_method(method, loaded, train_config, pipeline)
+        _, result = run_method(method, loaded, train_config, prop)
     except TrainingDivergedError as exc:
         logger.warning("%s diverged at %s: %s", method, point, exc)
         return float("inf"), None

@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .data import RatingDataset, SplitBundle
-from .model import MFParameters, PARAM_GROUPS, init_params, predict_many
+from .model import MFParameters, PARAM_GROUPS, _adam_update, init_params, predict_many
 from .propensity import PropensityModel, score_dataset
 
 logger = logging.getLogger(__name__)
@@ -107,31 +107,18 @@ def adam_step(
         v <- beta2 * v + (1 - beta2) * g**2
         theta <- theta - (lr * m / (1 - beta1**t)) / (sqrt(v / (1 - beta2**t)) + eps)
 
-    evaluated in this operation order in the state's scratch buffers.
+    evaluated in this operation order in the state's scratch buffers (see
+    :func:`ipsmf.model._adam_update`).
     """
-    beta1, beta2 = state.beta1, state.beta2
+    scratch_a, scratch_b = state.scratch
     for name in mask:
         state.steps[name] += 1
-        t = state.steps[name]
-        g = grads.group(name)
-        m = state.m.group(name)
-        v = state.v.group(name)
-        a, b = (s.group(name) for s in state.scratch)
-        np.multiply(m, beta1, out=m)
-        np.multiply(g, 1.0 - beta1, out=a)
-        np.add(m, a, out=m)
-        np.multiply(v, beta2, out=v)
-        np.square(g, out=a)
-        np.multiply(a, 1.0 - beta2, out=a)
-        np.add(v, a, out=v)
-        np.divide(m, 1.0 - beta1**t, out=a)
-        np.multiply(a, lr, out=a)
-        np.divide(v, 1.0 - beta2**t, out=b)
-        np.sqrt(b, out=b)
-        np.add(b, state.eps, out=b)
-        np.divide(a, b, out=a)
-        p = params.group(name)
-        np.subtract(p, a, out=p)
+        _adam_update(
+            params.group(name), grads.group(name),
+            state.m.group(name), state.v.group(name),
+            scratch_a.group(name), scratch_b.group(name),
+            state.steps[name], lr, state.beta1, state.beta2, state.eps,
+        )
     return params, state
 
 

@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import RatingDataset
+from .model import _adam_update
 
 logger = logging.getLogger(__name__)
 
@@ -336,36 +337,53 @@ def estimate_mf_propensity(
     embedding_dim, max_epochs, and seed; its learning rate is not reused since
     full-batch logistic fitting needs far larger steps than mini-batch rating
     training.
+
+    Each step works in two preallocated (U, I) buffers: the clipped scores
+    ``s`` and a work buffer that first holds the per-cell log-likelihood and
+    then the logit gradient. The observation matrix is 0/1 and ``s`` lies in
+    ``[1e-12, 1 - 1e-12]``, so both logs are finite and
+    ``obs * log(s) + (1 - obs) * log(1 - s)`` equals
+    ``log(where(obs, s, 1 - s))`` bit for bit (the zero-weighted term adds
+    -0.0): one log per cell is taken instead of two.
     """
     dim = dim if dim is not None else (config.embedding_dim if config else 8)
     max_steps = max_steps if max_steps is not None else (
         config.max_epochs if config else 500
     )
     seed = seed if seed is not None else (config.seed if config else 0)
-    obs = np.zeros((num_users, num_items))
-    obs[train.users, train.items] = 1.0
+    observed = np.zeros((num_users, num_items), dtype=bool)
+    observed[train.users, train.items] = True
     rng = np.random.default_rng(seed)
     P = rng.normal(0.0, 0.1, size=(num_users, dim))
     Q = rng.normal(0.0, 0.1, size=(num_items, dim))
     a = np.zeros(num_users)
     b = np.zeros(num_items)
-    base_rate = np.clip(obs.mean(), 1e-6, 1.0 - 1e-6)
+    base_rate = np.clip(observed.mean(), 1e-6, 1.0 - 1e-6)
     c = float(np.log(base_rate / (1.0 - base_rate)))
 
     params = [P, Q, a, b, np.array(c)]
     moments = [(np.zeros_like(p), np.zeros_like(p)) for p in params]
+    scratch = [(np.empty_like(p), np.empty_like(p)) for p in params]
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     n_cells = num_users * num_items
+    s = np.empty((num_users, num_items))
+    w = np.empty_like(s)
     best_loss, best_params, prev_loss, converged = np.inf, None, np.inf, False
 
     for step in range(1, max_steps + 1):
-        logits = params[0] @ params[1].T + params[2][:, None] + params[3][None, :] + params[4]
-        s = 1.0 / (1.0 + np.exp(-logits))
-        s = np.clip(s, 1e-12, 1.0 - 1e-12)
-        loss = float(
-            -np.mean(obs * np.log(s) + (1.0 - obs) * np.log(1.0 - s))
-            + l2_weight * sum(np.sum(p**2) for p in params)
-        )
+        np.matmul(P, Q.T, out=s)
+        s += a[:, None]
+        s += b[None, :]
+        s += params[4]
+        np.negative(s, out=s)
+        np.exp(s, out=s)
+        np.add(1.0, s, out=s)
+        np.divide(1.0, s, out=s)
+        np.clip(s, 1e-12, 1.0 - 1e-12, out=s)
+        np.subtract(1.0, s, out=w)
+        np.copyto(w, s, where=observed)
+        np.log(w, out=w)
+        loss = float(-np.mean(w) + l2_weight * sum(np.sum(p**2) for p in params))
         if loss < best_loss:
             best_loss = loss
             best_params = [p.copy() for p in params]
@@ -374,20 +392,17 @@ def estimate_mf_propensity(
             break
         prev_loss = loss
 
-        g = (s - obs) / n_cells
+        g = np.subtract(s, observed, out=w)
+        g /= n_cells
         grads = [
-            g @ params[1] + 2 * l2_weight * params[0],
-            g.T @ params[0] + 2 * l2_weight * params[1],
-            g.sum(axis=1) + 2 * l2_weight * params[2],
-            g.sum(axis=0) + 2 * l2_weight * params[3],
+            g @ Q + 2 * l2_weight * P,
+            g.T @ P + 2 * l2_weight * Q,
+            g.sum(axis=1) + 2 * l2_weight * a,
+            g.sum(axis=0) + 2 * l2_weight * b,
             np.array(g.sum()) + 2 * l2_weight * params[4],
         ]
-        for k, (grad, (m, v)) in enumerate(zip(grads, moments)):
-            m[...] = beta1 * m + (1.0 - beta1) * grad
-            v[...] = beta2 * v + (1.0 - beta2) * grad**2
-            m_hat = m / (1.0 - beta1**step)
-            v_hat = v / (1.0 - beta2**step)
-            params[k] -= learning_rate * m_hat / (np.sqrt(v_hat) + eps)
+        for p, grad, (m, v), (sa, sb) in zip(params, grads, moments, scratch):
+            _adam_update(p, grad, m, v, sa, sb, step, learning_rate, beta1, beta2, eps)
 
     if not converged:
         logger.warning(
@@ -499,52 +514,144 @@ def save_propensity(model: PropensityModel, path: str | Path, delimiter: str = "
             raise AssertionError(model.family)
 
 
+_HEADER_KEYS = (
+    "family", "tau", "alpha1", "alpha2", "scale", "normalization", "rating_min", "rating_max",
+)
+# per family: the index columns before the propensity; "rating" columns are
+# rating values on the header's scale, the others 0-based indices
+_INDEX_COLUMNS = {
+    "uniform": (),
+    "popularity": ("item_index",),
+    "positivity": ("rating",),
+    "multifactorial": ("item_index", "rating"),
+    "ground_truth": ("item_index", "rating"),
+    "mf_learned": ("user_index", "item_index"),
+}
+
+
 def load_propensity(path: str | Path, delimiter: str = ",") -> PropensityModel:
+    """Read a table written by :func:`save_propensity`.
+
+    Raises ValueError naming the file, and the line where there is one, for a
+    missing header key, a row with the wrong number of fields, an index or
+    propensity that does not parse, a propensity that is not finite or lies
+    outside [0, 1], an index outside its range, a duplicate index, or an index
+    range with a gap.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         if not header.startswith("# "):
             raise ValueError(f"{path}: missing propensity table header")
-        meta = dict(kv.split("=", 1) for kv in header[2:].split())
+        pairs = [kv.split("=", 1) for kv in header[2:].split()]
+        bad = [kv[0] for kv in pairs if len(kv) != 2]
+        if bad:
+            raise ValueError(f"{path}:1: header field {bad[0]!r} is not key=value")
+        meta = dict(pairs)
+        missing = [k for k in _HEADER_KEYS if k not in meta]
+        if missing:
+            raise ValueError(f"{path}:1: header is missing key(s) {', '.join(missing)}")
         columns = fh.readline().strip().split(delimiter)
-        rows = [line.strip().split(delimiter) for line in fh if line.strip()]
+        rows = [
+            (lineno, line.strip().split(delimiter))
+            for lineno, line in enumerate(fh, start=3) if line.strip()
+        ]
 
     family = meta["family"]
-    scale_range = (int(meta["rating_min"]), int(meta["rating_max"]))
-    n_r = scale_range[1] - scale_range[0] + 1
-    kwargs = dict(
-        family=family,
-        rating_scale=scale_range,
-        scale=float(meta["scale"]),
-        clip_floor=float(meta["tau"]),
-        normalization=meta["normalization"],
-        alpha1=float(meta["alpha1"]) if meta["alpha1"] else None,
-        alpha2=float(meta["alpha2"]) if meta["alpha2"] else None,
-    )
-    if family == "uniform":
-        kwargs["uniform_value"] = float(rows[0][0])
-    elif family == "popularity":
-        per_item = np.zeros(1 + max(int(r[0]) for r in rows))
-        for r in rows:
-            per_item[int(r[0])] = float(r[1])
-        kwargs["per_item"] = per_item
-    elif family == "positivity":
-        per_rating = np.zeros(n_r)
-        for r in rows:
-            per_rating[int(r[0]) - scale_range[0]] = float(r[1])
-        kwargs["per_rating"] = per_rating
-    elif family in ("multifactorial", "ground_truth"):
-        n_items = 1 + max(int(r[0]) for r in rows)
-        table = np.zeros((n_items, n_r))
-        for r in rows:
-            table[int(r[0]), int(r[1]) - scale_range[0]] = float(r[2])
-        kwargs["per_item_rating"] = table
-    elif family == "mf_learned":
-        n_u = 1 + max(int(r[0]) for r in rows)
-        n_i = 1 + max(int(r[1]) for r in rows)
-        table = np.zeros((n_u, n_i))
-        for r in rows:
-            table[int(r[0]), int(r[1])] = float(r[2])
-        kwargs["per_user_item"] = table
-    else:
+    if family not in _INDEX_COLUMNS:
         raise ValueError(f"{path}: unknown family {family!r} (columns {columns})")
+    try:
+        scale_range = (int(meta["rating_min"]), int(meta["rating_max"]))
+        kwargs = dict(
+            family=family,
+            rating_scale=scale_range,
+            scale=float(meta["scale"]),
+            clip_floor=float(meta["tau"]),
+            normalization=meta["normalization"],
+            alpha1=float(meta["alpha1"]) if meta["alpha1"] else None,
+            alpha2=float(meta["alpha2"]) if meta["alpha2"] else None,
+        )
+    except ValueError as exc:
+        raise ValueError(f"{path}:1: bad header value: {exc}") from None
+    lo, hi = scale_range
+    if hi < lo:
+        raise ValueError(f"{path}:1: rating_max {hi} is below rating_min {lo}")
+
+    index_columns = _INDEX_COLUMNS[family]
+    table = _read_table(path, rows, index_columns, lo, hi)
+    if family == "uniform":
+        kwargs["uniform_value"] = float(table)
+    elif family == "popularity":
+        kwargs["per_item"] = table
+    elif family == "positivity":
+        kwargs["per_rating"] = table
+    elif family in ("multifactorial", "ground_truth"):
+        kwargs["per_item_rating"] = table
+    else:
+        kwargs["per_user_item"] = table
     return PropensityModel(**kwargs)
+
+
+def _read_table(path, rows, index_columns, lo, hi) -> np.ndarray:
+    """The dense table that `rows` (pairs of line number and fields) fill, with
+    one axis per index column; rating columns span the rating scale, the
+    other axes 0 through the largest index seen."""
+    if not rows:
+        raise ValueError(f"{path}: no propensity rows")
+    n_fields = len(index_columns) + 1
+    offsets = [lo if name == "rating" else 0 for name in index_columns]
+    indices = np.empty((len(rows), len(index_columns)), dtype=np.int64)
+    values = np.empty(len(rows))
+    for k, (lineno, fields) in enumerate(rows):
+        if len(fields) != n_fields:
+            raise ValueError(
+                f"{path}:{lineno}: expected {n_fields} field(s), got {len(fields)}"
+            )
+        for j, (name, text) in enumerate(zip(index_columns, fields)):
+            try:
+                index = int(text)
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: {name} {text!r} is not an integer") from None
+            if name == "rating":
+                if not lo <= index <= hi:
+                    raise ValueError(
+                        f"{path}:{lineno}: rating {index} outside the header's scale [{lo}, {hi}]"
+                    )
+            elif index < 0:
+                raise ValueError(f"{path}:{lineno}: {name} {index} is negative")
+            indices[k, j] = index - offsets[j]
+        try:
+            value = float(fields[-1])
+        except ValueError:
+            raise ValueError(
+                f"{path}:{lineno}: propensity {fields[-1]!r} is not a number"
+            ) from None
+        if not 0.0 <= value <= 1.0:  # also false for NaN
+            raise ValueError(f"{path}:{lineno}: propensity {value!r} outside [0, 1]")
+        values[k] = value
+
+    shape = tuple(
+        hi - lo + 1 if name == "rating" else int(indices[:, j].max()) + 1
+        for j, name in enumerate(index_columns)
+    )
+    flat = np.ravel_multi_index(tuple(indices.T), shape) if shape else np.zeros(len(rows), np.int64)
+    order = np.argsort(flat, kind="stable")
+    ordered = flat[order]
+    repeated = np.flatnonzero(ordered[1:] == ordered[:-1])
+    if len(repeated):
+        first, again = order[repeated[0]], order[repeated[0] + 1]
+        raise ValueError(
+            f"{path}:{rows[again][0]}: duplicate of the row on line {rows[first][0]}"
+        )
+    size = int(np.prod(shape, dtype=np.int64))
+    if len(rows) != size:
+        # distinct sorted flat indices: the first that differs from its rank is
+        # the first one missing
+        skipped = np.flatnonzero(ordered != np.arange(len(rows)))
+        gap = np.unravel_index(int(skipped[0]) if len(skipped) else len(rows), shape)
+        where = ", ".join(
+            f"{name} {int(i) + off}" for name, i, off in zip(index_columns, gap, offsets)
+        )
+        raise ValueError(f"{path}: no row for {where} (gap in the index range)")
+    table = np.zeros(size)
+    table[flat] = values
+    return table.reshape(shape)

@@ -229,3 +229,61 @@ def fit_reference(data, propensity_model, config):
             if bad_evals >= config.patience:
                 break
     return best_params, history
+
+
+def estimate_mf_propensity_reference(train, num_users, num_items, *, dim, learning_rate,
+                                     max_steps, seed, l2_weight=5e-4, tol=1e-8):
+    """The observation-model fit through full-matrix temporaries, two logs per
+    cell and its own Adam loop. Returns ((P, Q, a, b, c), losses, converged),
+    where `losses` holds the loss of every step evaluated."""
+    obs = np.zeros((num_users, num_items))
+    obs[train.users, train.items] = 1.0
+    rng = np.random.default_rng(seed)
+    P = rng.normal(0.0, 0.1, size=(num_users, dim))
+    Q = rng.normal(0.0, 0.1, size=(num_items, dim))
+    a = np.zeros(num_users)
+    b = np.zeros(num_items)
+    base_rate = np.clip(obs.mean(), 1e-6, 1.0 - 1e-6)
+    c = float(np.log(base_rate / (1.0 - base_rate)))
+
+    params = [P, Q, a, b, np.array(c)]
+    moments = [(np.zeros_like(p), np.zeros_like(p)) for p in params]
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    n_cells = num_users * num_items
+    best_loss, best_params, prev_loss, converged = np.inf, None, np.inf, False
+    losses = []
+
+    for step in range(1, max_steps + 1):
+        logits = params[0] @ params[1].T + params[2][:, None] + params[3][None, :] + params[4]
+        s = 1.0 / (1.0 + np.exp(-logits))
+        s = np.clip(s, 1e-12, 1.0 - 1e-12)
+        loss = float(
+            -np.mean(obs * np.log(s) + (1.0 - obs) * np.log(1.0 - s))
+            + l2_weight * sum(np.sum(p**2) for p in params)
+        )
+        losses.append(loss)
+        if loss < best_loss:
+            best_loss = loss
+            best_params = [p.copy() for p in params]
+        if np.isfinite(prev_loss) and abs(prev_loss - loss) <= tol * max(abs(prev_loss), 1.0):
+            converged = True
+            break
+        prev_loss = loss
+
+        g = (s - obs) / n_cells
+        grads = [
+            g @ params[1] + 2 * l2_weight * params[0],
+            g.T @ params[0] + 2 * l2_weight * params[1],
+            g.sum(axis=1) + 2 * l2_weight * params[2],
+            g.sum(axis=0) + 2 * l2_weight * params[3],
+            np.array(g.sum()) + 2 * l2_weight * params[4],
+        ]
+        for k, (grad, (m, v)) in enumerate(zip(grads, moments)):
+            m[...] = beta1 * m + (1.0 - beta1) * grad
+            v[...] = beta2 * v + (1.0 - beta2) * grad**2
+            m_hat = m / (1.0 - beta1**step)
+            v_hat = v / (1.0 - beta2**step)
+            params[k] -= learning_rate * m_hat / (np.sqrt(v_hat) + eps)
+
+    P, Q, a, b, c = best_params
+    return (P, Q, a, b, float(c)), losses, converged

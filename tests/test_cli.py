@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ipsmf import cli
 from ipsmf.cli import (
     ConfigError,
     cmd_simulate,
@@ -12,7 +13,9 @@ from ipsmf.cli import (
     main,
 )
 from ipsmf.data import load_ratings, read_manifest
-from ipsmf.metrics import bootstrap_interval
+from ipsmf.metrics import bootstrap_interval, evaluate
+from ipsmf.model import fit_avg
+from ipsmf.optim import TrainConfig, evaluate_validation, train_alternating, train_concurrent
 from ipsmf.propensity import load_propensity
 
 from oracles import bootstrap_interval_oracle
@@ -179,7 +182,7 @@ embedding_dim = 4
         with pytest.raises(ConfigError, match="mcar"):
             cmd_train(cfg2, tmp_path / "out2")
 
-    def test_train_from_raw_file_pair(self, tmp_path):
+    def raw_pair_config(self, tmp_path, seeds="0"):
         # two-file ingestion: filter to test users, split 4:1 and mcar/test
         rng = np.random.default_rng(8)
         biased = tmp_path / "biased.csv"
@@ -204,7 +207,7 @@ split_seed = 1
 
 [experiment]
 methods = avg, mf_ips_pos
-seeds = 0
+seeds = {seeds}
 
 [train]
 learning_rate = 0.01
@@ -212,7 +215,10 @@ max_epochs = 5
 patience = 5
 embedding_dim = 4
 """
-        cfg = load_config(write_config(tmp_path, text, name="raw.ini"))
+        return load_config(write_config(tmp_path, text, name="raw.ini"))
+
+    def test_train_from_raw_file_pair(self, tmp_path):
+        cfg = self.raw_pair_config(tmp_path)
         results = cmd_train(cfg, tmp_path / "rawout")
         lines = results.read_text().splitlines()
         rows = [dict(zip(lines[0].split(","), l.split(","))) for l in lines[1:]]
@@ -221,6 +227,26 @@ embedding_dim = 4
         manifest = read_manifest(tmp_path / "rawout" / "split_manifest.txt")
         assert int(manifest["n_train"]) + int(manifest["n_validation"]) > 0
         assert manifest["split_seed"] == "1"
+
+    def test_split_manifest_bytes_pinned(self, tmp_path):
+        # the split sizes come from the result rows; they must equal a fresh
+        # load of the same files, and the bytes stay as they were
+        cfg = self.raw_pair_config(tmp_path, seeds="0, 1")
+        cmd_train(cfg, tmp_path / "rawout")
+        bundle = cli.load_experiment_data(cfg, run_seed=0).bundle
+        sizes = [len(bundle.train), len(bundle.validation), len(bundle.mcar), len(bundle.test)]
+        assert sizes == [43, 10, 10, 30]
+        expected = (
+            f"config_hash={cfg.config_hash}\n"
+            "mcar_fraction=0.25\n"
+            "n_mcar=10\n"
+            "n_test=30\n"
+            "n_train=43\n"
+            "n_validation=10\n"
+            "split_seed=1\n"
+            "train_fraction=0.8\n"
+        )
+        assert (tmp_path / "rawout" / "split_manifest.txt").read_text() == expected
 
     def test_train_from_simulated_files_with_gt(self, tmp_path):
         cfg = load_config(write_config(tmp_path))
@@ -349,6 +375,92 @@ budget = 3
         lines = path.read_text().splitlines()
         row = dict(zip(lines[0].split(","), lines[1].split(",")))
         assert row["points_evaluated"] == "3"
+
+
+MEMO_TUNE_CONFIG = BASE_CONFIG.replace(
+    "methods = avg, mf, mf_ips_mul", "methods = avg, mf, mf_ips_mf, mf_ips_mul"
+).replace("max_epochs = 12", "max_epochs = 3") + """
+[method mf_ips_mf]
+propensity_steps = 40
+
+[tune]
+learning_rate = 0.01, 0.02
+l2_weight = 1e-6
+embedding_dim = 4, 8
+alpha1 = 1, 3
+alpha2 = 1, 2
+"""
+
+
+def reference_tune(cfg, path, build):
+    """The tune loop with a freshly built propensity model and a freshly
+    merged train config at every grid point; returns the configs trained."""
+    seed = cfg.seeds[0]
+    loaded = cli.load_experiment_data(cfg, run_seed=seed)
+    bundle = loaded.bundle
+    rows, configs = [], []
+    for method in cfg.methods:
+        points = cli._grid_points(cfg, method)
+        best = None
+        for point in points:
+            if method == "avg":
+                score, floor = evaluate(fit_avg(bundle.train), bundle.validation).mse, None
+            else:
+                pipeline = cfg.pipeline_settings(method)
+                pipeline.update({k: v for k, v in point.items() if k in cli.PIPELINE_KEYS})
+                prop = build(method, bundle, pipeline, loaded.ground_truth, seed=seed)
+                merged = dict(cfg.train)
+                merged.update({k: v for k, v in cfg.method_overrides.get(method, {}).items()
+                               if k in cli.TRAIN_KEYS})
+                merged.update({k: v for k, v in point.items() if k in cli.TRAIN_KEYS})
+                config = TrainConfig(seed=seed, **merged)
+                configs.append(config)
+                fit = train_alternating if config.schedule == "alternating" else train_concurrent
+                result = fit(bundle, prop, config)
+                if method == "mf":
+                    score = evaluate(result.params, bundle.validation).mse
+                else:
+                    score = evaluate_validation(result.params, bundle.validation, prop)
+                floor = prop.clip_floor
+            if best is None or score < best[0]:
+                best = (score, point, floor)
+        score, point, floor = best
+        rows.append({"method": method, "validation_score": score, "clip_floor": floor,
+                     "points_evaluated": len(points), **point})
+    columns = ("method", "learning_rate", "l2_weight", "embedding_dim",
+               "alpha1", "alpha2", "clip_floor", "validation_score", "points_evaluated")
+    cli._write_rows(path, columns, rows)
+    return configs
+
+
+def test_tune_builds_each_propensity_model_once(tmp_path, monkeypatch):
+    cfg = load_config(write_config(tmp_path, MEMO_TUNE_CONFIG, name="memo.ini"))
+    build, run = cli.build_propensity_model, cli.run_method
+    calls, configs = [], []
+
+    def counting(method, bundle, pipeline, ground_truth=None, seed=0):
+        calls.append((method, tuple(sorted(pipeline.items()))))
+        return build(method, bundle, pipeline, ground_truth, seed=seed)
+
+    def recording(method, loaded, train_config, prop, clamp=False):
+        configs.append(train_config)
+        return run(method, loaded, train_config, prop, clamp)
+
+    monkeypatch.setattr(cli, "build_propensity_model", counting)
+    monkeypatch.setattr(cli, "run_method", recording)
+    tuned = cmd_tune(cfg, tmp_path / "tuned")
+
+    # one call per distinct (method, pipeline): avg, mf and mf_ips_mf have one
+    # pipeline each, mf_ips_mul one per (alpha1, alpha2)
+    assert len(calls) == len(set(calls)) == 1 + 1 + 1 + 4
+    assert sorted({(m, dict(p)["alpha1"], dict(p)["alpha2"]) for m, p in calls
+                   if m == "mf_ips_mul"}) == [
+        ("mf_ips_mul", a1, a2) for a1 in (1.0, 3.0) for a2 in (1.0, 2.0)]
+    reference = tmp_path / "reference.csv"
+    assert configs == reference_tune(cfg, reference, build)
+    assert tuned.read_bytes() == reference.read_bytes()
+    lines = tuned.read_text().splitlines()
+    assert [line.split(",")[-1] for line in lines[1:]] == ["1", "4", "4", "16"]
 
 
 def test_main_entrypoint(tmp_path):

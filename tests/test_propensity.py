@@ -25,7 +25,12 @@ from ipsmf.propensity import (
     uniform_propensities,
 )
 
-from oracles import multifactorial_oracle, popularity_oracle, positivity_oracle
+from oracles import (
+    estimate_mf_propensity_reference,
+    multifactorial_oracle,
+    popularity_oracle,
+    positivity_oracle,
+)
 
 
 def make_dataset(n_users, n_items, triples, scale=(1, 5)):
@@ -248,6 +253,51 @@ class TestMFLearned:
         assert abs(cold.mean() - obs.mean()) < 0.15
 
 
+
+def random_observations(n_users, n_items, density, seed):
+    rng = np.random.default_rng(seed)
+    users, items = np.nonzero(rng.random((n_users, n_items)) < density)
+    return RatingDataset(n_users, n_items, users, items, rng.integers(1, 6, size=len(users)))
+
+
+class TestMFLearnedMatchesReference:
+    """The in-place, one-log fit with the shared Adam kernel returns the same
+    factors, bit for bit, as the allocating two-log fit with its own Adam loop."""
+
+    def fit_both(self, train, **kwargs):
+        factors, losses, converged = estimate_mf_propensity_reference(
+            train, train.num_users, train.num_items, **kwargs)
+        model = estimate_mf_propensity(train, train.num_users, train.num_items, **kwargs)
+        for got, want in zip(model.mf_factors, factors):
+            np.testing.assert_array_equal(got, want)
+        assert type(model.mf_factors[4]) is float
+        return losses, converged
+
+    def test_converging_fit(self):
+        train = random_observations(10, 10, 0.3, seed=0)
+        losses, converged = self.fit_both(
+            train, dim=2, learning_rate=0.2, max_steps=400, seed=0)
+        assert converged and len(losses) < 400
+
+    def test_non_converging_fit(self, caplog):
+        # the benchmark's tune shape (1000 x 500, dim 8, 90 steps), scaled down
+        train = random_observations(100, 50, 0.1, seed=1)
+        with caplog.at_level(logging.WARNING):
+            losses, converged = self.fit_both(
+                train, dim=8, learning_rate=0.05, max_steps=60, seed=1)
+        assert not converged and len(losses) == 60
+        assert "did not converge" in caplog.text
+
+    def test_best_loss_before_the_last_step(self):
+        # a large step size makes the loss oscillate: the best parameters are
+        # neither the initial nor the final ones
+        train = random_observations(12, 10, 0.3, seed=3)
+        losses, converged = self.fit_both(
+            train, dim=3, learning_rate=1.5, max_steps=34, seed=3)
+        best = int(np.argmin(losses))
+        assert not converged and 0 < best < len(losses) - 1
+
+
 class TestClipNormalizeScore:
     def test_clip_floors_scores(self):
         model = PropensityModel(family="positivity",
@@ -418,3 +468,88 @@ class TestSerialization:
         header = path.read_text().splitlines()[0]
         for expected in ("family=multifactorial", "tau=0.05", "alpha1=10.0", "alpha2=2.0"):
             assert expected in header
+
+
+
+GOOD_HEADER = (
+    "# family=multifactorial tau=0.05 alpha1=1.0 alpha2=1.0 scale=1.0 "
+    "normalization=none rating_min=1 rating_max=2\n"
+)
+
+
+class TestLoadValidation:
+    def write(self, tmp_path, text):
+        path = tmp_path / "prop.csv"
+        path.write_text(text)
+        return path
+
+    def table(self, rows):
+        return GOOD_HEADER + "item_index,rating,propensity\n" + "".join(r + "\n" for r in rows)
+
+    def test_complete_table_loads(self, tmp_path):
+        path = self.write(tmp_path, self.table(["0,1,0.5", "0,2,0.0", "1,1,1.0", "1,2,0.25"]))
+        model = load_propensity(path)
+        np.testing.assert_array_equal(model.per_item_rating, [[0.5, 0.0], [1.0, 0.25]])
+
+    def test_rating_scale_from_zero_loads(self, tmp_path):
+        header = GOOD_HEADER.replace("family=multifactorial", "family=positivity")
+        header = header.replace("rating_min=1 rating_max=2", "rating_min=0 rating_max=1")
+        path = self.write(tmp_path, header + "rating,propensity\n0,0.25\n1,0.5\n")
+        np.testing.assert_array_equal(load_propensity(path).per_rating, [0.25, 0.5])
+
+    def test_popularity_zero_for_unobserved_item_roundtrips(self, tmp_path):
+        train = make_dataset(3, 4, [(0, 0, 3), (1, 0, 4), (2, 2, 5)])
+        model = estimate_popularity(train, 3, 4)
+        assert np.any(model.per_item == 0)
+        path = tmp_path / "prop.csv"
+        save_propensity(model, path)
+        np.testing.assert_array_equal(load_propensity(path).per_item, model.per_item)
+
+    @pytest.mark.parametrize("text, match", [
+        (GOOD_HEADER.replace(" tau=0.05", "") + "item_index,rating,propensity\n0,1,0.5\n",
+         r"prop.csv:1: header is missing key\(s\) tau"),
+        (GOOD_HEADER.replace("scale=1.0", "scale") + "item_index,rating,propensity\n0,1,0.5\n",
+         r"prop.csv:1: header field 'scale' is not key=value"),
+        (GOOD_HEADER.replace("rating_min=1", "rating_min=one"), r"prop.csv:1: bad header value"),
+    ], ids=["missing-key", "not-key-value", "bad-header-value"])
+    def test_bad_header(self, tmp_path, text, match):
+        with pytest.raises(ValueError, match=match):
+            load_propensity(self.write(tmp_path, text))
+
+    @pytest.mark.parametrize("rows, match", [
+        (["0,1,0.5", "0,2", "1,1,0.5", "1,2,0.5"], r"prop.csv:4: expected 3 field\(s\), got 2"),
+        (["0,1,0.5", "0,2,0.5,9", "1,1,0.5", "1,2,0.5"], r"prop.csv:4: expected 3 field\(s\), got 4"),
+        (["0,1,0.5", "0,2,high", "1,1,0.5", "1,2,0.5"], r"prop.csv:4: propensity 'high' is not a number"),
+        (["0,1,0.5", "0,2,nan", "1,1,0.5", "1,2,0.5"], r"prop.csv:4: propensity nan outside \[0, 1\]"),
+        (["0,1,0.5", "0,2,inf", "1,1,0.5", "1,2,0.5"], r"prop.csv:4: propensity inf outside"),
+        (["0,1,0.5", "0,2,-0.1", "1,1,0.5", "1,2,0.5"], r"prop.csv:4: propensity -0.1 outside"),
+        (["0,1,0.5", "0,2,1.5", "1,1,0.5", "1,2,0.5"], r"prop.csv:4: propensity 1.5 outside"),
+        (["0,1,0.5", "x,2,0.5", "1,1,0.5", "1,2,0.5"], r"prop.csv:4: item_index 'x' is not an integer"),
+        (["0,1,0.5", "-1,2,0.5", "1,1,0.5", "1,2,0.5"], r"prop.csv:4: item_index -1 is negative"),
+        (["0,1,0.5", "0,3,0.5", "1,1,0.5", "1,2,0.5"], r"prop.csv:4: rating 3 outside the header's scale"),
+        (["0,1,0.5", "0,2,0.5", "1,1,0.5", "0,2,0.25", "1,2,0.5"],
+         r"prop.csv:6: duplicate of the row on line 4"),
+        (["0,1,0.5", "0,2,0.5", "2,1,0.5", "2,2,0.5"],
+         r"prop.csv: no row for item_index 1, rating 1 \(gap in the index range\)"),
+        (["0,1,0.5", "1,1,0.5", "1,2,0.5"], r"no row for item_index 0, rating 2"),
+        (["0,1,0.5", "0,2,0.5", "1,1,0.5"], r"no row for item_index 1, rating 2"),
+        ([], r"prop.csv: no propensity rows"),
+    ], ids=["too-few-fields", "too-many-fields", "not-a-number", "nan", "inf", "negative",
+            "above-one", "bad-index", "negative-index", "rating-off-scale", "duplicate",
+            "gap-row", "gap-first-cell", "gap-last-cell", "empty"])
+    def test_bad_rows(self, tmp_path, rows, match):
+        with pytest.raises(ValueError, match=match):
+            load_propensity(self.write(tmp_path, self.table(rows)))
+
+    @pytest.mark.parametrize("family, columns, rows, match", [
+        ("popularity", "item_index,propensity", ["0,0.1", "2,0.3"], r"no row for item_index 1"),
+        ("positivity", "rating,propensity", ["1,0.1"], r"no row for rating 2"),
+        ("mf_learned", "user_index,item_index,propensity", ["0,0,0.1", "0,1,0.1", "1,1,0.1"],
+         r"no row for user_index 1, item_index 0"),
+        ("uniform", "propensity", ["0.1", "0.2"], r"prop.csv:4: duplicate of the row on line 3"),
+    ], ids=["popularity", "positivity", "mf_learned", "uniform"])
+    def test_other_family_layouts(self, tmp_path, family, columns, rows, match):
+        header = GOOD_HEADER.replace("family=multifactorial", f"family={family}")
+        text = header + columns + "\n" + "".join(r + "\n" for r in rows)
+        with pytest.raises(ValueError, match=match):
+            load_propensity(self.write(tmp_path, text))
