@@ -55,8 +55,7 @@ from .optim import (
     ips_gradient,
     adam_step,
     init_adam_state,
-    train_concurrent,
-    train_alternating,
+    train,
     evaluate_validation,
 )
 from .metrics import MetricReport, evaluate, summarize_runs, bootstrap_interval

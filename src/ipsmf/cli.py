@@ -40,15 +40,14 @@ from .data import (
     split_unbiased,
     write_manifest,
 )
-from .metrics import METRIC_FIELDS, bootstrap_interval, evaluate
+from .metrics import METRIC_FIELDS, bootstrap_interval, evaluate, summarize_runs
 from .model import fit_avg, save_checkpoint
 from .optim import (
     TrainConfig,
     TrainingDivergedError,
     evaluate_validation,
     save_history,
-    train_alternating,
-    train_concurrent,
+    train,
 )
 from .propensity import (
     PropensityModel,
@@ -298,10 +297,10 @@ def _load_split_files(data_cfg: dict) -> LoadedData:
         gt = load_propensity(data_cfg["ground_truth_propensities"], delimiter=delim)
     counts_u = max(p.num_users for p in parts.values())
     counts_i = max(p.num_items for p in parts.values())
-    if gt is not None and gt.per_item_rating is not None:
+    if gt is not None and gt.family in ("multifactorial", "ground_truth"):
         # the table covers the full simulated item space, including items that
         # happen to be unobserved in every split
-        counts_i = max(counts_i, gt.per_item_rating.shape[0])
+        counts_i = max(counts_i, gt.table.shape[0])
     parts = {
         k: RatingDataset(counts_u, counts_i, p.users, p.items, p.ratings, p.rating_scale)
         for k, p in parts.items()
@@ -412,8 +411,7 @@ def run_method(
     bundle = loaded.bundle
     if method == "avg":
         return evaluate(fit_avg(bundle.train), bundle.test, clamp=clamp), None
-    train_fn = train_alternating if train_config.schedule == "alternating" else train_concurrent
-    result = train_fn(bundle, prop, train_config)
+    result = train(bundle, prop, train_config)
     return evaluate(result.params, bundle.test, clamp=clamp), result
 
 
@@ -611,11 +609,7 @@ def cmd_summarize(results_path: Path, summary_path: Path) -> Path:
     out_rows = []
     for key in sorted(groups):
         group = groups[key]
-        row = {"dataset": key[0], "gamma": key[1], "method": key[2], "n_runs": len(group)}
-        for name in METRIC_FIELDS:
-            values = np.array([float(r[name]) for r in group])
-            row[f"{name}_mean"] = float(values.mean())
-            row[f"{name}_std"] = float(values.std(ddof=1)) if len(values) > 1 else 0.0
+        row = {"dataset": key[0], "gamma": key[1], "method": key[2], **summarize_runs(group)}
         for name in ("mse", "mae"):
             values = np.array([float(r[name]) for r in group])
             low, high = bootstrap_interval(values, num_resamples=1000, seed=0)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,11 +86,16 @@ def evaluate(
 METRIC_FIELDS = ("mse", "mae", "rmse", "rmse_per_user", "rmse_per_item")
 
 
-def summarize_runs(reports: list[MetricReport]) -> dict[str, float]:
-    """Mean and standard deviation of each metric over independent runs."""
-    out: dict[str, float] = {"n_runs": len(reports)}
+def summarize_runs(runs: list[Mapping[str, float | str]]) -> dict[str, float]:
+    """Mean and standard deviation of each metric over independent runs.
+
+    Each run is a mapping from metric name to value, such as a results-table
+    row (values are parsed with ``float``) or ``vars(report)`` of a
+    :class:`MetricReport`.
+    """
+    out: dict[str, float] = {"n_runs": len(runs)}
     for name in METRIC_FIELDS:
-        values = np.array([getattr(r, name) for r in reports])
+        values = np.array([float(r[name]) for r in runs])
         out[f"{name}_mean"] = float(values.mean())
         out[f"{name}_std"] = float(values.std(ddof=1)) if len(values) > 1 else 0.0
     return out

@@ -58,9 +58,6 @@ class MFParameters:
     def squared_norm(self) -> float:
         return float(sum(np.sum(self.group(g) ** 2) for g in PARAM_GROUPS))
 
-    def all_finite(self) -> bool:
-        return all(np.all(np.isfinite(self.group(g))) for g in PARAM_GROUPS)
-
 
 def init_params(
     num_users: int,
@@ -205,14 +202,31 @@ def save_checkpoint(params: MFParameters, path: str | Path, seed: int = 0) -> No
 
 
 def load_checkpoint(path: str | Path) -> tuple[MFParameters, dict[str, int]]:
+    """Read a checkpoint written by :func:`save_checkpoint`; returns the
+    parameters and the integer header fields.
+
+    Raises ValueError naming the file for a missing magic, a header token that
+    is not ``key=integer``, a missing or negative size (num_users, num_items,
+    dim), a truncated block, or bytes after the last block.
+    """
     with open(path, "rb") as fh:
-        header = fh.readline().decode("ascii").strip()
+        header = fh.readline().decode("ascii", errors="replace").strip()
         if not header.startswith(_CHECKPOINT_MAGIC):
             raise ValueError(f"{path}: not an ipsmf checkpoint")
-        meta = dict(
-            kv.split("=") for kv in header[len(_CHECKPOINT_MAGIC):].split()
-        )
-        meta = {k: int(v) for k, v in meta.items()}
+        meta = {}
+        for token in header[len(_CHECKPOINT_MAGIC):].split():
+            key, sep, value = token.partition("=")
+            if not sep:
+                raise ValueError(f"{path}: header token {token!r} is not key=value")
+            try:
+                meta[key] = int(value)
+            except ValueError:
+                raise ValueError(f"{path}: header {key}={value!r} is not an integer") from None
+        for key in ("num_users", "num_items", "dim"):
+            if key not in meta:
+                raise ValueError(f"{path}: header is missing {key}")
+            if meta[key] < 0:
+                raise ValueError(f"{path}: header {key}={meta[key]} is negative")
         n_u, n_i, dim = meta["num_users"], meta["num_items"], meta["dim"]
         shapes = {
             "user_emb": (n_u, dim),
@@ -228,4 +242,6 @@ def load_checkpoint(path: str | Path) -> tuple[MFParameters, dict[str, int]]:
             if len(buf) != count * 8:
                 raise ValueError(f"{path}: truncated checkpoint block {name}")
             arrays[name] = np.frombuffer(buf, dtype="<f8").copy().reshape(shapes[name])
+        if fh.read(1):
+            raise ValueError(f"{path}: trailing bytes after the global_off block")
     return MFParameters(**arrays), meta

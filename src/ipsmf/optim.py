@@ -1,10 +1,12 @@
-"""Inverse-propensity-weighted loss, Adam stepping, and the two training schedules.
+"""Inverse-propensity-weighted loss, Adam stepping, and training.
 
-The concurrent schedule updates every parameter group on each mini-batch. The
-alternating schedule runs one full epoch updating only the user-side groups
-(user embeddings, user offsets, global offset), then one full epoch updating
-only the item-side groups (item embeddings, item offsets), which damps the
-update noise caused by widely varying inverse-propensity weights.
+:func:`train` runs one loop for both schedules, chosen by
+``TrainConfig.schedule``. The concurrent schedule updates every parameter
+group on each mini-batch. The alternating schedule runs one full epoch
+updating only the user-side groups (user embeddings, user offsets, global
+offset), then one full epoch updating only the item-side groups (item
+embeddings, item offsets), which damps the update noise caused by widely
+varying inverse-propensity weights.
 """
 
 from __future__ import annotations
@@ -250,13 +252,28 @@ def save_history(rows: list[HistoryRow], path: str | Path, delimiter: str = ",")
             )
 
 
-def _fit(
+def train(
     data: SplitBundle,
     propensity_model: PropensityModel,
     config: TrainConfig,
-    schedule: str,
     epoch_callback: Callable[[str, int, MFParameters], None] | None = None,
 ) -> TrainResult:
+    """Mini-batch IPS training on the schedule ``config.schedule``.
+
+    Batches are reshuffled every pass. ``"concurrent"`` updates all parameter
+    groups each batch; ``"alternating"`` runs, per outer epoch, one full pass
+    updating only {user_emb, user_off, global_off}, then one full pass
+    updating only {item_emb, item_off}. `epoch_callback(phase, epoch, params)`
+    is called after each pass (phase "all", or "user" and "item"). Validation
+    is scored once per outer epoch and the parameters from the best
+    validation epoch are returned.
+    """
+    return _fit(data, propensity_model, config, epoch_callback)
+
+
+def _fit(data, propensity_model, config, epoch_callback):
+    """The loop of :func:`train`, under the name perfbench/tracing.py times as
+    the optim.fit span."""
     train, validation = data.train, data.validation
     if len(train) == 0:
         raise ValueError("train set is empty")
@@ -283,7 +300,7 @@ def _fit(
     shuffle_rng = np.random.default_rng([config.seed, 1])
     phases = (
         [("all", PARAM_GROUPS)]
-        if schedule == "concurrent"
+        if config.schedule == "concurrent"
         else [("user", USER_PHASE_GROUPS), ("item", ITEM_PHASE_GROUPS)]
     )
 
@@ -336,28 +353,3 @@ def _fit(
         best_validation=float(best_val),
     )
 
-
-def train_concurrent(
-    data: SplitBundle,
-    propensity_model: PropensityModel,
-    config: TrainConfig,
-    epoch_callback: Callable[[str, int, MFParameters], None] | None = None,
-) -> TrainResult:
-    """Mini-batch training updating all parameter groups each batch.
-
-    Batches are reshuffled every epoch; validation is scored once per epoch and
-    the parameters from the best validation epoch are returned.
-    """
-    return _fit(data, propensity_model, config, "concurrent", epoch_callback)
-
-
-def train_alternating(
-    data: SplitBundle,
-    propensity_model: PropensityModel,
-    config: TrainConfig,
-    epoch_callback: Callable[[str, int, MFParameters], None] | None = None,
-) -> TrainResult:
-    """Phase-alternating training: per outer epoch, one full pass updating only
-    {user_emb, user_off, global_off}, then one full pass updating only
-    {item_emb, item_off}. Validation is scored once per phase pair."""
-    return _fit(data, propensity_model, config, "alternating", epoch_callback)

@@ -5,6 +5,9 @@ item, positivity scores only on the rating value, and the joint (multifactorial)
 family on the (item, rating) combination. The mf_learned family fits a
 factorized logistic model of the observation matrix, and ground_truth wraps an
 exact per-(item, rating) table from a simulator.
+
+Every family but a fitted mf_learned model is one lookup table whose axes
+:data:`AXES` names; a fitted mf_learned model keeps its logistic factors.
 """
 
 from __future__ import annotations
@@ -20,14 +23,18 @@ from .model import _adam_update
 
 logger = logging.getLogger(__name__)
 
-FAMILIES = (
-    "uniform",
-    "popularity",
-    "positivity",
-    "multifactorial",
-    "mf_learned",
-    "ground_truth",
-)
+# The axes of each family's propensity table, in order; these are also the
+# index columns of its table file. "rating" axes run over the rating scale
+# (file columns hold rating values), the others over 0-based indices.
+AXES = {
+    "uniform": (),
+    "popularity": ("item_index",),
+    "positivity": ("rating",),
+    "multifactorial": ("item_index", "rating"),
+    "mf_learned": ("user_index", "item_index"),
+    "ground_truth": ("item_index", "rating"),
+}
+FAMILIES = tuple(AXES)
 
 
 class PropensityError(ValueError):
@@ -56,19 +63,22 @@ class SmoothingConfig:
 class PropensityModel:
     """A scoring object mapping (user, item, rating) to an observation probability.
 
-    Exactly one of the table fields is set, according to `family`. Scores are
-    computed as ``min(raw * scale, 1)`` floored at `clip_floor`; `scale` is
-    adjusted by :func:`normalize` and `clip_floor` by :func:`clip`.
+    Exactly one of `table` and `mf_factors` is set. `table` has one axis per
+    name in ``AXES[family]`` (a 0-d array for uniform); `mf_factors` holds the
+    fitted logits ``(P, Q, a, b, c)`` of an mf_learned model, whose loaded
+    form is a (user, item) table. Scores are computed as ``min(raw * scale,
+    1)`` floored at `clip_floor`; `scale` is adjusted by :func:`normalize` and
+    `clip_floor` by :func:`clip`.
+
+    Raises ValueError for an unknown family, when both or neither of `table`
+    and `mf_factors` are set, for factors outside mf_learned, and for a table
+    whose axis count or rating-axis length does not fit the family and scale.
     """
 
     family: str
     rating_scale: tuple[int, int] = (1, 5)
-    uniform_value: float | None = None
-    per_rating: np.ndarray | None = None        # (R,)
-    per_item: np.ndarray | None = None          # (I,)
-    per_item_rating: np.ndarray | None = None   # (I, R)
-    per_user_item: np.ndarray | None = None     # (U, I), mf_learned only
-    mf_factors: tuple[np.ndarray, ...] | None = None  # (P, Q, a, b, c) logits
+    table: np.ndarray | None = None
+    mf_factors: tuple[np.ndarray, ...] | None = None
     scale: float = 1.0
     clip_floor: float = 0.0
     normalization: str = "none"
@@ -76,8 +86,29 @@ class PropensityModel:
     alpha2: float | None = None
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
+        if self.family not in AXES:
             raise ValueError(f"unknown propensity family {self.family!r}")
+        if (self.table is None) == (self.mf_factors is None):
+            raise ValueError(
+                f"{self.family} model needs exactly one of table and mf_factors"
+            )
+        if self.mf_factors is not None:
+            if self.family != "mf_learned":
+                raise ValueError(f"mf_factors given for a {self.family} model")
+            return
+        table = np.asarray(self.table, dtype=float)
+        object.__setattr__(self, "table", table)
+        axes = AXES[self.family]
+        if table.ndim != len(axes):
+            raise ValueError(
+                f"{self.family} table needs {len(axes)} axes {axes}, got shape {table.shape}"
+            )
+        for name, length in zip(axes, table.shape):
+            if name == "rating" and length != self.num_rating_values:
+                raise ValueError(
+                    f"{self.family} table has {length} rating entries for the "
+                    f"rating scale {self.rating_scale}"
+                )
 
     @property
     def num_rating_values(self) -> int:
@@ -88,22 +119,7 @@ class PropensityModel:
         lo, hi = self.rating_scale
         if np.any(ratings < lo) or np.any(ratings > hi):
             raise IndexError("rating outside the model's rating scale")
-        r_idx = ratings - lo
-        if self.family == "uniform":
-            return np.full(len(users), self.uniform_value, dtype=float)
-        if self.family == "popularity":
-            self._check_range(items, len(self.per_item), "item")
-            return self.per_item[items]
-        if self.family == "positivity":
-            return self.per_rating[r_idx]
-        if self.family in ("multifactorial", "ground_truth"):
-            self._check_range(items, self.per_item_rating.shape[0], "item")
-            return self.per_item_rating[items, r_idx]
-        if self.family == "mf_learned":
-            if self.per_user_item is not None:
-                self._check_range(users, self.per_user_item.shape[0], "user")
-                self._check_range(items, self.per_user_item.shape[1], "item")
-                return self.per_user_item[users, items]
+        if self.mf_factors is not None:
             P, Q, a, b, c = self.mf_factors
             self._check_range(users, P.shape[0], "user")
             self._check_range(items, Q.shape[0], "item")
@@ -111,7 +127,11 @@ class PropensityModel:
                 np.einsum("nd,nd->n", P[users], Q[items]) + a[users] + b[items] + c
             )
             return 1.0 / (1.0 + np.exp(-logits))
-        raise AssertionError(self.family)
+        columns = {"user_index": users, "item_index": items, "rating": ratings - lo}
+        idx = tuple(columns[name] for name in AXES[self.family])
+        for name, i, bound in zip(AXES[self.family], idx, self.table.shape):
+            self._check_range(i, bound, name.removesuffix("_index"))
+        return np.broadcast_to(self.table[idx], users.shape)
 
     @staticmethod
     def _check_range(idx: np.ndarray, bound: int, what: str) -> None:
@@ -187,7 +207,7 @@ def uniform_propensities(
     """Constant propensity equal to the overall observation frequency."""
     value = len(train) / (num_users * num_items)
     return PropensityModel(
-        family="uniform", rating_scale=train.rating_scale, uniform_value=value
+        family="uniform", rating_scale=train.rating_scale, table=value
     )
 
 
@@ -212,9 +232,9 @@ def estimate_positivity(
     prior = _fallback_prior(count_m / len(mcar), "rating")
     p_obs = len(train) / (num_users * num_items)
     conditional = count_d / len(train)
-    per_rating = _cap_at_one(conditional * p_obs / prior, "positivity")
+    table = _cap_at_one(conditional * p_obs / prior, "positivity")
     return PropensityModel(
-        family="positivity", rating_scale=train.rating_scale, per_rating=per_rating
+        family="positivity", rating_scale=train.rating_scale, table=table
     )
 
 
@@ -231,9 +251,9 @@ def estimate_popularity(
     if len(train) == 0:
         raise PropensityError("popularity estimation requires a nonempty train set")
     counts = np.bincount(train.items, minlength=num_items).astype(float)
-    per_item = counts / num_users
+    table = counts / num_users
     return PropensityModel(
-        family="popularity", rating_scale=train.rating_scale, per_item=per_item
+        family="popularity", rating_scale=train.rating_scale, table=table
     )
 
 
@@ -287,7 +307,7 @@ def estimate_multifactorial(
     return PropensityModel(
         family="multifactorial",
         rating_scale=train.rating_scale,
-        per_item_rating=table,
+        table=table,
         alpha1=a1,
         alpha2=a2,
     )
@@ -463,11 +483,9 @@ def prepare(
     return clip(model, tau)
 
 
-# Table files: one "# key=value ..." header line, a column-name line, then rows.
-# Layouts by family: (item_index, rating, propensity) for per-(item, rating)
-# tables, (item_index, propensity) for popularity, (rating, propensity) for
-# positivity, a single (propensity) row for uniform, and
-# (user_index, item_index, propensity) for mf_learned scores.
+# Table files: one "# key=value ..." header line, a column-name line (the
+# family's AXES, then "propensity"), then one row per table entry in row-major
+# order; a fitted mf_learned model is written as its (user, item) scores.
 
 
 def save_propensity(model: PropensityModel, path: str | Path, delimiter: str = ",") -> None:
@@ -483,50 +501,23 @@ def save_propensity(model: PropensityModel, path: str | Path, delimiter: str = "
         "rating_max": hi,
     }
     header = "# " + " ".join(f"{k}={v}" for k, v in meta.items())
+    table = model.table
+    if table is None:
+        P, Q, a, b, c = model.mf_factors
+        table = 1.0 / (1.0 + np.exp(-(P @ Q.T + a[:, None] + b[None, :] + c)))
+    axes = AXES[model.family]
+    offsets = [lo if name == "rating" else 0 for name in axes]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header + "\n")
-        if model.family == "uniform":
-            fh.write("propensity\n")
-            fh.write(f"{float(model.uniform_value)!r}\n")
-        elif model.family == "popularity":
-            fh.write(delimiter.join(("item_index", "propensity")) + "\n")
-            for i, p in enumerate(model.per_item):
-                fh.write(f"{i}{delimiter}{float(p)!r}\n")
-        elif model.family == "positivity":
-            fh.write(delimiter.join(("rating", "propensity")) + "\n")
-            for r, p in zip(range(lo, hi + 1), model.per_rating):
-                fh.write(f"{r}{delimiter}{float(p)!r}\n")
-        elif model.family in ("multifactorial", "ground_truth"):
-            fh.write(delimiter.join(("item_index", "rating", "propensity")) + "\n")
-            for i in range(model.per_item_rating.shape[0]):
-                for k, r in enumerate(range(lo, hi + 1)):
-                    fh.write(f"{i}{delimiter}{r}{delimiter}{float(model.per_item_rating[i, k])!r}\n")
-        elif model.family == "mf_learned":
-            table = model.per_user_item
-            if table is None:
-                P, Q, a, b, c = model.mf_factors
-                table = 1.0 / (1.0 + np.exp(-(P @ Q.T + a[:, None] + b[None, :] + c)))
-            fh.write(delimiter.join(("user_index", "item_index", "propensity")) + "\n")
-            for u in range(table.shape[0]):
-                for i in range(table.shape[1]):
-                    fh.write(f"{u}{delimiter}{i}{delimiter}{float(table[u, i])!r}\n")
-        else:
-            raise AssertionError(model.family)
+        fh.write(delimiter.join((*axes, "propensity")) + "\n")
+        for index in np.ndindex(table.shape):
+            fields = [str(i + off) for i, off in zip(index, offsets)]
+            fh.write(delimiter.join((*fields, repr(float(table[index])))) + "\n")
 
 
 _HEADER_KEYS = (
     "family", "tau", "alpha1", "alpha2", "scale", "normalization", "rating_min", "rating_max",
 )
-# per family: the index columns before the propensity; "rating" columns are
-# rating values on the header's scale, the others 0-based indices
-_INDEX_COLUMNS = {
-    "uniform": (),
-    "popularity": ("item_index",),
-    "positivity": ("rating",),
-    "multifactorial": ("item_index", "rating"),
-    "ground_truth": ("item_index", "rating"),
-    "mf_learned": ("user_index", "item_index"),
-}
 
 
 def load_propensity(path: str | Path, delimiter: str = ",") -> PropensityModel:
@@ -557,7 +548,7 @@ def load_propensity(path: str | Path, delimiter: str = ",") -> PropensityModel:
         ]
 
     family = meta["family"]
-    if family not in _INDEX_COLUMNS:
+    if family not in AXES:
         raise ValueError(f"{path}: unknown family {family!r} (columns {columns})")
     try:
         scale_range = (int(meta["rating_min"]), int(meta["rating_max"]))
@@ -576,19 +567,7 @@ def load_propensity(path: str | Path, delimiter: str = ",") -> PropensityModel:
     if hi < lo:
         raise ValueError(f"{path}:1: rating_max {hi} is below rating_min {lo}")
 
-    index_columns = _INDEX_COLUMNS[family]
-    table = _read_table(path, rows, index_columns, lo, hi)
-    if family == "uniform":
-        kwargs["uniform_value"] = float(table)
-    elif family == "popularity":
-        kwargs["per_item"] = table
-    elif family == "positivity":
-        kwargs["per_rating"] = table
-    elif family in ("multifactorial", "ground_truth"):
-        kwargs["per_item_rating"] = table
-    else:
-        kwargs["per_user_item"] = table
-    return PropensityModel(**kwargs)
+    return PropensityModel(table=_read_table(path, rows, AXES[family], lo, hi), **kwargs)
 
 
 def _read_table(path, rows, index_columns, lo, hi) -> np.ndarray:

@@ -215,7 +215,7 @@ def sample_observations(
         rating_scale=rating_scale,
     )
     model = PropensityModel(
-        family="ground_truth", rating_scale=rating_scale, per_item_rating=table
+        family="ground_truth", rating_scale=rating_scale, table=table
     )
     return dataset, model
 
@@ -271,7 +271,7 @@ def simulate(spec: SimulationSpec) -> SimulationResult:
         engagement = generate_engagement(
             spec.num_users,
             spec.num_items,
-            seed=_stream(spec.seed, 0),
+            seed=[spec.seed, 0],
             rank=spec.engagement_rank,
             noise=spec.engagement_noise,
         )
@@ -282,16 +282,16 @@ def simulate(spec: SimulationSpec) -> SimulationResult:
         np.asarray(spec.rating_propensities),
         rho_i,
         spec.gamma,
-        seed=_stream(spec.seed, 1),
+        seed=[spec.seed, 1],
     )
     mcar, test = sample_unbiased(
         truth,
         spec.unbiased_per_user,
         spec.mcar_fraction,
-        seed=_stream(spec.seed, 2),
+        seed=[spec.seed, 2],
     )
     train, validation = split_biased(
-        biased, spec.train_fraction, seed=_stream(spec.seed, 3)
+        biased, spec.train_fraction, seed=[spec.seed, 3]
     )
     bundle = SplitBundle(train=train, validation=validation, mcar=mcar, test=test)
     return SimulationResult(
@@ -301,10 +301,6 @@ def simulate(spec: SimulationSpec) -> SimulationResult:
         item_propensities=rho_i,
         capped_items=capped,
     )
-
-
-def _stream(seed: int, index: int) -> list[int]:
-    return [seed, index]
 
 
 def _load_engagement(spec: SimulationSpec) -> np.ndarray:

@@ -3,8 +3,8 @@
 The estimator oracles are computed with plain Python loops and dicts,
 deliberately avoiding the vectorized code paths under test. The reference
 implementations at the end are the plain full-sort and allocating versions of
-the simulator and optimizer hot paths; the fast versions must match them bit
-for bit.
+the simulator and optimizer hot paths, and the per-family scoring and saving
+of propensity tables; the code under test must match them bit for bit.
 """
 
 import numpy as np
@@ -287,3 +287,94 @@ def estimate_mf_propensity_reference(train, num_users, num_items, *, dim, learni
 
     P, Q, a, b, c = best_params
     return (P, Q, a, b, float(c)), losses, converged
+
+
+# --------------------------------------------------------------------------
+# per-family propensity scoring and table writing, one branch per family
+
+
+def raw_propensity_reference(model, users, items, ratings):
+    """Unscaled, unclipped scores with one branch per family."""
+    lo, hi = model.rating_scale
+    if np.any(ratings < lo) or np.any(ratings > hi):
+        raise IndexError("rating outside the model's rating scale")
+    r_idx = ratings - lo
+
+    def check_range(idx, bound, what):
+        if len(idx) and (idx.min() < 0 or idx.max() >= bound):
+            raise IndexError(f"{what} index out of range [0, {bound})")
+
+    if model.family == "uniform":
+        return np.full(len(users), float(model.table), dtype=float)
+    if model.family == "popularity":
+        check_range(items, len(model.table), "item")
+        return model.table[items]
+    if model.family == "positivity":
+        return model.table[r_idx]
+    if model.family in ("multifactorial", "ground_truth"):
+        check_range(items, model.table.shape[0], "item")
+        return model.table[items, r_idx]
+    if model.family == "mf_learned":
+        if model.table is not None:
+            check_range(users, model.table.shape[0], "user")
+            check_range(items, model.table.shape[1], "item")
+            return model.table[users, items]
+        P, Q, a, b, c = model.mf_factors
+        check_range(users, P.shape[0], "user")
+        check_range(items, Q.shape[0], "item")
+        logits = np.einsum("nd,nd->n", P[users], Q[items]) + a[users] + b[items] + c
+        return 1.0 / (1.0 + np.exp(-logits))
+    raise AssertionError(model.family)
+
+
+def score_many_reference(model, users, items, ratings):
+    users = np.asarray(users, dtype=np.int64)
+    items = np.asarray(items, dtype=np.int64)
+    ratings = np.asarray(ratings, dtype=np.int64)
+    raw = raw_propensity_reference(model, users, items, ratings) * model.scale
+    return np.maximum(np.minimum(raw, 1.0), model.clip_floor)
+
+
+def save_propensity_reference(model, path, delimiter=","):
+    """Write a propensity table file with one layout branch per family."""
+    lo, hi = model.rating_scale
+    meta = {
+        "family": model.family,
+        "tau": repr(model.clip_floor),
+        "alpha1": "" if model.alpha1 is None else repr(model.alpha1),
+        "alpha2": "" if model.alpha2 is None else repr(model.alpha2),
+        "scale": repr(model.scale),
+        "normalization": model.normalization,
+        "rating_min": lo,
+        "rating_max": hi,
+    }
+    header = "# " + " ".join(f"{k}={v}" for k, v in meta.items())
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        if model.family == "uniform":
+            fh.write("propensity\n")
+            fh.write(f"{float(model.table)!r}\n")
+        elif model.family == "popularity":
+            fh.write(delimiter.join(("item_index", "propensity")) + "\n")
+            for i, p in enumerate(model.table):
+                fh.write(f"{i}{delimiter}{float(p)!r}\n")
+        elif model.family == "positivity":
+            fh.write(delimiter.join(("rating", "propensity")) + "\n")
+            for r, p in zip(range(lo, hi + 1), model.table):
+                fh.write(f"{r}{delimiter}{float(p)!r}\n")
+        elif model.family in ("multifactorial", "ground_truth"):
+            fh.write(delimiter.join(("item_index", "rating", "propensity")) + "\n")
+            for i in range(model.table.shape[0]):
+                for k, r in enumerate(range(lo, hi + 1)):
+                    fh.write(f"{i}{delimiter}{r}{delimiter}{float(model.table[i, k])!r}\n")
+        elif model.family == "mf_learned":
+            table = model.table
+            if table is None:
+                P, Q, a, b, c = model.mf_factors
+                table = 1.0 / (1.0 + np.exp(-(P @ Q.T + a[:, None] + b[None, :] + c)))
+            fh.write(delimiter.join(("user_index", "item_index", "propensity")) + "\n")
+            for u in range(table.shape[0]):
+                for i in range(table.shape[1]):
+                    fh.write(f"{u}{delimiter}{i}{delimiter}{float(table[u, i])!r}\n")
+        else:
+            raise AssertionError(model.family)

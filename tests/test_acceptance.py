@@ -11,6 +11,7 @@ import time
 import numpy as np
 import pytest
 
+from ipsmf import optim
 from ipsmf.cli import build_propensity_model, cmd_simulate, cmd_summarize, \
     cmd_sweep_gamma, cmd_train, cmd_tune, load_config
 from ipsmf.data import (
@@ -30,8 +31,6 @@ from ipsmf.optim import (
     TrainConfig,
     ips_gradient,
     ips_loss,
-    train_alternating,
-    train_concurrent,
 )
 from ipsmf.propensity import (
     SmoothingConfig,
@@ -45,7 +44,7 @@ from ipsmf.sim import SimulationSpec, simulate
 
 from oracles import multifactorial_oracle, popularity_oracle, positivity_oracle
 
-# shared desk-scale experiment configuration (see also tests/calibrate.py)
+# shared desk-scale experiment configuration
 DESK_TRAIN = dict(learning_rate=0.01, l2_weight=1e-5, batch_size=512,
                   max_epochs=300, patience=20, embedding_dim=16)
 DESK_PIPELINE = {"normalize": True, "clip_floor": 1e-3, "alpha1": 1.0,
@@ -64,8 +63,7 @@ def fit_and_score(method, sim, seed, schedule="alternating"):
     prop = build_propensity_model(
         method, sim.bundle, DESK_PIPELINE, sim.ground_truth_propensities, seed=seed
     )
-    train = train_alternating if schedule == "alternating" else train_concurrent
-    result = train(sim.bundle, prop, config)
+    result = optim.train(sim.bundle, prop, config)
     return evaluate(result.params, sim.bundle.test).mse, result
 
 
@@ -119,14 +117,14 @@ def test_c2_propensity_estimators_match_brute_force_oracle():
     pos = estimate_positivity(train, mcar, 3, 3)
     pos_oracle = positivity_oracle(train.triples(), mcar.triples(), 3, 3, values)
     for r in values:
-        assert pos.per_rating[r - 1] == pytest.approx(
+        assert pos.table[r - 1] == pytest.approx(
             min(pos_oracle[r], 1.0), abs=1e-12
         )
 
     pop = estimate_popularity(train, 3, 3)
     pop_oracle = popularity_oracle(train.triples(), 3, 3)
     for i in range(3):
-        assert pop.per_item[i] == pytest.approx(pop_oracle[i], abs=1e-12)
+        assert pop.table[i] == pytest.approx(pop_oracle[i], abs=1e-12)
 
     mul = estimate_multifactorial(train, mcar, 3, 3, SmoothingConfig(2.0, 3.0))
     mul_oracle = multifactorial_oracle(
@@ -134,7 +132,7 @@ def test_c2_propensity_estimators_match_brute_force_oracle():
     )
     for i in range(3):
         for r in values:
-            assert mul.per_item_rating[i, r - 1] == pytest.approx(
+            assert mul.table[i, r - 1] == pytest.approx(
                 min(mul_oracle[(i, r)], 1.0), abs=1e-12
             )
 
@@ -203,9 +201,9 @@ def test_c5_alternating_schedule_contract_and_stability():
     snapshots = []
     config = TrainConfig(schedule="alternating", seed=0,
                          **{**DESK_TRAIN, "max_epochs": 5, "patience": 5})
-    train_alternating(sim.bundle, prop, config,
-                      lambda phase, epoch, params: snapshots.append(
-                          (phase, epoch, params.copy())))
+    optim.train(sim.bundle, prop, config,
+                lambda phase, epoch, params: snapshots.append(
+                    (phase, epoch, params.copy())))
     previous_item_state = None
     for phase, epoch, params in snapshots:
         if phase == "user":
@@ -224,13 +222,12 @@ def test_c5_alternating_schedule_contract_and_stability():
 
     # (b) curve variance across training seeds, 50 fixed evaluations
     curves = {}
-    for schedule, train in (("alternating", train_alternating),
-                            ("concurrent", train_concurrent)):
+    for schedule in ("alternating", "concurrent"):
         per_seed = []
         for seed in range(10):
             cfg = TrainConfig(schedule=schedule, seed=seed,
                               **{**DESK_TRAIN, "max_epochs": 50, "patience": 50})
-            result = train(sim.bundle, prop, cfg)
+            result = optim.train(sim.bundle, prop, cfg)
             per_seed.append([r.validation_snips_mse for r in result.history])
         curves[schedule] = np.array(per_seed)
     var_alt = curves["alternating"].var(axis=0, ddof=1).mean()
@@ -320,7 +317,7 @@ def _real_data_mse(biased_path, unbiased_path, mcar_fraction, delimiter):
                                  schedule="alternating", seed=seed,
                                  embedding_dim=32)
             prop = build_propensity_model(method, bundle, pipeline, None, seed=seed)
-            result = train_alternating(bundle, prop, config)
+            result = optim.train(bundle, prop, config)
             results[method].append(evaluate(result.params, bundle.test).mse)
     return {m: float(np.mean(v)) for m, v in results.items()}
 

@@ -15,7 +15,7 @@ from ipsmf.cli import (
 from ipsmf.data import load_ratings, read_manifest
 from ipsmf.metrics import bootstrap_interval, evaluate
 from ipsmf.model import fit_avg
-from ipsmf.optim import TrainConfig, evaluate_validation, train_alternating, train_concurrent
+from ipsmf.optim import TrainConfig, evaluate_validation, train
 from ipsmf.propensity import load_propensity
 
 from oracles import bootstrap_interval_oracle
@@ -415,8 +415,7 @@ def reference_tune(cfg, path, build):
                 merged.update({k: v for k, v in point.items() if k in cli.TRAIN_KEYS})
                 config = TrainConfig(seed=seed, **merged)
                 configs.append(config)
-                fit = train_alternating if config.schedule == "alternating" else train_concurrent
-                result = fit(bundle, prop, config)
+                result = train(bundle, prop, config)
                 if method == "mf":
                     score = evaluate(result.params, bundle.validation).mse
                 else:

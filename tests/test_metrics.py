@@ -112,7 +112,7 @@ def test_summarize_runs():
         MetricReport(mse=3.0, mae=1.5, rmse=np.sqrt(3), rmse_per_user=2.0,
                      rmse_per_item=2.0, num_triples=4, num_users=2, num_items=2),
     ]
-    summary = summarize_runs(reports)
+    summary = summarize_runs([vars(r) for r in reports])
     assert summary["n_runs"] == 2
     assert summary["mse_mean"] == pytest.approx(2.0)
     assert summary["mse_std"] == pytest.approx(np.std([1.0, 3.0], ddof=1))

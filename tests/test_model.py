@@ -159,3 +159,26 @@ def test_checkpoint_roundtrip_exact(tmp_path):
     assert meta == {"num_users": 5, "num_items": 6, "dim": 3, "seed": 11}
     for group in ("user_emb", "item_emb", "user_off", "item_off", "global_off"):
         np.testing.assert_array_equal(loaded.group(group), params.group(group))
+
+
+@pytest.mark.parametrize("edit, match", [
+    (lambda h, body: (h.replace(b"dim=3", b"dim3"), body),
+     r"params.bin: header token 'dim3' is not key=value"),
+    (lambda h, body: (h.replace(b" dim=3", b""), body), r"params.bin: header is missing dim"),
+    (lambda h, body: (h.replace(b"num_items=6", b"num_items=six"), body),
+     r"params.bin: header num_items='six' is not an integer"),
+    (lambda h, body: (h.replace(b"num_users=5", b"num_users=-5"), body),
+     r"params.bin: header num_users=-5 is negative"),
+    (lambda h, body: (h, body + b"\0"), r"params.bin: trailing bytes after the global_off block"),
+    (lambda h, body: (h, body[:-1]), r"params.bin: truncated checkpoint block global_off"),
+    (lambda h, body: (b"ipsmf-weights v1\n", body), r"params.bin: not an ipsmf checkpoint"),
+], ids=["not-key-value", "missing-key", "non-integer-size", "negative-size",
+        "trailing-bytes", "truncated", "bad-magic"])
+def test_checkpoint_defects_rejected(tmp_path, edit, match):
+    path = tmp_path / "params.bin"
+    save_checkpoint(init_params(5, 6, dim=3, seed=11), path, seed=11)
+    header, _, body = path.read_bytes().partition(b"\n")
+    header, body = edit(header + b"\n", body)
+    path.write_bytes(header + body)
+    with pytest.raises(ValueError, match=match):
+        load_checkpoint(path)

@@ -13,8 +13,7 @@ from ipsmf.optim import (
     init_adam_state,
     ips_gradient,
     ips_loss,
-    train_alternating,
-    train_concurrent,
+    train,
 )
 from ipsmf.propensity import PropensityModel, uniform_propensities
 from ipsmf.sim import SimulationSpec, simulate
@@ -227,7 +226,7 @@ class TestTraining:
     def test_overfits_separable_fixture(self):
         bundle = separable_bundle()
         prop = uniform_propensities(bundle.train, 5, 5)
-        result = train_concurrent(bundle, prop, self.config())
+        result = train(bundle, prop, self.config())
         preds = predict_many(result.params, bundle.train.users, bundle.train.items)
         train_mse = float(np.mean((preds - bundle.train.ratings) ** 2))
         assert train_mse < 0.05
@@ -236,8 +235,8 @@ class TestTraining:
         bundle = separable_bundle()
         prop = uniform_propensities(bundle.train, 5, 5)
         config = self.config(max_epochs=30)
-        a = train_concurrent(bundle, prop, config)
-        b = train_concurrent(bundle, prop, config)
+        a = train(bundle, prop, config)
+        b = train(bundle, prop, config)
         assert [r.train_ips_loss for r in a.history] == [r.train_ips_loss for r in b.history]
         assert [r.validation_snips_mse for r in a.history] == [
             r.validation_snips_mse for r in b.history
@@ -251,7 +250,7 @@ class TestTraining:
         def callback(phase, epoch, params):
             snapshots.append((phase, epoch, params.copy()))
 
-        train_alternating(bundle, prop, self.config(max_epochs=4), callback)
+        train(bundle, prop, self.config(schedule="alternating", max_epochs=4), callback)
         # within an epoch: the user phase must not move item parameters
         by_epoch = {}
         for phase, epoch, params in snapshots:
@@ -275,13 +274,13 @@ class TestTraining:
     def test_alternating_history_counts_phase_pairs(self):
         bundle = separable_bundle()
         prop = uniform_propensities(bundle.train, 5, 5)
-        result = train_alternating(bundle, prop, self.config(max_epochs=7))
+        result = train(bundle, prop, self.config(schedule="alternating", max_epochs=7))
         assert len(result.history) == 7
 
     def test_best_checkpoint_contract(self):
         bundle = separable_bundle()
         prop = uniform_propensities(bundle.train, 5, 5)
-        result = train_concurrent(bundle, prop, self.config(max_epochs=60, patience=5))
+        result = train(bundle, prop, self.config(max_epochs=60, patience=5))
         best_in_history = min(r.validation_snips_mse for r in result.history)
         returned = evaluate_validation(result.params, bundle.validation, prop)
         assert returned == pytest.approx(best_in_history, rel=1e-12)
@@ -294,9 +293,7 @@ class TestTraining:
         bundle = separable_bundle()
         prop = uniform_propensities(bundle.train, 5, 5)
         with pytest.raises(TrainingDivergedError, match="epoch"):
-            train_concurrent(
-                bundle, prop, self.config(learning_rate=1e200, max_epochs=5)
-            )
+            train(bundle, prop, self.config(learning_rate=1e200, max_epochs=5))
 
     def test_empty_train_rejected(self):
         bundle = separable_bundle()
@@ -306,7 +303,7 @@ class TestTraining:
                              mcar=bundle.mcar, test=bundle.test)
         prop = uniform_propensities(bundle.train, 5, 5)
         with pytest.raises(ValueError):
-            train_concurrent(broken, prop, self.config())
+            train(broken, prop, self.config())
 
     def test_empty_validation_rejected(self):
         bundle = separable_bundle()
@@ -316,15 +313,14 @@ class TestTraining:
                              mcar=bundle.mcar, test=bundle.test)
         prop = uniform_propensities(bundle.train, 5, 5)
         with pytest.raises(ValueError, match="validation"):
-            train_concurrent(broken, prop, self.config())
+            train(broken, prop, self.config())
 
 
-@pytest.mark.parametrize("train", [train_concurrent, train_alternating])
-def test_fit_bit_equal_to_allocating_reference(train):
+@pytest.mark.parametrize("schedule", ["concurrent", "alternating"])
+def test_fit_bit_equal_to_allocating_reference(schedule):
     # c5-shaped: gamma=0.5 simulation, ground-truth IPS weights, desk settings
     # with a patience short enough that early stopping picks the best epoch
     sim = simulate(SimulationSpec(num_users=120, num_items=150, gamma=0.5, seed=1005))
-    schedule = "concurrent" if train is train_concurrent else "alternating"
     config = TrainConfig(learning_rate=0.01, l2_weight=1e-5, batch_size=256,
                          max_epochs=12, patience=3, embedding_dim=16,
                          schedule=schedule, seed=3)
@@ -339,7 +335,7 @@ def test_fit_bit_equal_to_allocating_reference(train):
 class TestEvaluateValidation:
     def test_uniform_propensities_give_plain_mse(self):
         data, params, _ = random_instance(seed=13)
-        model = PropensityModel(family="uniform", uniform_value=0.4)
+        model = PropensityModel(family="uniform", table=0.4)
         preds = predict_many(params, data.users, data.items)
         mse = float(np.mean((preds - data.ratings) ** 2))
         assert evaluate_validation(params, data, model) == pytest.approx(mse, rel=1e-12)
@@ -347,14 +343,14 @@ class TestEvaluateValidation:
     def test_perfect_predictions_zero(self):
         data = make_dataset(2, 2, [(0, 0, 3), (1, 1, 3)])
         params = init_params(2, 2, 2, seed=0, scale=0.0, global_offset=3.0)
-        model = PropensityModel(family="uniform", uniform_value=0.7)
+        model = PropensityModel(family="uniform", table=0.7)
         assert evaluate_validation(params, data, model) == 0.0
 
     def test_empty_validation_rejected(self):
         empty = RatingDataset(2, 2, np.array([], int), np.array([], int),
                               np.array([], int))
         params = init_params(2, 2, 2, seed=0)
-        model = PropensityModel(family="uniform", uniform_value=0.5)
+        model = PropensityModel(family="uniform", table=0.5)
         with pytest.raises(ValueError):
             evaluate_validation(params, empty, model)
 
@@ -365,7 +361,7 @@ class TestEvaluateValidation:
         table = np.zeros((2, 5))
         table[0, 1] = 0.5   # rating 2 on item 0
         table[1, 4] = 1.0   # rating 5 on item 1
-        model = PropensityModel(family="ground_truth", per_item_rating=table)
+        model = PropensityModel(family="ground_truth", table=table)
         assert evaluate_validation(params, data, model) == pytest.approx(2.0)
 
 

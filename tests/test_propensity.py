@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ipsmf.data import RatingDataset
+from ipsmf.sim import SimulationSpec, simulate
 from ipsmf.propensity import (
     PropensityError,
     PropensityModel,
@@ -30,6 +31,8 @@ from oracles import (
     multifactorial_oracle,
     popularity_oracle,
     positivity_oracle,
+    save_propensity_reference,
+    score_many_reference,
 )
 
 
@@ -44,8 +47,8 @@ class TestPositivity:
         mcar = make_dataset(2, 2, [(0, 0, 5), (1, 1, 1)])
         model = estimate_positivity(train, mcar, 2, 2)
         # p(r) = |M| * count_D(r) / (|U| |I| * count_M(r))
-        assert model.per_rating[4] == pytest.approx(1.0, abs=1e-12)   # (2*2)/(4*1)
-        assert model.per_rating[0] == pytest.approx(0.5, abs=1e-12)   # (2*1)/(4*1)
+        assert model.table[4] == pytest.approx(1.0, abs=1e-12)   # (2*2)/(4*1)
+        assert model.table[0] == pytest.approx(0.5, abs=1e-12)   # (2*1)/(4*1)
 
     def test_no_bias_gives_all_ones(self):
         # full 2x2 observation, identical rating distributions in train and mcar
@@ -53,16 +56,16 @@ class TestPositivity:
                              scale=(1, 2))
         mcar = make_dataset(2, 2, [(0, 0, 1), (0, 1, 2)], scale=(1, 2))
         model = estimate_positivity(train, mcar, 2, 2)
-        np.testing.assert_allclose(model.per_rating, 1.0, atol=1e-12)
+        np.testing.assert_allclose(model.table, 1.0, atol=1e-12)
 
     def test_all_fives_with_uniform_mcar(self, caplog):
         train = make_dataset(2, 3, [(0, 0, 5), (0, 1, 5), (1, 2, 5)])
         mcar = make_dataset(2, 3, [(0, 0, 1), (0, 1, 2), (0, 2, 3), (1, 0, 4), (1, 1, 5)])
         model = estimate_positivity(train, mcar, 2, 3)
         # raw value for rating 5 is (5*3)/(6*1) = 2.5, capped at 1
-        assert model.per_rating[4] == 1.0
-        assert model.per_rating[4] == model.per_rating.max()
-        np.testing.assert_array_equal(model.per_rating[:4], 0.0)
+        assert model.table[4] == 1.0
+        assert model.table[4] == model.table.max()
+        np.testing.assert_array_equal(model.table[:4], 0.0)
         # unseen-in-train ratings rely on the clip floor
         clipped = clip(model, 0.01)
         assert score(clipped, 0, 0, 1) == 0.01
@@ -74,7 +77,7 @@ class TestPositivity:
             model = estimate_positivity(train, mcar, 2, 2)
         assert "unseen" in caplog.text
         # fallback prior equals the smallest nonzero mcar prior (1/2)
-        assert model.per_rating[2] == pytest.approx((2 * 1) / (4 * 1), abs=1e-12)
+        assert model.table[2] == pytest.approx((2 * 1) / (4 * 1), abs=1e-12)
 
     def test_empty_mcar_rejected(self):
         train = make_dataset(2, 2, [(0, 0, 5), (0, 1, 1)])
@@ -92,21 +95,21 @@ class TestPositivity:
         oracle = positivity_oracle(train.triples(), mcar.triples(), 4, 5, range(1, 6))
         for r in range(1, 6):
             expected = min(oracle[r], 1.0)
-            assert model.per_rating[r - 1] == pytest.approx(expected, abs=1e-12)
+            assert model.table[r - 1] == pytest.approx(expected, abs=1e-12)
 
 
 class TestPopularity:
     def test_raw_frequencies_and_rescale(self):
         train = make_dataset(2, 2, [(0, 0, 3), (1, 0, 4), (0, 1, 5)])
         model = estimate_popularity(train, 2, 2)
-        raw = model.per_item * 2 / len(train)  # undo the |D|/num_users rescale
+        raw = model.table * 2 / len(train)  # undo the |D|/num_users rescale
         np.testing.assert_allclose(raw, [2 / 3, 1 / 3], atol=1e-12)
-        np.testing.assert_allclose(model.per_item, [1.0, 0.5], atol=1e-12)
+        np.testing.assert_allclose(model.table, [1.0, 0.5], atol=1e-12)
 
     def test_equal_counts_give_uniform(self):
         train = make_dataset(3, 3, [(u, i, 3) for u in range(3) for i in range(3)])
         model = estimate_popularity(train, 3, 3)
-        np.testing.assert_allclose(model.per_item, model.per_item[0])
+        np.testing.assert_allclose(model.table, model.table[0])
 
     def test_unobserved_item_gets_clip_floor(self):
         train = make_dataset(2, 3, [(0, 0, 3), (1, 1, 4)])
@@ -120,8 +123,8 @@ class TestPopularity:
         train = make_dataset(5, 4, triples)
         perm = np.array([2, 0, 3, 1])  # new index of each old item
         relabeled = make_dataset(5, 4, [(u, int(perm[i]), r) for u, i, r in triples])
-        base = estimate_popularity(train, 5, 4).per_item
-        moved = estimate_popularity(relabeled, 5, 4).per_item
+        base = estimate_popularity(train, 5, 4).table
+        moved = estimate_popularity(relabeled, 5, 4).table
         np.testing.assert_allclose(moved[perm], base, atol=1e-15)
 
     def test_matches_brute_force_oracle(self):
@@ -132,7 +135,7 @@ class TestPopularity:
         model = estimate_popularity(train, 4, 6)
         oracle = popularity_oracle(train.triples(), 4, 6)
         for i in range(6):
-            assert model.per_item[i] == pytest.approx(oracle[i], abs=1e-12)
+            assert model.table[i] == pytest.approx(oracle[i], abs=1e-12)
 
 
 class TestMultifactorial:
@@ -146,7 +149,7 @@ class TestMultifactorial:
         train, mcar = self.small_fixture()
         model = estimate_multifactorial(train, mcar, 2, 2, SmoothingConfig(1, 1))
         np.testing.assert_allclose(
-            model.per_item_rating,
+            model.table,
             [[27 / 28, 9 / 14], [9 / 14, 9 / 14]],
             atol=1e-12,
         )
@@ -165,7 +168,7 @@ class TestMultifactorial:
         for i in range(3):
             for r in range(1, 6):
                 expected = min(oracle[(i, r)], 1.0)
-                assert model.per_item_rating[i, r - 1] == pytest.approx(
+                assert model.table[i, r - 1] == pytest.approx(
                     expected, abs=1e-12
                 )
 
@@ -200,7 +203,7 @@ class TestMultifactorial:
         with caplog.at_level(logging.WARNING):
             model = estimate_multifactorial(train, mcar, 2, 2, SmoothingConfig(1, 1))
         assert "unseen" in caplog.text
-        assert np.all(model.per_item_rating > 0)
+        assert np.all(model.table > 0)
 
 
 class TestMFLearned:
@@ -301,21 +304,21 @@ class TestMFLearnedMatchesReference:
 class TestClipNormalizeScore:
     def test_clip_floors_scores(self):
         model = PropensityModel(family="positivity",
-                                per_rating=np.array([0.001, 0.5, 0.5, 0.5, 0.5]))
+                                table=np.array([0.001, 0.5, 0.5, 0.5, 0.5]))
         clipped = clip(model, 0.01)
         assert score(clipped, 0, 0, 1) == 0.01
         assert score(clipped, 0, 0, 2) == 0.5
 
     def test_clip_one_recovers_unweighted(self):
         model = PropensityModel(family="positivity",
-                                per_rating=np.array([0.1, 0.2, 0.3, 0.4, 0.5]))
+                                table=np.array([0.1, 0.2, 0.3, 0.4, 0.5]))
         clipped = clip(model, 1.0)
         data = make_dataset(1, 5, [(0, i, i + 1) for i in range(5)])
         np.testing.assert_array_equal(score_dataset(clipped, data), 1.0)
 
     def test_clip_below_min_is_identity(self):
         model = PropensityModel(family="positivity",
-                                per_rating=np.array([0.2, 0.3, 0.4, 0.5, 0.6]))
+                                table=np.array([0.2, 0.3, 0.4, 0.5, 0.6]))
         data = make_dataset(1, 5, [(0, i, i + 1) for i in range(5)])
         np.testing.assert_array_equal(
             score_dataset(clip(model, 0.1), data), score_dataset(model, data)
@@ -338,7 +341,7 @@ class TestClipNormalizeScore:
         train = make_dataset(2, 3, [(0, 0, 2), (0, 1, 4), (1, 0, 5), (1, 2, 1)])
         base = estimate_popularity(train, 2, 3)
         halved = PropensityModel(
-            family="popularity", per_item=base.per_item * 0.5,
+            family="popularity", table=base.table * 0.5,
             rating_scale=base.rating_scale,
         )
         renormalized = normalize(halved, train)
@@ -357,7 +360,7 @@ class TestClipNormalizeScore:
         train = make_dataset(6, 7, triples)
         model = PropensityModel(
             family="multifactorial",
-            per_item_rating=rng.uniform(0.2, 0.4, size=(7, 5)),
+            table=rng.uniform(0.2, 0.4, size=(7, 5)),
         )
         normalized = normalize(model, train)
         scores = score_dataset(normalized, train)
@@ -388,11 +391,11 @@ class TestClipNormalizeScore:
 
     def test_ground_truth_returns_stored_value(self):
         table = np.array([[0.1, 0.2, 0.3, 0.4, 0.5], [0.05, 0.1, 0.15, 0.2, 0.25]])
-        model = PropensityModel(family="ground_truth", per_item_rating=table)
+        model = PropensityModel(family="ground_truth", table=table)
         assert score(model, 7, 1, 3) == table[1, 2]
 
     def test_out_of_range_index_rejected(self):
-        model = PropensityModel(family="popularity", per_item=np.array([0.5, 0.5]))
+        model = PropensityModel(family="popularity", table=np.array([0.5, 0.5]))
         with pytest.raises(IndexError):
             score(model, 0, 2, 3)
 
@@ -445,9 +448,9 @@ class TestSerialization:
 
     def test_ground_truth_roundtrip_exact(self, tmp_path):
         table = np.random.default_rng(29).uniform(0.01, 1.0, size=(5, 5))
-        model = PropensityModel(family="ground_truth", per_item_rating=table)
+        model = PropensityModel(family="ground_truth", table=table)
         back = self.roundtrip(model, tmp_path)
-        np.testing.assert_array_equal(back.per_item_rating, table)
+        np.testing.assert_array_equal(back.table, table)
 
     def test_mf_learned_roundtrip(self, tmp_path):
         train = make_dataset(3, 3, [(0, 0, 3), (1, 1, 2), (2, 2, 4), (0, 1, 5)])
@@ -489,21 +492,21 @@ class TestLoadValidation:
     def test_complete_table_loads(self, tmp_path):
         path = self.write(tmp_path, self.table(["0,1,0.5", "0,2,0.0", "1,1,1.0", "1,2,0.25"]))
         model = load_propensity(path)
-        np.testing.assert_array_equal(model.per_item_rating, [[0.5, 0.0], [1.0, 0.25]])
+        np.testing.assert_array_equal(model.table, [[0.5, 0.0], [1.0, 0.25]])
 
     def test_rating_scale_from_zero_loads(self, tmp_path):
         header = GOOD_HEADER.replace("family=multifactorial", "family=positivity")
         header = header.replace("rating_min=1 rating_max=2", "rating_min=0 rating_max=1")
         path = self.write(tmp_path, header + "rating,propensity\n0,0.25\n1,0.5\n")
-        np.testing.assert_array_equal(load_propensity(path).per_rating, [0.25, 0.5])
+        np.testing.assert_array_equal(load_propensity(path).table, [0.25, 0.5])
 
     def test_popularity_zero_for_unobserved_item_roundtrips(self, tmp_path):
         train = make_dataset(3, 4, [(0, 0, 3), (1, 0, 4), (2, 2, 5)])
         model = estimate_popularity(train, 3, 4)
-        assert np.any(model.per_item == 0)
+        assert np.any(model.table == 0)
         path = tmp_path / "prop.csv"
         save_propensity(model, path)
-        np.testing.assert_array_equal(load_propensity(path).per_item, model.per_item)
+        np.testing.assert_array_equal(load_propensity(path).table, model.table)
 
     @pytest.mark.parametrize("text, match", [
         (GOOD_HEADER.replace(" tau=0.05", "") + "item_index,rating,propensity\n0,1,0.5\n",
@@ -553,3 +556,100 @@ class TestLoadValidation:
         text = header + columns + "\n" + "".join(r + "\n" for r in rows)
         with pytest.raises(ValueError, match=match):
             load_propensity(self.write(tmp_path, text))
+
+
+@pytest.fixture(scope="module")
+def every_form(tmp_path_factory):
+    """(train, [(label, model)]): each family raw and prepared, mf_learned as
+    fitted factors and as a loaded (user, item) table."""
+    sim = simulate(SimulationSpec(num_users=30, num_items=25, gamma=0.5, seed=7,
+                                  unbiased_per_user=10))
+    train, mcar = sim.bundle.train, sim.bundle.mcar
+    n_u, n_i = train.num_users, train.num_items
+    fitted = estimate_mf_propensity(train, n_u, n_i, dim=3, max_steps=25, seed=0)
+    path = tmp_path_factory.mktemp("mf") / "mf.csv"
+    save_propensity(fitted, path)
+    raw = {
+        "uniform": uniform_propensities(train, n_u, n_i),
+        "popularity": estimate_popularity(train, n_u, n_i),
+        "positivity": estimate_positivity(train, mcar, n_u, n_i),
+        "multifactorial": estimate_multifactorial(train, mcar, n_u, n_i,
+                                                  SmoothingConfig(2.0, 3.0)),
+        "mf_learned-factors": fitted,
+        "mf_learned-loaded": load_propensity(path),
+        "ground_truth": sim.ground_truth_propensities,
+    }
+    forms = list(raw.items())
+    forms += [(label + "-prepared", prepare(m, train)) for label, m in raw.items()]
+    return train, forms
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args).tobytes()
+    except IndexError as exc:
+        return f"IndexError: {exc}"
+
+
+class TestTableMatchesPerFamilyReference:
+    """One table per family scores and saves exactly as the per-family code."""
+
+    def test_scores_bit_equal(self, every_form):
+        train, forms = every_form
+        n_u, n_i = train.num_users, train.num_items
+        users, items, ratings = (a.ravel() for a in np.meshgrid(
+            np.arange(n_u), np.arange(n_i), np.arange(1, 6), indexing="ij"))
+        bad = {"user": ([n_u], [0], [1]), "item": ([0], [n_i], [1]),
+               "negative-item": ([0], [-1], [1]), "rating": ([0], [0], [6]),
+               "empty": ([], [], [])}
+        for label, model in forms:
+            assert (score_many(model, users, items, ratings).tobytes()
+                    == score_many_reference(model, users, items, ratings).tobytes()), label
+            for case, args in bad.items():
+                args = [np.array(a, dtype=np.int64) for a in args]
+                assert (outcome(score_many, model, *args)
+                        == outcome(score_many_reference, model, *args)), (label, case)
+
+    @pytest.mark.parametrize("delimiter", [",", "\t"], ids=["comma", "tab"])
+    def test_files_byte_equal(self, every_form, tmp_path, delimiter):
+        train, forms = every_form
+        for label, model in forms:
+            ours, theirs, again = (tmp_path / f"{label}-{k}.csv" for k in ("a", "b", "c"))
+            save_propensity(model, ours, delimiter=delimiter)
+            save_propensity_reference(model, theirs, delimiter=delimiter)
+            assert ours.read_bytes() == theirs.read_bytes(), label
+            loaded = load_propensity(ours, delimiter=delimiter)
+            save_propensity(loaded, again, delimiter=delimiter)
+            assert again.read_bytes() == ours.read_bytes(), label
+            assert (score_dataset(loaded, train).tobytes()
+                    == score_many_reference(loaded, train.users, train.items,
+                                            train.ratings).tobytes()), label
+
+
+FACTORS = (np.zeros((2, 1)), np.zeros((2, 1)), np.zeros(2), np.zeros(2), 0.0)
+
+
+class TestConstructionChecks:
+    @pytest.mark.parametrize("kwargs, match", [
+        (dict(family="mystery", table=0.5), "unknown propensity family 'mystery'"),
+        (dict(family="mf_learned", table=np.full((2, 2), 0.5), mf_factors=FACTORS),
+         "mf_learned model needs exactly one of table and mf_factors"),
+        (dict(family="popularity"), "popularity model needs exactly one of table and mf_factors"),
+        (dict(family="popularity", mf_factors=FACTORS), "mf_factors given for a popularity model"),
+        (dict(family="uniform", table=[0.5]), r"uniform table needs 0 axes \(\), got shape \(1,\)"),
+        (dict(family="multifactorial", table=np.full(4, 0.5)),
+         r"multifactorial table needs 2 axes \('item_index', 'rating'\), got shape \(4,\)"),
+        (dict(family="positivity", table=np.full(3, 0.5)),
+         r"positivity table has 3 rating entries for the rating scale \(1, 5\)"),
+        (dict(family="ground_truth", table=np.full((4, 5), 0.5), rating_scale=(0, 5)),
+         r"ground_truth table has 5 rating entries for the rating scale \(0, 5\)"),
+    ], ids=["unknown-family", "both", "neither", "factors-outside-mf_learned",
+            "uniform-axes", "joint-axes", "positivity-rating-axis", "joint-rating-axis"])
+    def test_rejected(self, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            PropensityModel(**kwargs)
+
+    def test_table_coerced_to_float(self):
+        model = PropensityModel(family="popularity", table=[0, 1])
+        assert model.table.dtype == np.float64
+        assert PropensityModel(family="uniform", table=0.25).table.shape == ()

@@ -158,13 +158,13 @@ class TestSampleObservations:
     def test_gamma_zero_depends_only_on_item(self):
         truth, rho_r, rho_i = self.fixture()
         _, model = sample_observations(truth, rho_r, rho_i, gamma=0.0, seed=0)
-        table = model.per_item_rating
+        table = model.table
         np.testing.assert_allclose(table, np.tile(rho_i[:, None], (1, 5)), atol=1e-15)
 
     def test_gamma_one_depends_only_on_rating(self):
         truth, rho_r, rho_i = self.fixture()
         _, model = sample_observations(truth, rho_r, rho_i, gamma=1.0, seed=0)
-        table = model.per_item_rating
+        table = model.table
         np.testing.assert_allclose(table, np.tile(rho_r[None, :], (4, 1)), atol=1e-15)
         assert table[0, 4] == pytest.approx(0.1795)
 
@@ -294,8 +294,8 @@ class TestSimulate:
         assert a.bundle.train.triples() == b.bundle.train.triples()
         assert a.bundle.test.triples() == b.bundle.test.triples()
         np.testing.assert_array_equal(
-            a.ground_truth_propensities.per_item_rating,
-            b.ground_truth_propensities.per_item_rating,
+            a.ground_truth_propensities.table,
+            b.ground_truth_propensities.table,
         )
 
     def test_ground_truth_scores_all_train_triples(self):
