@@ -225,6 +225,15 @@ def load_config(path: str | Path) -> ExperimentConfig:
     data = _parse_section(parser, "data", _DATA_CASTS) if parser.has_section("data") else None
     if simulation is None and data is None:
         raise ConfigError("config needs a [simulation] or [data] section")
+    if data is not None:
+        # the stem of this file is the `dataset` cell of the result tables,
+        # which are written unquoted
+        key = "biased" if "biased" in data else "train"
+        if key in data and any(c in Path(data[key]).stem for c in ",\r\n"):
+            raise ConfigError(
+                f"[data] {key}: file name of {data[key]!r} is the dataset label "
+                "and must not contain a comma or a line break"
+            )
 
     tune_raw = dict(parser.items("tune")) if parser.has_section("tune") else {}
     tune = {
@@ -625,7 +634,8 @@ def cmd_tune(cfg: ExperimentConfig, out_dir: Path) -> Path:
 
     IPS methods are selected by self-normalized weighted validation MSE under
     their own propensities; mf and avg by plain validation MSE. A nonzero
-    [tune] budget caps the number of grid points per method.
+    [tune] budget caps the number of grid points per method (see
+    :func:`_budget_points`).
 
     Every grid point runs the two stages of a run: the propensity model
     (:func:`build_propensity_model`), then training and scoring. The first
@@ -644,8 +654,7 @@ def cmd_tune(cfg: ExperimentConfig, out_dir: Path) -> Path:
         points = _grid_points(cfg, method)
         if not points:
             raise ConfigError(f"empty tuning grid for {method}")
-        if budget > 0:
-            points = points[:budget]
+        points = _budget_points(points, budget, seed)
         best = None
         for point in points:
             pipeline = cfg.pipeline_settings(method)
@@ -686,6 +695,16 @@ def _grid_points(cfg: ExperimentConfig, method: str) -> list[dict]:
                 else:
                     points.append(base)
     return points
+
+
+def _budget_points(points: list[dict], budget: int, seed: int) -> list[dict]:
+    """`budget` grid points drawn without replacement over the whole grid with
+    the tune seed, kept in grid order; the full grid when `budget` is 0 or
+    covers it."""
+    if budget <= 0 or budget >= len(points):
+        return points
+    chosen = np.random.default_rng(seed).choice(len(points), size=budget, replace=False)
+    return [points[i] for i in np.sort(chosen)]
 
 
 def _validation_score(cfg, loaded, method, seed, point, prop) -> tuple[float, float | None]:

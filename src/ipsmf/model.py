@@ -13,6 +13,12 @@ from .data import RatingDataset
 PARAM_GROUPS = ("user_emb", "item_emb", "user_off", "item_off", "global_off")
 
 
+# Order of the groups in the packed buffer: each training phase's groups
+# (optim.USER_PHASE_GROUPS, then optim.ITEM_PHASE_GROUPS) are adjacent, so one
+# phase's Adam update runs over one contiguous slice.
+_PACKED_ORDER = ("user_emb", "user_off", "global_off", "item_emb", "item_off")
+
+
 @dataclass
 class MFParameters:
     """Factorization parameters: embeddings plus user/item/global offsets.
@@ -20,6 +26,11 @@ class MFParameters:
     The prediction for (u, i) is ``user_emb[u] . item_emb[i] + user_off[u]
     + item_off[i] + global_off``. ``global_off`` is a 0-d array so that all
     groups share the optimizer code path.
+
+    The constructor copies the five inputs into one contiguous float64 buffer
+    and the fields are views of it, laid out in ``_PACKED_ORDER``;
+    ``_spans[name]`` is the (start, stop) of a group in ``_buffer``. Write
+    into the groups in place; rebinding a field detaches it from the buffer.
     """
 
     user_emb: np.ndarray
@@ -29,13 +40,32 @@ class MFParameters:
     global_off: np.ndarray
 
     def __post_init__(self):
-        self.global_off = np.asarray(self.global_off, dtype=np.float64)
-        if self.user_emb.shape[1] != self.item_emb.shape[1]:
+        groups = {g: np.asarray(getattr(self, g), dtype=np.float64) for g in PARAM_GROUPS}
+        for g, ndim in (("user_emb", 2), ("item_emb", 2), ("user_off", 1),
+                        ("item_off", 1), ("global_off", 0)):
+            if groups[g].ndim != ndim:
+                raise ValueError(f"{g} must have {ndim} dimensions, got {groups[g].ndim}")
+        if groups["user_emb"].shape[1] != groups["item_emb"].shape[1]:
             raise ValueError("user and item embedding dimensions differ")
-        if self.user_emb.shape[0] != self.user_off.shape[0]:
+        if groups["user_emb"].shape[0] != groups["user_off"].shape[0]:
             raise ValueError("user_off length does not match user_emb")
-        if self.item_emb.shape[0] != self.item_off.shape[0]:
+        if groups["item_emb"].shape[0] != groups["item_off"].shape[0]:
             raise ValueError("item_off length does not match item_emb")
+        self._buffer = np.empty(sum(groups[g].size for g in PARAM_GROUPS))
+        self._spans = {}
+        start = 0
+        for g in _PACKED_ORDER:
+            stop = start + groups[g].size
+            view = self._buffer[start:stop].reshape(groups[g].shape)
+            view[...] = groups[g]
+            setattr(self, g, view)
+            self._spans[g] = (start, stop)
+            start = stop
+
+    def __reduce__(self):
+        # pickle the groups, not the views: unpickled views would not share
+        # one buffer
+        return MFParameters, tuple(self.group(g) for g in PARAM_GROUPS)
 
     @property
     def num_users(self) -> int:
@@ -53,7 +83,7 @@ class MFParameters:
         return getattr(self, name)
 
     def copy(self) -> "MFParameters":
-        return MFParameters(*(self.group(g).copy() for g in PARAM_GROUPS))
+        return MFParameters(*(self.group(g) for g in PARAM_GROUPS))
 
     def squared_norm(self) -> float:
         return float(sum(np.sum(self.group(g) ** 2) for g in PARAM_GROUPS))
@@ -241,7 +271,7 @@ def load_checkpoint(path: str | Path) -> tuple[MFParameters, dict[str, int]]:
             buf = fh.read(count * 8)
             if len(buf) != count * 8:
                 raise ValueError(f"{path}: truncated checkpoint block {name}")
-            arrays[name] = np.frombuffer(buf, dtype="<f8").copy().reshape(shapes[name])
+            arrays[name] = np.frombuffer(buf, dtype="<f8").reshape(shapes[name])
         if fh.read(1):
             raise ValueError(f"{path}: trailing bytes after the global_off block")
     return MFParameters(**arrays), meta

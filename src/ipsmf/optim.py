@@ -110,18 +110,38 @@ def adam_step(
         theta <- theta - (lr * m / (1 - beta1**t)) / (sqrt(v / (1 - beta2**t)) + eps)
 
     evaluated in this operation order in the state's scratch buffers (see
-    :func:`ipsmf.model._adam_update`).
+    :func:`ipsmf.model._adam_update`). The update is elementwise, so it runs
+    once over each slice of the packed buffers that holds masked groups
+    adjacent in the layout with equal step counts: one call per training
+    phase.
     """
+    if len(set(mask)) != len(mask):
+        raise ValueError(f"mask names a group twice: {tuple(mask)}")
     scratch_a, scratch_b = state.scratch
+    buffers = (params, grads, state.m, state.v, scratch_a, scratch_b)
+    if any(b._spans != params._spans for b in buffers[1:]):
+        raise ValueError("gradient and optimizer state must be shaped like the parameters")
     for name in mask:
         state.steps[name] += 1
+    for start, stop, t in _update_runs(params._spans, mask, state.steps):
         _adam_update(
-            params.group(name), grads.group(name),
-            state.m.group(name), state.v.group(name),
-            scratch_a.group(name), scratch_b.group(name),
-            state.steps[name], lr, state.beta1, state.beta2, state.eps,
+            *(b._buffer[start:stop] for b in buffers),
+            t, lr, state.beta1, state.beta2, state.eps,
         )
     return params, state
+
+
+def _update_runs(spans, mask, steps):
+    """(start, stop, step count) of each maximal run of `mask` groups that are
+    contiguous in the packed buffer and share a step count."""
+    runs = []
+    for name in sorted(mask, key=lambda g: spans[g]):
+        start, stop = spans[name]
+        if runs and runs[-1][1] == start and runs[-1][2] == steps[name]:
+            runs[-1][1] = stop
+        else:
+            runs.append([start, stop, steps[name]])
+    return runs
 
 
 def _check_propensities(propensities: np.ndarray, n: int) -> np.ndarray:
@@ -187,23 +207,35 @@ def _masked_gradient(grads, params, users, items, ratings, propensities, l2_weig
     for g in mask:
         np.multiply(params.group(g), 2.0 * l2_weight, out=grads.group(g))
     n = len(users)
+    user_rows = params.user_emb[users]
+    item_rows = params.item_emb[items]
     preds = (
-        np.einsum("nd,nd->n", params.user_emb[users], params.item_emb[items])
+        np.einsum("nd,nd->n", user_rows, item_rows)
         + params.user_off[users]
         + params.item_off[items]
         + params.global_off
     )
     coef = 2.0 * (preds - ratings) / (propensities * n)
     if "user_emb" in mask:
-        np.add.at(grads.user_emb, users, coef[:, None] * params.item_emb[items])
+        _scatter_add_rows(grads.user_emb, users, coef[:, None] * item_rows)
     if "item_emb" in mask:
-        np.add.at(grads.item_emb, items, coef[:, None] * params.user_emb[users])
+        _scatter_add_rows(grads.item_emb, items, coef[:, None] * user_rows)
     if "user_off" in mask:
         grads.user_off += np.bincount(users, weights=coef, minlength=len(grads.user_off))
     if "item_off" in mask:
         grads.item_off += np.bincount(items, weights=coef, minlength=len(grads.item_off))
     if "global_off" in mask:
         grads.global_off += coef.sum()
+
+
+def _scatter_add_rows(out, rows, values):
+    """``out[rows[k]] += values[k]`` for each k in order, like
+    ``np.add.at(out, rows, values)``: every element receives its additions in
+    the same order, so the sums are bit-equal, but the flat indices
+    ``row * dim + col`` take numpy's faster 1-D ``np.add.at`` path."""
+    dim = out.shape[1]
+    flat = (rows[:, None] * dim + np.arange(dim)).reshape(-1)
+    np.add.at(out.reshape(-1), flat, values.reshape(-1))
 
 
 def evaluate_validation(

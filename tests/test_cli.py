@@ -93,6 +93,36 @@ class TestConfigParsing:
             load_config(write_config(tmp_path, text))
 
 
+DATA_ONLY_CONFIG = """
+[experiment]
+methods = mf
+
+[data]
+{key} = {path}
+"""
+
+
+@pytest.mark.parametrize("key, name", [
+    ("biased", "yahoo,r3.txt"),
+    ("train", "train,v2.csv"),
+    ("biased", "yahoo\n  r3.txt"),  # a continuation line puts a newline in the value
+    ("train", "train\n  v2.csv"),
+], ids=["biased-comma", "train-comma", "biased-newline", "train-newline"])
+def test_dataset_label_with_comma_or_newline_rejected(tmp_path, key, name):
+    text = DATA_ONLY_CONFIG.format(key=key, path=tmp_path / name)
+    with pytest.raises(ConfigError, match=rf"\[data\] {key}: .*dataset label"):
+        load_config(write_config(tmp_path, text))
+
+
+def test_comma_outside_the_label_is_fine(tmp_path):
+    # only the stem becomes the label: a comma in a directory is harmless
+    text = DATA_ONLY_CONFIG.format(key="train", path=tmp_path / "a,b" / "train.csv")
+    load_config(write_config(tmp_path, text))
+    # with raw input the biased file names the dataset, not the train file
+    text = DATA_ONLY_CONFIG.format(key="train", path=tmp_path / "train,v2.csv")
+    load_config(write_config(tmp_path, text + f"biased = {tmp_path / 'biased.csv'}\n"))
+
+
 class TestSimulateCommand:
     def test_writes_splits_and_manifest(self, tmp_path):
         cfg = load_config(write_config(tmp_path))
@@ -182,10 +212,10 @@ embedding_dim = 4
         with pytest.raises(ConfigError, match="mcar"):
             cmd_train(cfg2, tmp_path / "out2")
 
-    def raw_pair_config(self, tmp_path, seeds="0"):
+    def raw_pair_config(self, tmp_path, seeds="0", biased_name="biased.csv"):
         # two-file ingestion: filter to test users, split 4:1 and mcar/test
         rng = np.random.default_rng(8)
-        biased = tmp_path / "biased.csv"
+        biased = tmp_path / biased_name
         unbiased = tmp_path / "unbiased.csv"
         with open(biased, "w") as fh:
             fh.write("user_id,item_id,rating\n")
@@ -227,6 +257,16 @@ embedding_dim = 4
         manifest = read_manifest(tmp_path / "rawout" / "split_manifest.txt")
         assert int(manifest["n_train"]) + int(manifest["n_validation"]) > 0
         assert manifest["split_seed"] == "1"
+
+    def test_comma_in_dataset_label_rejected_before_training(self, tmp_path, capsys):
+        # the biased file's stem is the unquoted `dataset` cell of every table;
+        # a comma in it used to shift summary.csv so mse_mean read best_epoch
+        with pytest.raises(ConfigError, match=r"\[data\] biased: .*yahoo,r3\.csv"):
+            self.raw_pair_config(tmp_path, biased_name="yahoo,r3.csv")
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(tmp_path / "raw.ini"), "--out", str(out)]) == 2
+        assert "[data] biased" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_split_manifest_bytes_pinned(self, tmp_path):
         # the split sizes come from the result rows; they must equal a fresh
@@ -375,6 +415,50 @@ budget = 3
         lines = path.read_text().splitlines()
         row = dict(zip(lines[0].split(","), lines[1].split(",")))
         assert row["points_evaluated"] == "3"
+
+
+    def test_budget_samples_across_the_grid(self, tmp_path):
+        cfg = self.tune_config(tmp_path, """
+[tune]
+learning_rate = 0.01, 0.02
+l2_weight = 1e-6, 1e-5
+embedding_dim = 4
+alpha1 = 1, 2, 3, 4
+alpha2 = 1, 2, 3, 4
+""")
+        grid = cli._grid_points(cfg, "mf_ips_mul")
+        prefix = grid[:16]
+        # the nested-loop prefix holds one (lr, l2, dim) and only varies alpha
+        assert len({(p["learning_rate"], p["l2_weight"], p["embedding_dim"])
+                    for p in prefix}) == 1
+        sample = cli._budget_points(grid, 16, seed=0)
+        assert sample == cli._budget_points(grid, 16, seed=0)
+        assert len(sample) == 16
+        assert len({tuple(sorted(p.items())) for p in sample}) == 16
+        assert sample != prefix
+        assert sorted(sample, key=grid.index) == sample
+        assert cli._budget_points(grid, 0, seed=0) == grid
+        assert cli._budget_points(grid, len(grid), seed=0) == grid
+
+    def test_budget_trains_the_sampled_points(self, tmp_path, monkeypatch):
+        cfg = self.tune_config(tmp_path, """
+[tune]
+learning_rate = 0.01, 0.02
+l2_weight = 1e-6, 1e-5
+embedding_dim = 4
+budget = 2
+""")
+        trained = []
+        real = cli.run_method
+
+        def recording(method, loaded, train_config, *rest):
+            trained.append((train_config.learning_rate, train_config.l2_weight))
+            return real(method, loaded, train_config, *rest)
+
+        monkeypatch.setattr(cli, "run_method", recording)
+        cmd_tune(cfg, tmp_path / "tuned")
+        expected = cli._budget_points(cli._grid_points(cfg, "mf"), 2, cfg.seeds[0])
+        assert trained == [(p["learning_rate"], p["l2_weight"]) for p in expected]
 
 
 MEMO_TUNE_CONFIG = BASE_CONFIG.replace(

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
 
+import pickle
+
 from ipsmf.data import RatingDataset
 from ipsmf.model import (
+    PARAM_GROUPS,
+    _PACKED_ORDER,
     AvgModel,
     MFParameters,
     fit_avg,
@@ -14,6 +18,7 @@ from ipsmf.model import (
     predict_many,
     save_checkpoint,
 )
+from ipsmf.optim import init_adam_state
 
 
 def test_constant_model_predicts_global_offset():
@@ -182,3 +187,73 @@ def test_checkpoint_defects_rejected(tmp_path, edit, match):
     path.write_bytes(header + body)
     with pytest.raises(ValueError, match=match):
         load_checkpoint(path)
+
+
+def assert_packed(params):
+    """All five groups are contiguous views of one float64 buffer, laid out
+    back to back in _PACKED_ORDER."""
+    buf = params._buffer
+    assert buf.dtype == np.float64 and buf.ndim == 1 and buf.flags.c_contiguous
+    start = 0
+    for g in _PACKED_ORDER:
+        group = params.group(g)
+        assert group.dtype == np.float64 and group.flags.c_contiguous, g
+        assert group.ctypes.data == buf.ctypes.data + 8 * start, g
+        assert np.shares_memory(group, buf), g
+        assert params._spans[g] == (start, start + group.size), g
+        start += group.size
+    assert start == buf.size
+
+
+def test_every_constructor_path_packs_the_groups(tmp_path):
+    params = init_params(5, 6, dim=3, seed=11, scale=0.2, global_offset=3.3)
+    save_checkpoint(params, tmp_path / "params.bin")
+    loaded, _ = load_checkpoint(tmp_path / "params.bin")
+    state = init_adam_state(params)
+    copied = params.copy()
+    unpickled = pickle.loads(pickle.dumps(params))
+    for packed in (params, copied, loaded, unpickled, state.m, state.v, *state.scratch):
+        assert_packed(packed)
+    for other in (copied, loaded, unpickled, state.m, state.v):
+        assert not np.shares_memory(other._buffer, params._buffer)
+        for g in PARAM_GROUPS:
+            assert other.group(g).shape == params.group(g).shape
+    for g in PARAM_GROUPS:
+        assert copied.group(g).tobytes() == params.group(g).tobytes()
+        assert unpickled.group(g).tobytes() == params.group(g).tobytes()
+        assert not state.m.group(g).any() and not state.v.group(g).any()
+
+
+def test_constructor_copies_its_inputs():
+    arrays = {
+        "user_emb": np.arange(6.0).reshape(2, 3),
+        "item_emb": np.arange(12.0).reshape(4, 3),
+        "user_off": np.array([0.5, -0.5]),
+        "item_off": np.arange(4),  # integer input is stored as float64
+        "global_off": 3.5,
+    }
+    params = MFParameters(**arrays)
+    assert_packed(params)
+    for g, arr in arrays.items():
+        np.testing.assert_array_equal(params.group(g), arr)
+        if isinstance(arr, np.ndarray):
+            assert not np.shares_memory(params.group(g), arr)
+            arr += 1
+    np.testing.assert_array_equal(params.user_emb, np.arange(6.0).reshape(2, 3))
+    np.testing.assert_array_equal(params.item_off, np.arange(4.0))
+
+
+@pytest.mark.parametrize("group, value, match", [
+    ("user_emb", np.zeros(3), "user_emb must have 2 dimensions"),
+    ("item_off", np.zeros((4, 1)), "item_off must have 1 dimensions"),
+    ("global_off", np.zeros(1), "global_off must have 0 dimensions"),
+    ("item_emb", np.zeros((4, 2)), "embedding dimensions differ"),
+    ("user_off", np.zeros(3), "user_off length"),
+    ("item_off", np.zeros(5), "item_off length"),
+])
+def test_constructor_rejects_misshaped_groups(group, value, match):
+    arrays = {"user_emb": np.zeros((2, 3)), "item_emb": np.zeros((4, 3)),
+              "user_off": np.zeros(2), "item_off": np.zeros(4), "global_off": 0.0}
+    arrays[group] = value
+    with pytest.raises(ValueError, match=match):
+        MFParameters(**arrays)

@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
 
+from ipsmf import optim
 from ipsmf.data import RatingDataset, SplitBundle
-from ipsmf.model import PARAM_GROUPS, init_params, predict_many
+from ipsmf.model import PARAM_GROUPS, _PACKED_ORDER, init_params, predict_many
 from ipsmf.optim import (
     ITEM_PHASE_GROUPS,
     TrainConfig,
     TrainingDivergedError,
     USER_PHASE_GROUPS,
+    _empty_like,
+    _masked_gradient,
     adam_step,
     evaluate_validation,
     init_adam_state,
@@ -17,7 +20,7 @@ from ipsmf.optim import (
 )
 from ipsmf.propensity import PropensityModel, uniform_propensities
 from ipsmf.sim import SimulationSpec, simulate
-from oracles import fit_reference
+from oracles import adam_step_reference, fit_reference, masked_gradient_reference
 
 
 def make_dataset(n_users, n_items, triples, scale=(1, 5)):
@@ -191,6 +194,98 @@ class TestAdam:
         for g in ITEM_PHASE_GROUPS:
             assert not np.array_equal(params.group(g), before.group(g))
             assert state.steps[g] == 1
+
+
+def duplicate_heavy_batch(kind, num_users, num_items, n=300, seed=0):
+    """(users, items) with many repeated rows: one user across the whole
+    batch, Zipf-skewed items, or a single row."""
+    rng = np.random.default_rng(seed)
+    if kind == "one-user":
+        return np.full(n, 3), rng.integers(0, num_items, n)
+    if kind == "zipf-items":
+        return rng.integers(0, num_users, n), np.minimum(rng.zipf(1.3, n) - 1, num_items - 1)
+    return np.array([num_users - 1]), np.array([num_items - 2])
+
+
+@pytest.mark.parametrize("mask", [USER_PHASE_GROUPS, ITEM_PHASE_GROUPS, PARAM_GROUPS],
+                         ids=["user", "item", "all"])
+@pytest.mark.parametrize("kind", ["one-user", "zipf-items", "single-row"])
+def test_masked_gradient_bit_equal_to_reference(kind, mask):
+    num_users, num_items = 20, 40
+    users, items = duplicate_heavy_batch(kind, num_users, num_items)
+    rng = np.random.default_rng(1)
+    ratings = rng.integers(1, 6, len(users)).astype(float)
+    propensities = rng.uniform(0.05, 1.0, len(users))
+    params = init_params(num_users, num_items, 8, seed=2, scale=0.3, global_offset=3.0)
+    grads = _empty_like(params)
+    for g in PARAM_GROUPS:
+        grads.group(g)[...] = np.nan
+    _masked_gradient(grads, params, users, items, ratings, propensities, 1e-3, mask)
+    expected = masked_gradient_reference(params, users, items, ratings, propensities,
+                                         1e-3, mask)
+    for g in mask:
+        assert grads.group(g).tobytes() == expected.group(g).tobytes(), g
+
+
+def test_adam_step_bit_equal_to_reference_over_mixed_masks():
+    # ("user_emb", "item_off") is not adjacent in the packed layout, and the
+    # second mask leaves user_emb one step ahead of user_off and global_off
+    masks = [("user_emb",), USER_PHASE_GROUPS, ("user_emb", "item_off"), PARAM_GROUPS,
+             ("global_off", "user_emb"), ITEM_PHASE_GROUPS, PARAM_GROUPS]
+    params = init_params(7, 9, 3, seed=5, scale=0.3, global_offset=2.0)
+    reference = params.copy()
+    state = init_adam_state(params)
+    m = {g: np.zeros_like(params.group(g)) for g in PARAM_GROUPS}
+    v = {g: np.zeros_like(params.group(g)) for g in PARAM_GROUPS}
+    steps = dict.fromkeys(PARAM_GROUPS, 0)
+    rng = np.random.default_rng(6)
+    uneven = 0
+    for mask in masks:
+        uneven += len({steps[g] for g in mask}) > 1
+        grads = params.copy()
+        for g in PARAM_GROUPS:
+            grads.group(g)[...] = rng.normal(size=grads.group(g).shape)
+        adam_step(params, grads, state, mask, lr=0.05)
+        adam_step_reference(reference, grads, m, v, steps, mask, lr=0.05)
+        assert state.steps == steps
+        for g in PARAM_GROUPS:
+            assert params.group(g).tobytes() == reference.group(g).tobytes(), (mask, g)
+            assert state.m.group(g).tobytes() == m[g].tobytes(), (mask, g)
+            assert state.v.group(g).tobytes() == v[g].tobytes(), (mask, g)
+    assert uneven >= 3
+
+
+@pytest.mark.parametrize("mask", [USER_PHASE_GROUPS, ITEM_PHASE_GROUPS, PARAM_GROUPS],
+                         ids=["user", "item", "all"])
+def test_adam_step_updates_each_phase_in_one_call(monkeypatch, mask):
+    sizes = []
+    real = optim._adam_update
+
+    def counting(p, *rest):
+        sizes.append(p.size)
+        real(p, *rest)
+
+    monkeypatch.setattr(optim, "_adam_update", counting)
+    params = init_params(4, 5, 3, seed=0)
+    adam_step(params, params.copy(), init_adam_state(params), mask, lr=0.1)
+    assert sizes == [sum(params.group(g).size for g in mask)]
+
+
+def test_adam_step_rejects_repeated_group_and_misshaped_gradient():
+    params = init_params(3, 4, 2, seed=0)
+    state = init_adam_state(params)
+    before = params.copy()
+    with pytest.raises(ValueError, match="twice"):
+        adam_step(params, params.copy(), state, ("item_off", "item_off"), lr=0.1)
+    with pytest.raises(ValueError, match="shaped like the parameters"):
+        adam_step(params, init_params(3, 4, 3, seed=0), state, PARAM_GROUPS, lr=0.1)
+    assert state.steps == dict.fromkeys(PARAM_GROUPS, 0)
+    for g in PARAM_GROUPS:
+        np.testing.assert_array_equal(params.group(g), before.group(g))
+
+
+def test_packed_layout_is_phase_order():
+    assert _PACKED_ORDER == USER_PHASE_GROUPS + ITEM_PHASE_GROUPS
 
 
 def test_phase_masks_partition_parameters():
