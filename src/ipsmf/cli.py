@@ -119,7 +119,7 @@ class ExperimentConfig:
     simulation: dict | None
     data: dict | None
     gammas: list[float]
-    tune: dict[str, list]
+    tune: dict
 
     def train_settings(self, method: str, seed: int) -> TrainConfig:
         merged = dict(self.train)
@@ -160,7 +160,7 @@ _SIMULATION_CASTS = {
     "engagement_rank": int, "engagement_noise": float, "engagement_path": str,
     "engagement_format": str,
 }
-_SIMULATION_LISTS = {"rating_propensities", "target_rating_distribution"}
+_SIMULATION_LISTS = {"rating_propensities": float, "target_rating_distribution": float}
 _DATA_CASTS = {
     "train": str, "validation": str, "mcar": str, "test": str,
     "biased": str, "unbiased": str, "ground_truth_propensities": str,
@@ -170,22 +170,55 @@ _DATA_CASTS = {
 }
 
 
-def _parse_section(parser: configparser.ConfigParser, name: str, casts: dict, lists=()) -> dict:
+def _parse_budget(text: str) -> int:
+    budget = int(text)
+    if budget < 0:
+        raise ConfigError(f"must be nonnegative, got {budget}")
+    return budget
+
+
+_EXPERIMENT_CASTS = {"output_dir": Path, "clamp_predictions": _parse_bool}
+_EXPERIMENT_LISTS = {"methods": str, "seeds": int, "gammas": float}
+_EXPERIMENT_DEFAULTS = {
+    "methods": ("mf",), "seeds": (0,), "gammas": (0.0, 0.25, 0.5, 0.75, 1.0),
+    "output_dir": Path("out"), "clamp_predictions": False,
+}
+_TUNE_CASTS = {"budget": _parse_budget}
+_TUNE_LISTS = {
+    "learning_rate": float, "l2_weight": float, "embedding_dim": int,
+    "alpha1": float, "alpha2": float,
+}
+_TUNE_DEFAULTS = {
+    "learning_rate": (1e-3, 1e-4, 1e-5),
+    "l2_weight": (1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2),
+    "embedding_dim": (16, 32, 64, 128),
+    "alpha1": tuple(float(a) for a in range(1, 11)),
+    "alpha2": tuple(float(a) for a in range(1, 11)),
+    "budget": 0,
+}
+
+
+def _parse_section(parser: configparser.ConfigParser, name: str, casts: dict, lists=None) -> dict:
+    """The keys of section `name`, each cast by `casts`, or parsed as a
+    comma-separated tuple whose elements `lists` casts. An empty scalar value
+    leaves its key out (the default applies); an empty list value is ``()``.
+    Raises ConfigError naming the section and key for an unknown key or a
+    value that does not parse."""
+    lists = lists or {}
     out: dict = {}
     if not parser.has_section(name):
         return out
     for key, value in parser.items(name):
-        if key in lists:
-            out[key] = tuple(_parse_list(value, float))
-        elif key in casts:
-            if value.strip() == "":
-                continue
-            try:
-                out[key] = casts[key](value)
-            except (ValueError, ConfigError) as exc:
-                raise ConfigError(f"[{name}] {key}: {exc}") from None
-        else:
+        if key not in casts and key not in lists:
             raise ConfigError(f"[{name}] unknown key {key!r}")
+        if key in casts and value.strip() == "":
+            continue
+        try:
+            out[key] = (
+                tuple(_parse_list(value, lists[key])) if key in lists else casts[key](value)
+            )
+        except (ValueError, ConfigError) as exc:
+            raise ConfigError(f"[{name}] {key}: {exc}") from None
     return out
 
 
@@ -195,15 +228,16 @@ def load_config(path: str | Path) -> ExperimentConfig:
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     parser.read_string(text)
 
-    exp = dict(parser.items("experiment")) if parser.has_section("experiment") else {}
-    methods = _parse_list(exp.get("methods", "mf"), str)
+    exp = {
+        **_EXPERIMENT_DEFAULTS,
+        **_parse_section(parser, "experiment", _EXPERIMENT_CASTS, _EXPERIMENT_LISTS),
+    }
+    methods, seeds = list(exp["methods"]), list(exp["seeds"])
     for method in methods:
         if method not in METHODS:
             raise ConfigError(f"[experiment] methods: unknown method {method!r}")
-    seeds = _parse_list(exp.get("seeds", "0"), int)
     if not methods or not seeds:
         raise ConfigError("[experiment] methods and seeds must be nonempty")
-    gammas = _parse_list(exp.get("gammas", "0.0, 0.25, 0.5, 0.75, 1.0"), float)
 
     train = _parse_section(parser, "train", _TRAIN_CASTS)
     overrides: dict[str, dict] = {}
@@ -235,16 +269,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
                 "and must not contain a comma or a line break"
             )
 
-    tune_raw = dict(parser.items("tune")) if parser.has_section("tune") else {}
-    tune = {
-        "learning_rate": _parse_list(tune_raw.get("learning_rate", "1e-3, 1e-4, 1e-5"), float),
-        "l2_weight": _parse_list(
-            tune_raw.get("l2_weight", "1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2"), float),
-        "embedding_dim": _parse_list(tune_raw.get("embedding_dim", "16, 32, 64, 128"), int),
-        "alpha1": _parse_list(tune_raw.get("alpha1", "1,2,3,4,5,6,7,8,9,10"), float),
-        "alpha2": _parse_list(tune_raw.get("alpha2", "1,2,3,4,5,6,7,8,9,10"), float),
-        "budget": int(tune_raw.get("budget", "0")),
-    }
+    tune = {**_TUNE_DEFAULTS, **_parse_section(parser, "tune", _TUNE_CASTS, _TUNE_LISTS)}
 
     if "mf_ips_gt" in methods and simulation is None and not (data or {}).get("ground_truth_propensities"):
         raise ConfigError(
@@ -256,13 +281,13 @@ def load_config(path: str | Path) -> ExperimentConfig:
         config_hash=hashlib.sha256(text.encode("utf-8")).hexdigest()[:12],
         methods=methods,
         seeds=seeds,
-        output_dir=Path(exp.get("output_dir", "out")),
-        clamp_predictions=_parse_bool(exp.get("clamp_predictions", "false")),
+        output_dir=exp["output_dir"],
+        clamp_predictions=exp["clamp_predictions"],
         train=train,
         method_overrides=overrides,
         simulation=simulation,
         data=data,
-        gammas=gammas,
+        gammas=list(exp["gammas"]),
         tune=tune,
     )
 
@@ -406,22 +431,29 @@ def build_propensity_model(
 
 def run_method(
     method: str,
-    loaded: LoadedData,
+    bundle: SplitBundle,
+    test: RatingDataset,
     train_config: TrainConfig,
     prop: PropensityModel | None,
     clamp: bool = False,
 ):
-    """Train one method on one bundle with a built propensity model and
-    evaluate on the test split: the second of a run's two stages, after
+    """Train one method on `bundle` with a built propensity model and evaluate
+    on `test`: the second of a run's two stages, after
     :func:`build_propensity_model`. `prop` is None for avg.
 
     Returns (report, train_result_or_None).
     """
-    bundle = loaded.bundle
     if method == "avg":
-        return evaluate(fit_avg(bundle.train), bundle.test, clamp=clamp), None
+        return evaluate(fit_avg(bundle.train), test, clamp=clamp), None
     result = train(bundle, prop, train_config)
-    return evaluate(result.params, bundle.test, clamp=clamp), result
+    return evaluate(result.params, test, clamp=clamp), result
+
+
+def _without_test(bundle: SplitBundle) -> SplitBundle:
+    """`bundle` with an empty test split. Training on it gives the same
+    parameters and history, except that the history has no test MSE, which
+    spares the loop predicting the test split every epoch."""
+    return replace(bundle, test=bundle.test.subset([]))
 
 
 def _format_cell(value) -> str:
@@ -484,10 +516,13 @@ def _run_cell(args) -> list[dict]:
     """One worker cell: simulate/load a bundle for (gamma, seed), run all methods.
 
     Returns one record per method with the result row and, when requested,
-    the training history and fitted parameters for artifact files.
+    the training history and fitted parameters for artifact files. Without
+    them the methods train on the bundle without its test split: a history
+    that is discarded needs no per-epoch test MSE.
     """
     cfg, seed, gamma, keep_artifacts = args
     loaded = load_experiment_data(cfg, run_seed=seed, gamma=gamma)
+    train_on = loaded.bundle if keep_artifacts else _without_test(loaded.bundle)
     records = []
     for method in cfg.methods:
         train_config = cfg.train_settings(method, seed)
@@ -496,7 +531,8 @@ def _run_cell(args) -> list[dict]:
             method, loaded.bundle, pipeline, loaded.ground_truth, seed=seed
         )
         report, result = run_method(
-            method, loaded, train_config, prop, clamp=cfg.clamp_predictions
+            method, train_on, loaded.bundle.test, train_config, prop,
+            clamp=cfg.clamp_predictions,
         )
         record = {
             "row": _result_row(
@@ -641,11 +677,14 @@ def cmd_tune(cfg: ExperimentConfig, out_dir: Path) -> Path:
     (:func:`build_propensity_model`), then training and scoring. The first
     stage depends only on the method and its pipeline settings (the seed and
     data are fixed for the call), so each distinct (method, pipeline) model
-    is built once per call and shared by the grid points that need it.
+    is built once per call and shared by the grid points that need it. The
+    test split plays no part in the selection, so grid points train without
+    it.
     """
     out_dir.mkdir(parents=True, exist_ok=True)
     seed = cfg.seeds[0]
     loaded = load_experiment_data(cfg, run_seed=seed)
+    bundle = _without_test(loaded.bundle)
     budget = cfg.tune["budget"]
     props: dict[tuple, PropensityModel | None] = {}
 
@@ -662,9 +701,9 @@ def cmd_tune(cfg: ExperimentConfig, out_dir: Path) -> Path:
             key = (method, tuple(sorted(pipeline.items())))
             if key not in props:
                 props[key] = build_propensity_model(
-                    method, loaded.bundle, pipeline, loaded.ground_truth, seed=seed
+                    method, bundle, pipeline, loaded.ground_truth, seed=seed
                 )
-            score, clip_floor = _validation_score(cfg, loaded, method, seed, point, props[key])
+            score, clip_floor = _validation_score(cfg, bundle, method, seed, point, props[key])
             if best is None or score < best[0]:
                 best = (score, point, clip_floor)
         score, point, clip_floor = best
@@ -707,12 +746,11 @@ def _budget_points(points: list[dict], budget: int, seed: int) -> list[dict]:
     return [points[i] for i in np.sort(chosen)]
 
 
-def _validation_score(cfg, loaded, method, seed, point, prop) -> tuple[float, float | None]:
-    """Score one grid point, trained with the built propensity model `prop`, on
-    the validation split; returns (score, effective clip floor). Weighted
-    methods use self-normalized weighted MSE under their own propensities, mf
-    and avg plain MSE."""
-    bundle = loaded.bundle
+def _validation_score(cfg, bundle, method, seed, point, prop) -> tuple[float, float | None]:
+    """Score one grid point, trained on `bundle` with the built propensity
+    model `prop`, on the validation split; returns (score, effective clip
+    floor). Weighted methods use self-normalized weighted MSE under their own
+    propensities, mf and avg plain MSE."""
     if method == "avg":
         model = fit_avg(bundle.train)
         return evaluate(model, bundle.validation).mse, None
@@ -721,7 +759,7 @@ def _validation_score(cfg, loaded, method, seed, point, prop) -> tuple[float, fl
         **{k: v for k, v in point.items() if k in TRAIN_KEYS},
     )
     try:
-        _, result = run_method(method, loaded, train_config, prop)
+        result = train(bundle, prop, train_config)
     except TrainingDivergedError as exc:
         logger.warning("%s diverged at %s: %s", method, point, exc)
         return float("inf"), None

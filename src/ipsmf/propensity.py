@@ -282,25 +282,20 @@ def estimate_multifactorial(
     if len(mcar) == 0:
         raise PropensityError("joint estimation requires a nonempty mcar sample")
     a1, a2 = smoothing.alpha1, smoothing.alpha2
-    n_r = train.num_rating_values
-    count_d_ir = _counts_by_item_rating(train, num_items)
-    count_m_r = _counts_by_rating(mcar)
-    count_m_ir = _counts_by_item_rating(mcar, num_items)
-
-    if a1 == 0.0 and np.any(count_d_ir == 0):
+    joint_conditional = smoothed_joint_conditional(train, num_items, a1)
+    if a1 == 0.0 and np.any(joint_conditional == 0):
         logger.warning(
             "alpha1=0 with unobserved (item, rating) cells yields zero propensities; "
             "they will rely on the clip floor"
         )
-    if a2 == 0.0 and np.any(count_m_ir == 0):
+    if a2 == 0.0 and np.any(_counts_by_item_rating(mcar, num_items) == 0):
         raise PropensityError(
             "alpha2=0 with (item, rating) cells unseen in the mcar sample gives a "
             "zero-denominator prior; use alpha2 > 0"
         )
 
-    joint_conditional = (count_d_ir + a1) / (len(train) + a1 * num_items * n_r)
-    rating_prior = _fallback_prior(count_m_r / len(mcar), "rating")
-    item_given_rating = (count_m_ir + a2) / (count_m_r + a2 * num_items)
+    rating_prior = _fallback_prior(_counts_by_rating(mcar) / len(mcar), "rating")
+    item_given_rating = smoothed_item_given_rating(mcar, num_items, a2)
     prior = rating_prior[None, :] * item_given_rating
     p_obs = len(train) / (num_users * num_items)
     table = _cap_at_one(joint_conditional * p_obs / prior, "multifactorial")

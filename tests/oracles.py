@@ -3,8 +3,9 @@
 The estimator oracles are computed with plain Python loops and dicts,
 deliberately avoiding the vectorized code paths under test. The reference
 implementations at the end are the plain full-sort and allocating versions of
-the simulator and optimizer hot paths, and the per-family scoring and saving
-of propensity tables; the code under test must match them bit for bit.
+the simulator and optimizer hot paths, the joint estimator with its smoothing
+written inline, and the per-family scoring and saving of propensity tables;
+the code under test must match them bit for bit.
 """
 
 import numpy as np
@@ -12,7 +13,13 @@ import numpy as np
 from ipsmf.data import RatingDataset, split_unbiased
 from ipsmf.model import MFParameters, PARAM_GROUPS, init_params, predict_many
 from ipsmf.optim import ITEM_PHASE_GROUPS, USER_PHASE_GROUPS, ips_loss
-from ipsmf.propensity import score_dataset
+from ipsmf.propensity import (
+    _cap_at_one,
+    _counts_by_item_rating,
+    _counts_by_rating,
+    _fallback_prior,
+    score_dataset,
+)
 
 
 def rating_counts(triples, rating_values):
@@ -287,6 +294,21 @@ def estimate_mf_propensity_reference(train, num_users, num_items, *, dim, learni
 
     P, Q, a, b, c = best_params
     return (P, Q, a, b, float(c)), losses, converged
+
+
+def estimate_multifactorial_table_reference(train, mcar, num_users, num_items, alpha1, alpha2):
+    """The joint (item, rating) table with both smoothed factors written out
+    inline rather than taken from the smoothing helpers."""
+    n_r = train.num_rating_values
+    count_d_ir = _counts_by_item_rating(train, num_items)
+    count_m_r = _counts_by_rating(mcar)
+    count_m_ir = _counts_by_item_rating(mcar, num_items)
+    joint_conditional = (count_d_ir + alpha1) / (len(train) + alpha1 * num_items * n_r)
+    rating_prior = _fallback_prior(count_m_r / len(mcar), "rating")
+    item_given_rating = (count_m_ir + alpha2) / (count_m_r + alpha2 * num_items)
+    prior = rating_prior[None, :] * item_given_rating
+    p_obs = len(train) / (num_users * num_items)
+    return _cap_at_one(joint_conditional * p_obs / prior, "multifactorial")
 
 
 # --------------------------------------------------------------------------

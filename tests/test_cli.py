@@ -1,7 +1,10 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from ipsmf import cli
+from ipsmf import cli, optim
 from ipsmf.cli import (
     ConfigError,
     cmd_simulate,
@@ -91,6 +94,36 @@ class TestConfigParsing:
         text = text.replace("[ignored_sim]\nnum_users = 30\nnum_items = 25\ngamma = 0.5\nseed = 3\nunbiased_per_user = 8\n", "")
         with pytest.raises(ConfigError, match="mf_ips_gt"):
             load_config(write_config(tmp_path, text))
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("seeds = 0, 1", "seeds = two", "[experiment] seeds: invalid literal"),
+        ("[train]", "[tune]\nbudget = two\n[train]", "[tune] budget: invalid literal"),
+        ("[train]", "[tune]\nbudget = -3\n[train]",
+         "[tune] budget: must be nonnegative, got -3"),
+        ("seeds = 0, 1", "sedes = 3", "[experiment] unknown key 'sedes'"),
+        ("[train]", "[tune]\nbudgt = 2\n[train]", "[tune] unknown key 'budgt'"),
+    ], ids=["seeds-not-int", "budget-not-int", "budget-negative", "experiment-typo",
+            "tune-typo"])
+    def test_experiment_and_tune_keys_checked(self, tmp_path, capsys, old, new, message):
+        path = write_config(tmp_path, BASE_CONFIG.replace(old, new))
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            load_config(path)
+        assert main(["tune", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {message}")
+
+    def test_defaults(self, tmp_path):
+        cfg = load_config(write_config(tmp_path, "[simulation]\nnum_users = 5\n"))
+        assert (cfg.methods, cfg.seeds, cfg.gammas) == (["mf"], [0], [0.0, 0.25, 0.5, 0.75, 1.0])
+        assert cfg.output_dir == Path("out") and cfg.clamp_predictions is False
+        grid = {k: [repr(v) for v in values] for k, values in cfg.tune.items() if k != "budget"}
+        assert grid == {
+            "learning_rate": ["0.001", "0.0001", "1e-05"],
+            "l2_weight": ["1e-07", "1e-06", "1e-05", "0.0001", "0.001", "0.01"],
+            "embedding_dim": ["16", "32", "64", "128"],
+            "alpha1": [f"{a}.0" for a in range(1, 11)],
+            "alpha2": [f"{a}.0" for a in range(1, 11)],
+        }
+        assert cfg.tune["budget"] == 0
 
 
 DATA_ONLY_CONFIG = """
@@ -449,13 +482,13 @@ embedding_dim = 4
 budget = 2
 """)
         trained = []
-        real = cli.run_method
+        real = cli.train
 
-        def recording(method, loaded, train_config, *rest):
-            trained.append((train_config.learning_rate, train_config.l2_weight))
-            return real(method, loaded, train_config, *rest)
+        def recording(data, propensity_model, config):
+            trained.append((config.learning_rate, config.l2_weight))
+            return real(data, propensity_model, config)
 
-        monkeypatch.setattr(cli, "run_method", recording)
+        monkeypatch.setattr(cli, "train", recording)
         cmd_tune(cfg, tmp_path / "tuned")
         expected = cli._budget_points(cli._grid_points(cfg, "mf"), 2, cfg.seeds[0])
         assert trained == [(p["learning_rate"], p["l2_weight"]) for p in expected]
@@ -518,19 +551,19 @@ def reference_tune(cfg, path, build):
 
 def test_tune_builds_each_propensity_model_once(tmp_path, monkeypatch):
     cfg = load_config(write_config(tmp_path, MEMO_TUNE_CONFIG, name="memo.ini"))
-    build, run = cli.build_propensity_model, cli.run_method
+    build, run = cli.build_propensity_model, cli.train
     calls, configs = [], []
 
     def counting(method, bundle, pipeline, ground_truth=None, seed=0):
         calls.append((method, tuple(sorted(pipeline.items()))))
         return build(method, bundle, pipeline, ground_truth, seed=seed)
 
-    def recording(method, loaded, train_config, prop, clamp=False):
-        configs.append(train_config)
-        return run(method, loaded, train_config, prop, clamp)
+    def recording(data, propensity_model, config):
+        configs.append(config)
+        return run(data, propensity_model, config)
 
     monkeypatch.setattr(cli, "build_propensity_model", counting)
-    monkeypatch.setattr(cli, "run_method", recording)
+    monkeypatch.setattr(cli, "train", recording)
     tuned = cmd_tune(cfg, tmp_path / "tuned")
 
     # one call per distinct (method, pipeline): avg, mf and mf_ips_mf have one
@@ -544,6 +577,60 @@ def test_tune_builds_each_propensity_model_once(tmp_path, monkeypatch):
     assert tuned.read_bytes() == reference.read_bytes()
     lines = tuned.read_text().splitlines()
     assert [line.split(",")[-1] for line in lines[1:]] == ["1", "4", "4", "16"]
+
+
+def test_only_train_predicts_the_test_split_every_epoch(tmp_path, monkeypatch):
+    # sweep cells and tune grid points keep no history, so the training loop
+    # has no use for the per-epoch test MSE
+    cfg = load_config(write_config(tmp_path, BASE_CONFIG + """
+[tune]
+learning_rate = 0.01
+l2_weight = 1e-6, 1e-5
+embedding_dim = 4
+alpha1 = 2
+alpha2 = 2
+"""))
+    predicted = []
+    real = optim.predict_many
+
+    def spying(params, users, items):
+        predicted.append((users, items))
+        return real(params, users, items)
+
+    monkeypatch.setattr(optim, "predict_many", spying)
+
+    def test_split_predictions(gamma=None):
+        """(calls that predicted a test split, all calls) since the last check."""
+        tests = [cli.load_experiment_data(cfg, run_seed=s, gamma=gamma).bundle.test
+                 for s in cfg.seeds]
+        count = sum(any(np.array_equal(users, t.users) and np.array_equal(items, t.items)
+                        for t in tests) for users, items in predicted)
+        total = len(predicted)
+        predicted.clear()
+        return count, total
+
+    cmd_train(cfg, tmp_path / "train")
+    epochs = [len(p.read_text().splitlines()) - 1
+              for p in (tmp_path / "train").glob("history_*.csv")]
+    assert len(epochs) == 2 * 2
+    assert test_split_predictions()[0] == sum(epochs)
+
+    cmd_sweep_gamma(cfg, tmp_path / "sweep", gammas=[0.0])
+    count, total = test_split_predictions(gamma=0.0)
+    assert count == 0 and total > 0
+
+    cmd_tune(cfg, tmp_path / "tune")
+    count, total = test_split_predictions()
+    assert count == 0 and total > 0
+
+
+def test_sweep_rows_equal_train_rows(tmp_path):
+    # train keeps the per-epoch test MSE and the sweep does not; the fitted
+    # models and the result rows are the same
+    cfg = load_config(write_config(tmp_path))
+    trained = cmd_train(cfg, tmp_path / "train")
+    swept = cmd_sweep_gamma(cfg, tmp_path / "sweep", gammas=[cfg.simulation["gamma"]])
+    assert swept.read_bytes() == trained.read_bytes()
 
 
 def test_main_entrypoint(tmp_path):

@@ -1,11 +1,17 @@
 import logging
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ipsmf.data import RatingDataset
 from ipsmf.sim import SimulationSpec, simulate
 from ipsmf.propensity import (
+    AXES,
+    FAMILIES,
     PropensityError,
     PropensityModel,
     SmoothingConfig,
@@ -28,6 +34,7 @@ from ipsmf.propensity import (
 
 from oracles import (
     estimate_mf_propensity_reference,
+    estimate_multifactorial_table_reference,
     multifactorial_oracle,
     popularity_oracle,
     positivity_oracle,
@@ -196,6 +203,26 @@ class TestMultifactorial:
         train, mcar = self.small_fixture()
         with pytest.raises(PropensityError, match="alpha2"):
             estimate_multifactorial(train, mcar, 2, 2, SmoothingConfig(1.0, 0.0))
+
+    @pytest.mark.parametrize("alpha1, alpha2", [
+        (0.0, 1.0), (0.0, 7.5), (1.0, 1.0), (2.0, 0.5), (10.0, 3.0), (0.3, 12.0),
+    ])
+    def test_table_matches_inline_smoothing_bit_for_bit(self, alpha1, alpha2):
+        bundle = simulate(SimulationSpec(
+            num_users=60, num_items=40, gamma=0.5, seed=4, unbiased_per_user=10)).bundle
+        train, mcar = bundle.train, bundle.mcar
+        model = estimate_multifactorial(
+            train, mcar, 60, 40, SmoothingConfig(alpha1, alpha2))
+        expected = estimate_multifactorial_table_reference(
+            train, mcar, 60, 40, alpha1, alpha2)
+        assert model.table.tobytes() == expected.tobytes()
+
+    def test_alpha1_zero_with_unobserved_cells_warns(self, caplog):
+        train, mcar = self.small_fixture()  # (item 1, rating 1) is never observed
+        with caplog.at_level(logging.WARNING):
+            model = estimate_multifactorial(train, mcar, 2, 2, SmoothingConfig(0.0, 1.0))
+        assert "alpha1=0" in caplog.text
+        assert model.table[1, 0] == 0.0
 
     def test_mcar_rating_gap_falls_back(self, caplog):
         train = make_dataset(2, 2, [(0, 0, 1), (0, 1, 2), (1, 0, 1)], scale=(1, 2))
@@ -653,3 +680,118 @@ class TestConstructionChecks:
         model = PropensityModel(family="popularity", table=[0, 1])
         assert model.table.dtype == np.float64
         assert PropensityModel(family="uniform", table=0.25).table.shape == ()
+
+
+# --------------------------------------------------------------------------
+# properties over generated datasets and tables
+
+
+@st.composite
+def rating_data(draw, n_users=st.integers(1, 8), n_items=st.integers(1, 8), max_density=1.0):
+    """A nonempty dataset on the 1..5 scale observing at most `max_density`
+    of its (user, item) pairs."""
+    n_users, n_items = draw(n_users), draw(n_items)
+    max_pairs = max(1, int(max_density * n_users * n_items))
+    codes = draw(st.lists(st.integers(0, n_users * n_items - 1), min_size=1,
+                          max_size=max_pairs, unique=True))
+    ratings = draw(st.lists(st.integers(1, 5), min_size=len(codes), max_size=len(codes)))
+    return make_dataset(n_users, n_items, [
+        (code // n_items, code % n_items, r) for code, r in zip(codes, ratings)])
+
+
+def table_model(draw, family, data, elements, rating_scale=(1, 5)):
+    """A `family` model whose table covers the id space of `data`."""
+    lo, hi = rating_scale
+    length = {"user_index": data.num_users, "item_index": data.num_items,
+              "rating": hi - lo + 1}
+    shape = tuple(length[axis] for axis in AXES[family])
+    table = draw(arrays(np.float64, shape, elements=elements))
+    return PropensityModel(family=family, rating_scale=rating_scale, table=table)
+
+
+ANY_FAMILY = st.sampled_from(FAMILIES)
+
+
+class TestProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), alpha1=st.floats(0.0, 20.0), alpha2=st.floats(1e-3, 20.0))
+    def test_smoothed_tables_sum_to_one(self, data, alpha1, alpha2):
+        train = data.draw(rating_data())
+        mcar = data.draw(rating_data(st.just(train.num_users), st.just(train.num_items)))
+        joint = smoothed_joint_conditional(train, train.num_items, alpha1)
+        assert joint.sum() == pytest.approx(1.0, abs=1e-9)
+        conditional = smoothed_item_given_rating(mcar, mcar.num_items, alpha2)
+        np.testing.assert_allclose(conditional.sum(axis=0), 1.0, atol=1e-9)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), family=ANY_FAMILY)
+    def test_normalize_hits_the_mean_inverse_target_when_nothing_is_capped(
+            self, data, family):
+        # at most a tenth of the pairs observed puts the target at or above
+        # 10, and entries within a factor 10 of each other keep every
+        # rescaled score at or below 1
+        train = data.draw(rating_data(st.integers(4, 12), st.integers(4, 12), max_density=0.1))
+        model = table_model(data.draw, family, train, st.floats(0.01, 0.1))
+        normalized = normalize(model, train)
+        raw = model._raw(train.users, train.items, train.ratings)
+        assert np.all(raw * normalized.scale <= 1.0)
+        target = train.num_users * train.num_items / len(train)
+        scores = score_dataset(normalized, train)
+        assert float(np.mean(1.0 / scores)) == pytest.approx(target, rel=1e-9)
+        assert normalized.normalization == "mean-inverse"
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), family=ANY_FAMILY, do_normalize=st.booleans(),
+           clip_floor=st.none() | st.floats(1e-4, 1.0))
+    def test_prepared_scores_lie_between_the_floor_and_one(
+            self, data, family, do_normalize, clip_floor):
+        train = data.draw(rating_data())
+        # zero entries exercise the clip-before-normalize path; subnormal
+        # ones would overflow the normalization constant
+        model = table_model(data.draw, family, train,
+                            st.just(0.0) | st.floats(1e-6, 1.0))
+        assume(np.any(score_dataset(model, train) > 0))
+        prepared = prepare(model, train, do_normalize=do_normalize, clip_floor=clip_floor)
+        if clip_floor is not None:
+            assert prepared.clip_floor == clip_floor
+        users, items, ratings = (a.reshape(-1) for a in np.meshgrid(
+            np.arange(train.num_users), np.arange(train.num_items), np.arange(1, 6)))
+        scores = score_many(prepared, users, items, ratings)
+        assert np.all(scores >= prepared.clip_floor) and np.all(scores <= 1.0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), family=ANY_FAMILY, factors=st.booleans(),
+           lo=st.integers(0, 3), width=st.integers(0, 4),
+           scale=st.floats(1e-3, 1e3), clip_floor=st.floats(0.0, 1.0),
+           normalization=st.sampled_from(("none", "mean-inverse")),
+           alphas=st.tuples(st.none() | st.floats(0.0, 20.0),
+                            st.none() | st.floats(0.0, 20.0)))
+    def test_save_load_round_trips(self, tmp_path_factory, data, family, factors, lo,
+                                   width, scale, clip_floor, normalization, alphas):
+        ids = data.draw(rating_data(st.integers(1, 5), st.integers(1, 5)))
+        fields = dict(scale=scale, clip_floor=clip_floor, normalization=normalization,
+                         alpha1=alphas[0], alpha2=alphas[1])
+        if family == "mf_learned" and factors:
+            dim = data.draw(st.integers(1, 3))
+            coords = st.floats(-3.0, 3.0)
+            model = PropensityModel(
+                family=family, rating_scale=(lo, lo + width), mf_factors=(
+                    data.draw(arrays(np.float64, (ids.num_users, dim), elements=coords)),
+                    data.draw(arrays(np.float64, (ids.num_items, dim), elements=coords)),
+                    data.draw(arrays(np.float64, ids.num_users, elements=coords)),
+                    data.draw(arrays(np.float64, ids.num_items, elements=coords)),
+                    data.draw(coords)), **fields)
+        else:
+            model = replace(table_model(data.draw, family, ids, st.floats(0.0, 1.0),
+                                        rating_scale=(lo, lo + width)), **fields)
+        path = tmp_path_factory.mktemp("roundtrip") / "prop.csv"
+        save_propensity(model, path)
+        back = load_propensity(path)
+        for name in ("family", "rating_scale", "scale", "clip_floor", "normalization",
+                     "alpha1", "alpha2"):
+            assert getattr(back, name) == getattr(model, name), name
+        if model.table is not None:
+            assert back.table.tobytes() == model.table.tobytes()
+        again = path.with_name("again.csv")
+        save_propensity(back, again)
+        assert again.read_bytes() == path.read_bytes()
