@@ -123,11 +123,6 @@ class SplitBundle:
             raise SplitError("mcar and test overlap as (user, item) sets")
 
 
-def observed_pairs(data: RatingDataset) -> set[tuple[int, int]]:
-    """Set of observed (user, item) pairs; its size equals the triple count."""
-    return set(zip(data.users.tolist(), data.items.tolist()))
-
-
 def _parse_triples(path: str | Path, delimiter: str, rating_scale: tuple[int, int]):
     """Yield (user_id, item_id, rating, lineno) from a rating file, skipping an
     optional header line and validating ratings against the scale."""
@@ -353,14 +348,3 @@ def write_manifest(path: str | Path, entries: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for key in sorted(entries):
             fh.write(f"{key}={entries[key]}\n")
-
-
-def read_manifest(path: str | Path) -> dict[str, str]:
-    entries: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                key, _, value = line.partition("=")
-                entries[key] = value
-    return entries

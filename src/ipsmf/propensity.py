@@ -443,13 +443,21 @@ def normalize(model: PropensityModel, train: RatingDataset) -> PropensityModel:
     """Rescale scores by one constant so the mean inverse propensity over the
     train triples equals ``num_users * num_items / |D|``; scores stay capped at 1.
 
-    The constant is computed on the training split only.
+    The constant is computed on the training split only. A train score too
+    small to invert (a subnormal float) makes it overflow, and is rejected
+    rather than turned into an infinite scale.
     """
     scores = score_dataset(model, train)
     if np.any(scores <= 0):
         raise PropensityError("cannot normalize a model with zero scores on train")
     target = train.num_users * train.num_items / len(train)
-    k = float(np.mean(1.0 / scores)) / target
+    with np.errstate(over="ignore"):
+        k = float(np.mean(1.0 / scores)) / target
+    if not np.isfinite(k):
+        raise PropensityError(
+            f"cannot normalize: the smallest train score {scores.min():.3g} "
+            "makes the normalization constant overflow"
+        )
     return replace(model, scale=model.scale * k, normalization="mean-inverse")
 
 

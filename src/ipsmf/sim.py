@@ -24,9 +24,12 @@ logger = logging.getLogger(__name__)
 # default per-rating observation propensities for ratings 1..5.
 DEFAULT_RATING_DISTRIBUTION = (0.5148, 0.2525, 0.1496, 0.0554, 0.0277)
 DEFAULT_RATING_PROPENSITIES = (0.0123, 0.0102, 0.0213, 0.0568, 0.1795)
-# Rows of sort keys drawn at once by sample_unbiased; bounds its scratch memory
-# (8 MB of keys at 1,000 items) independently of the user count.
-UNBIASED_BLOCK_ROWS = 1024
+# Rows of the dense user x item matrices that the simulation handles at once
+# (engagement noise, observation draws, unbiased sort keys); bounds each stage's
+# scratch memory (8 MB per float block at 1,000 items) independently of the user
+# count. The Generator yields the same stream in pieces, so outputs do not
+# depend on it.
+BLOCK_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -84,6 +87,12 @@ class SimulationResult:
     capped_items: int
 
 
+def _row_blocks(num_rows: int):
+    """(start, stop) bounds of consecutive blocks of at most BLOCK_ROWS rows."""
+    for start in range(0, num_rows, BLOCK_ROWS):
+        yield start, min(start + BLOCK_ROWS, num_rows)
+
+
 def generate_engagement(
     num_users: int,
     num_items: int,
@@ -101,9 +110,12 @@ def generate_engagement(
     user_f = rng.normal(0.0, 1.0, size=(num_users, rank)) / np.sqrt(rank)
     item_f = rng.normal(0.0, 1.0, size=(num_items, rank))
     item_quality = rng.normal(0.0, 1.0, size=num_items)
-    return user_f @ item_f.T + item_quality[None, :] + rng.normal(
-        0.0, noise, size=(num_users, num_items)
-    )
+    # the same additions, in the same order, as one full-size noise draw
+    engagement = user_f @ item_f.T
+    engagement += item_quality
+    for start, stop in _row_blocks(num_users):
+        engagement[start:stop] += rng.normal(0.0, noise, size=(stop - start, num_items))
+    return engagement
 
 
 def convert_to_ratings(
@@ -122,7 +134,9 @@ def convert_to_ratings(
     the whole ranking: a cell lies at or above boundary ``b`` with value ``v``
     when it exceeds ``v``, or when it equals ``v`` and is not among the first
     ``b - count(cells < v)`` cells equal to ``v`` in flat-index order. This is
-    the rank a stable sort gives, so ties split exactly as before.
+    the rank a stable sort gives, so ties split exactly as before. The
+    partitioned copy is freed before the ratings are allocated, so at most two
+    full-size arrays are live at once.
 
     Raises:
         ValueError: if the distribution has a negative entry or does not sum
@@ -140,17 +154,15 @@ def convert_to_ratings(
     cumulative = np.cumsum(target_distribution)
     # epsilon guards against float noise in the cumulative sums
     boundaries = np.floor(cumulative[:-1] * n + 1e-9).astype(np.int64)
+    inner = boundaries[(boundaries > 0) & (boundaries < n)]
+    values = np.partition(flat, np.unique(inner))[inner] if inner.size else inner
     # a cell's rating is 1 plus the number of boundaries at or below its rank;
     # boundaries at 0 count for every cell, boundaries at n for none
     ratings = np.full(n, 1 + np.count_nonzero(boundaries <= 0), dtype=np.int64)
-    inner = boundaries[(boundaries > 0) & (boundaries < n)]
-    if inner.size:
-        selected = np.partition(flat, np.unique(inner))
-        for b in inner:
-            v = selected[b]
-            ratings += flat > v
-            ties = np.flatnonzero(flat == v)
-            ratings[ties[b - np.count_nonzero(flat < v):]] += 1
+    for b, v in zip(inner, values):
+        ratings += flat > v
+        ties = np.flatnonzero(flat == v)
+        ratings[ties[b - np.count_nonzero(flat < v):]] += 1
     return ratings.reshape(np.asarray(engagement).shape)
 
 
@@ -167,7 +179,8 @@ def build_item_propensities(
     """
     if eta <= 1.0 or k_min < 1:
         raise ValueError("require eta > 1 and k_min >= 1")
-    avg_rating = np.asarray(truth, dtype=float).mean(axis=0)
+    # exact without a float copy: the column sums are small integers
+    avg_rating = np.asarray(truth).mean(axis=0, dtype=float)
     num_items = len(avg_rating)
     # lexsort uses the last key as primary: descending average, then index
     order = np.lexsort((np.arange(num_items), -avg_rating))
@@ -203,8 +216,14 @@ def sample_observations(
     table = gamma * rho_r[None, :] + (1.0 - gamma) * rho_i[:, None]  # (I, R)
     assert np.all((table >= 0.0) & (table <= 1.0)), "interpolated propensity outside [0, 1]"
 
-    cell_p = table[np.arange(num_items)[None, :], truth - lo]
-    mask = np.random.default_rng(seed).random(truth.shape) < cell_p
+    # the same uniform stream as one full-size draw, compared a row block at a
+    # time so that no full-size float temporary is live
+    rng = np.random.default_rng(seed)
+    item_index = np.arange(num_items)
+    mask = np.empty(truth.shape, dtype=bool)
+    for start, stop in _row_blocks(num_users):
+        cell_p = table[item_index, truth[start:stop] - lo]
+        np.less(rng.random(cell_p.shape), cell_p, out=mask[start:stop])
     users, items = np.nonzero(mask)
     dataset = RatingDataset(
         num_users=num_users,
@@ -238,11 +257,11 @@ def sample_unbiased(
     # the same key stream as one (num_users, num_items) draw, a block of rows
     # at a time; each row keeps its per_user smallest keys in ascending order
     chosen = np.empty((num_users, per_user), dtype=np.int64)
-    for start in range(0, num_users, UNBIASED_BLOCK_ROWS):
-        keys = rng.random((min(UNBIASED_BLOCK_ROWS, num_users - start), num_items))
+    for start, stop in _row_blocks(num_users):
+        keys = rng.random((stop - start, num_items))
         top = np.argpartition(keys, per_user - 1, axis=1)[:, :per_user]
         order = np.argsort(np.take_along_axis(keys, top, axis=1), axis=1, kind="stable")
-        chosen[start:start + len(keys)] = np.take_along_axis(top, order, axis=1)
+        chosen[start:stop] = np.take_along_axis(top, order, axis=1)
     users = np.repeat(np.arange(num_users), per_user)
     items = chosen.ravel()
     pool = RatingDataset(
@@ -276,6 +295,7 @@ def simulate(spec: SimulationSpec) -> SimulationResult:
             noise=spec.engagement_noise,
         )
     truth = convert_to_ratings(engagement, spec.target_rating_distribution)
+    del engagement  # at most two dense user x item matrices live at once
     rho_i, capped = build_item_propensities(truth, spec.powerlaw_eta, spec.k_min)
     biased, gt_model = sample_observations(
         truth,

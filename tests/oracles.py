@@ -10,10 +10,11 @@ the code under test must match them bit for bit.
 
 import numpy as np
 
-from ipsmf.data import RatingDataset, split_unbiased
+from ipsmf.data import RatingDataset, SplitBundle, split_biased, split_unbiased
 from ipsmf.model import MFParameters, PARAM_GROUPS, init_params, predict_many
 from ipsmf.optim import ITEM_PHASE_GROUPS, USER_PHASE_GROUPS, ips_loss
 from ipsmf.propensity import (
+    PropensityModel,
     _cap_at_one,
     _counts_by_item_rating,
     _counts_by_rating,
@@ -134,6 +135,87 @@ def convert_to_ratings_reference(engagement, target_distribution):
         ratings[order[start:stop]] = value
         start = stop
     return ratings.reshape(np.asarray(engagement).shape)
+
+
+def generate_engagement_reference(num_users, num_items, seed, rank=4, noise=0.6):
+    """Low-rank engagement with the noise drawn as one full-size matrix."""
+    rng = np.random.default_rng(seed)
+    user_f = rng.normal(0.0, 1.0, size=(num_users, rank)) / np.sqrt(rank)
+    item_f = rng.normal(0.0, 1.0, size=(num_items, rank))
+    item_quality = rng.normal(0.0, 1.0, size=num_items)
+    return user_f @ item_f.T + item_quality[None, :] + rng.normal(
+        0.0, noise, size=(num_users, num_items)
+    )
+
+
+def convert_to_ratings_selection_reference(engagement, target_distribution):
+    """Quantile conversion by boundary selection, with the partitioned copy and
+    the ratings allocated side by side."""
+    flat = np.asarray(engagement, dtype=float).ravel()
+    n = flat.size
+    cumulative = np.cumsum(target_distribution)
+    boundaries = np.floor(cumulative[:-1] * n + 1e-9).astype(np.int64)
+    ratings = np.full(n, 1 + np.count_nonzero(boundaries <= 0), dtype=np.int64)
+    inner = boundaries[(boundaries > 0) & (boundaries < n)]
+    if inner.size:
+        selected = np.partition(flat, np.unique(inner))
+        for b in inner:
+            v = selected[b]
+            ratings += flat > v
+            ties = np.flatnonzero(flat == v)
+            ratings[ties[b - np.count_nonzero(flat < v):]] += 1
+    return ratings.reshape(np.asarray(engagement).shape)
+
+
+def build_item_propensities_reference(truth, eta=1.4, k_min=20):
+    """Power-law item propensities from a float copy of the whole truth."""
+    avg_rating = np.asarray(truth, dtype=float).mean(axis=0)
+    num_items = len(avg_rating)
+    order = np.lexsort((np.arange(num_items), -avg_rating))
+    ranks = np.empty(num_items, dtype=np.int64)
+    ranks[order] = np.arange(1, num_items + 1)
+    raw = (eta - 1.0) * (ranks / k_min) ** (-eta)
+    return np.minimum(raw, 1.0), int(np.sum(raw > 1.0))
+
+
+def sample_observations_reference(truth, rating_propensities, item_propensities,
+                                  gamma, seed, rating_scale=(1, 5)):
+    """Biased log from one full-size uniform draw against a full-size table of
+    cell propensities."""
+    truth = np.asarray(truth)
+    num_users, num_items = truth.shape
+    lo, _ = rating_scale
+    rho_r = np.asarray(rating_propensities, dtype=float)
+    rho_i = np.asarray(item_propensities, dtype=float)
+    table = gamma * rho_r[None, :] + (1.0 - gamma) * rho_i[:, None]
+    cell_p = table[np.arange(num_items)[None, :], truth - lo]
+    mask = np.random.default_rng(seed).random(truth.shape) < cell_p
+    users, items = np.nonzero(mask)
+    dataset = RatingDataset(num_users, num_items, users, items, truth[users, items],
+                            rating_scale)
+    model = PropensityModel(family="ground_truth", rating_scale=rating_scale, table=table)
+    return dataset, model
+
+
+def simulate_reference(spec):
+    """The whole generated-engagement pipeline through the references above;
+    returns (truth, bundle, ground-truth model)."""
+    engagement = generate_engagement_reference(
+        spec.num_users, spec.num_items, [spec.seed, 0],
+        spec.engagement_rank, spec.engagement_noise,
+    )
+    truth = convert_to_ratings_selection_reference(
+        engagement, spec.target_rating_distribution
+    )
+    rho_i, _ = build_item_propensities_reference(truth, spec.powerlaw_eta, spec.k_min)
+    biased, model = sample_observations_reference(
+        truth, spec.rating_propensities, rho_i, spec.gamma, [spec.seed, 1]
+    )
+    mcar, test = sample_unbiased_reference(
+        truth, spec.unbiased_per_user, spec.mcar_fraction, [spec.seed, 2]
+    )
+    train, validation = split_biased(biased, spec.train_fraction, [spec.seed, 3])
+    return truth, SplitBundle(train, validation, mcar, test), model
 
 
 def sample_unbiased_reference(truth, per_user, mcar_fraction, seed, rating_scale=(1, 5)):

@@ -15,12 +15,13 @@ from ipsmf.cli import (
     load_config,
     main,
 )
-from ipsmf.data import load_ratings, read_manifest
+from ipsmf.data import load_ratings
 from ipsmf.metrics import bootstrap_interval, evaluate
 from ipsmf.model import fit_avg
 from ipsmf.optim import TrainConfig, evaluate_validation, train
 from ipsmf.propensity import load_propensity
 
+from helpers import read_manifest
 from oracles import bootstrap_interval_oracle
 
 BASE_CONFIG = """

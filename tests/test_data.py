@@ -9,14 +9,13 @@ from ipsmf.data import (
     filter_to_test_users,
     load_rating_pair,
     load_ratings,
-    observed_pairs,
-    read_manifest,
     reindex_users,
     save_ratings,
     split_biased,
     split_unbiased,
     write_manifest,
 )
+from helpers import observed_pairs, read_manifest
 
 
 def make_dataset(n_users, n_items, triples, scale=(1, 5)):

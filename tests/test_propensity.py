@@ -394,6 +394,16 @@ class TestClipNormalizeScore:
         assert scores.max() < 1.0  # cap not binding
         assert (1.0 / scores).mean() == pytest.approx(6 * 7 / len(train), abs=1e-9)
 
+    def test_normalize_rejects_a_score_too_small_to_invert(self):
+        # 1 / 5e-324 overflows; an infinite scale would score the positive
+        # entries 1 and the unobserved zero entry nan (0 * inf)
+        train = make_dataset(2, 3, [(0, 0, 3), (1, 1, 4)])
+        model = PropensityModel(family="popularity", table=np.array([5e-324, 0.5, 0.0]))
+        with pytest.raises(PropensityError, match="overflow"):
+            normalize(model, train)
+        with pytest.raises(PropensityError, match="overflow"):
+            prepare(model, train)
+
     def test_prepare_orders_normalize_then_clip(self):
         train = make_dataset(2, 3, [(0, 0, 2), (0, 1, 4), (1, 0, 5), (1, 2, 1)])
         model = prepare(estimate_popularity(train, 2, 3), train, clip_floor=0.2)
@@ -747,7 +757,7 @@ class TestProperties:
             self, data, family, do_normalize, clip_floor):
         train = data.draw(rating_data())
         # zero entries exercise the clip-before-normalize path; subnormal
-        # ones would overflow the normalization constant
+        # ones make normalize raise
         model = table_model(data.draw, family, train,
                             st.just(0.0) | st.floats(1e-6, 1.0))
         assume(np.any(score_dataset(model, train) > 0))

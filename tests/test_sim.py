@@ -1,12 +1,15 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ipsmf import sim
 from ipsmf.propensity import score, score_many
 from ipsmf.sim import (
+    BLOCK_ROWS,
     DEFAULT_RATING_DISTRIBUTION,
     DEFAULT_RATING_PROPENSITIES,
     SimulationSpec,
@@ -17,7 +20,15 @@ from ipsmf.sim import (
     sample_unbiased,
     simulate,
 )
-from oracles import convert_to_ratings_reference, sample_unbiased_reference
+from oracles import (
+    build_item_propensities_reference,
+    convert_to_ratings_reference,
+    convert_to_ratings_selection_reference,
+    generate_engagement_reference,
+    sample_observations_reference,
+    sample_unbiased_reference,
+    simulate_reference,
+)
 
 
 class TestConvertToRatings:
@@ -361,3 +372,95 @@ class TestSimulate:
             simulate(self.spec(num_users=2, num_items=2, unbiased_per_user=1,
                                engagement_path=str(path),
                                engagement_format="triples"))
+
+
+def dataset_bytes(data):
+    return tuple((a.dtype.str, a.tobytes()) for a in (data.users, data.items, data.ratings))
+
+
+def bundle_bytes(bundle):
+    return tuple(dataset_bytes(getattr(bundle, name))
+                 for name in ("train", "validation", "mcar", "test"))
+
+
+# one row, one block short of full, one full block, one row over, and a
+# partial third block
+BLOCK_USER_COUNTS = [1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 3]
+
+
+class TestBlockedStagesMatchWholeMatrix:
+    """The row-blocked stages equal the whole-matrix bodies they replaced, bit
+    for bit, whatever the user count's position relative to the block size."""
+
+    @pytest.mark.parametrize("num_users", BLOCK_USER_COUNTS)
+    def test_generate_engagement(self, num_users):
+        got = generate_engagement(num_users, 23, seed=[num_users, 0], rank=3, noise=0.7)
+        want = generate_engagement_reference(num_users, 23, [num_users, 0], 3, 0.7)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("num_users", BLOCK_USER_COUNTS)
+    @pytest.mark.parametrize("ties", [False, True])
+    def test_convert_to_ratings(self, num_users, ties):
+        engagement = generate_engagement_reference(num_users, 23, [num_users, 1])
+        if ties:
+            engagement = np.round(engagement)
+        got = convert_to_ratings(engagement)
+        want = convert_to_ratings_selection_reference(engagement, DEFAULT_RATING_DISTRIBUTION)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("num_users", BLOCK_USER_COUNTS)
+    def test_build_item_propensities(self, num_users):
+        truth = np.random.default_rng(num_users).integers(1, 6, size=(num_users, 60))
+        got, got_capped = build_item_propensities(truth, eta=1.3, k_min=5)
+        want, want_capped = build_item_propensities_reference(truth, eta=1.3, k_min=5)
+        assert got.tobytes() == want.tobytes() and got_capped == want_capped
+
+    @pytest.mark.parametrize("num_users", BLOCK_USER_COUNTS)
+    @pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0])
+    def test_sample_observations(self, num_users, gamma):
+        rng = np.random.default_rng(num_users)
+        truth = rng.integers(1, 6, size=(num_users, 23))
+        rho_r = np.array(DEFAULT_RATING_PROPENSITIES) * 3
+        rho_i = rng.random(23)
+        got, got_model = sample_observations(truth, rho_r, rho_i, gamma, seed=[7, 1])
+        want, want_model = sample_observations_reference(truth, rho_r, rho_i, gamma, [7, 1])
+        assert dataset_bytes(got) == dataset_bytes(want)
+        assert got_model.table.tobytes() == want_model.table.tobytes()
+
+    def assert_simulate_matches(self, spec):
+        result = simulate(spec)
+        truth, bundle, model = simulate_reference(spec)
+        assert result.truth.dtype == truth.dtype
+        assert result.truth.tobytes() == truth.tobytes()
+        assert bundle_bytes(result.bundle) == bundle_bytes(bundle)
+        assert result.ground_truth_propensities.table.tobytes() == model.table.tobytes()
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0])
+    def test_simulate(self, gamma):
+        self.assert_simulate_matches(SimulationSpec(
+            num_users=2 * BLOCK_ROWS + 3, num_items=40, gamma=gamma, seed=5,
+            unbiased_per_user=10,
+        ))
+
+    @pytest.mark.parametrize("block_rows", [1, 7, 50, 10_000])
+    def test_simulate_does_not_depend_on_block_size(self, monkeypatch, block_rows):
+        monkeypatch.setattr(sim, "BLOCK_ROWS", block_rows)
+        self.assert_simulate_matches(SimulationSpec(
+            num_users=50, num_items=30, gamma=0.5, seed=2, unbiased_per_user=10,
+        ))
+
+
+def test_simulate_peak_memory_is_about_two_dense_matrices():
+    # the dense stages hold at most two user x item 8-byte matrices plus one
+    # row block; whole-matrix temporaries pushed this past four
+    num_users, num_items = 3000, 1000
+    spec = SimulationSpec(num_users=num_users, num_items=num_items, gamma=0.5, seed=0)
+    tracemalloc.start()
+    try:
+        simulate(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * num_users * num_items * 8, peak / (num_users * num_items * 8)
