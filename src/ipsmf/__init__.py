@@ -56,7 +56,6 @@ from .optim import (
     adam_step,
     init_adam_state,
     train,
-    evaluate_validation,
 )
 from .metrics import MetricReport, evaluate, summarize_runs, bootstrap_interval
 from .sim import (

@@ -45,7 +45,6 @@ from .model import fit_avg, save_checkpoint
 from .optim import (
     TrainConfig,
     TrainingDivergedError,
-    evaluate_validation,
     save_history,
     train,
 )
@@ -749,8 +748,9 @@ def _budget_points(points: list[dict], budget: int, seed: int) -> list[dict]:
 def _validation_score(cfg, bundle, method, seed, point, prop) -> tuple[float, float | None]:
     """Score one grid point, trained on `bundle` with the built propensity
     model `prop`, on the validation split; returns (score, effective clip
-    floor). Weighted methods use self-normalized weighted MSE under their own
-    propensities, mf and avg plain MSE."""
+    floor). Weighted methods use the self-normalized weighted MSE under their
+    own propensities that train kept for its best epoch, mf and avg plain
+    MSE."""
     if method == "avg":
         model = fit_avg(bundle.train)
         return evaluate(model, bundle.validation).mse, None
@@ -765,10 +765,7 @@ def _validation_score(cfg, bundle, method, seed, point, prop) -> tuple[float, fl
         return float("inf"), None
     if method == "mf":
         return evaluate(result.params, bundle.validation).mse, prop.clip_floor
-    return (
-        evaluate_validation(result.params, bundle.validation, prop),
-        prop.clip_floor,
-    )
+    return result.best_validation, prop.clip_floor
 
 
 # --------------------------------------------------------------------------

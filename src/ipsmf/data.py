@@ -72,10 +72,6 @@ class RatingDataset:
         lo, hi = self.rating_scale
         return hi - lo + 1
 
-    def rating_values(self) -> np.ndarray:
-        lo, hi = self.rating_scale
-        return np.arange(lo, hi + 1)
-
     def triples(self) -> list[tuple[int, int, int]]:
         return list(zip(self.users.tolist(), self.items.tolist(), self.ratings.tolist()))
 

@@ -238,19 +238,8 @@ def _scatter_add_rows(out, rows, values):
     np.add.at(out.reshape(-1), flat, values.reshape(-1))
 
 
-def evaluate_validation(
-    params: MFParameters,
-    validation: RatingDataset,
-    propensity_model: PropensityModel,
-) -> float:
-    """Self-normalized inverse-propensity-weighted MSE over the validation set."""
-    if len(validation) == 0:
-        raise ValueError("validation set is empty")
-    p = score_dataset(propensity_model, validation)
-    return _snips(params, validation, p)
-
-
 def _snips(params, data, propensities) -> float:
+    """Self-normalized inverse-propensity-weighted MSE of `params` on `data`."""
     preds = predict_many(params, data.users, data.items)
     w = 1.0 / propensities
     return float(np.sum(w * (preds - data.ratings) ** 2) / np.sum(w))

@@ -6,8 +6,8 @@ family on the (item, rating) combination. The mf_learned family fits a
 factorized logistic model of the observation matrix, and ground_truth wraps an
 exact per-(item, rating) table from a simulator.
 
-Every family but a fitted mf_learned model is one lookup table whose axes
-:data:`AXES` names; a fitted mf_learned model keeps its logistic factors.
+Every family is one lookup table whose axes :data:`AXES` names; a fitted
+mf_learned model is its (user, item) table of observation probabilities.
 """
 
 from __future__ import annotations
@@ -63,22 +63,18 @@ class SmoothingConfig:
 class PropensityModel:
     """A scoring object mapping (user, item, rating) to an observation probability.
 
-    Exactly one of `table` and `mf_factors` is set. `table` has one axis per
-    name in ``AXES[family]`` (a 0-d array for uniform); `mf_factors` holds the
-    fitted logits ``(P, Q, a, b, c)`` of an mf_learned model, whose loaded
-    form is a (user, item) table. Scores are computed as ``min(raw * scale,
-    1)`` floored at `clip_floor`; `scale` is adjusted by :func:`normalize` and
-    `clip_floor` by :func:`clip`.
+    `table` has one axis per name in ``AXES[family]`` (a 0-d array for
+    uniform). Scores are computed as ``min(raw * scale, 1)`` floored at
+    `clip_floor`; `scale` is adjusted by :func:`normalize` and `clip_floor`
+    by :func:`clip`.
 
-    Raises ValueError for an unknown family, when both or neither of `table`
-    and `mf_factors` are set, for factors outside mf_learned, and for a table
+    Raises ValueError for an unknown family, a missing table, and a table
     whose axis count or rating-axis length does not fit the family and scale.
     """
 
     family: str
     rating_scale: tuple[int, int] = (1, 5)
     table: np.ndarray | None = None
-    mf_factors: tuple[np.ndarray, ...] | None = None
     scale: float = 1.0
     clip_floor: float = 0.0
     normalization: str = "none"
@@ -88,14 +84,8 @@ class PropensityModel:
     def __post_init__(self):
         if self.family not in AXES:
             raise ValueError(f"unknown propensity family {self.family!r}")
-        if (self.table is None) == (self.mf_factors is None):
-            raise ValueError(
-                f"{self.family} model needs exactly one of table and mf_factors"
-            )
-        if self.mf_factors is not None:
-            if self.family != "mf_learned":
-                raise ValueError(f"mf_factors given for a {self.family} model")
-            return
+        if self.table is None:
+            raise ValueError(f"{self.family} model needs a table")
         table = np.asarray(self.table, dtype=float)
         object.__setattr__(self, "table", table)
         axes = AXES[self.family]
@@ -119,14 +109,6 @@ class PropensityModel:
         lo, hi = self.rating_scale
         if np.any(ratings < lo) or np.any(ratings > hi):
             raise IndexError("rating outside the model's rating scale")
-        if self.mf_factors is not None:
-            P, Q, a, b, c = self.mf_factors
-            self._check_range(users, P.shape[0], "user")
-            self._check_range(items, Q.shape[0], "item")
-            logits = (
-                np.einsum("nd,nd->n", P[users], Q[items]) + a[users] + b[items] + c
-            )
-            return 1.0 / (1.0 + np.exp(-logits))
         columns = {"user_index": users, "item_index": items, "rating": ratings - lo}
         idx = tuple(columns[name] for name in AXES[self.family])
         for name, i, bound in zip(AXES[self.family], idx, self.table.shape):
@@ -329,14 +311,13 @@ def estimate_mf_propensity(
     train: RatingDataset,
     num_users: int,
     num_items: int,
-    config=None,
     *,
-    dim: int | None = None,
+    dim: int = 8,
     learning_rate: float = 0.05,
     l2_weight: float = 5e-4,
-    max_steps: int | None = None,
+    max_steps: int = 500,
     tol: float = 1e-8,
-    seed: int | None = None,
+    seed: int = 0,
 ) -> PropensityModel:
     """Fit a factorized logistic model of the binary observation matrix.
 
@@ -348,11 +329,6 @@ def estimate_mf_propensity(
     rate instead of letting a single binary matrix be memorized. On
     non-convergence the best parameters seen are returned with a warning.
 
-    A rating-model TrainConfig may be passed as `config` to reuse its
-    embedding_dim, max_epochs, and seed; its learning rate is not reused since
-    full-batch logistic fitting needs far larger steps than mini-batch rating
-    training.
-
     Each step works in two preallocated (U, I) buffers: the clipped scores
     ``s`` and a work buffer that first holds the per-cell log-likelihood and
     then the logit gradient. The observation matrix is 0/1 and ``s`` lies in
@@ -360,12 +336,11 @@ def estimate_mf_propensity(
     ``obs * log(s) + (1 - obs) * log(1 - s)`` equals
     ``log(where(obs, s, 1 - s))`` bit for bit (the zero-weighted term adds
     -0.0): one log per cell is taken instead of two.
+
+    The returned table holds the unclipped sigmoid scores of the best
+    parameters, built in ``s``; its dot products use the per-pair ``einsum``
+    reduction, not ``P @ Q.T``, whose BLAS sums can differ in the last bit.
     """
-    dim = dim if dim is not None else (config.embedding_dim if config else 8)
-    max_steps = max_steps if max_steps is not None else (
-        config.max_epochs if config else 500
-    )
-    seed = seed if seed is not None else (config.seed if config else 0)
     observed = np.zeros((num_users, num_items), dtype=bool)
     observed[train.users, train.items] = True
     rng = np.random.default_rng(seed)
@@ -386,14 +361,7 @@ def estimate_mf_propensity(
     best_loss, best_params, prev_loss, converged = np.inf, None, np.inf, False
 
     for step in range(1, max_steps + 1):
-        np.matmul(P, Q.T, out=s)
-        s += a[:, None]
-        s += b[None, :]
-        s += params[4]
-        np.negative(s, out=s)
-        np.exp(s, out=s)
-        np.add(1.0, s, out=s)
-        np.divide(1.0, s, out=s)
+        _sigmoid_of_logits(np.matmul(P, Q.T, out=s), a, b, params[4])
         np.clip(s, 1e-12, 1.0 - 1e-12, out=s)
         np.subtract(1.0, s, out=w)
         np.copyto(w, s, where=observed)
@@ -425,11 +393,22 @@ def estimate_mf_propensity(
             "best parameters seen (loss %.6g)", max_steps, best_loss,
         )
     P, Q, a, b, c = best_params
-    return PropensityModel(
-        family="mf_learned",
-        rating_scale=train.rating_scale,
-        mf_factors=(P, Q, a, b, float(c)),
-    )
+    table = _sigmoid_of_logits(np.einsum("ud,id->ui", P, Q, out=s), a, b, c)
+    return PropensityModel(family="mf_learned", rating_scale=train.rating_scale, table=table)
+
+
+def _sigmoid_of_logits(s, a, b, c):
+    """Overwrite the (user, item) dot products `s` with
+    ``1 / (1 + exp(-(s + a[:, None] + b[None, :] + c)))``, in that operation
+    order, and return `s`."""
+    s += a[:, None]
+    s += b[None, :]
+    s += c
+    np.negative(s, out=s)
+    np.exp(s, out=s)
+    np.add(1.0, s, out=s)
+    np.divide(1.0, s, out=s)
+    return s
 
 
 def clip(model: PropensityModel, tau: float) -> PropensityModel:
@@ -487,8 +466,7 @@ def prepare(
 
 
 # Table files: one "# key=value ..." header line, a column-name line (the
-# family's AXES, then "propensity"), then one row per table entry in row-major
-# order; a fitted mf_learned model is written as its (user, item) scores.
+# family's AXES, then "propensity"), then one row per table entry in row-major order.
 
 
 def save_propensity(model: PropensityModel, path: str | Path, delimiter: str = ",") -> None:
@@ -504,18 +482,14 @@ def save_propensity(model: PropensityModel, path: str | Path, delimiter: str = "
         "rating_max": hi,
     }
     header = "# " + " ".join(f"{k}={v}" for k, v in meta.items())
-    table = model.table
-    if table is None:
-        P, Q, a, b, c = model.mf_factors
-        table = 1.0 / (1.0 + np.exp(-(P @ Q.T + a[:, None] + b[None, :] + c)))
     axes = AXES[model.family]
     offsets = [lo if name == "rating" else 0 for name in axes]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header + "\n")
         fh.write(delimiter.join((*axes, "propensity")) + "\n")
-        for index in np.ndindex(table.shape):
+        for index in np.ndindex(model.table.shape):
             fields = [str(i + off) for i, off in zip(index, offsets)]
-            fh.write(delimiter.join((*fields, repr(float(table[index])))) + "\n")
+            fh.write(delimiter.join((*fields, repr(float(model.table[index])))) + "\n")
 
 
 _HEADER_KEYS = (

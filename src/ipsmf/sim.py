@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import RatingDataset, SplitBundle, split_biased
+from .data import RatingDataset, SplitBundle, split_biased, split_unbiased
 from .propensity import PropensityModel
 
 logger = logging.getLogger(__name__)
@@ -272,8 +272,6 @@ def sample_unbiased(
         ratings=truth[users, items],
         rating_scale=rating_scale,
     )
-    from .data import split_unbiased
-
     return split_unbiased(pool, mcar_fraction, seed)
 
 

@@ -4,8 +4,9 @@ The estimator oracles are computed with plain Python loops and dicts,
 deliberately avoiding the vectorized code paths under test. The reference
 implementations at the end are the plain full-sort and allocating versions of
 the simulator and optimizer hot paths, the joint estimator with its smoothing
-written inline, and the per-family scoring and saving of propensity tables;
-the code under test must match them bit for bit.
+written inline, the per-pair scoring of fitted observation-model factors, and
+the per-family scoring and saving of propensity tables; the code under test
+must match them bit for bit.
 """
 
 import numpy as np
@@ -378,6 +379,14 @@ def estimate_mf_propensity_reference(train, num_users, num_items, *, dim, learni
     return (P, Q, a, b, float(c)), losses, converged
 
 
+def mf_learned_scores_reference(factors, users, items):
+    """Per-pair sigmoid scores of fitted logistic factors ``(P, Q, a, b, c)``,
+    computed pair by pair as a fitted mf_learned model used to score them."""
+    P, Q, a, b, c = factors
+    logits = np.einsum("nd,nd->n", P[users], Q[items]) + a[users] + b[items] + c
+    return 1.0 / (1.0 + np.exp(-logits))
+
+
 def estimate_multifactorial_table_reference(train, mcar, num_users, num_items, alpha1, alpha2):
     """The joint (item, rating) table with both smoothed factors written out
     inline rather than taken from the smoothing helpers."""
@@ -419,15 +428,9 @@ def raw_propensity_reference(model, users, items, ratings):
         check_range(items, model.table.shape[0], "item")
         return model.table[items, r_idx]
     if model.family == "mf_learned":
-        if model.table is not None:
-            check_range(users, model.table.shape[0], "user")
-            check_range(items, model.table.shape[1], "item")
-            return model.table[users, items]
-        P, Q, a, b, c = model.mf_factors
-        check_range(users, P.shape[0], "user")
-        check_range(items, Q.shape[0], "item")
-        logits = np.einsum("nd,nd->n", P[users], Q[items]) + a[users] + b[items] + c
-        return 1.0 / (1.0 + np.exp(-logits))
+        check_range(users, model.table.shape[0], "user")
+        check_range(items, model.table.shape[1], "item")
+        return model.table[users, items]
     raise AssertionError(model.family)
 
 
@@ -473,9 +476,6 @@ def save_propensity_reference(model, path, delimiter=","):
                     fh.write(f"{i}{delimiter}{r}{delimiter}{float(model.table[i, k])!r}\n")
         elif model.family == "mf_learned":
             table = model.table
-            if table is None:
-                P, Q, a, b, c = model.mf_factors
-                table = 1.0 / (1.0 + np.exp(-(P @ Q.T + a[:, None] + b[None, :] + c)))
             fh.write(delimiter.join(("user_index", "item_index", "propensity")) + "\n")
             for u in range(table.shape[0]):
                 for i in range(table.shape[1]):

@@ -17,9 +17,9 @@ from ipsmf.cli import (
 )
 from ipsmf.data import load_ratings
 from ipsmf.metrics import bootstrap_interval, evaluate
-from ipsmf.model import fit_avg
-from ipsmf.optim import TrainConfig, evaluate_validation, train
-from ipsmf.propensity import load_propensity
+from ipsmf.model import fit_avg, predict_many
+from ipsmf.optim import TrainConfig, train
+from ipsmf.propensity import load_propensity, score_dataset
 
 from helpers import read_manifest
 from oracles import bootstrap_interval_oracle
@@ -537,7 +537,12 @@ def reference_tune(cfg, path, build):
                 if method == "mf":
                     score = evaluate(result.params, bundle.validation).mse
                 else:
-                    score = evaluate_validation(result.params, bundle.validation, prop)
+                    # self-normalized weighted MSE under the method's propensities
+                    w = 1.0 / score_dataset(prop, bundle.validation)
+                    preds = predict_many(result.params, bundle.validation.users,
+                                         bundle.validation.items)
+                    score = float(np.sum(w * (preds - bundle.validation.ratings) ** 2)
+                                  / np.sum(w))
                 floor = prop.clip_floor
             if best is None or score < best[0]:
                 best = (score, point, floor)

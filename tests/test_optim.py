@@ -12,13 +12,12 @@ from ipsmf.optim import (
     _empty_like,
     _masked_gradient,
     adam_step,
-    evaluate_validation,
     init_adam_state,
     ips_gradient,
     ips_loss,
     train,
 )
-from ipsmf.propensity import PropensityModel, uniform_propensities
+from ipsmf.propensity import score_dataset, uniform_propensities
 from ipsmf.sim import SimulationSpec, simulate
 from oracles import adam_step_reference, fit_reference, masked_gradient_reference
 
@@ -377,8 +376,10 @@ class TestTraining:
         prop = uniform_propensities(bundle.train, 5, 5)
         result = train(bundle, prop, self.config(max_epochs=60, patience=5))
         best_in_history = min(r.validation_snips_mse for r in result.history)
-        returned = evaluate_validation(result.params, bundle.validation, prop)
-        assert returned == pytest.approx(best_in_history, rel=1e-12)
+        assert result.best_validation == best_in_history
+        # the returned parameters are the ones that scored it
+        p_val = score_dataset(prop, bundle.validation)
+        assert optim._snips(result.params, bundle.validation, p_val) == best_in_history
         assert result.best_epoch <= len(result.history)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -428,36 +429,26 @@ def test_fit_bit_equal_to_allocating_reference(schedule):
 
 
 class TestEvaluateValidation:
+    """The self-normalized validation score that training computes each epoch
+    and returns for its best one (``optim._snips``)."""
+
     def test_uniform_propensities_give_plain_mse(self):
         data, params, _ = random_instance(seed=13)
-        model = PropensityModel(family="uniform", table=0.4)
         preds = predict_many(params, data.users, data.items)
         mse = float(np.mean((preds - data.ratings) ** 2))
-        assert evaluate_validation(params, data, model) == pytest.approx(mse, rel=1e-12)
+        p = np.full(len(data), 0.4)
+        assert optim._snips(params, data, p) == pytest.approx(mse, rel=1e-12)
 
     def test_perfect_predictions_zero(self):
         data = make_dataset(2, 2, [(0, 0, 3), (1, 1, 3)])
         params = init_params(2, 2, 2, seed=0, scale=0.0, global_offset=3.0)
-        model = PropensityModel(family="uniform", table=0.7)
-        assert evaluate_validation(params, data, model) == 0.0
-
-    def test_empty_validation_rejected(self):
-        empty = RatingDataset(2, 2, np.array([], int), np.array([], int),
-                              np.array([], int))
-        params = init_params(2, 2, 2, seed=0)
-        model = PropensityModel(family="uniform", table=0.5)
-        with pytest.raises(ValueError):
-            evaluate_validation(params, empty, model)
+        assert optim._snips(params, data, np.full(2, 0.7)) == 0.0
 
     def test_two_triple_arithmetic(self):
         # residual^2 of (1, 4) with propensities (0.5, 1.0) -> (2 + 4) / (2 + 1)
         data = make_dataset(2, 2, [(0, 0, 2), (1, 1, 5)])
         params = init_params(2, 2, 2, seed=0, scale=0.0, global_offset=3.0)
-        table = np.zeros((2, 5))
-        table[0, 1] = 0.5   # rating 2 on item 0
-        table[1, 4] = 1.0   # rating 5 on item 1
-        model = PropensityModel(family="ground_truth", table=table)
-        assert evaluate_validation(params, data, model) == pytest.approx(2.0)
+        assert optim._snips(params, data, np.array([0.5, 1.0])) == pytest.approx(2.0)
 
 
 class TestUnbiasedness:

@@ -35,6 +35,7 @@ from ipsmf.propensity import (
 from oracles import (
     estimate_mf_propensity_reference,
     estimate_multifactorial_table_reference,
+    mf_learned_scores_reference,
     multifactorial_oracle,
     popularity_oracle,
     positivity_oracle,
@@ -291,16 +292,19 @@ def random_observations(n_users, n_items, density, seed):
 
 
 class TestMFLearnedMatchesReference:
-    """The in-place, one-log fit with the shared Adam kernel returns the same
-    factors, bit for bit, as the allocating two-log fit with its own Adam loop."""
+    """The in-place, one-log fit with the shared Adam kernel returns a table
+    that holds, bit for bit at every (user, item), the per-pair scores of the
+    factors fitted by the allocating two-log fit with its own Adam loop."""
 
     def fit_both(self, train, **kwargs):
         factors, losses, converged = estimate_mf_propensity_reference(
             train, train.num_users, train.num_items, **kwargs)
         model = estimate_mf_propensity(train, train.num_users, train.num_items, **kwargs)
-        for got, want in zip(model.mf_factors, factors):
-            np.testing.assert_array_equal(got, want)
-        assert type(model.mf_factors[4]) is float
+        users, items = (a.ravel() for a in np.meshgrid(
+            np.arange(train.num_users), np.arange(train.num_items), indexing="ij"))
+        want = mf_learned_scores_reference(factors, users, items)
+        assert model.table.shape == (train.num_users, train.num_items)
+        assert model.table.tobytes() == want.tobytes()
         return losses, converged
 
     def test_converging_fit(self):
@@ -317,6 +321,22 @@ class TestMFLearnedMatchesReference:
                 train, dim=8, learning_rate=0.05, max_steps=60, seed=1)
         assert not converged and len(losses) == 60
         assert "did not converge" in caplog.text
+
+    def test_tune_shape_fit(self):
+        # the benchmark's tune shape at full size: 1000 x 500, dim 8, 90 steps
+        train = random_observations(1000, 500, 0.05, seed=4)
+        losses, converged = self.fit_both(
+            train, dim=8, learning_rate=0.05, max_steps=90, seed=4)
+        assert not converged and len(losses) == 90
+
+    def test_memorizing_fit_keeps_scores_outside_the_loss_clip(self):
+        # without L2, large steps drive logits past +-27.6, where the loss
+        # buffer is clipped to [1e-12, 1 - 1e-12]; the returned table is not
+        train = random_observations(8, 6, 0.5, seed=1)
+        kwargs = dict(dim=2, learning_rate=2.0, l2_weight=0.0, max_steps=20, seed=0)
+        self.fit_both(train, **kwargs)
+        table = estimate_mf_propensity(train, 8, 6, **kwargs).table
+        assert table.min() < 1e-12 and table.max() > 1.0 - 1e-12
 
     def test_best_loss_before_the_last_step(self):
         # a large step size makes the loss oscillate: the best parameters are
@@ -497,6 +517,16 @@ class TestSerialization:
             score_dataset(back, train), score_dataset(model, train)
         )
 
+    def test_prepared_mf_learned_roundtrip_scores_bit_equal(self, tmp_path):
+        # the saved file is the fitted model's own table, so a reloaded model
+        # scores every train triple exactly as the one in memory
+        train = random_observations(50, 40, 0.2, seed=2)
+        model = prepare(
+            estimate_mf_propensity(train, 50, 40, dim=3, max_steps=60, seed=2), train)
+        back = self.roundtrip(model, tmp_path)
+        assert score_dataset(back, train).tobytes() == score_dataset(model, train).tobytes()
+        assert back.table.tobytes() == model.table.tobytes()
+
     def test_header_records_family_and_smoothing(self, tmp_path):
         train = make_dataset(2, 2, [(0, 0, 1), (0, 1, 2), (1, 0, 1)], scale=(1, 2))
         mcar = make_dataset(2, 2, [(0, 0, 1), (1, 1, 2)], scale=(1, 2))
@@ -598,7 +628,7 @@ class TestLoadValidation:
 @pytest.fixture(scope="module")
 def every_form(tmp_path_factory):
     """(train, [(label, model)]): each family raw and prepared, mf_learned as
-    fitted factors and as a loaded (user, item) table."""
+    fitted and as loaded from its saved (user, item) table."""
     sim = simulate(SimulationSpec(num_users=30, num_items=25, gamma=0.5, seed=7,
                                   unbiased_per_user=10))
     train, mcar = sim.bundle.train, sim.bundle.mcar
@@ -612,7 +642,7 @@ def every_form(tmp_path_factory):
         "positivity": estimate_positivity(train, mcar, n_u, n_i),
         "multifactorial": estimate_multifactorial(train, mcar, n_u, n_i,
                                                   SmoothingConfig(2.0, 3.0)),
-        "mf_learned-factors": fitted,
+        "mf_learned-fitted": fitted,
         "mf_learned-loaded": load_propensity(path),
         "ground_truth": sim.ground_truth_propensities,
     }
@@ -663,16 +693,10 @@ class TestTableMatchesPerFamilyReference:
                                             train.ratings).tobytes()), label
 
 
-FACTORS = (np.zeros((2, 1)), np.zeros((2, 1)), np.zeros(2), np.zeros(2), 0.0)
-
-
 class TestConstructionChecks:
     @pytest.mark.parametrize("kwargs, match", [
         (dict(family="mystery", table=0.5), "unknown propensity family 'mystery'"),
-        (dict(family="mf_learned", table=np.full((2, 2), 0.5), mf_factors=FACTORS),
-         "mf_learned model needs exactly one of table and mf_factors"),
-        (dict(family="popularity"), "popularity model needs exactly one of table and mf_factors"),
-        (dict(family="popularity", mf_factors=FACTORS), "mf_factors given for a popularity model"),
+        (dict(family="popularity"), "popularity model needs a table"),
         (dict(family="uniform", table=[0.5]), r"uniform table needs 0 axes \(\), got shape \(1,\)"),
         (dict(family="multifactorial", table=np.full(4, 0.5)),
          r"multifactorial table needs 2 axes \('item_index', 'rating'\), got shape \(4,\)"),
@@ -680,8 +704,7 @@ class TestConstructionChecks:
          r"positivity table has 3 rating entries for the rating scale \(1, 5\)"),
         (dict(family="ground_truth", table=np.full((4, 5), 0.5), rating_scale=(0, 5)),
          r"ground_truth table has 5 rating entries for the rating scale \(0, 5\)"),
-    ], ids=["unknown-family", "both", "neither", "factors-outside-mf_learned",
-            "uniform-axes", "joint-axes", "positivity-rating-axis", "joint-rating-axis"])
+    ], ids=["unknown-family", "neither", "uniform-axes", "joint-axes", "positivity-rating-axis", "joint-rating-axis"])
     def test_rejected(self, kwargs, match):
         with pytest.raises(ValueError, match=match):
             PropensityModel(**kwargs)
@@ -770,38 +793,25 @@ class TestProperties:
         assert np.all(scores >= prepared.clip_floor) and np.all(scores <= 1.0)
 
     @settings(max_examples=100, deadline=None)
-    @given(data=st.data(), family=ANY_FAMILY, factors=st.booleans(),
-           lo=st.integers(0, 3), width=st.integers(0, 4),
+    @given(data=st.data(), family=ANY_FAMILY, lo=st.integers(0, 3), width=st.integers(0, 4),
            scale=st.floats(1e-3, 1e3), clip_floor=st.floats(0.0, 1.0),
            normalization=st.sampled_from(("none", "mean-inverse")),
            alphas=st.tuples(st.none() | st.floats(0.0, 20.0),
                             st.none() | st.floats(0.0, 20.0)))
-    def test_save_load_round_trips(self, tmp_path_factory, data, family, factors, lo,
+    def test_save_load_round_trips(self, tmp_path_factory, data, family, lo,
                                    width, scale, clip_floor, normalization, alphas):
         ids = data.draw(rating_data(st.integers(1, 5), st.integers(1, 5)))
         fields = dict(scale=scale, clip_floor=clip_floor, normalization=normalization,
                          alpha1=alphas[0], alpha2=alphas[1])
-        if family == "mf_learned" and factors:
-            dim = data.draw(st.integers(1, 3))
-            coords = st.floats(-3.0, 3.0)
-            model = PropensityModel(
-                family=family, rating_scale=(lo, lo + width), mf_factors=(
-                    data.draw(arrays(np.float64, (ids.num_users, dim), elements=coords)),
-                    data.draw(arrays(np.float64, (ids.num_items, dim), elements=coords)),
-                    data.draw(arrays(np.float64, ids.num_users, elements=coords)),
-                    data.draw(arrays(np.float64, ids.num_items, elements=coords)),
-                    data.draw(coords)), **fields)
-        else:
-            model = replace(table_model(data.draw, family, ids, st.floats(0.0, 1.0),
-                                        rating_scale=(lo, lo + width)), **fields)
+        model = replace(table_model(data.draw, family, ids, st.floats(0.0, 1.0),
+                                    rating_scale=(lo, lo + width)), **fields)
         path = tmp_path_factory.mktemp("roundtrip") / "prop.csv"
         save_propensity(model, path)
         back = load_propensity(path)
         for name in ("family", "rating_scale", "scale", "clip_floor", "normalization",
                      "alpha1", "alpha2"):
             assert getattr(back, name) == getattr(model, name), name
-        if model.table is not None:
-            assert back.table.tobytes() == model.table.tobytes()
+        assert back.table.tobytes() == model.table.tobytes()
         again = path.with_name("again.csv")
         save_propensity(back, again)
         assert again.read_bytes() == path.read_bytes()
