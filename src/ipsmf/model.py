@@ -18,6 +18,10 @@ PARAM_GROUPS = ("user_emb", "item_emb", "user_off", "item_off", "global_off")
 # phase's Adam update runs over one contiguous slice.
 _PACKED_ORDER = ("user_emb", "user_off", "global_off", "item_emb", "item_off")
 
+# (user, item) pairs that predict_many scores at once: its gathered embedding
+# rows are 2 MB per block and group at dim 16.
+_PREDICT_BLOCK = 16_384
+
 
 @dataclass
 class MFParameters:
@@ -161,19 +165,31 @@ def predict(params: MFParameters, user: int, item: int) -> float:
 
 
 def predict_many(params: MFParameters, users: np.ndarray, items: np.ndarray) -> np.ndarray:
-    """Vectorized predictions for parallel index arrays."""
+    """Vectorized predictions for parallel index arrays.
+
+    Works ``_PREDICT_BLOCK`` pairs at a time, so the gathered embedding rows
+    stay a few MB however many pairs are scored; each prediction is computed
+    as in one whole-array pass, so the result does not depend on the block.
+    """
     users = np.asarray(users)
     items = np.asarray(items)
+    if len(users) != len(items):
+        raise ValueError(f"{len(users)} user indices but {len(items)} item indices")
     if len(users) and (users.min() < 0 or users.max() >= params.num_users):
         raise IndexError("user index out of range")
     if len(items) and (items.min() < 0 or items.max() >= params.num_items):
         raise IndexError("item index out of range")
-    return (
-        np.einsum("nd,nd->n", params.user_emb[users], params.item_emb[items])
-        + params.user_off[users]
-        + params.item_off[items]
-        + params.global_off
-    )
+    preds = np.empty(len(users))
+    for start in range(0, len(users), _PREDICT_BLOCK):
+        u = users[start:start + _PREDICT_BLOCK]
+        i = items[start:start + _PREDICT_BLOCK]
+        preds[start:start + _PREDICT_BLOCK] = (
+            np.einsum("nd,nd->n", params.user_emb[u], params.item_emb[i])
+            + params.user_off[u]
+            + params.item_off[i]
+            + params.global_off
+        )
+    return preds
 
 
 @dataclass

@@ -397,14 +397,23 @@ def estimate_mf_propensity(
     return PropensityModel(family="mf_learned", rating_scale=train.rating_scale, table=table)
 
 
+# the largest float64 whose exp is finite
+_MAX_EXP_ARG = float(np.log(np.finfo(float).max))
+
+
 def _sigmoid_of_logits(s, a, b, c):
     """Overwrite the (user, item) dot products `s` with
     ``1 / (1 + exp(-(s + a[:, None] + b[None, :] + c)))``, in that operation
-    order, and return `s`."""
+    order, and return `s`.
+
+    ``exp`` is taken of at most ``_MAX_EXP_ARG``, so a logit below about -709
+    gives a tiny positive score instead of an overflow to 0; every other cell
+    is unchanged."""
     s += a[:, None]
     s += b[None, :]
     s += c
     np.negative(s, out=s)
+    np.minimum(s, _MAX_EXP_ARG, out=s)
     np.exp(s, out=s)
     np.add(1.0, s, out=s)
     np.divide(1.0, s, out=s)

@@ -25,11 +25,16 @@ logger = logging.getLogger(__name__)
 DEFAULT_RATING_DISTRIBUTION = (0.5148, 0.2525, 0.1496, 0.0554, 0.0277)
 DEFAULT_RATING_PROPENSITIES = (0.0123, 0.0102, 0.0213, 0.0568, 0.1795)
 # Rows of the dense user x item matrices that the simulation handles at once
-# (engagement noise, observation draws, unbiased sort keys); bounds each stage's
-# scratch memory (8 MB per float block at 1,000 items) independently of the user
-# count. The Generator yields the same stream in pieces, so outputs do not
-# depend on it.
+# (engagement noise, rating conversion, observation draws, unbiased sort keys);
+# bounds each stage's scratch memory (8 MB per float block at 1,000 items)
+# independently of the user count. The Generator yields the same stream in
+# pieces, so outputs do not depend on it.
 BLOCK_ROWS = 1024
+# Cells that rating conversion samples, at fixed random positions, to bracket
+# the rating boundaries before its exact pass; they decide its cost, not its
+# output.
+_SAMPLE_SIZE = 1 << 16
+_SAMPLE_SEED = 0
 
 
 @dataclass(frozen=True)
@@ -82,7 +87,7 @@ class SimulationSpec:
 class SimulationResult:
     bundle: SplitBundle
     ground_truth_propensities: PropensityModel
-    truth: np.ndarray
+    truth: np.ndarray  # (user, item) ratings, uint8 as convert_to_ratings writes them
     item_propensities: np.ndarray
     capped_items: int
 
@@ -130,13 +135,15 @@ def convert_to_ratings(
     boundaries are floor(cumulative fraction * cell count); leftover cells
     beyond the last boundary join the top rating bucket.
 
-    Only the cells at the inner boundaries are selected (``np.partition``), not
-    the whole ranking: a cell lies at or above boundary ``b`` with value ``v``
-    when it exceeds ``v``, or when it equals ``v`` and is not among the first
-    ``b - count(cells < v)`` cells equal to ``v`` in flat-index order. This is
-    the rank a stable sort gives, so ties split exactly as before. The
-    partitioned copy is freed before the ratings are allocated, so at most two
-    full-size arrays are live at once.
+    Only the cells at the inner boundaries are selected (see
+    ``_boundary_values``), not the whole ranking: a cell lies at or above
+    boundary ``b`` with value ``v`` when it exceeds ``v``, or when it equals
+    ``v`` and is not among the first ``b - count(cells < v)`` cells equal to
+    ``v`` in flat-index order. This is the rank a stable sort gives. The
+    ratings are the smallest unsigned dtype that holds the number of ratings
+    (uint8 for up to 255) and are written a row block at a time, so unless
+    the selection falls back to a partitioned copy, no other full-size array
+    is allocated.
 
     Raises:
         ValueError: if the distribution has a negative entry or does not sum
@@ -146,24 +153,94 @@ def convert_to_ratings(
         raise ValueError("target distribution must sum to 1")
     if any(p < 0 for p in target_distribution):
         raise ValueError("target distribution entries must be nonnegative")
+    shape = np.shape(engagement)
     flat = np.asarray(engagement, dtype=float).ravel()
     n = flat.size
-    missing = int(np.count_nonzero(np.isnan(flat)))
+    # row blocks of the first axis, as offsets into `flat`
+    rows = shape[0] if shape else 1
+    width = n // max(rows, 1)
+    blocks = [(a * width, b * width) for a, b in _row_blocks(rows)]
+    missing = sum(int(np.count_nonzero(np.isnan(flat[a:b]))) for a, b in blocks)
     if missing:
         raise ValueError(f"engagement holds {missing} NaN cells of {n}")
     cumulative = np.cumsum(target_distribution)
     # epsilon guards against float noise in the cumulative sums
     boundaries = np.floor(cumulative[:-1] * n + 1e-9).astype(np.int64)
     inner = boundaries[(boundaries > 0) & (boundaries < n)]
-    values = np.partition(flat, np.unique(inner))[inner] if inner.size else inner
+    values, less = _boundary_values(flat, inner, blocks)
+    # ties still to be left below each boundary, consumed in flat-index order
+    left = inner - less
     # a cell's rating is 1 plus the number of boundaries at or below its rank;
     # boundaries at 0 count for every cell, boundaries at n for none
-    ratings = np.full(n, 1 + np.count_nonzero(boundaries <= 0), dtype=np.int64)
-    for b, v in zip(inner, values):
-        ratings += flat > v
-        ties = np.flatnonzero(flat == v)
-        ratings[ties[b - np.count_nonzero(flat < v):]] += 1
-    return ratings.reshape(np.asarray(engagement).shape)
+    ratings = np.full(n, 1 + np.count_nonzero(boundaries <= 0),
+                      dtype=np.min_scalar_type(len(target_distribution)))
+    for a, b in blocks:
+        cells, out = flat[a:b], ratings[a:b]
+        for k, v in enumerate(values):
+            out += cells > v
+            ties = np.flatnonzero(cells == v)
+            out[ties[left[k]:]] += 1
+            left[k] -= min(left[k], ties.size)
+    return ratings.reshape(shape)
+
+
+def _boundary_values(flat, ranks, blocks):
+    """Values at the ascending `ranks` of `flat`, and the number of cells
+    strictly below each value; exact.
+
+    From a sample of ``_SAMPLE_SIZE`` cells at fixed random positions, each
+    rank is bracketed by the sample's order statistics about 4 standard
+    deviations to either side of the rank's expected position. One pass over
+    `blocks` counts the cells below each bracket and collects the cells inside
+    it, and only those candidates are partitioned. The sample decides the
+    cost, never the answer: a rank outside its bracket, or more than
+    ``n // 4`` candidates in all (heavy ties), falls back to partitioning a
+    full copy of `flat`, as does a matrix no larger than the sample.
+    """
+    n = flat.size
+    if not ranks.size:
+        return np.empty(0), np.zeros(0, dtype=np.int64)
+    if n > _SAMPLE_SIZE:
+        positions = np.random.default_rng(_SAMPLE_SEED).integers(0, n, size=_SAMPLE_SIZE)
+        sample = np.sort(flat[positions])
+        expected = ranks / n * _SAMPLE_SIZE
+        spread = 4.0 * np.sqrt(expected * (1.0 - ranks / n)) + 1.0
+        brackets = [
+            (sample[lo] if lo >= 0 else -np.inf, sample[hi] if hi < _SAMPLE_SIZE else np.inf)
+            for lo, hi in zip(np.floor(expected - spread).astype(np.int64),
+                              np.ceil(expected + spread).astype(np.int64))
+        ]
+        below = np.zeros(ranks.size, dtype=np.int64)
+        found = [[] for _ in brackets]
+        collected = 0
+        for a, b in blocks:
+            cells = flat[a:b]
+            for k, (lo, hi) in enumerate(brackets):
+                below[k] += np.count_nonzero(cells < lo)
+                found[k].append(cells[(cells >= lo) & (cells <= hi)])
+                collected += found[k][-1].size
+            if collected > n // 4:
+                break
+        else:
+            candidates = [np.concatenate(f) for f in found]
+            offsets = ranks - below
+            if all(0 <= r < m.size for r, m in zip(offsets, candidates)):
+                picks = [_select_ranks(m, r[None]) for r, m in zip(offsets, candidates)]
+                values, less = (np.concatenate(x) for x in zip(*picks))
+                return values, below + less
+        logger.debug("the sampled brackets do not isolate the rating boundaries; "
+                     "partitioning all %d cells", n)
+    return _select_ranks(flat, ranks)
+
+
+def _select_ranks(cells, ranks):
+    """Values at the ascending `ranks` of `cells` by one partitioned copy, and
+    the number of cells strictly below each value."""
+    part = np.partition(cells, np.unique(ranks))
+    values = part[ranks]
+    less = np.array([np.count_nonzero(part[:r] < v) for r, v in zip(ranks, values)],
+                    dtype=np.int64)
+    return values, less
 
 
 def build_item_propensities(
@@ -293,7 +370,7 @@ def simulate(spec: SimulationSpec) -> SimulationResult:
             noise=spec.engagement_noise,
         )
     truth = convert_to_ratings(engagement, spec.target_rating_distribution)
-    del engagement  # at most two dense user x item matrices live at once
+    del engagement  # the one dense 8-byte user x item matrix
     rho_i, capped = build_item_propensities(truth, spec.powerlaw_eta, spec.k_min)
     biased, gt_model = sample_observations(
         truth,

@@ -3,10 +3,10 @@
 The estimator oracles are computed with plain Python loops and dicts,
 deliberately avoiding the vectorized code paths under test. The reference
 implementations at the end are the plain full-sort and allocating versions of
-the simulator and optimizer hot paths, the joint estimator with its smoothing
-written inline, the per-pair scoring of fitted observation-model factors, and
-the per-family scoring and saving of propensity tables; the code under test
-must match them bit for bit.
+the simulator, prediction and optimizer hot paths, the joint estimator with
+its smoothing written inline, the per-pair scoring of fitted observation-model
+factors, and the per-family scoring and saving of propensity tables; the code
+under test must match them bit for bit.
 """
 
 import numpy as np
@@ -230,6 +230,16 @@ def sample_unbiased_reference(truth, per_user, mcar_fraction, seed, rating_scale
     pool = RatingDataset(num_users, num_items, users, items, truth[users, items],
                          rating_scale)
     return split_unbiased(pool, mcar_fraction, seed)
+
+
+def predict_many_reference(params, users, items):
+    """Predictions for parallel index arrays from one whole-array gather."""
+    return (
+        np.einsum("nd,nd->n", params.user_emb[users], params.item_emb[items])
+        + params.user_off[users]
+        + params.item_off[items]
+        + params.global_off
+    )
 
 
 def adam_step_reference(params, grads, m, v, steps, mask, lr,

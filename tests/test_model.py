@@ -1,8 +1,10 @@
+import pickle
+import tracemalloc
+
 import numpy as np
 import pytest
 
-import pickle
-
+from ipsmf import model
 from ipsmf.data import RatingDataset
 from ipsmf.model import (
     PARAM_GROUPS,
@@ -19,6 +21,7 @@ from ipsmf.model import (
     save_checkpoint,
 )
 from ipsmf.optim import init_adam_state
+from oracles import predict_many_reference
 
 
 def test_constant_model_predicts_global_offset():
@@ -70,6 +73,67 @@ def test_index_out_of_range():
         predict(params, 2, 0)
     with pytest.raises(IndexError):
         predict_many(params, np.array([0]), np.array([5]))
+
+
+B = model._PREDICT_BLOCK
+
+
+class TestPredictManyBlocks:
+    """Blocked predictions equal the whole-array gather bit for bit, wherever
+    the pair count falls relative to the block size."""
+
+    def pairs(self, n, num_users=300, num_items=200):
+        rng = np.random.default_rng(n)
+        return rng.integers(0, num_users, size=n), rng.integers(0, num_items, size=n)
+
+    @pytest.mark.parametrize("n", [0, 1, B - 1, B, B + 1, 2 * B + 3])
+    def test_matches_whole_array(self, n):
+        params = init_params(300, 200, dim=5, seed=n, scale=0.3, global_offset=3.2)
+        params.user_off[...] = np.random.default_rng(1).normal(size=300)
+        params.item_off[...] = np.random.default_rng(2).normal(size=200)
+        users, items = self.pairs(n)
+        got = predict_many(params, users, items)
+        want = predict_many_reference(params, users, items)
+        assert got.dtype == want.dtype and got.shape == want.shape == (n,)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("block", [1, 7])
+    def test_does_not_depend_on_block_size(self, monkeypatch, block):
+        params = init_params(300, 200, dim=4, seed=3, scale=0.3, global_offset=2.0)
+        users, items = self.pairs(2 * 7 + 3)
+        want = predict_many(params, users, items)
+        monkeypatch.setattr(model, "_PREDICT_BLOCK", block)
+        assert predict_many(params, users, items).tobytes() == want.tobytes()
+
+    def test_out_of_range_index_in_a_later_block_raises(self, monkeypatch):
+        monkeypatch.setattr(model, "_PREDICT_BLOCK", 2)
+        params = init_params(3, 3, dim=2, seed=0)
+        with pytest.raises(IndexError, match="user"):
+            predict_many(params, np.array([0, 1, 2, 3]), np.array([0, 1, 2, 0]))
+        with pytest.raises(IndexError, match="item"):
+            predict_many(params, np.array([0, 1, 2, 0]), np.array([0, 1, 2, -1]))
+
+    def test_unequal_lengths_rejected(self):
+        # a whole-array gather broadcast a length-1 side; blocks cannot
+        params = init_params(3, 4, dim=2, seed=0)
+        for users, items in (([0, 1, 2], [1]), ([0], [1, 2, 3])):
+            with pytest.raises(ValueError, match="user indices but"):
+                predict_many(params, np.array(users), np.array(items))
+
+    def test_peak_memory_is_a_few_blocks(self):
+        # a whole-array gather of 200,000 pairs at dim 16 holds two 25.6 MB
+        # row matrices; blocked, the gathers are 2 MB each
+        n, dim = 200_000, 16
+        params = init_params(2000, 1000, dim=dim, seed=0)
+        users, items = self.pairs(n, 2000, 1000)
+        tracemalloc.start()
+        try:
+            predict_many(params, users, items)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        gathered_block = 2 * B * dim * 8
+        assert peak <= n * 8 + 2 * gathered_block, (peak, n * 8, gathered_block)
 
 
 def test_init_deterministic_per_seed():

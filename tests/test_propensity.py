@@ -1,4 +1,5 @@
 import logging
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -283,6 +284,16 @@ class TestMFLearned:
         cold = score_many(model, np.zeros(6, int), np.arange(6), np.full(6, 3))
         assert abs(cold.mean() - obs.mean()) < 0.15
 
+    def test_overflowing_logits_leave_no_zero_score(self):
+        # without L2, steps of 5 drive some logits below -709, where exp
+        # overflowed and the cell's score became an exact 0
+        train = random_observations(8, 6, 0.5, seed=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            model = estimate_mf_propensity(train, 8, 6, dim=2, learning_rate=5.0,
+                                           l2_weight=0.0, max_steps=60)
+        assert np.all(model.table > 0.0)
+        assert model.table.min() < 1e-300
 
 
 def random_observations(n_users, n_items, density, seed):

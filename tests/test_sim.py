@@ -115,6 +115,119 @@ class TestConvertToRatings:
         )
 
 
+def spy_on_selection(monkeypatch):
+    """Record the size of every array ``convert_to_ratings`` partitions."""
+    sizes = []
+    select = sim._select_ranks
+
+    def spy(cells, ranks):
+        sizes.append(cells.size)
+        return select(cells, ranks)
+
+    monkeypatch.setattr(sim, "_select_ranks", spy)
+    return sizes
+
+
+class TestBracketedSelection:
+    """The sampled brackets decide only the cost of the conversion: where they
+    hold, only a small candidate set is partitioned, and where they fail the
+    full partition gives the same ratings."""
+
+    def engagement(self, distinct):
+        # 400 x 300 cells exceed the sample; with few distinct values every
+        # boundary falls inside a run of ties that spans many row blocks
+        rng = np.random.default_rng(5)
+        if distinct is None:
+            return rng.normal(size=(400, 300))
+        return rng.integers(0, distinct, size=(400, 300)).astype(float)
+
+    @pytest.mark.parametrize("distinct", [None, 500, 50])
+    @pytest.mark.parametrize("distribution", [
+        DEFAULT_RATING_DISTRIBUTION,
+        (0.5, 0.0, 0.25, 0.25, 0.0),  # zero-mass buckets repeat a boundary
+    ])
+    @pytest.mark.parametrize("block_rows", [7, BLOCK_ROWS])
+    def test_matches_stable_argsort_without_full_partition(
+            self, monkeypatch, distinct, distribution, block_rows):
+        # at 50 values a bracket mostly lies inside one run of ties, so both
+        # of its ends are the boundary value
+        monkeypatch.setattr(sim, "BLOCK_ROWS", block_rows)
+        engagement = self.engagement(distinct)
+        sizes = spy_on_selection(monkeypatch)
+        got = convert_to_ratings(engagement, distribution)
+        assert got.dtype == np.uint8
+        np.testing.assert_array_equal(
+            got, convert_to_ratings_reference(engagement, distribution))
+        assert sizes and max(sizes) <= engagement.size // 4
+
+    def test_ties_over_a_quarter_of_the_cells_fall_back(self, monkeypatch):
+        # at 10 values the four boundary runs hold about 40% of the cells:
+        # collecting them would cost more than the one partitioned copy
+        engagement = self.engagement(10)
+        sizes = spy_on_selection(monkeypatch)
+        got = convert_to_ratings(engagement)
+        assert sizes == [engagement.size]
+        np.testing.assert_array_equal(
+            got, convert_to_ratings_reference(engagement, DEFAULT_RATING_DISTRIBUTION))
+
+    @pytest.mark.parametrize("shape, seeds", [((3000, 1000), [0, 1, 2]), ((15400, 1000), [1])])
+    def test_no_fallback_at_benchmark_shapes(self, monkeypatch, shape, seeds):
+        n = shape[0] * shape[1]
+        sizes = spy_on_selection(monkeypatch)
+        for seed in seeds:
+            engagement = generate_engagement(*shape, seed=[seed, 0])
+            sizes.clear()
+            ratings = convert_to_ratings(engagement)
+            assert len(sizes) == 4 and max(sizes) < n // 16, sizes
+            counts = np.bincount(ratings.ravel(), minlength=6)[1:]
+            cuts = np.floor(np.cumsum(DEFAULT_RATING_DISTRIBUTION) * n + 1e-9)
+            np.testing.assert_array_equal(counts, np.diff(cuts, prepend=0))
+
+    @pytest.mark.parametrize("sample_size", [2, 64])
+    def test_too_small_a_sample_falls_back(self, monkeypatch, sample_size):
+        # brackets this wide hold more than a quarter of the cells
+        monkeypatch.setattr(sim, "_SAMPLE_SIZE", sample_size)
+        engagement = generate_engagement_reference(40, 30, [3, 0])
+        sizes = spy_on_selection(monkeypatch)
+        got = convert_to_ratings(engagement)
+        assert sizes == [engagement.size]
+        want = convert_to_ratings_selection_reference(engagement, DEFAULT_RATING_DISTRIBUTION)
+        assert got.astype(np.int64).tobytes() == want.tobytes()
+
+    def test_unrepresentative_sample_falls_back(self, monkeypatch):
+        # every sampled cell lies far above every other cell, so the boundary
+        # ranks fall outside the brackets the sample gives
+        monkeypatch.setattr(sim, "BLOCK_ROWS", 50)
+        shape = (200, 500)
+        n = shape[0] * shape[1]
+        rng = np.random.default_rng(8)
+        flat = rng.random(n)
+        sampled = np.random.default_rng(sim._SAMPLE_SEED).integers(0, n, size=sim._SAMPLE_SIZE)
+        flat[sampled] += 10.0
+        engagement = flat.reshape(shape)
+        sizes = spy_on_selection(monkeypatch)
+        got = convert_to_ratings(engagement)
+        assert sizes[-1] == n
+        want = convert_to_ratings_selection_reference(engagement, DEFAULT_RATING_DISTRIBUTION)
+        assert got.astype(np.int64).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("sample_size", [2, 64, 1 << 16])
+    @pytest.mark.parametrize("shape, distribution", [
+        ((7, 9), DEFAULT_RATING_DISTRIBUTION),  # all cells equal
+        ((20, 30), (0.0, 0.0, 0.5, 0.5, 0.0)),  # boundaries at 0 and at n
+        ((20, 30), (1.0, 0.0, 0.0, 0.0, 0.0)),  # every boundary at n
+        ((20, 30), (0.0, 0.0, 0.0, 0.0, 1.0)),  # every boundary at 0
+    ])
+    def test_constant_grid_any_sample_size(self, monkeypatch, sample_size, shape,
+                                           distribution):
+        monkeypatch.setattr(sim, "_SAMPLE_SIZE", sample_size)
+        engagement = np.full(shape, 0.5)
+        np.testing.assert_array_equal(
+            convert_to_ratings(engagement, distribution),
+            convert_to_ratings_reference(engagement, distribution),
+        )
+
+
 class TestItemPropensities:
     def test_rank_at_k_min(self):
         # one item per rank; ranks follow average rating descending
@@ -386,6 +499,12 @@ def bundle_bytes(bundle):
 # one row, one block short of full, one full block, one row over, and a
 # partial third block
 BLOCK_USER_COUNTS = [1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 3]
+# the same user counts with an int64 truth, then with the uint8 truth that
+# convert_to_ratings writes; the references always read the int64 one
+TRUTH_CASES = (
+    [pytest.param(n, np.int64, id=str(n)) for n in BLOCK_USER_COUNTS]
+    + [pytest.param(n, np.uint8, id=f"{n}-uint8") for n in BLOCK_USER_COUNTS]
+)
 
 
 class TestBlockedStagesMatchWholeMatrix:
@@ -407,24 +526,25 @@ class TestBlockedStagesMatchWholeMatrix:
             engagement = np.round(engagement)
         got = convert_to_ratings(engagement)
         want = convert_to_ratings_selection_reference(engagement, DEFAULT_RATING_DISTRIBUTION)
-        assert got.dtype == want.dtype and got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
+        assert got.dtype == np.uint8 and got.shape == want.shape
+        assert got.astype(np.int64).tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("num_users", BLOCK_USER_COUNTS)
-    def test_build_item_propensities(self, num_users):
+    @pytest.mark.parametrize("num_users, dtype", TRUTH_CASES)
+    def test_build_item_propensities(self, num_users, dtype):
         truth = np.random.default_rng(num_users).integers(1, 6, size=(num_users, 60))
-        got, got_capped = build_item_propensities(truth, eta=1.3, k_min=5)
+        got, got_capped = build_item_propensities(truth.astype(dtype), eta=1.3, k_min=5)
         want, want_capped = build_item_propensities_reference(truth, eta=1.3, k_min=5)
         assert got.tobytes() == want.tobytes() and got_capped == want_capped
 
-    @pytest.mark.parametrize("num_users", BLOCK_USER_COUNTS)
+    @pytest.mark.parametrize("num_users, dtype", TRUTH_CASES)
     @pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0])
-    def test_sample_observations(self, num_users, gamma):
+    def test_sample_observations(self, num_users, gamma, dtype):
         rng = np.random.default_rng(num_users)
         truth = rng.integers(1, 6, size=(num_users, 23))
         rho_r = np.array(DEFAULT_RATING_PROPENSITIES) * 3
         rho_i = rng.random(23)
-        got, got_model = sample_observations(truth, rho_r, rho_i, gamma, seed=[7, 1])
+        got, got_model = sample_observations(truth.astype(dtype), rho_r, rho_i, gamma,
+                                             seed=[7, 1])
         want, want_model = sample_observations_reference(truth, rho_r, rho_i, gamma, [7, 1])
         assert dataset_bytes(got) == dataset_bytes(want)
         assert got_model.table.tobytes() == want_model.table.tobytes()
@@ -432,8 +552,8 @@ class TestBlockedStagesMatchWholeMatrix:
     def assert_simulate_matches(self, spec):
         result = simulate(spec)
         truth, bundle, model = simulate_reference(spec)
-        assert result.truth.dtype == truth.dtype
-        assert result.truth.tobytes() == truth.tobytes()
+        assert result.truth.dtype == np.uint8
+        assert result.truth.astype(np.int64).tobytes() == truth.tobytes()
         assert bundle_bytes(result.bundle) == bundle_bytes(bundle)
         assert result.ground_truth_propensities.table.tobytes() == model.table.tobytes()
 
@@ -464,3 +584,19 @@ def test_simulate_peak_memory_is_about_two_dense_matrices():
     finally:
         tracemalloc.stop()
     assert peak <= 2.5 * num_users * num_items * 8, peak / (num_users * num_items * 8)
+
+
+def test_simulate_peak_memory_is_one_dense_matrix_and_a_block():
+    # the engagement matrix is the only full-size 8-byte array: rating
+    # conversion selects its boundaries from a sampled bracket and writes
+    # one-byte ratings, so what else is live is a row block (a third of a
+    # matrix at this shape) and one-byte-per-cell arrays
+    num_users, num_items = 3000, 1000
+    spec = SimulationSpec(num_users=num_users, num_items=num_items, gamma=0.5, seed=0)
+    tracemalloc.start()
+    try:
+        simulate(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * num_users * num_items * 8, peak / (num_users * num_items * 8)
