@@ -118,35 +118,6 @@ def init_params(
     )
 
 
-def _adam_update(p, g, m, v, a, b, t, lr, beta1, beta2, eps) -> None:
-    """One bias-corrected adaptive-moment update of the array `p`, in place.
-
-    With gradient `g`, moments `m`, `v` and step count `t`::
-
-        m <- beta1 * m + (1 - beta1) * g
-        v <- beta2 * v + (1 - beta2) * g**2
-        p <- p - (lr * m / (1 - beta1**t)) / (sqrt(v / (1 - beta2**t)) + eps)
-
-    evaluated in this operation order in the scratch arrays `a` and `b`
-    (shaped like `p`, 0-d included), so no temporary is allocated. Shared by
-    ``optim.adam_step`` and the observation-model fit in ``propensity``.
-    """
-    np.multiply(m, beta1, out=m)
-    np.multiply(g, 1.0 - beta1, out=a)
-    np.add(m, a, out=m)
-    np.multiply(v, beta2, out=v)
-    np.square(g, out=a)
-    np.multiply(a, 1.0 - beta2, out=a)
-    np.add(v, a, out=v)
-    np.divide(m, 1.0 - beta1**t, out=a)
-    np.multiply(a, lr, out=a)
-    np.divide(v, 1.0 - beta2**t, out=b)
-    np.sqrt(b, out=b)
-    np.add(b, eps, out=b)
-    np.divide(a, b, out=a)
-    np.subtract(p, a, out=p)
-
-
 def _check_index(value: int, bound: int, what: str) -> None:
     if not 0 <= value < bound:
         raise IndexError(f"{what} index {value} out of range [0, {bound})")

@@ -19,8 +19,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .data import RatingDataset, SplitBundle
-from .model import MFParameters, PARAM_GROUPS, _adam_update, init_params, predict_many
-from .propensity import PropensityModel, score_dataset
+from . import propensity
+from .model import MFParameters, PARAM_GROUPS, init_params, predict_many
 
 logger = logging.getLogger(__name__)
 
@@ -110,7 +110,7 @@ def adam_step(
         theta <- theta - (lr * m / (1 - beta1**t)) / (sqrt(v / (1 - beta2**t)) + eps)
 
     evaluated in this operation order in the state's scratch buffers (see
-    :func:`ipsmf.model._adam_update`). The update is elementwise, so it runs
+    :func:`_adam_update`). The update is elementwise, so it runs
     once over each slice of the packed buffers that holds masked groups
     adjacent in the layout with equal step counts: one call per training
     phase.
@@ -129,6 +129,27 @@ def adam_step(
             t, lr, state.beta1, state.beta2, state.eps,
         )
     return params, state
+
+
+def _adam_update(p, g, m, v, a, b, t, lr, beta1, beta2, eps) -> None:
+    """The update of :func:`adam_step` on the array `p` with gradient `g`,
+    moments `m`, `v` and step count `t`, in place. It is evaluated in that
+    operation order in the scratch arrays `a` and `b` (shaped like `p`), so
+    no temporary is allocated."""
+    np.multiply(m, beta1, out=m)
+    np.multiply(g, 1.0 - beta1, out=a)
+    np.add(m, a, out=m)
+    np.multiply(v, beta2, out=v)
+    np.square(g, out=a)
+    np.multiply(a, 1.0 - beta2, out=a)
+    np.add(v, a, out=v)
+    np.divide(m, 1.0 - beta1**t, out=a)
+    np.multiply(a, lr, out=a)
+    np.divide(v, 1.0 - beta2**t, out=b)
+    np.sqrt(b, out=b)
+    np.add(b, eps, out=b)
+    np.divide(a, b, out=a)
+    np.subtract(p, a, out=p)
 
 
 def _update_runs(spans, mask, steps):
@@ -275,7 +296,7 @@ def save_history(rows: list[HistoryRow], path: str | Path, delimiter: str = ",")
 
 def train(
     data: SplitBundle,
-    propensity_model: PropensityModel,
+    propensity_model: propensity.PropensityModel,
     config: TrainConfig,
     epoch_callback: Callable[[str, int, MFParameters], None] | None = None,
 ) -> TrainResult:
@@ -302,9 +323,11 @@ def _fit(data, propensity_model, config, epoch_callback):
         raise ValueError("validation set is empty (needed for early stopping)")
     users, items = train.users, train.items
     ratings = train.ratings.astype(float)
-    p_train = _check_propensities(score_dataset(propensity_model, train), len(train))
+    p_train = _check_propensities(
+        propensity.score_dataset(propensity_model, train), len(train)
+    )
     p_val = _check_propensities(
-        score_dataset(propensity_model, validation), len(validation)
+        propensity.score_dataset(propensity_model, validation), len(validation)
     )
     track_test = len(data.test) > 0
 

@@ -19,7 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from .data import RatingDataset
-from .model import _adam_update
+from .model import PARAM_GROUPS, init_params
+from .optim import adam_step, init_adam_state
 
 logger = logging.getLogger(__name__)
 
@@ -329,6 +330,10 @@ def estimate_mf_propensity(
     rate instead of letting a single binary matrix be memorized. On
     non-convergence the best parameters seen are returned with a warning.
 
+    The model has the rating model's structure, so the fit is an
+    :class:`~ipsmf.model.MFParameters` stepped by :func:`~ipsmf.optim.adam_step`
+    over all groups at once.
+
     Each step works in two preallocated (U, I) buffers: the clipped scores
     ``s`` and a work buffer that first holds the per-cell log-likelihood and
     then the logit gradient. The observation matrix is 0/1 and ``s`` lies in
@@ -343,33 +348,26 @@ def estimate_mf_propensity(
     """
     observed = np.zeros((num_users, num_items), dtype=bool)
     observed[train.users, train.items] = True
-    rng = np.random.default_rng(seed)
-    P = rng.normal(0.0, 0.1, size=(num_users, dim))
-    Q = rng.normal(0.0, 0.1, size=(num_items, dim))
-    a = np.zeros(num_users)
-    b = np.zeros(num_items)
     base_rate = np.clip(observed.mean(), 1e-6, 1.0 - 1e-6)
     c = float(np.log(base_rate / (1.0 - base_rate)))
-
-    params = [P, Q, a, b, np.array(c)]
-    moments = [(np.zeros_like(p), np.zeros_like(p)) for p in params]
-    scratch = [(np.empty_like(p), np.empty_like(p)) for p in params]
-    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    params = init_params(num_users, num_items, dim, seed, scale=0.1, global_offset=c)
+    state = init_adam_state(params)
+    grads = params.copy()  # every group is overwritten each step
     n_cells = num_users * num_items
     s = np.empty((num_users, num_items))
     w = np.empty_like(s)
-    best_loss, best_params, prev_loss, converged = np.inf, None, np.inf, False
+    best_loss, best, prev_loss, converged = np.inf, None, np.inf, False
 
-    for step in range(1, max_steps + 1):
-        _sigmoid_of_logits(np.matmul(P, Q.T, out=s), a, b, params[4])
+    for _ in range(max_steps):
+        np.matmul(params.user_emb, params.item_emb.T, out=s)
+        _sigmoid_of_logits(s, params)
         np.clip(s, 1e-12, 1.0 - 1e-12, out=s)
         np.subtract(1.0, s, out=w)
         np.copyto(w, s, where=observed)
         np.log(w, out=w)
-        loss = float(-np.mean(w) + l2_weight * sum(np.sum(p**2) for p in params))
+        loss = float(-np.mean(w) + l2_weight * params.squared_norm())
         if loss < best_loss:
-            best_loss = loss
-            best_params = [p.copy() for p in params]
+            best_loss, best = loss, params.copy()
         if np.isfinite(prev_loss) and abs(prev_loss - loss) <= tol * max(abs(prev_loss), 1.0):
             converged = True
             break
@@ -377,23 +375,22 @@ def estimate_mf_propensity(
 
         g = np.subtract(s, observed, out=w)
         g /= n_cells
-        grads = [
-            g @ Q + 2 * l2_weight * P,
-            g.T @ P + 2 * l2_weight * Q,
-            g.sum(axis=1) + 2 * l2_weight * a,
-            g.sum(axis=0) + 2 * l2_weight * b,
-            np.array(g.sum()) + 2 * l2_weight * params[4],
-        ]
-        for p, grad, (m, v), (sa, sb) in zip(params, grads, moments, scratch):
-            _adam_update(p, grad, m, v, sa, sb, step, learning_rate, beta1, beta2, eps)
+        np.matmul(g, params.item_emb, out=grads.user_emb)
+        np.matmul(g.T, params.user_emb, out=grads.item_emb)
+        np.sum(g, axis=1, out=grads.user_off)
+        np.sum(g, axis=0, out=grads.item_off)
+        np.sum(g, out=grads.global_off)
+        for name in PARAM_GROUPS:
+            grads.group(name)[...] += 2 * l2_weight * params.group(name)
+        adam_step(params, grads, state, PARAM_GROUPS, learning_rate)
 
     if not converged:
         logger.warning(
             "observation-model fit did not converge in %d steps; returning the "
             "best parameters seen (loss %.6g)", max_steps, best_loss,
         )
-    P, Q, a, b, c = best_params
-    table = _sigmoid_of_logits(np.einsum("ud,id->ui", P, Q, out=s), a, b, c)
+    np.einsum("ud,id->ui", best.user_emb, best.item_emb, out=s)
+    table = _sigmoid_of_logits(s, best)
     return PropensityModel(family="mf_learned", rating_scale=train.rating_scale, table=table)
 
 
@@ -401,17 +398,17 @@ def estimate_mf_propensity(
 _MAX_EXP_ARG = float(np.log(np.finfo(float).max))
 
 
-def _sigmoid_of_logits(s, a, b, c):
-    """Overwrite the (user, item) dot products `s` with
-    ``1 / (1 + exp(-(s + a[:, None] + b[None, :] + c)))``, in that operation
-    order, and return `s`.
+def _sigmoid_of_logits(s, params):
+    """Overwrite the (user, item) dot products `s` of `params` with
+    ``1 / (1 + exp(-(s + a[:, None] + b[None, :] + c)))``, where ``a, b, c``
+    are its offset groups, in that operation order, and return `s`.
 
     ``exp`` is taken of at most ``_MAX_EXP_ARG``, so a logit below about -709
     gives a tiny positive score instead of an overflow to 0; every other cell
     is unchanged."""
-    s += a[:, None]
-    s += b[None, :]
-    s += c
+    s += params.user_off[:, None]
+    s += params.item_off[None, :]
+    s += params.global_off
     np.negative(s, out=s)
     np.minimum(s, _MAX_EXP_ARG, out=s)
     np.exp(s, out=s)

@@ -283,7 +283,9 @@ def sample_observations(
     Each cell (u, i) with true rating y is kept independently with probability
     ``gamma * rating_propensities[y] + (1 - gamma) * item_propensities[i]``.
     Also returns the exact propensity table as a ground_truth model, which
-    reproduces the sampling probability of every cell.
+    reproduces the sampling probability of every cell. Raises ValueError
+    when an interpolated propensity lies outside [0, 1] or a true rating
+    outside `rating_scale`.
     """
     truth = np.asarray(truth)
     num_users, num_items = truth.shape
@@ -291,7 +293,12 @@ def sample_observations(
     rho_r = np.asarray(rating_propensities, dtype=float)
     rho_i = np.asarray(item_propensities, dtype=float)
     table = gamma * rho_r[None, :] + (1.0 - gamma) * rho_i[:, None]  # (I, R)
-    assert np.all((table >= 0.0) & (table <= 1.0)), "interpolated propensity outside [0, 1]"
+    if not np.all((table >= 0.0) & (table <= 1.0)):
+        raise ValueError(f"interpolated propensity outside [0, 1] at gamma={gamma}")
+    if truth.size:
+        for value in (truth.min(), truth.max()):
+            if not lo <= value <= hi:
+                raise ValueError(f"true rating {value} outside the rating scale {rating_scale}")
 
     # the same uniform stream as one full-size draw, compared a row block at a
     # time so that no full-size float temporary is live

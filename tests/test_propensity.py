@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from ipsmf import optim
 from ipsmf.data import RatingDataset
 from ipsmf.sim import SimulationSpec, simulate
 from ipsmf.propensity import (
@@ -302,8 +303,27 @@ def random_observations(n_users, n_items, density, seed):
     return RatingDataset(n_users, n_items, users, items, rng.integers(1, 6, size=len(users)))
 
 
+def test_observation_fit_steps_through_adam_step(monkeypatch, caplog):
+    # a fit that never converges steps once per iteration, each step one
+    # update over the whole packed buffer
+    sizes = []
+    real = optim._adam_update
+
+    def counting(p, *rest):
+        sizes.append(p.size)
+        real(p, *rest)
+
+    monkeypatch.setattr(optim, "_adam_update", counting)
+    n_users, n_items, dim, steps = 9, 7, 3, 12
+    train = random_observations(n_users, n_items, 0.4, seed=2)
+    with caplog.at_level(logging.WARNING):
+        estimate_mf_propensity(train, n_users, n_items, dim=dim, max_steps=steps, tol=0.0)
+    assert "did not converge" in caplog.text
+    assert sizes == [n_users * dim + n_items * dim + n_users + n_items + 1] * steps
+
+
 class TestMFLearnedMatchesReference:
-    """The in-place, one-log fit with the shared Adam kernel returns a table
+    """The in-place, one-log fit stepped by ``adam_step`` returns a table
     that holds, bit for bit at every (user, item), the per-pair scores of the
     factors fitted by the allocating two-log fit with its own Adam loop."""
 

@@ -333,6 +333,29 @@ class TestSampleObservations:
         b, _ = sample_observations(truth, rho_r, rho_i, gamma=0.4, seed=9)
         assert a.triples() == b.triples()
 
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint8])
+    @pytest.mark.parametrize("bad", [0, 6])
+    def test_rejects_rating_outside_scale(self, dtype, bad):
+        # unchecked, a uint8 0 wraps to index 255 and an int64 0 is sampled
+        # with rating 5's propensity
+        truth, rho_r, rho_i = self.fixture()
+        truth = truth.astype(dtype)
+        truth[2, 3] = bad
+        with pytest.raises(ValueError, match=rf"true rating {bad} outside .* \(1, 5\)"):
+            sample_observations(truth, rho_r, rho_i, gamma=0.4, seed=0)
+
+    @pytest.mark.parametrize("gamma, rho_i", [
+        (1.5, [1.0, 0.5, 0.0, 0.0]),  # 1.5 * 1 - 0.5 * 0 at rating 5
+        (-0.5, [1.0, 0.5, 0.0, 0.0]),  # -0.5 * 0 + 1.5 * 1 at item 0
+        (0.0, [1.2, 0.5, 0.2, 0.05]),
+    ])
+    def test_rejects_propensity_outside_unit_interval(self, gamma, rho_i):
+        # a ValueError, not an assert, so that python -O keeps the check
+        truth, _, _ = self.fixture()
+        rho_r = np.array([0.0, 0.0, 0.0, 0.0, 1.0])
+        with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+            sample_observations(truth, rho_r, np.array(rho_i), gamma=gamma, seed=0)
+
 
 class TestSampleUnbiased:
     def test_pool_and_split_sizes(self):
