@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import hashlib
+import itertools
 import logging
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -49,6 +50,7 @@ from .optim import (
     train,
 )
 from .propensity import (
+    PropensityError,
     PropensityModel,
     SmoothingConfig,
     estimate_mf_propensity,
@@ -65,15 +67,6 @@ from .sim import SimulationSpec, simulate
 logger = logging.getLogger(__name__)
 
 METHODS = ("avg", "mf", "mf_ips_pop", "mf_ips_pos", "mf_ips_mul", "mf_ips_mf", "mf_ips_gt")
-
-TRAIN_KEYS = (
-    "learning_rate", "l2_weight", "batch_size", "max_epochs", "patience",
-    "schedule", "embedding_dim", "init_scale",
-)
-PIPELINE_KEYS = (
-    "normalize", "clip_floor", "alpha1", "alpha2",
-    "propensity_dim", "propensity_learning_rate", "propensity_steps",
-)
 
 RESULT_COLUMNS = (
     "config_hash", "dataset", "gamma", "method", "seed", "schedule",
@@ -106,6 +99,38 @@ def _parse_delimiter(text: str) -> str:
     return {"\\t": "\t", "tab": "\t"}.get(text.strip(), text.strip())
 
 
+def _parse_budget(text: str) -> int:
+    budget = int(text)
+    if budget < 0:
+        raise ConfigError(f"must be nonnegative, got {budget}")
+    return budget
+
+
+def _parse_positive(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise ConfigError(f"must be positive, got {value}")
+    return value
+
+
+_TRAIN_CASTS = {
+    "learning_rate": float, "l2_weight": float, "batch_size": int,
+    "max_epochs": int, "patience": int, "schedule": str,
+    "embedding_dim": int, "init_scale": float,
+}
+_PIPELINE_CASTS = {
+    "normalize": _parse_bool, "clip_floor": float, "alpha1": float, "alpha2": float,
+    "propensity_dim": int, "propensity_learning_rate": float,
+    "propensity_steps": _parse_positive,
+}
+_PIPELINE_DEFAULTS = {
+    "normalize": True, "clip_floor": None, "alpha1": 1.0, "alpha2": 1.0,
+    "propensity_dim": 8, "propensity_learning_rate": 0.05, "propensity_steps": 300,
+}
+TRAIN_KEYS = tuple(_TRAIN_CASTS)
+PIPELINE_KEYS = tuple(_PIPELINE_CASTS)
+
+
 @dataclass
 class ExperimentConfig:
     config_hash: str
@@ -120,38 +145,23 @@ class ExperimentConfig:
     gammas: list[float]
     tune: dict
 
-    def train_settings(self, method: str, seed: int) -> TrainConfig:
-        merged = dict(self.train)
-        merged.update({
-            k: v for k, v in self.method_overrides.get(method, {}).items()
-            if k in TRAIN_KEYS
-        })
-        return TrainConfig(seed=seed, **merged)
+    def _merged(self, base: dict, keys: tuple, method: str, point: dict | None) -> dict:
+        """`base` overridden by [propensity], then [method X], then a tune
+        grid point, each restricted to `keys`."""
+        merged = dict(base)
+        for source in (
+            self.method_overrides.get("*", {}), self.method_overrides.get(method, {}), point or {}
+        ):
+            merged.update({k: v for k, v in source.items() if k in keys})
+        return merged
 
-    def pipeline_settings(self, method: str) -> dict:
-        settings = {
-            "normalize": True,
-            "clip_floor": None,
-            "alpha1": 1.0,
-            "alpha2": 1.0,
-            "propensity_dim": 8,
-            "propensity_learning_rate": 0.05,
-            "propensity_steps": 300,
-        }
-        for source in (self.method_overrides.get("*", {}), self.method_overrides.get(method, {})):
-            settings.update({k: v for k, v in source.items() if k in PIPELINE_KEYS})
-        return settings
+    def train_settings(self, method: str, seed: int, point: dict | None = None) -> TrainConfig:
+        return TrainConfig(seed=seed, **self._merged(self.train, TRAIN_KEYS, method, point))
+
+    def pipeline_settings(self, method: str, point: dict | None = None) -> dict:
+        return self._merged(_PIPELINE_DEFAULTS, PIPELINE_KEYS, method, point)
 
 
-_TRAIN_CASTS = {
-    "learning_rate": float, "l2_weight": float, "batch_size": int,
-    "max_epochs": int, "patience": int, "schedule": str,
-    "embedding_dim": int, "init_scale": float,
-}
-_PIPELINE_CASTS = {
-    "normalize": _parse_bool, "clip_floor": float, "alpha1": float, "alpha2": float,
-    "propensity_dim": int, "propensity_learning_rate": float, "propensity_steps": int,
-}
 _SIMULATION_CASTS = {
     "num_users": int, "num_items": int, "gamma": float, "seed": int,
     "powerlaw_eta": float, "k_min": int, "unbiased_per_user": int,
@@ -163,17 +173,10 @@ _SIMULATION_LISTS = {"rating_propensities": float, "target_rating_distribution":
 _DATA_CASTS = {
     "train": str, "validation": str, "mcar": str, "test": str,
     "biased": str, "unbiased": str, "ground_truth_propensities": str,
-    "delimiter": _parse_delimiter, "dense_ids": _parse_bool, "filter_users": _parse_bool,
+    "delimiter": _parse_delimiter, "filter_users": _parse_bool,
     "train_fraction": float, "mcar_fraction": float, "split_seed": int,
     "num_users": int, "num_items": int,
 }
-
-
-def _parse_budget(text: str) -> int:
-    budget = int(text)
-    if budget < 0:
-        raise ConfigError(f"must be nonnegative, got {budget}")
-    return budget
 
 
 _EXPERIMENT_CASTS = {"output_dir": Path, "clamp_predictions": _parse_bool}
@@ -312,7 +315,6 @@ class LoadedData:
 
 def _load_split_files(data_cfg: dict) -> LoadedData:
     delim = data_cfg.get("delimiter", ",")
-    dense = data_cfg.get("dense_ids", True)
     num_users = data_cfg.get("num_users")
     num_items = data_cfg.get("num_items")
     parts = {}
@@ -321,12 +323,10 @@ def _load_split_files(data_cfg: dict) -> LoadedData:
             raise ConfigError(f"[data] missing {split} path")
         parts[split], _ = load_ratings(
             data_cfg[split], delimiter=delim, num_users=num_users,
-            num_items=num_items, dense_ids=dense,
+            num_items=num_items, dense_ids=True,
         )
     gt = None
     if data_cfg.get("ground_truth_propensities"):
-        if not dense:
-            raise ConfigError("[data] ground_truth_propensities requires dense_ids")
         gt = load_propensity(data_cfg["ground_truth_propensities"], delimiter=delim)
     counts_u = max(p.num_users for p in parts.values())
     counts_i = max(p.num_items for p in parts.values())
@@ -665,20 +665,17 @@ def cmd_summarize(results_path: Path, summary_path: Path) -> Path:
 
 
 def cmd_tune(cfg: ExperimentConfig, out_dir: Path) -> Path:
-    """Full-grid search per method, selected on the validation split.
+    """Grid search per method, selected on the validation split.
 
-    IPS methods are selected by self-normalized weighted validation MSE under
-    their own propensities; mf and avg by plain validation MSE. A nonzero
-    [tune] budget caps the number of grid points per method (see
-    :func:`_budget_points`).
-
-    Every grid point runs the two stages of a run: the propensity model
-    (:func:`build_propensity_model`), then training and scoring. The first
-    stage depends only on the method and its pipeline settings (the seed and
-    data are fixed for the call), so each distinct (method, pipeline) model
-    is built once per call and shared by the grid points that need it. The
-    test split plays no part in the selection, so grid points train without
-    it.
+    A grid point runs as a method in a train cell does: its settings, with
+    the point as the last override, its propensity model, then
+    :func:`run_method` on the validation split. avg and mf score the plain
+    validation MSE, weighted methods the self-normalized weighted validation
+    MSE under their own propensities at their best epoch; a diverged point
+    scores inf. A nonzero [tune] budget caps the grid points per method (see
+    :func:`_budget_points`). Each distinct (method, pipeline) propensity model
+    is built once per call, as the seed and data are fixed, and shared by the
+    points that need it. Grid points train without the test split.
     """
     out_dir.mkdir(parents=True, exist_ok=True)
     seed = cfg.seeds[0]
@@ -695,14 +692,24 @@ def cmd_tune(cfg: ExperimentConfig, out_dir: Path) -> Path:
         points = _budget_points(points, budget, seed)
         best = None
         for point in points:
-            pipeline = cfg.pipeline_settings(method)
-            pipeline.update({k: v for k, v in point.items() if k in PIPELINE_KEYS})
+            pipeline = cfg.pipeline_settings(method, point)
             key = (method, tuple(sorted(pipeline.items())))
             if key not in props:
                 props[key] = build_propensity_model(
                     method, bundle, pipeline, loaded.ground_truth, seed=seed
                 )
-            score, clip_floor = _validation_score(cfg, bundle, method, seed, point, props[key])
+            prop = props[key]
+            try:
+                report, result = run_method(
+                    method, bundle, bundle.validation,
+                    cfg.train_settings(method, seed, point), prop,
+                )
+            except TrainingDivergedError as exc:
+                logger.warning("%s diverged at %s: %s", method, point, exc)
+                score, clip_floor = float("inf"), None
+            else:
+                score = report.mse if method in ("avg", "mf") else result.best_validation
+                clip_floor = prop.clip_floor if prop is not None else None
             if best is None or score < best[0]:
                 best = (score, point, clip_floor)
         score, point, clip_floor = best
@@ -718,21 +725,13 @@ def cmd_tune(cfg: ExperimentConfig, out_dir: Path) -> Path:
 
 
 def _grid_points(cfg: ExperimentConfig, method: str) -> list[dict]:
-    if method == "avg":
-        return [{}]
-    grid = cfg.tune
-    points = []
-    for lr in grid["learning_rate"]:
-        for l2 in grid["l2_weight"]:
-            for dim in grid["embedding_dim"]:
-                base = {"learning_rate": lr, "l2_weight": l2, "embedding_dim": dim}
-                if method == "mf_ips_mul":
-                    for a1 in grid["alpha1"]:
-                        for a2 in grid["alpha2"]:
-                            points.append({**base, "alpha1": a1, "alpha2": a2})
-                else:
-                    points.append(base)
-    return points
+    """Every combination of the [tune] keys `method` reads, the last key
+    varying fastest (nested-loop order): none for avg, the alphas only for
+    mf_ips_mul."""
+    keys = () if method == "avg" else ("learning_rate", "l2_weight", "embedding_dim")
+    if method == "mf_ips_mul":
+        keys += ("alpha1", "alpha2")
+    return [dict(zip(keys, values)) for values in itertools.product(*(cfg.tune[k] for k in keys))]
 
 
 def _budget_points(points: list[dict], budget: int, seed: int) -> list[dict]:
@@ -743,29 +742,6 @@ def _budget_points(points: list[dict], budget: int, seed: int) -> list[dict]:
         return points
     chosen = np.random.default_rng(seed).choice(len(points), size=budget, replace=False)
     return [points[i] for i in np.sort(chosen)]
-
-
-def _validation_score(cfg, bundle, method, seed, point, prop) -> tuple[float, float | None]:
-    """Score one grid point, trained on `bundle` with the built propensity
-    model `prop`, on the validation split; returns (score, effective clip
-    floor). Weighted methods use the self-normalized weighted MSE under their
-    own propensities that train kept for its best epoch, mf and avg plain
-    MSE."""
-    if method == "avg":
-        model = fit_avg(bundle.train)
-        return evaluate(model, bundle.validation).mse, None
-    train_config = replace(
-        cfg.train_settings(method, seed),
-        **{k: v for k, v in point.items() if k in TRAIN_KEYS},
-    )
-    try:
-        result = train(bundle, prop, train_config)
-    except TrainingDivergedError as exc:
-        logger.warning("%s diverged at %s: %s", method, point, exc)
-        return float("inf"), None
-    if method == "mf":
-        return evaluate(result.params, bundle.validation).mse, prop.clip_floor
-    return result.best_validation, prop.clip_floor
 
 
 # --------------------------------------------------------------------------
@@ -827,6 +803,9 @@ def main(argv=None) -> int:
             cmd_sweep_gamma(cfg, out_dir, gammas=gammas, threads=args.threads)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except PropensityError as exc:
+        print(f"propensity error: {exc}", file=sys.stderr)
         return 2
     return 0
 

@@ -346,6 +346,8 @@ def estimate_mf_propensity(
     parameters, built in ``s``; its dot products use the per-pair ``einsum``
     reduction, not ``P @ Q.T``, whose BLAS sums can differ in the last bit.
     """
+    if max_steps < 1:
+        raise ValueError(f"max_steps must be at least 1, got {max_steps}")
     observed = np.zeros((num_users, num_items), dtype=bool)
     observed[train.users, train.items] = True
     base_rate = np.clip(observed.mean(), 1e-6, 1.0 - 1e-6)

@@ -7,22 +7,15 @@ dataset paths are supplied through environment variables (see its docstring).
 
 import os
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ipsmf import optim
-from ipsmf.cli import build_propensity_model, cmd_simulate, cmd_summarize, \
-    cmd_sweep_gamma, cmd_train, cmd_tune, load_config
-from ipsmf.data import (
-    RatingDataset,
-    SplitBundle,
-    filter_to_test_users,
-    load_rating_pair,
-    reindex_users,
-    split_biased,
-    split_unbiased,
-)
+from ipsmf.cli import _read_rows, build_propensity_model, cmd_simulate, \
+    cmd_summarize, cmd_sweep_gamma, cmd_train, cmd_tune, load_config
+from ipsmf.data import RatingDataset
 from ipsmf.metrics import evaluate
 from ipsmf.model import PARAM_GROUPS, init_params, predict_many
 from ipsmf.optim import (
@@ -50,6 +43,11 @@ DESK_TRAIN = dict(learning_rate=0.01, l2_weight=1e-5, batch_size=512,
 DESK_PIPELINE = {"normalize": True, "clip_floor": 1e-3, "alpha1": 1.0,
                  "alpha2": 1.0, "propensity_dim": 8,
                  "propensity_learning_rate": 0.05, "propensity_steps": 300}
+
+
+def train_section(settings):
+    return "[train]\nschedule = alternating\n" + "".join(
+        f"{key} = {value!r}\n" for key, value in settings.items())
 
 
 def desk_simulation(gamma, seed):
@@ -245,25 +243,45 @@ def test_c5_alternating_schedule_contract_and_stability():
     assert np.mean(alt_mse) <= np.mean(conc_mse) + 0.01
 
 
-def test_c6_bias_sweep_trend_reproduction():
+def write_text(path, text):
+    path.write_text(text, encoding="utf-8")
+    return path
+
+
+# the c6 grid as a config: simulation seed 1000 + run seed, the desk train
+# settings, and the desk pipeline (whose other keys are the defaults)
+C6_CONFIG = """
+[simulation]
+num_users = 300
+num_items = 500
+seed = 1000
+
+[experiment]
+methods = mf, mf_ips_pop, mf_ips_pos, mf_ips_mul, mf_ips_gt
+seeds = 0, 1, 2, 3, 4, 5, 6, 7, 8, 9
+gammas = 0.0, 0.25, 0.5, 0.75, 1.0
+
+[propensity]
+clip_floor = 0.001
+
+""" + train_section(DESK_TRAIN)
+
+
+def test_c6_bias_sweep_trend_reproduction(tmp_path):
     """Criterion 6: 300x500 simulation, gamma in {0, 0.25, 0.5, 0.75, 1}, 10
     seeds per cell. Mean test MSE must reproduce the qualitative trend: the
     rating-value correction is the worst weighted variant under pure item bias
     and vice versa, while the joint correction stays within 0.05 of the best
     single-factor method and within 0.08 of the exact-propensity skyline
-    everywhere. Runtime under 30 minutes."""
+    everywhere. The grid runs as one `sweep-gamma` over two workers. Runtime
+    under 30 minutes."""
     start = time.time()
     gammas = (0.0, 0.25, 0.5, 0.75, 1.0)
-    methods = ("mf", "mf_ips_pop", "mf_ips_pos", "mf_ips_mul", "mf_ips_gt")
-    mean_mse = {}
-    for gamma in gammas:
-        runs = {m: [] for m in methods}
-        for seed in range(10):
-            sim = desk_simulation(gamma, seed)
-            for method in methods:
-                runs[method].append(fit_and_score(method, sim, seed)[0])
-        for method in methods:
-            mean_mse[(gamma, method)] = float(np.mean(runs[method]))
+    cfg = load_config(write_text(tmp_path / "c6.ini", C6_CONFIG))
+    out = tmp_path / "c6"
+    cmd_sweep_gamma(cfg, out, threads=2)
+    mean_mse = {(float(row["gamma"]), row["method"]): float(row["mse_mean"])
+                for row in _read_rows(out / "sweep_summary.csv")}
 
     def mse(gamma, method):
         return mean_mse[(gamma, method)]
@@ -299,27 +317,67 @@ COAT_BIASED = os.environ.get("IPSMF_COAT_BIASED")
 COAT_UNBIASED = os.environ.get("IPSMF_COAT_UNBIASED")
 
 
-def _real_data_mse(biased_path, unbiased_path, mcar_fraction, delimiter):
-    biased, unbiased, _ = load_rating_pair(biased_path, unbiased_path,
-                                           delimiter=delimiter)
-    biased = filter_to_test_users(biased, unbiased)
-    biased, unbiased = reindex_users([biased, unbiased], np.unique(unbiased.users))
-    results = {m: [] for m in ("mf_ips_pop", "mf_ips_pos", "mf_ips_mul")}
-    for seed in range(10):
-        train, validation = split_biased(biased, 0.8, [seed, 0])
-        mcar, test = split_unbiased(unbiased, mcar_fraction, [seed, 1])
-        bundle = SplitBundle(train=train, validation=validation, mcar=mcar, test=test)
-        pipeline = {**DESK_PIPELINE, "alpha1": 10.0, "alpha2": 2.0,
-                    "clip_floor": None}
-        for method in results:
-            config = TrainConfig(learning_rate=1e-3, l2_weight=1e-6,
-                                 batch_size=1024, max_epochs=500, patience=10,
-                                 schedule="alternating", seed=seed,
-                                 embedding_dim=32)
-            prop = build_propensity_model(method, bundle, pipeline, None, seed=seed)
-            result = optim.train(bundle, prop, config)
-            results[method].append(evaluate(result.params, bundle.test).mse)
-    return {m: float(np.mean(v)) for m, v in results.items()}
+# the paper's real-data protocol: per seed s, the raw files are split with
+# [data] split_seed = s and run seed s trains on that split
+REAL_DATA_CONFIG = """
+[data]
+biased = {biased}
+unbiased = {unbiased}
+delimiter = {delimiter}
+mcar_fraction = {mcar_fraction!r}
+split_seed = {seed}
+
+[experiment]
+methods = mf_ips_pop, mf_ips_pos, mf_ips_mul
+seeds = {seed}
+
+[method mf_ips_mul]
+alpha1 = 10
+alpha2 = 2
+
+"""
+
+
+def real_data_mse(out_dir, biased_path, unbiased_path, mcar_fraction, delimiter,
+                  seeds=range(10), max_epochs=500):
+    """Test MSE per method, one per seed, from `ipsmf train` runs of the
+    real-data protocol."""
+    train = dict(learning_rate=1e-3, l2_weight=1e-6, batch_size=1024,
+                 max_epochs=max_epochs, patience=10, embedding_dim=32)
+    mse = {}
+    for seed in seeds:
+        text = REAL_DATA_CONFIG.format(
+            biased=Path(biased_path).as_posix(), unbiased=Path(unbiased_path).as_posix(),
+            delimiter={"\t": "\\t"}.get(delimiter, delimiter),
+            mcar_fraction=mcar_fraction, seed=seed,
+        ) + train_section(train)
+        cfg = load_config(write_text(out_dir / f"seed{seed}.ini", text))
+        for row in _read_rows(cmd_train(cfg, out_dir / f"seed{seed}")):
+            mse.setdefault(row["method"], []).append(float(row["mse"]))
+    return mse
+
+
+def real_data_mean_mse(*args, **kwargs):
+    return {m: float(np.mean(v)) for m, v in real_data_mse(*args, **kwargs).items()}
+
+
+def test_c7_protocol_smoke(tmp_path):
+    """The real-data protocol runs end to end on Coat-shaped raw files that
+    `simulate` writes: a finite test MSE per method and seed. No MSE bound."""
+    write_text(tmp_path / "sim.ini", """
+[simulation]
+num_users = 290
+num_items = 300
+gamma = 0.5
+seed = 4
+unbiased_per_user = 16
+""")
+    cmd_simulate(load_config(tmp_path / "sim.ini"), tmp_path / "raw")
+    mse = real_data_mse(tmp_path, tmp_path / "raw" / "train.csv",
+                        tmp_path / "raw" / "test.csv", mcar_fraction=0.2,
+                        delimiter=",", seeds=(0, 1), max_epochs=3)
+    assert sorted(mse) == ["mf_ips_mul", "mf_ips_pop", "mf_ips_pos"]
+    assert all(len(v) == 2 and np.all(np.isfinite(v)) for v in mse.values())
 
 
 @pytest.mark.skipif(
@@ -327,11 +385,11 @@ def _real_data_mse(biased_path, unbiased_path, mcar_fraction, delimiter):
     reason="optional: set IPSMF_YAHOO_BIASED and IPSMF_YAHOO_UNBIASED to the "
            "user-supplied rating files",
 )
-def test_c7_real_data_reproduction_yahoo():
+def test_c7_real_data_reproduction_yahoo(tmp_path):
     """Criterion 7 (optional): user-supplied Yahoo!R3 copies; joint-correction
     MSE within 0.9629 +/- 0.05 and ordering mul < pos < pop."""
-    mse = _real_data_mse(YAHOO_BIASED, YAHOO_UNBIASED, mcar_fraction=0.05,
-                         delimiter="\t")
+    mse = real_data_mean_mse(tmp_path, YAHOO_BIASED, YAHOO_UNBIASED,
+                             mcar_fraction=0.05, delimiter="\t")
     assert abs(mse["mf_ips_mul"] - 0.9629) <= 0.05
     assert mse["mf_ips_mul"] < mse["mf_ips_pos"] < mse["mf_ips_pop"]
 
@@ -341,11 +399,11 @@ def test_c7_real_data_reproduction_yahoo():
     reason="optional: set IPSMF_COAT_BIASED and IPSMF_COAT_UNBIASED to the "
            "user-supplied rating files",
 )
-def test_c7_real_data_reproduction_coat():
+def test_c7_real_data_reproduction_coat(tmp_path):
     """Criterion 7 (optional): user-supplied Coat copies; joint-correction MSE
     within 1.1020 +/- 0.05 and ordering mul < pos < pop."""
-    mse = _real_data_mse(COAT_BIASED, COAT_UNBIASED, mcar_fraction=0.20,
-                         delimiter=",")
+    mse = real_data_mean_mse(tmp_path, COAT_BIASED, COAT_UNBIASED,
+                             mcar_fraction=0.20, delimiter=",")
     assert abs(mse["mf_ips_mul"] - 1.1020) <= 0.05
     assert mse["mf_ips_mul"] < mse["mf_ips_pos"] < mse["mf_ips_pop"]
 

@@ -657,3 +657,29 @@ def test_main_reports_config_errors(tmp_path, capsys):
     code = main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "x")])
     assert code == 2
     assert "gamma" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section, message", [
+    ("[method mf_ips_mf]\npropensity_steps = 0",
+     "[method mf_ips_mf] propensity_steps: must be positive, got 0"),
+    ("[propensity]\npropensity_steps = -2",
+     "[propensity] propensity_steps: must be positive, got -2"),
+    ("[data]\ndense_ids = false", "[data] unknown key 'dense_ids'"),
+], ids=["steps-zero", "steps-negative", "dense-ids-removed"])
+def test_pipeline_and_data_keys_checked(tmp_path, capsys, section, message):
+    path = write_config(tmp_path, BASE_CONFIG + "\n" + section + "\n")
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        load_config(path)
+    assert main(["train", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {message}")
+
+
+def test_main_reports_propensity_errors(tmp_path, capsys):
+    # without smoothing, (item, rating) cells unseen in the small mcar sample
+    # give the joint estimator a zero prior
+    path = write_config(tmp_path, BASE_CONFIG.replace("alpha2 = 2", "alpha2 = 0"))
+    code = main(["train", "--config", str(path), "--out", str(tmp_path / "out"),
+                 "--seeds", "0"])
+    assert code == 2
+    assert "propensity error: alpha2=0 with (item, rating) cells unseen" in \
+        capsys.readouterr().err

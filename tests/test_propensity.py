@@ -296,6 +296,12 @@ class TestMFLearned:
         assert np.all(model.table > 0.0)
         assert model.table.min() < 1e-300
 
+    @pytest.mark.parametrize("steps", [0, -1])
+    def test_no_steps_rejected(self, steps):
+        train = random_observations(8, 6, 0.5, seed=1)
+        with pytest.raises(ValueError, match=f"max_steps must be at least 1, got {steps}"):
+            estimate_mf_propensity(train, 8, 6, dim=2, max_steps=steps)
+
 
 def random_observations(n_users, n_items, density, seed):
     rng = np.random.default_rng(seed)
