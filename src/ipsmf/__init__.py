@@ -20,12 +20,10 @@ from .data import (
 )
 from .model import (
     MFParameters,
-    AvgModel,
     init_params,
     predict,
     predict_many,
     fit_avg,
-    predict_avg,
     save_checkpoint,
     load_checkpoint,
 )

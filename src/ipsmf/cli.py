@@ -24,14 +24,16 @@ import itertools
 import logging
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from .data import (
+    RatingDataError,
     RatingDataset,
     SplitBundle,
+    SplitError,
     filter_to_test_users,
     load_ratings,
     load_rating_pair,
@@ -43,12 +45,7 @@ from .data import (
 )
 from .metrics import METRIC_FIELDS, bootstrap_interval, evaluate, summarize_runs
 from .model import fit_avg, save_checkpoint
-from .optim import (
-    TrainConfig,
-    TrainingDivergedError,
-    save_history,
-    train,
-)
+from .optim import SCHEDULES, HistoryRow, TrainConfig, TrainingDivergedError, train
 from .propensity import (
     PropensityError,
     PropensityModel,
@@ -76,6 +73,7 @@ RESULT_COLUMNS = (
     "epochs_run", "best_epoch",
     "mse", "mae", "rmse", "rmse_per_user", "rmse_per_item",
 )
+HISTORY_COLUMNS = tuple(f.name for f in fields(HistoryRow))
 
 
 class ConfigError(ValueError):
@@ -99,30 +97,37 @@ def _parse_delimiter(text: str) -> str:
     return {"\\t": "\t", "tab": "\t"}.get(text.strip(), text.strip())
 
 
-def _parse_budget(text: str) -> int:
-    budget = int(text)
-    if budget < 0:
-        raise ConfigError(f"must be nonnegative, got {budget}")
-    return budget
+def _checked(cast, bad, rule: str):
+    """A parser that casts its text and rejects a value for which `bad`
+    holds: the check the value's constructor makes, run at load time."""
+    def parse(text: str):
+        value = cast(text)
+        if bad(value):
+            raise ConfigError(f"must be {rule}, got {value!r}")
+        return value
+    return parse
 
 
-def _parse_positive(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise ConfigError(f"must be positive, got {value}")
-    return value
+_parse_positive = _checked(int, lambda v: v <= 0, "positive")
+_parse_positive_float = _checked(float, lambda v: v <= 0, "positive")
+_parse_nonnegative_float = _checked(float, lambda v: v < 0, "nonnegative")
 
-
+# The checks of TrainConfig, SmoothingConfig (alphas), propensity.clip
+# (clip_floor) and init_params (propensity_dim).
 _TRAIN_CASTS = {
-    "learning_rate": float, "l2_weight": float, "batch_size": int,
-    "max_epochs": int, "patience": int, "schedule": str,
-    "embedding_dim": int, "init_scale": float,
+    "learning_rate": _parse_positive_float, "l2_weight": _parse_nonnegative_float,
+    "batch_size": _parse_positive, "max_epochs": _parse_positive, "patience": _parse_positive,
+    "schedule": _checked(str, lambda v: v not in SCHEDULES, " or ".join(SCHEDULES)),
+    "embedding_dim": _parse_positive, "init_scale": _parse_nonnegative_float,
 }
 _PIPELINE_CASTS = {
-    "normalize": _parse_bool, "clip_floor": float, "alpha1": float, "alpha2": float,
-    "propensity_dim": int, "propensity_learning_rate": float,
+    "normalize": _parse_bool,
+    "clip_floor": _checked(float, lambda v: not 0.0 < v <= 1.0, "in (0, 1]"),
+    "alpha1": _parse_nonnegative_float, "alpha2": _parse_nonnegative_float,
+    "propensity_dim": _parse_positive, "propensity_learning_rate": float,
     "propensity_steps": _parse_positive,
 }
+_METHOD_CASTS = {**_TRAIN_CASTS, **_PIPELINE_CASTS}
 _PIPELINE_DEFAULTS = {
     "normalize": True, "clip_floor": None, "alpha1": 1.0, "alpha2": 1.0,
     "propensity_dim": 8, "propensity_learning_rate": 0.05, "propensity_steps": 300,
@@ -185,10 +190,9 @@ _EXPERIMENT_DEFAULTS = {
     "methods": ("mf",), "seeds": (0,), "gammas": (0.0, 0.25, 0.5, 0.75, 1.0),
     "output_dir": Path("out"), "clamp_predictions": False,
 }
-_TUNE_CASTS = {"budget": _parse_budget}
+_TUNE_CASTS = {"budget": _checked(int, lambda v: v < 0, "nonnegative")}
 _TUNE_LISTS = {
-    "learning_rate": float, "l2_weight": float, "embedding_dim": int,
-    "alpha1": float, "alpha2": float,
+    k: _METHOD_CASTS[k] for k in ("learning_rate", "l2_weight", "embedding_dim", "alpha1", "alpha2")
 }
 _TUNE_DEFAULTS = {
     "learning_rate": (1e-3, 1e-4, 1e-5),
@@ -251,9 +255,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
             method = section[len("method "):].strip()
             if method not in METHODS:
                 raise ConfigError(f"[{section}] unknown method")
-            overrides[method] = _parse_section(
-                parser, section, {**_TRAIN_CASTS, **_PIPELINE_CASTS}
-            )
+            overrides[method] = _parse_section(parser, section, _METHOD_CASTS)
 
     simulation = _parse_section(
         parser, "simulation", _SIMULATION_CASTS, lists=_SIMULATION_LISTS
@@ -598,7 +600,9 @@ def cmd_train(cfg: ExperimentConfig, out_dir: Path, threads: int = 1) -> Path:
         if "history" not in record:
             continue
         tag = f"{row['method']}_seed{row['seed']}"
-        save_history(record["history"], out_dir / f"history_{tag}.csv")
+        _write_rows(
+            out_dir / f"history_{tag}.csv", HISTORY_COLUMNS, [vars(h) for h in record["history"]]
+        )
         save_checkpoint(
             record["params"], out_dir / f"checkpoint_{tag}.bin", seed=row["seed"]
         )
@@ -806,6 +810,9 @@ def main(argv=None) -> int:
         return 2
     except PropensityError as exc:
         print(f"propensity error: {exc}", file=sys.stderr)
+        return 2
+    except (RatingDataError, SplitError) as exc:
+        print(f"data error: {exc}", file=sys.stderr)
         return 2
     return 0
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import RatingDataset
-from .model import AvgModel, MFParameters, predict_avg_many, predict_many
+from .model import MFParameters, predict_many
 
 
 @dataclass(frozen=True)
@@ -33,8 +33,6 @@ class MetricReport:
 def _predictions(model, test: RatingDataset) -> np.ndarray:
     if isinstance(model, MFParameters):
         return predict_many(model, test.users, test.items)
-    if isinstance(model, AvgModel):
-        return predict_avg_many(model, test.users, test.items)
     if callable(model):
         return np.asarray(model(test.users, test.items), dtype=float)
     raise TypeError(f"cannot predict with {type(model).__name__}")
@@ -55,7 +53,7 @@ def evaluate(
 ) -> MetricReport:
     """Score a predictor on held-out triples.
 
-    `model` may be MFParameters, an AvgModel, or a callable
+    `model` may be MFParameters (the avg baseline included) or a callable
     ``(users, items) -> predictions``. With ``clamp=True`` predictions are
     clipped to the dataset's rating scale before scoring; the default reports
     raw errors.

@@ -163,41 +163,27 @@ def predict_many(params: MFParameters, users: np.ndarray, items: np.ndarray) -> 
     return preds
 
 
-@dataclass
-class AvgModel:
-    """Non-personalized baseline: mean observed rating per item, global fallback."""
+def fit_avg(train: RatingDataset) -> MFParameters:
+    """The per-item-average baseline as a model with no latent factors.
 
-    per_item_mean: np.ndarray
-    item_counts: np.ndarray
-    global_mean: float
-
-
-def fit_avg(train: RatingDataset) -> AvgModel:
+    ``item_off`` holds each item's mean train rating, or the global train
+    mean for an item without train ratings; every other group is zero, so
+    :func:`predict_many` returns the item mean exactly.
+    """
     if len(train) == 0:
         raise ValueError("cannot fit the average baseline on an empty dataset")
     counts = np.bincount(train.items, minlength=train.num_items)
     sums = np.bincount(train.items, weights=train.ratings.astype(float), minlength=train.num_items)
-    global_mean = float(train.ratings.mean())
-    means = np.full(train.num_items, global_mean)
+    means = np.full(train.num_items, float(train.ratings.mean()))
     observed = counts > 0
     means[observed] = sums[observed] / counts[observed]
-    return AvgModel(per_item_mean=means, item_counts=counts, global_mean=global_mean)
-
-
-def predict_avg(model: AvgModel, user: int, item: int) -> float:
-    """Item mean when the item was observed in training, else the global mean."""
-    if 0 <= item < len(model.per_item_mean) and model.item_counts[item] > 0:
-        return float(model.per_item_mean[item])
-    return model.global_mean
-
-
-def predict_avg_many(model: AvgModel, users: np.ndarray, items: np.ndarray) -> np.ndarray:
-    items = np.asarray(items)
-    preds = np.full(len(items), model.global_mean)
-    valid = (items >= 0) & (items < len(model.per_item_mean))
-    observed = valid & (model.item_counts[np.where(valid, items, 0)] > 0)
-    preds[observed] = model.per_item_mean[items[observed]]
-    return preds
+    return MFParameters(
+        user_emb=np.zeros((train.num_users, 0)),
+        item_emb=np.zeros((train.num_items, 0)),
+        user_off=np.zeros(train.num_users),
+        item_off=means,
+        global_off=np.array(0.0),
+    )
 
 
 # Checkpoint layout (documented in README): one ASCII header line

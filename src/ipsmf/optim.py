@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
@@ -24,6 +23,7 @@ from .model import MFParameters, PARAM_GROUPS, init_params, predict_many
 
 logger = logging.getLogger(__name__)
 
+SCHEDULES = ("concurrent", "alternating")
 USER_PHASE_GROUPS = ("user_emb", "user_off", "global_off")
 ITEM_PHASE_GROUPS = ("item_emb", "item_off")
 
@@ -57,7 +57,7 @@ class TrainConfig:
             raise ValueError("embedding_dim must be positive")
         if self.init_scale < 0:
             raise ValueError("init_scale must be nonnegative")
-        if self.schedule not in ("concurrent", "alternating"):
+        if self.schedule not in SCHEDULES:
             raise ValueError(f"unknown schedule {self.schedule!r}")
 
 
@@ -280,18 +280,6 @@ class TrainResult:
     history: list[HistoryRow]
     best_epoch: int
     best_validation: float
-
-
-def save_history(rows: list[HistoryRow], path: str | Path, delimiter: str = ",") -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(delimiter.join(
-            ("epoch", "train_ips_loss", "validation_snips_mse", "test_mse")) + "\n")
-        for row in rows:
-            test = "" if row.test_mse is None else repr(float(row.test_mse))
-            fh.write(
-                f"{row.epoch}{delimiter}{float(row.train_ips_loss)!r}{delimiter}"
-                f"{float(row.validation_snips_mse)!r}{delimiter}{test}\n"
-            )
 
 
 def train(

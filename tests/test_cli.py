@@ -103,8 +103,12 @@ class TestConfigParsing:
          "[tune] budget: must be nonnegative, got -3"),
         ("seeds = 0, 1", "sedes = 3", "[experiment] unknown key 'sedes'"),
         ("[train]", "[tune]\nbudgt = 2\n[train]", "[tune] unknown key 'budgt'"),
+        ("[train]", "[tune]\nlearning_rate = 0.01, 0\n[train]",
+         "[tune] learning_rate: must be positive, got 0.0"),
+        ("[train]", "[tune]\nembedding_dim = 0\n[train]",
+         "[tune] embedding_dim: must be positive, got 0"),
     ], ids=["seeds-not-int", "budget-not-int", "budget-negative", "experiment-typo",
-            "tune-typo"])
+            "tune-typo", "tune-learning-rate-zero", "tune-dim-zero"])
     def test_experiment_and_tune_keys_checked(self, tmp_path, capsys, old, new, message):
         path = write_config(tmp_path, BASE_CONFIG.replace(old, new))
         with pytest.raises(ConfigError, match=re.escape(message)):
@@ -301,6 +305,22 @@ embedding_dim = 4
         assert main(["train", "--config", str(tmp_path / "raw.ini"), "--out", str(out)]) == 2
         assert "[data] biased" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("name, old, new, message", [
+        ("unbiased.csv", "user_id,item_id", "user,item", "unbiased.csv: line 1: "),
+        ("raw.ini", "mcar_fraction = 0.25", "mcar_fraction = 1.5",
+         "fraction must be in (0, 1), got 1.5"),
+    ], ids=["bad-header", "bad-fraction"])
+    def test_data_errors_reported(self, tmp_path, capsys, name, old, new, message):
+        # a malformed input file (RatingDataError) or an impossible split
+        # (SplitError) exits 2 with its message, not a traceback
+        self.raw_pair_config(tmp_path)
+        path = tmp_path / name
+        path.write_text(path.read_text().replace(old, new))
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(tmp_path / "raw.ini"), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and message in err
 
     def test_split_manifest_bytes_pinned(self, tmp_path):
         # the split sizes come from the result rows; they must equal a fresh
@@ -659,15 +679,27 @@ def test_main_reports_config_errors(tmp_path, capsys):
     assert "gamma" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("section, message", [
-    ("[method mf_ips_mf]\npropensity_steps = 0",
+@pytest.mark.parametrize("old, new, message", [
+    ("[method mf_ips_mul]", "[method mf_ips_mf]\npropensity_steps = 0\n[method mf_ips_mul]",
      "[method mf_ips_mf] propensity_steps: must be positive, got 0"),
-    ("[propensity]\npropensity_steps = -2",
+    ("[train]", "[propensity]\npropensity_steps = -2\n[train]",
      "[propensity] propensity_steps: must be positive, got -2"),
-    ("[data]\ndense_ids = false", "[data] unknown key 'dense_ids'"),
-], ids=["steps-zero", "steps-negative", "dense-ids-removed"])
-def test_pipeline_and_data_keys_checked(tmp_path, capsys, section, message):
-    path = write_config(tmp_path, BASE_CONFIG + "\n" + section + "\n")
+    ("[train]", "[data]\ndense_ids = false\n[train]", "[data] unknown key 'dense_ids'"),
+    ("max_epochs = 12", "max_epochs = 0", "[train] max_epochs: must be positive, got 0"),
+    ("learning_rate = 0.01", "learning_rate = -1",
+     "[train] learning_rate: must be positive, got -1.0"),
+    ("schedule = alternating", "schedule = sideways",
+     "[train] schedule: must be concurrent or alternating, got 'sideways'"),
+    ("[train]", "[propensity]\nclip_floor = 0\n[train]",
+     "[propensity] clip_floor: must be in (0, 1], got 0.0"),
+    ("alpha1 = 2", "alpha1 = -1", "[method mf_ips_mul] alpha1: must be nonnegative, got -1.0"),
+    ("[method mf_ips_mul]", "[method mf_ips_mf]\npropensity_dim = 0\n[method mf_ips_mul]",
+     "[method mf_ips_mf] propensity_dim: must be positive, got 0"),
+], ids=["steps-zero", "steps-negative", "dense-ids-removed", "max-epochs-zero",
+        "learning-rate-negative", "schedule-unknown", "clip-floor-zero", "alpha1-negative",
+        "propensity-dim-zero"])
+def test_pipeline_and_data_keys_checked(tmp_path, capsys, old, new, message):
+    path = write_config(tmp_path, BASE_CONFIG.replace(old, new))
     with pytest.raises(ConfigError, match=re.escape(message)):
         load_config(path)
     assert main(["train", "--config", str(path), "--out", str(tmp_path / "out")]) == 2

@@ -9,14 +9,11 @@ from ipsmf.data import RatingDataset
 from ipsmf.model import (
     PARAM_GROUPS,
     _PACKED_ORDER,
-    AvgModel,
     MFParameters,
     fit_avg,
     init_params,
     load_checkpoint,
     predict,
-    predict_avg,
-    predict_avg_many,
     predict_many,
     save_checkpoint,
 )
@@ -188,36 +185,77 @@ def test_init_rejects_bad_dim():
 
 
 class TestAvg:
+    """The avg baseline is an MFParameters with no factors whose item offsets
+    are the per-item train means."""
+
     def make_train(self):
+        # item 3 is in the id space but has no train ratings
         return RatingDataset(
-            num_users=3, num_items=3,
+            num_users=3, num_items=4,
             users=np.array([0, 1, 2, 0]),
             items=np.array([0, 0, 1, 2]),
             ratings=np.array([5, 1, 4, 2]),
         )
 
+    @staticmethod
+    def item_means(train):
+        """Each item's mean train rating, the global mean for an unrated item."""
+        ratings = train.ratings.astype(float)
+        return np.array([
+            ratings[train.items == i].mean() if np.any(train.items == i) else ratings.mean()
+            for i in range(train.num_items)
+        ])
+
+    def predict_all(self, params, train):
+        users, items = np.meshgrid(np.arange(train.num_users), np.arange(train.num_items),
+                                   indexing="ij")
+        return predict_many(params, users.ravel(), items.ravel()).reshape(users.shape)
+
     def test_item_mean(self):
-        model = fit_avg(self.make_train())
-        assert predict_avg(model, 0, 0) == pytest.approx(3.0)
+        train = self.make_train()
+        preds = self.predict_all(fit_avg(train), train)
+        expected = np.broadcast_to(self.item_means(train), preds.shape)
+        np.testing.assert_array_equal(preds, expected)
 
     def test_unseen_item_falls_back_to_global_mean(self):
-        model = fit_avg(self.make_train())
-        assert predict_avg(model, 1, 2) == pytest.approx(2.0)  # single rating 2
-        # item index past the training range also falls back
-        assert predict_avg(model, 1, 99) == pytest.approx(model.global_mean)
+        train = self.make_train()
+        params = fit_avg(train)
+        assert predict_many(params, np.arange(3), np.full(3, 3)).tolist() == [3.0] * 3
+        # an item index outside the train id space is an error, as for any model
+        with pytest.raises(IndexError):
+            predict_many(params, np.array([1]), np.array([99]))
 
     def test_exact_means_on_fixture(self):
-        model = fit_avg(self.make_train())
-        assert model.global_mean == pytest.approx(3.0)
-        np.testing.assert_allclose(model.per_item_mean[:2], [3.0, 4.0])
+        params = fit_avg(self.make_train())
+        assert params.dim == 0
+        assert (params.num_users, params.num_items) == (3, 4)
+        assert params.item_off.tolist() == [3.0, 4.0, 2.0, 3.0]
+        assert params.user_off.tolist() == [0.0, 0.0, 0.0]
+        assert float(params.global_off) == 0.0
 
     def test_vectorized_matches_scalar(self):
-        model = fit_avg(self.make_train())
-        users = np.array([0, 1, 2])
-        items = np.array([0, 1, 2])
-        batch = predict_avg_many(model, users, items)
-        for k in range(3):
-            assert batch[k] == pytest.approx(predict_avg(model, users[k], items[k]))
+        params = fit_avg(self.make_train())
+        users = np.array([0, 1, 2, 1])
+        items = np.array([0, 1, 2, 3])
+        batch = predict_many(params, users, items)
+        assert batch.tolist() == [predict(params, u, i) for u, i in zip(users, items)]
+
+    def test_random_ratings_bit_for_bit(self):
+        rng = np.random.default_rng(4)
+        # items 50..59 have no train ratings
+        pairs = rng.choice(40 * 50, size=700, replace=False)
+        train = RatingDataset(
+            num_users=40, num_items=60, users=pairs // 50, items=pairs % 50,
+            ratings=rng.integers(1, 6, size=700),
+        )
+        preds = self.predict_all(fit_avg(train), train)
+        np.testing.assert_array_equal(preds, np.broadcast_to(self.item_means(train), preds.shape))
+
+    def test_pickles_exactly(self):
+        params = fit_avg(self.make_train())
+        restored = pickle.loads(pickle.dumps(params))
+        for group in PARAM_GROUPS:
+            np.testing.assert_array_equal(restored.group(group), params.group(group))
 
 
 def test_checkpoint_roundtrip_exact(tmp_path):
