@@ -34,7 +34,6 @@ from .data import (
     RatingDataset,
     SplitBundle,
     SplitError,
-    filter_to_test_users,
     load_ratings,
     load_rating_pair,
     reindex_users,
@@ -113,7 +112,8 @@ _parse_positive_float = _checked(float, lambda v: v <= 0, "positive")
 _parse_nonnegative_float = _checked(float, lambda v: v < 0, "nonnegative")
 
 # The checks of TrainConfig, SmoothingConfig (alphas), propensity.clip
-# (clip_floor) and init_params (propensity_dim).
+# (clip_floor), init_params (propensity_dim) and estimate_mf_propensity
+# (propensity_learning_rate, propensity_steps).
 _TRAIN_CASTS = {
     "learning_rate": _parse_positive_float, "l2_weight": _parse_nonnegative_float,
     "batch_size": _parse_positive, "max_epochs": _parse_positive, "patience": _parse_positive,
@@ -124,7 +124,7 @@ _PIPELINE_CASTS = {
     "normalize": _parse_bool,
     "clip_floor": _checked(float, lambda v: not 0.0 < v <= 1.0, "in (0, 1]"),
     "alpha1": _parse_nonnegative_float, "alpha2": _parse_nonnegative_float,
-    "propensity_dim": _parse_positive, "propensity_learning_rate": float,
+    "propensity_dim": _parse_positive, "propensity_learning_rate": _parse_positive_float,
     "propensity_steps": _parse_positive,
 }
 _METHOD_CASTS = {**_TRAIN_CASTS, **_PIPELINE_CASTS}
@@ -181,6 +181,10 @@ _DATA_CASTS = {
     "delimiter": _parse_delimiter, "filter_users": _parse_bool,
     "train_fraction": float, "mcar_fraction": float, "split_seed": int,
     "num_users": int, "num_items": int,
+}
+_DATA_DEFAULTS = {
+    "delimiter": ",", "filter_users": True,
+    "train_fraction": 0.8, "mcar_fraction": 0.05, "split_seed": 0,
 }
 
 
@@ -260,10 +264,9 @@ def load_config(path: str | Path) -> ExperimentConfig:
     simulation = _parse_section(
         parser, "simulation", _SIMULATION_CASTS, lists=_SIMULATION_LISTS
     ) if parser.has_section("simulation") else None
-    data = _parse_section(parser, "data", _DATA_CASTS) if parser.has_section("data") else None
-    if simulation is None and data is None:
-        raise ConfigError("config needs a [simulation] or [data] section")
-    if data is not None:
+    data = None
+    if parser.has_section("data"):
+        data = {**_DATA_DEFAULTS, **_parse_section(parser, "data", _DATA_CASTS)}
         # the stem of this file is the `dataset` cell of the result tables,
         # which are written unquoted
         key = "biased" if "biased" in data else "train"
@@ -272,6 +275,8 @@ def load_config(path: str | Path) -> ExperimentConfig:
                 f"[data] {key}: file name of {data[key]!r} is the dataset label "
                 "and must not contain a comma or a line break"
             )
+    if simulation is None and data is None:
+        raise ConfigError("config needs a [simulation] or [data] section")
 
     tune = {**_TUNE_DEFAULTS, **_parse_section(parser, "tune", _TUNE_CASTS, _TUNE_LISTS)}
 
@@ -316,7 +321,7 @@ class LoadedData:
 
 
 def _load_split_files(data_cfg: dict) -> LoadedData:
-    delim = data_cfg.get("delimiter", ",")
+    delim = data_cfg["delimiter"]
     num_users = data_cfg.get("num_users")
     num_items = data_cfg.get("num_items")
     parts = {}
@@ -345,20 +350,14 @@ def _load_split_files(data_cfg: dict) -> LoadedData:
 
 
 def _load_raw_files(data_cfg: dict) -> LoadedData:
-    delim = data_cfg.get("delimiter", ",")
     biased, unbiased, _ = load_rating_pair(
-        data_cfg["biased"], data_cfg["unbiased"], delimiter=delim
+        data_cfg["biased"], data_cfg["unbiased"], delimiter=data_cfg["delimiter"]
     )
-    if data_cfg.get("filter_users", True):
-        biased = filter_to_test_users(biased, unbiased)
+    if data_cfg["filter_users"]:
         biased, unbiased = reindex_users([biased, unbiased], np.unique(unbiased.users))
-    split_seed = data_cfg.get("split_seed", 0)
-    train, validation = split_biased(
-        biased, data_cfg.get("train_fraction", 0.8), [split_seed, 0]
-    )
-    mcar, test = split_unbiased(
-        unbiased, data_cfg.get("mcar_fraction", 0.05), [split_seed, 1]
-    )
+    split_seed = data_cfg["split_seed"]
+    train, validation = split_biased(biased, data_cfg["train_fraction"], [split_seed, 0])
+    mcar, test = split_unbiased(unbiased, data_cfg["mcar_fraction"], [split_seed, 1])
     bundle = SplitBundle(train=train, validation=validation, mcar=mcar, test=test)
     return LoadedData(bundle, None, Path(data_cfg["biased"]).stem, None)
 
@@ -391,7 +390,6 @@ def build_propensity_model(
 ) -> PropensityModel | None:
     """Estimate, normalize, and clip the propensity model a method trains with."""
     train = bundle.train
-    n_u, n_i = train.num_users, train.num_items
     if method == "avg":
         return None
     if method == "mf_ips_gt":
@@ -399,23 +397,22 @@ def build_propensity_model(
             raise ConfigError("mf_ips_gt requires ground-truth propensities")
         return ground_truth  # exact table: no normalization or clipping
     if method == "mf":
-        model = uniform_propensities(train, n_u, n_i)
+        model = uniform_propensities(train)
     elif method == "mf_ips_pop":
-        model = estimate_popularity(train, n_u, n_i)
+        model = estimate_popularity(train)
     elif method == "mf_ips_pos":
         if len(bundle.mcar) == 0:
             raise ConfigError("mf_ips_pos requires a nonempty mcar split")
-        model = estimate_positivity(train, bundle.mcar, n_u, n_i)
+        model = estimate_positivity(train, bundle.mcar)
     elif method == "mf_ips_mul":
         if len(bundle.mcar) == 0:
             raise ConfigError("mf_ips_mul requires a nonempty mcar split")
         model = estimate_multifactorial(
-            train, bundle.mcar, n_u, n_i,
-            SmoothingConfig(pipeline["alpha1"], pipeline["alpha2"]),
+            train, bundle.mcar, SmoothingConfig(pipeline["alpha1"], pipeline["alpha2"])
         )
     elif method == "mf_ips_mf":
         model = estimate_mf_propensity(
-            train, n_u, n_i,
+            train,
             dim=pipeline["propensity_dim"],
             learning_rate=pipeline["propensity_learning_rate"],
             max_steps=pipeline["propensity_steps"],
@@ -478,7 +475,7 @@ def _read_rows(path: Path) -> list[dict]:
         return [dict(zip(header, line.strip().split(","))) for line in fh if line.strip()]
 
 
-def _result_row(cfg, loaded, method, seed, train_config, pipeline, report, result, prop):
+def _result_row(cfg, loaded, method, seed, train_config, report, result, prop):
     row = {
         "config_hash": cfg.config_hash,
         "dataset": loaded.label,
@@ -505,11 +502,11 @@ def _result_row(cfg, loaded, method, seed, train_config, pipeline, report, resul
             "batch_size": train_config.batch_size,
             "epochs_run": len(result.history),
             "best_epoch": result.best_epoch,
+            "alpha1": prop.alpha1,
+            "alpha2": prop.alpha2,
             "clip_floor": prop.clip_floor,
             "normalization": prop.normalization,
         })
-        if method == "mf_ips_mul":
-            row.update({"alpha1": pipeline["alpha1"], "alpha2": pipeline["alpha2"]})
     return row
 
 
@@ -527,18 +524,15 @@ def _run_cell(args) -> list[dict]:
     records = []
     for method in cfg.methods:
         train_config = cfg.train_settings(method, seed)
-        pipeline = cfg.pipeline_settings(method)
         prop = build_propensity_model(
-            method, loaded.bundle, pipeline, loaded.ground_truth, seed=seed
+            method, loaded.bundle, cfg.pipeline_settings(method), loaded.ground_truth, seed=seed
         )
         report, result = run_method(
             method, train_on, loaded.bundle.test, train_config, prop,
             clamp=cfg.clamp_predictions,
         )
         record = {
-            "row": _result_row(
-                cfg, loaded, method, seed, train_config, pipeline, report, result, prop
-            )
+            "row": _result_row(cfg, loaded, method, seed, train_config, report, result, prop)
         }
         if keep_artifacts and result is not None:
             record["history"] = result.history
@@ -591,9 +585,9 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path) -> None:
 
 
 def cmd_train(cfg: ExperimentConfig, out_dir: Path, threads: int = 1) -> Path:
-    out_dir.mkdir(parents=True, exist_ok=True)
     cells = [(cfg, seed, None, True) for seed in cfg.seeds]
     records = [rec for cell in _run_cells(cfg, cells, threads) for rec in cell]
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     for record in records:
         row = record["row"]
@@ -618,9 +612,9 @@ def cmd_train(cfg: ExperimentConfig, out_dir: Path, threads: int = 1) -> Path:
         sizes = rows[0]
         write_manifest(out_dir / "split_manifest.txt", {
             "config_hash": cfg.config_hash,
-            "split_seed": cfg.data.get("split_seed", 0),
-            "train_fraction": repr(cfg.data.get("train_fraction", 0.8)),
-            "mcar_fraction": repr(cfg.data.get("mcar_fraction", 0.05)),
+            "split_seed": cfg.data["split_seed"],
+            "train_fraction": repr(cfg.data["train_fraction"]),
+            "mcar_fraction": repr(cfg.data["mcar_fraction"]),
             **{k: sizes[k] for k in ("n_train", "n_validation", "n_mcar", "n_test")},
         })
     return results_path
@@ -629,10 +623,10 @@ def cmd_train(cfg: ExperimentConfig, out_dir: Path, threads: int = 1) -> Path:
 def cmd_sweep_gamma(cfg: ExperimentConfig, out_dir: Path, gammas=None, threads: int = 1) -> Path:
     if cfg.simulation is None:
         raise ConfigError("sweep-gamma requires a [simulation] section")
-    out_dir.mkdir(parents=True, exist_ok=True)
     gammas = list(cfg.gammas if gammas is None else gammas)
     cells = [(cfg, seed, gamma, False) for gamma in gammas for seed in cfg.seeds]
     rows = [rec["row"] for cell in _run_cells(cfg, cells, threads) for rec in cell]
+    out_dir.mkdir(parents=True, exist_ok=True)
     rows.sort(key=lambda r: (r["gamma"], r["method"], r["seed"]))
     results_path = out_dir / "sweep_results.csv"
     _write_rows(results_path, RESULT_COLUMNS, rows)
@@ -681,7 +675,6 @@ def cmd_tune(cfg: ExperimentConfig, out_dir: Path) -> Path:
     is built once per call, as the seed and data are fixed, and shared by the
     points that need it. Grid points train without the test split.
     """
-    out_dir.mkdir(parents=True, exist_ok=True)
     seed = cfg.seeds[0]
     loaded = load_experiment_data(cfg, run_seed=seed)
     bundle = _without_test(loaded.bundle)
@@ -723,6 +716,7 @@ def cmd_tune(cfg: ExperimentConfig, out_dir: Path) -> Path:
 
     columns = ("method", "learning_rate", "l2_weight", "embedding_dim",
                "alpha1", "alpha2", "clip_floor", "validation_score", "points_evaluated")
+    out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "tuned.csv"
     _write_rows(path, columns, tuned_rows)
     return path

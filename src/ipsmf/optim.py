@@ -179,15 +179,13 @@ def ips_loss(
     batch: RatingDataset,
     propensities: np.ndarray,
     l2_weight: float,
-    num_users: int,
-    num_items: int,
     normalization: str = "observed",
 ) -> float:
     """Inverse-propensity-weighted squared error plus L2 penalty.
 
     With ``normalization="observed"`` the weighted sum is divided by the number
     of triples in `batch` (the training objective). With ``"population"`` it is
-    divided by ``num_users * num_items``, which makes the statistic an unbiased
+    divided by ``batch.num_users * batch.num_items``, which makes it an unbiased
     estimate of the full-matrix mean squared error under the true propensities.
     """
     propensities = _check_propensities(propensities, len(batch))
@@ -196,7 +194,7 @@ def ips_loss(
     if normalization == "observed":
         denom = len(batch)
     elif normalization == "population":
-        denom = num_users * num_items
+        denom = batch.num_users * batch.num_items
     else:
         raise ValueError(f"unknown normalization {normalization!r}")
     return float(weighted / denom + l2_weight * params.squared_norm())
@@ -353,10 +351,7 @@ def _fit(data, propensity_model, config, epoch_callback):
             if epoch_callback is not None:
                 epoch_callback(phase_name, epoch, params)
 
-        train_loss = ips_loss(
-            params, train, p_train, config.l2_weight,
-            train.num_users, train.num_items,
-        )
+        train_loss = ips_loss(params, train, p_train, config.l2_weight)
         val_score = _snips(params, validation, p_val)
         if not np.isfinite(train_loss) or not np.isfinite(val_score):
             raise TrainingDivergedError(

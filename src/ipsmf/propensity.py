@@ -152,11 +152,11 @@ def _counts_by_rating(data: RatingDataset) -> np.ndarray:
     return np.bincount(data.ratings - lo, minlength=data.num_rating_values).astype(float)
 
 
-def _counts_by_item_rating(data: RatingDataset, num_items: int) -> np.ndarray:
+def _counts_by_item_rating(data: RatingDataset) -> np.ndarray:
     lo, _ = data.rating_scale
     flat = data.items * data.num_rating_values + (data.ratings - lo)
-    counts = np.bincount(flat, minlength=num_items * data.num_rating_values)
-    return counts.reshape(num_items, data.num_rating_values).astype(float)
+    counts = np.bincount(flat, minlength=data.num_items * data.num_rating_values)
+    return counts.reshape(data.num_items, data.num_rating_values).astype(float)
 
 
 def _fallback_prior(prior: np.ndarray, what: str) -> np.ndarray:
@@ -184,22 +184,15 @@ def _cap_at_one(table: np.ndarray, family: str) -> np.ndarray:
     return np.minimum(table, 1.0)
 
 
-def uniform_propensities(
-    train: RatingDataset, num_users: int, num_items: int
-) -> PropensityModel:
+def uniform_propensities(train: RatingDataset) -> PropensityModel:
     """Constant propensity equal to the overall observation frequency."""
-    value = len(train) / (num_users * num_items)
+    value = len(train) / (train.num_users * train.num_items)
     return PropensityModel(
         family="uniform", rating_scale=train.rating_scale, table=value
     )
 
 
-def estimate_positivity(
-    train: RatingDataset,
-    mcar: RatingDataset,
-    num_users: int,
-    num_items: int,
-) -> PropensityModel:
+def estimate_positivity(train: RatingDataset, mcar: RatingDataset) -> PropensityModel:
     """Rating-value propensities via Bayes' rule on observed vs. unbiased frequencies.
 
     For rating value r, the estimate is
@@ -213,7 +206,7 @@ def estimate_positivity(
     count_d = _counts_by_rating(train)
     count_m = _counts_by_rating(mcar)
     prior = _fallback_prior(count_m / len(mcar), "rating")
-    p_obs = len(train) / (num_users * num_items)
+    p_obs = len(train) / (train.num_users * train.num_items)
     conditional = count_d / len(train)
     table = _cap_at_one(conditional * p_obs / prior, "positivity")
     return PropensityModel(
@@ -221,20 +214,18 @@ def estimate_positivity(
     )
 
 
-def estimate_popularity(
-    train: RatingDataset, num_users: int, num_items: int
-) -> PropensityModel:
+def estimate_popularity(train: RatingDataset) -> PropensityModel:
     """Per-item propensities from observation counts.
 
     The raw item frequency ``count_i / |D|`` is a distribution over items; it is
-    rescaled by ``|D| / num_users`` (giving the fraction of users that rated the
+    rescaled by ``|D| / U`` (giving the fraction of users that rated the
     item) so the values are usable as per-pair observation probabilities. Items
     never observed keep propensity zero and rely on the clip floor.
     """
     if len(train) == 0:
         raise PropensityError("popularity estimation requires a nonempty train set")
-    counts = np.bincount(train.items, minlength=num_items).astype(float)
-    table = counts / num_users
+    counts = np.bincount(train.items, minlength=train.num_items).astype(float)
+    table = counts / train.num_users
     return PropensityModel(
         family="popularity", rating_scale=train.rating_scale, table=table
     )
@@ -243,8 +234,6 @@ def estimate_popularity(
 def estimate_multifactorial(
     train: RatingDataset,
     mcar: RatingDataset,
-    num_users: int,
-    num_items: int,
     smoothing: SmoothingConfig = SmoothingConfig(),
 ) -> PropensityModel:
     """Joint (item, rating) propensities via Bayes' rule with additive smoothing.
@@ -260,27 +249,33 @@ def estimate_multifactorial(
       ``(count_M(i, r) + a2) / (count_M(r) + a2 * I)``; item sparsity is much
       more severe than rating-value sparsity, so the rating prior is left raw
       (with the same zero-count fallback as the positivity estimator);
-    - ``P(o=1) = |D| / (num_users * num_items)``.
+    - ``P(o=1) = |D| / (U * I)``, with the id space (U, I) of `train`.
+
+    Raises PropensityError for an empty mcar sample or a different item space.
     """
     if len(mcar) == 0:
         raise PropensityError("joint estimation requires a nonempty mcar sample")
+    if mcar.num_items != train.num_items:
+        raise PropensityError(
+            f"mcar sample has {mcar.num_items} items but train has {train.num_items}"
+        )
     a1, a2 = smoothing.alpha1, smoothing.alpha2
-    joint_conditional = smoothed_joint_conditional(train, num_items, a1)
+    joint_conditional = smoothed_joint_conditional(train, a1)
     if a1 == 0.0 and np.any(joint_conditional == 0):
         logger.warning(
             "alpha1=0 with unobserved (item, rating) cells yields zero propensities; "
             "they will rely on the clip floor"
         )
-    if a2 == 0.0 and np.any(_counts_by_item_rating(mcar, num_items) == 0):
+    if a2 == 0.0 and np.any(_counts_by_item_rating(mcar) == 0):
         raise PropensityError(
             "alpha2=0 with (item, rating) cells unseen in the mcar sample gives a "
             "zero-denominator prior; use alpha2 > 0"
         )
 
     rating_prior = _fallback_prior(_counts_by_rating(mcar) / len(mcar), "rating")
-    item_given_rating = smoothed_item_given_rating(mcar, num_items, a2)
+    item_given_rating = smoothed_item_given_rating(mcar, a2)
     prior = rating_prior[None, :] * item_given_rating
-    p_obs = len(train) / (num_users * num_items)
+    p_obs = len(train) / (train.num_users * train.num_items)
     table = _cap_at_one(joint_conditional * p_obs / prior, "multifactorial")
     return PropensityModel(
         family="multifactorial",
@@ -291,27 +286,21 @@ def estimate_multifactorial(
     )
 
 
-def smoothed_joint_conditional(
-    train: RatingDataset, num_items: int, alpha1: float
-) -> np.ndarray:
+def smoothed_joint_conditional(train: RatingDataset, alpha1: float) -> np.ndarray:
     """The alpha1-smoothed (item, rating) frequency table; sums to 1 over cells."""
-    count = _counts_by_item_rating(train, num_items)
-    return (count + alpha1) / (len(train) + alpha1 * num_items * train.num_rating_values)
+    count = _counts_by_item_rating(train)
+    return (count + alpha1) / (len(train) + alpha1 * train.num_items * train.num_rating_values)
 
 
-def smoothed_item_given_rating(
-    mcar: RatingDataset, num_items: int, alpha2: float
-) -> np.ndarray:
+def smoothed_item_given_rating(mcar: RatingDataset, alpha2: float) -> np.ndarray:
     """The alpha2-smoothed item distribution per rating; each column sums to 1."""
     count_r = _counts_by_rating(mcar)
-    count_ir = _counts_by_item_rating(mcar, num_items)
-    return (count_ir + alpha2) / (count_r + alpha2 * num_items)
+    count_ir = _counts_by_item_rating(mcar)
+    return (count_ir + alpha2) / (count_r + alpha2 * mcar.num_items)
 
 
 def estimate_mf_propensity(
     train: RatingDataset,
-    num_users: int,
-    num_items: int,
     *,
     dim: int = 8,
     learning_rate: float = 0.05,
@@ -348,15 +337,17 @@ def estimate_mf_propensity(
     """
     if max_steps < 1:
         raise ValueError(f"max_steps must be at least 1, got {max_steps}")
-    observed = np.zeros((num_users, num_items), dtype=bool)
+    if learning_rate <= 0:
+        raise ValueError(f"learning_rate must be positive, got {learning_rate}")
+    observed = np.zeros((train.num_users, train.num_items), dtype=bool)
     observed[train.users, train.items] = True
     base_rate = np.clip(observed.mean(), 1e-6, 1.0 - 1e-6)
     c = float(np.log(base_rate / (1.0 - base_rate)))
-    params = init_params(num_users, num_items, dim, seed, scale=0.1, global_offset=c)
+    params = init_params(*observed.shape, dim, seed, scale=0.1, global_offset=c)
     state = init_adam_state(params)
     grads = params.copy()  # every group is overwritten each step
-    n_cells = num_users * num_items
-    s = np.empty((num_users, num_items))
+    n_cells = observed.size
+    s = np.empty(observed.shape)
     w = np.empty_like(s)
     best_loss, best, prev_loss, converged = np.inf, None, np.inf, False
 

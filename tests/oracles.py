@@ -314,8 +314,7 @@ def fit_reference(data, propensity_model, config):
                 )
                 adam_step_reference(params, grads, m, v, steps, mask,
                                     config.learning_rate)
-        train_loss = ips_loss(params, train, p_train, config.l2_weight,
-                              train.num_users, train.num_items)
+        train_loss = ips_loss(params, train, p_train, config.l2_weight)
         w = 1.0 / p_val
         val_preds = predict_many(params, validation.users, validation.items)
         val_score = float(np.sum(w * (val_preds - validation.ratings) ** 2) / np.sum(w))
@@ -401,9 +400,9 @@ def estimate_multifactorial_table_reference(train, mcar, num_users, num_items, a
     """The joint (item, rating) table with both smoothed factors written out
     inline rather than taken from the smoothing helpers."""
     n_r = train.num_rating_values
-    count_d_ir = _counts_by_item_rating(train, num_items)
+    count_d_ir = _counts_by_item_rating(train)
     count_m_r = _counts_by_rating(mcar)
-    count_m_ir = _counts_by_item_rating(mcar, num_items)
+    count_m_ir = _counts_by_item_rating(mcar)
     joint_conditional = (count_d_ir + alpha1) / (len(train) + alpha1 * num_items * n_r)
     rating_prior = _fallback_prior(count_m_r / len(mcar), "rating")
     item_given_rating = (count_m_ir + alpha2) / (count_m_r + alpha2 * num_items)

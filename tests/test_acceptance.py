@@ -86,8 +86,7 @@ def test_c1_ips_estimator_unbiasedness():
         users, items = np.nonzero(mask)
         observed = RatingDataset(n_users, n_items, users, items, truth[mask])
         ips_estimates.append(ips_loss(
-            params, observed, propensity[mask], 0.0, n_users, n_items,
-            normalization="population",
+            params, observed, propensity[mask], 0.0, normalization="population",
         ))
         naive_estimates.append(float(delta[mask].mean()))
 
@@ -112,19 +111,19 @@ def test_c2_propensity_estimators_match_brute_force_oracle():
                          np.array([2, 1, 1, 2]), scale)
     values = [1, 2]
 
-    pos = estimate_positivity(train, mcar, 3, 3)
+    pos = estimate_positivity(train, mcar)
     pos_oracle = positivity_oracle(train.triples(), mcar.triples(), 3, 3, values)
     for r in values:
         assert pos.table[r - 1] == pytest.approx(
             min(pos_oracle[r], 1.0), abs=1e-12
         )
 
-    pop = estimate_popularity(train, 3, 3)
+    pop = estimate_popularity(train)
     pop_oracle = popularity_oracle(train.triples(), 3, 3)
     for i in range(3):
         assert pop.table[i] == pytest.approx(pop_oracle[i], abs=1e-12)
 
-    mul = estimate_multifactorial(train, mcar, 3, 3, SmoothingConfig(2.0, 3.0))
+    mul = estimate_multifactorial(train, mcar, SmoothingConfig(2.0, 3.0))
     mul_oracle = multifactorial_oracle(
         train.triples(), mcar.triples(), 3, 3, values, 2.0, 3.0
     )
@@ -144,9 +143,9 @@ def test_c3_smoothing_normalization_random_pairs():
     rng = np.random.default_rng(5)
     for _ in range(20):
         a1, a2 = rng.uniform(0.05, 12.0, size=2)
-        joint = smoothed_joint_conditional(train, train.num_items, a1)
+        joint = smoothed_joint_conditional(train, a1)
         assert abs(joint.sum() - 1.0) < 1e-9
-        conditional = smoothed_item_given_rating(mcar, mcar.num_items, a2)
+        conditional = smoothed_item_given_rating(mcar, a2)
         np.testing.assert_allclose(conditional.sum(axis=0), 1.0, atol=1e-9)
 
 
@@ -173,9 +172,9 @@ def test_c4_analytic_gradient_matches_finite_differences():
         for k in range(flat.size):
             orig = flat[k]
             flat[k] = orig + h
-            up = ips_loss(params, data, propensities, lam, n, n)
+            up = ips_loss(params, data, propensities, lam)
             flat[k] = orig - h
-            down = ips_loss(params, data, propensities, lam, n, n)
+            down = ips_loss(params, data, propensities, lam)
             flat[k] = orig
             numeric = (up - down) / (2 * h)
             rel = abs(grads.group(name).reshape(-1)[k] - numeric) / max(abs(numeric), 1e-6)

@@ -321,6 +321,16 @@ embedding_dim = 4
         assert main(["train", "--config", str(tmp_path / "raw.ini"), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("data error: ") and message in err
+        assert not out.exists()
+
+    def test_failed_tune_leaves_no_output_dir(self, tmp_path, capsys):
+        self.raw_pair_config(tmp_path)
+        path = tmp_path / "unbiased.csv"
+        path.write_text(path.read_text().replace("user_id,item_id", "user,item"))
+        out = tmp_path / "out"
+        assert main(["tune", "--config", str(tmp_path / "raw.ini"), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("data error: ")
+        assert not out.exists()
 
     def test_split_manifest_bytes_pinned(self, tmp_path):
         # the split sizes come from the result rows; they must equal a fresh
@@ -695,15 +705,31 @@ def test_main_reports_config_errors(tmp_path, capsys):
     ("alpha1 = 2", "alpha1 = -1", "[method mf_ips_mul] alpha1: must be nonnegative, got -1.0"),
     ("[method mf_ips_mul]", "[method mf_ips_mf]\npropensity_dim = 0\n[method mf_ips_mul]",
      "[method mf_ips_mf] propensity_dim: must be positive, got 0"),
+    ("[train]", "[propensity]\npropensity_learning_rate = 0\n[train]",
+     "[propensity] propensity_learning_rate: must be positive, got 0.0"),
+    ("[train]", "[propensity]\npropensity_learning_rate = -0.05\n[train]",
+     "[propensity] propensity_learning_rate: must be positive, got -0.05"),
 ], ids=["steps-zero", "steps-negative", "dense-ids-removed", "max-epochs-zero",
         "learning-rate-negative", "schedule-unknown", "clip-floor-zero", "alpha1-negative",
-        "propensity-dim-zero"])
+        "propensity-dim-zero", "propensity-learning-rate-zero",
+        "propensity-learning-rate-negative"])
 def test_pipeline_and_data_keys_checked(tmp_path, capsys, old, new, message):
     path = write_config(tmp_path, BASE_CONFIG.replace(old, new))
     with pytest.raises(ConfigError, match=re.escape(message)):
         load_config(path)
     assert main(["train", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err.startswith(f"config error: {message}")
+
+
+@pytest.mark.parametrize("command", ["train", "sweep-gamma"])
+def test_cell_config_error_leaves_no_output_dir(tmp_path, capsys, command):
+    # the default unbiased_per_user (40) exceeds num_items (25); the spec is
+    # built, and rejected, inside the first cell
+    path = write_config(tmp_path, BASE_CONFIG.replace("unbiased_per_user = 8\n", ""))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error: simulation: ")
+    assert not out.exists()
 
 
 def test_main_reports_propensity_errors(tmp_path, capsys):

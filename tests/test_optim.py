@@ -44,45 +44,45 @@ class TestIpsLoss:
         data = make_dataset(2, 2, [(0, 0, 3), (1, 1, 3)])
         params = init_params(2, 2, 2, seed=0, scale=0.0, global_offset=3.0)
         p = np.array([0.3, 0.9])
-        assert ips_loss(params, data, p, 0.0, 2, 2) == 0.0
+        assert ips_loss(params, data, p, 0.0) == 0.0
 
     def test_unit_propensities_reduce_to_mse(self):
         data, params, _ = random_instance(seed=3)
         p = np.ones(len(data))
         preds = predict_many(params, data.users, data.items)
         mse = float(np.mean((preds - data.ratings) ** 2))
-        assert ips_loss(params, data, p, 0.0, 6, 6) == pytest.approx(mse, rel=1e-12)
+        assert ips_loss(params, data, p, 0.0) == pytest.approx(mse, rel=1e-12)
 
     def test_forced_arithmetic_single_triple(self):
         data = make_dataset(1, 1, [(0, 0, 1)])
         params = init_params(1, 1, 2, seed=0, scale=0.0, global_offset=3.0)
         # residual 2, propensity 0.5 -> 4 / 0.5 = 8
-        assert ips_loss(params, data, np.array([0.5]), 0.0, 1, 1) == pytest.approx(8.0)
+        assert ips_loss(params, data, np.array([0.5]), 0.0) == pytest.approx(8.0)
 
     def test_propensity_scaling_inverse(self):
         data, params, p = random_instance(seed=5)
-        base = ips_loss(params, data, p, 0.0, 6, 6)
-        assert ips_loss(params, data, p * 0.5, 0.0, 6, 6) == pytest.approx(
+        base = ips_loss(params, data, p, 0.0)
+        assert ips_loss(params, data, p * 0.5, 0.0) == pytest.approx(
             2.0 * base, rel=1e-12
         )
 
     def test_population_normalization(self):
         data, params, p = random_instance(seed=7, density=0.5)
-        observed = ips_loss(params, data, p, 0.0, 6, 6, normalization="observed")
-        population = ips_loss(params, data, p, 0.0, 6, 6, normalization="population")
+        observed = ips_loss(params, data, p, 0.0, normalization="observed")
+        population = ips_loss(params, data, p, 0.0, normalization="population")
         assert population == pytest.approx(observed * len(data) / 36, rel=1e-12)
 
     def test_regularizer_added(self):
         data, params, p = random_instance(seed=9)
         lam = 0.01
-        diff = ips_loss(params, data, p, lam, 6, 6) - ips_loss(params, data, p, 0.0, 6, 6)
+        diff = ips_loss(params, data, p, lam) - ips_loss(params, data, p, 0.0)
         assert diff == pytest.approx(lam * params.squared_norm(), rel=1e-9)
 
     def test_rejects_nonpositive_propensity(self):
         data = make_dataset(1, 2, [(0, 0, 3), (0, 1, 4)])
         params = init_params(1, 2, 2, seed=0)
         with pytest.raises(ValueError):
-            ips_loss(params, data, np.array([0.0, 0.5]), 0.0, 1, 2)
+            ips_loss(params, data, np.array([0.0, 0.5]), 0.0)
 
 
 def flatten_params(params):
@@ -100,9 +100,9 @@ def finite_difference(params, data, propensities, lam, h=1e-6):
         for k in range(flat.size):
             orig = flat[k]
             flat[k] = orig + h
-            up = ips_loss(params, data, propensities, lam, data.num_users, data.num_items)
+            up = ips_loss(params, data, propensities, lam)
             flat[k] = orig - h
-            down = ips_loss(params, data, propensities, lam, data.num_users, data.num_items)
+            down = ips_loss(params, data, propensities, lam)
             flat[k] = orig
             grad_flat[k] = (up - down) / (2 * h)
         grads.append(grad)
@@ -319,7 +319,7 @@ class TestTraining:
 
     def test_overfits_separable_fixture(self):
         bundle = separable_bundle()
-        prop = uniform_propensities(bundle.train, 5, 5)
+        prop = uniform_propensities(bundle.train)
         result = train(bundle, prop, self.config())
         preds = predict_many(result.params, bundle.train.users, bundle.train.items)
         train_mse = float(np.mean((preds - bundle.train.ratings) ** 2))
@@ -327,7 +327,7 @@ class TestTraining:
 
     def test_fixed_seed_reproduces_loss_curve(self):
         bundle = separable_bundle()
-        prop = uniform_propensities(bundle.train, 5, 5)
+        prop = uniform_propensities(bundle.train)
         config = self.config(max_epochs=30)
         a = train(bundle, prop, config)
         b = train(bundle, prop, config)
@@ -338,7 +338,7 @@ class TestTraining:
 
     def test_alternating_freezes_out_of_phase_groups(self):
         bundle = separable_bundle()
-        prop = uniform_propensities(bundle.train, 5, 5)
+        prop = uniform_propensities(bundle.train)
         snapshots = []
 
         def callback(phase, epoch, params):
@@ -367,13 +367,13 @@ class TestTraining:
 
     def test_alternating_history_counts_phase_pairs(self):
         bundle = separable_bundle()
-        prop = uniform_propensities(bundle.train, 5, 5)
+        prop = uniform_propensities(bundle.train)
         result = train(bundle, prop, self.config(schedule="alternating", max_epochs=7))
         assert len(result.history) == 7
 
     def test_best_checkpoint_contract(self):
         bundle = separable_bundle()
-        prop = uniform_propensities(bundle.train, 5, 5)
+        prop = uniform_propensities(bundle.train)
         result = train(bundle, prop, self.config(max_epochs=60, patience=5))
         best_in_history = min(r.validation_snips_mse for r in result.history)
         assert result.best_validation == best_in_history
@@ -387,7 +387,7 @@ class TestTraining:
         # a step size large enough to overflow float64 predictions must abort
         # with a diagnostic instead of returning garbage parameters
         bundle = separable_bundle()
-        prop = uniform_propensities(bundle.train, 5, 5)
+        prop = uniform_propensities(bundle.train)
         with pytest.raises(TrainingDivergedError, match="epoch"):
             train(bundle, prop, self.config(learning_rate=1e200, max_epochs=5))
 
@@ -397,7 +397,7 @@ class TestTraining:
                               np.array([], int))
         broken = SplitBundle(train=empty, validation=bundle.validation,
                              mcar=bundle.mcar, test=bundle.test)
-        prop = uniform_propensities(bundle.train, 5, 5)
+        prop = uniform_propensities(bundle.train)
         with pytest.raises(ValueError):
             train(broken, prop, self.config())
 
@@ -407,7 +407,7 @@ class TestTraining:
                               np.array([], int))
         broken = SplitBundle(train=bundle.train, validation=empty,
                              mcar=bundle.mcar, test=bundle.test)
-        prop = uniform_propensities(bundle.train, 5, 5)
+        prop = uniform_propensities(bundle.train)
         with pytest.raises(ValueError, match="validation"):
             train(broken, prop, self.config())
 

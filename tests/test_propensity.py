@@ -10,7 +10,15 @@ from hypothesis.extra.numpy import arrays
 
 from ipsmf import optim
 from ipsmf.data import RatingDataset
-from ipsmf.sim import SimulationSpec, simulate
+from ipsmf.sim import (
+    DEFAULT_RATING_PROPENSITIES,
+    SimulationSpec,
+    build_item_propensities,
+    convert_to_ratings,
+    generate_engagement,
+    sample_observations,
+    simulate,
+)
 from ipsmf.propensity import (
     AXES,
     FAMILIES,
@@ -55,7 +63,7 @@ class TestPositivity:
     def test_hand_counted_example(self):
         train = make_dataset(2, 2, [(0, 0, 5), (0, 1, 1), (1, 0, 5)])
         mcar = make_dataset(2, 2, [(0, 0, 5), (1, 1, 1)])
-        model = estimate_positivity(train, mcar, 2, 2)
+        model = estimate_positivity(train, mcar)
         # p(r) = |M| * count_D(r) / (|U| |I| * count_M(r))
         assert model.table[4] == pytest.approx(1.0, abs=1e-12)   # (2*2)/(4*1)
         assert model.table[0] == pytest.approx(0.5, abs=1e-12)   # (2*1)/(4*1)
@@ -65,13 +73,13 @@ class TestPositivity:
         train = make_dataset(2, 2, [(0, 0, 1), (0, 1, 2), (1, 0, 1), (1, 1, 2)],
                              scale=(1, 2))
         mcar = make_dataset(2, 2, [(0, 0, 1), (0, 1, 2)], scale=(1, 2))
-        model = estimate_positivity(train, mcar, 2, 2)
+        model = estimate_positivity(train, mcar)
         np.testing.assert_allclose(model.table, 1.0, atol=1e-12)
 
     def test_all_fives_with_uniform_mcar(self, caplog):
         train = make_dataset(2, 3, [(0, 0, 5), (0, 1, 5), (1, 2, 5)])
         mcar = make_dataset(2, 3, [(0, 0, 1), (0, 1, 2), (0, 2, 3), (1, 0, 4), (1, 1, 5)])
-        model = estimate_positivity(train, mcar, 2, 3)
+        model = estimate_positivity(train, mcar)
         # raw value for rating 5 is (5*3)/(6*1) = 2.5, capped at 1
         assert model.table[4] == 1.0
         assert model.table[4] == model.table.max()
@@ -84,7 +92,7 @@ class TestPositivity:
         train = make_dataset(2, 2, [(0, 0, 5), (0, 1, 1), (1, 0, 3)])
         mcar = make_dataset(2, 2, [(0, 0, 5), (1, 1, 1)])  # rating 3 unseen
         with caplog.at_level(logging.WARNING):
-            model = estimate_positivity(train, mcar, 2, 2)
+            model = estimate_positivity(train, mcar)
         assert "unseen" in caplog.text
         # fallback prior equals the smallest nonzero mcar prior (1/2)
         assert model.table[2] == pytest.approx((2 * 1) / (4 * 1), abs=1e-12)
@@ -93,7 +101,7 @@ class TestPositivity:
         train = make_dataset(2, 2, [(0, 0, 5), (0, 1, 1)])
         empty = RatingDataset(2, 2, np.array([], int), np.array([], int), np.array([], int))
         with pytest.raises(PropensityError):
-            estimate_positivity(train, empty, 2, 2)
+            estimate_positivity(train, empty)
 
     def test_matches_brute_force_oracle(self):
         rng = np.random.default_rng(0)
@@ -101,7 +109,7 @@ class TestPositivity:
                                     for u in range(4) for i in range(5)])
         mcar = make_dataset(4, 5, [(u, i, int(rng.integers(1, 6)))
                                    for u in range(4) for i in range(3)])
-        model = estimate_positivity(train, mcar, 4, 5)
+        model = estimate_positivity(train, mcar)
         oracle = positivity_oracle(train.triples(), mcar.triples(), 4, 5, range(1, 6))
         for r in range(1, 6):
             expected = min(oracle[r], 1.0)
@@ -111,19 +119,19 @@ class TestPositivity:
 class TestPopularity:
     def test_raw_frequencies_and_rescale(self):
         train = make_dataset(2, 2, [(0, 0, 3), (1, 0, 4), (0, 1, 5)])
-        model = estimate_popularity(train, 2, 2)
+        model = estimate_popularity(train)
         raw = model.table * 2 / len(train)  # undo the |D|/num_users rescale
         np.testing.assert_allclose(raw, [2 / 3, 1 / 3], atol=1e-12)
         np.testing.assert_allclose(model.table, [1.0, 0.5], atol=1e-12)
 
     def test_equal_counts_give_uniform(self):
         train = make_dataset(3, 3, [(u, i, 3) for u in range(3) for i in range(3)])
-        model = estimate_popularity(train, 3, 3)
+        model = estimate_popularity(train)
         np.testing.assert_allclose(model.table, model.table[0])
 
     def test_unobserved_item_gets_clip_floor(self):
         train = make_dataset(2, 3, [(0, 0, 3), (1, 1, 4)])
-        model = clip(estimate_popularity(train, 2, 3), 0.05)
+        model = clip(estimate_popularity(train), 0.05)
         assert score(model, 0, 2, 3) == 0.05
 
     def test_item_relabeling_equivariance(self):
@@ -133,8 +141,8 @@ class TestPopularity:
         train = make_dataset(5, 4, triples)
         perm = np.array([2, 0, 3, 1])  # new index of each old item
         relabeled = make_dataset(5, 4, [(u, int(perm[i]), r) for u, i, r in triples])
-        base = estimate_popularity(train, 5, 4).table
-        moved = estimate_popularity(relabeled, 5, 4).table
+        base = estimate_popularity(train).table
+        moved = estimate_popularity(relabeled).table
         np.testing.assert_allclose(moved[perm], base, atol=1e-15)
 
     def test_matches_brute_force_oracle(self):
@@ -142,7 +150,7 @@ class TestPopularity:
         triples = [(u, i, int(rng.integers(1, 6)))
                    for u in range(4) for i in range(6) if rng.random() < 0.7]
         train = make_dataset(4, 6, triples)
-        model = estimate_popularity(train, 4, 6)
+        model = estimate_popularity(train)
         oracle = popularity_oracle(train.triples(), 4, 6)
         for i in range(6):
             assert model.table[i] == pytest.approx(oracle[i], abs=1e-12)
@@ -157,7 +165,7 @@ class TestMultifactorial:
     def test_hand_counted_cells(self):
         # exact fractions, computed independently from the three formulas
         train, mcar = self.small_fixture()
-        model = estimate_multifactorial(train, mcar, 2, 2, SmoothingConfig(1, 1))
+        model = estimate_multifactorial(train, mcar, SmoothingConfig(1, 1))
         np.testing.assert_allclose(
             model.table,
             [[27 / 28, 9 / 14], [9 / 14, 9 / 14]],
@@ -171,7 +179,7 @@ class TestMultifactorial:
         # every rating value appears in the unbiased sample
         mcar = make_dataset(5, 3, [(u, u % 3, u + 1) for u in range(5)]
                             + [(0, 1, 3), (1, 2, 5)])
-        model = estimate_multifactorial(train, mcar, 5, 3, SmoothingConfig(2.0, 3.0))
+        model = estimate_multifactorial(train, mcar, SmoothingConfig(2.0, 3.0))
         oracle = multifactorial_oracle(
             train.triples(), mcar.triples(), 5, 3, range(1, 6), 2.0, 3.0
         )
@@ -187,25 +195,35 @@ class TestMultifactorial:
         rng = np.random.default_rng(7)
         for _ in range(5):
             a1, a2 = rng.uniform(0.1, 10, size=2)
-            joint = smoothed_joint_conditional(train, 2, a1)
+            joint = smoothed_joint_conditional(train, a1)
             assert joint.sum() == pytest.approx(1.0, abs=1e-9)
-            cond = smoothed_item_given_rating(mcar, 2, a2)
+            cond = smoothed_item_given_rating(mcar, a2)
             np.testing.assert_allclose(cond.sum(axis=0), 1.0, atol=1e-9)
 
     def test_large_alpha_flattens(self):
         train, mcar = self.small_fixture()
         spread = lambda t: float(t.max() - t.min())
-        weak = smoothed_joint_conditional(train, 2, 1.0)
-        strong = smoothed_joint_conditional(train, 2, 100.0)
+        weak = smoothed_joint_conditional(train, 1.0)
+        strong = smoothed_joint_conditional(train, 100.0)
         assert spread(strong) < spread(weak)
-        weak_c = smoothed_item_given_rating(mcar, 2, 1.0)
-        strong_c = smoothed_item_given_rating(mcar, 2, 100.0)
+        weak_c = smoothed_item_given_rating(mcar, 1.0)
+        strong_c = smoothed_item_given_rating(mcar, 100.0)
         assert spread(strong_c) < spread(weak_c)
 
     def test_alpha2_zero_with_zero_counts_rejected(self):
         train, mcar = self.small_fixture()
         with pytest.raises(PropensityError, match="alpha2"):
-            estimate_multifactorial(train, mcar, 2, 2, SmoothingConfig(1.0, 0.0))
+            estimate_multifactorial(train, mcar, SmoothingConfig(1.0, 0.0))
+
+    @pytest.mark.parametrize("mcar_items", [1, 3])
+    def test_mcar_item_space_must_match_train(self, mcar_items):
+        # a larger mcar item space used to fail inside numpy's reshape, a
+        # smaller one to be padded with zero counts
+        train, _ = self.small_fixture()
+        mcar = make_dataset(2, mcar_items, [(0, 0, 1), (1, 0, 2)], scale=(1, 2))
+        with pytest.raises(PropensityError, match=f"mcar sample has {mcar_items} items "
+                                                  "but train has 2"):
+            estimate_multifactorial(train, mcar, SmoothingConfig(1, 1))
 
     @pytest.mark.parametrize("alpha1, alpha2", [
         (0.0, 1.0), (0.0, 7.5), (1.0, 1.0), (2.0, 0.5), (10.0, 3.0), (0.3, 12.0),
@@ -215,7 +233,7 @@ class TestMultifactorial:
             num_users=60, num_items=40, gamma=0.5, seed=4, unbiased_per_user=10)).bundle
         train, mcar = bundle.train, bundle.mcar
         model = estimate_multifactorial(
-            train, mcar, 60, 40, SmoothingConfig(alpha1, alpha2))
+            train, mcar, SmoothingConfig(alpha1, alpha2))
         expected = estimate_multifactorial_table_reference(
             train, mcar, 60, 40, alpha1, alpha2)
         assert model.table.tobytes() == expected.tobytes()
@@ -223,7 +241,7 @@ class TestMultifactorial:
     def test_alpha1_zero_with_unobserved_cells_warns(self, caplog):
         train, mcar = self.small_fixture()  # (item 1, rating 1) is never observed
         with caplog.at_level(logging.WARNING):
-            model = estimate_multifactorial(train, mcar, 2, 2, SmoothingConfig(0.0, 1.0))
+            model = estimate_multifactorial(train, mcar, SmoothingConfig(0.0, 1.0))
         assert "alpha1=0" in caplog.text
         assert model.table[1, 0] == 0.0
 
@@ -231,7 +249,7 @@ class TestMultifactorial:
         train = make_dataset(2, 2, [(0, 0, 1), (0, 1, 2), (1, 0, 1)], scale=(1, 2))
         mcar = make_dataset(2, 2, [(0, 0, 1), (1, 0, 1)], scale=(1, 2))  # no rating 2
         with caplog.at_level(logging.WARNING):
-            model = estimate_multifactorial(train, mcar, 2, 2, SmoothingConfig(1, 1))
+            model = estimate_multifactorial(train, mcar, SmoothingConfig(1, 1))
         assert "unseen" in caplog.text
         assert np.all(model.table > 0)
 
@@ -261,17 +279,66 @@ def test_smoothing_reduces_joint_table_error(seed):
     train, mcar = sim.bundle.train, sim.bundle.mcar
     score = {
         alphas: weighted_log_error(
-            estimate_multifactorial(train, mcar, 300, 500, SmoothingConfig(*alphas)).table, sim)
+            estimate_multifactorial(train, mcar, SmoothingConfig(*alphas)).table, sim)
         for alphas in ((0.01, 0.01), (1.0, 1.0))
     }
     assert score[(1.0, 1.0)] / score[(0.01, 0.01)] < 0.25
+
+
+@pytest.mark.parametrize("seed", [5, 6])
+def test_each_estimator_recovers_the_truth_where_its_bias_model_holds(seed):
+    # Recovery contract A, the paper's thesis that the popularity and
+    # positivity corrections are special cases of the joint one. The biased
+    # log is the full sample (a train split would estimate a fraction of p)
+    # and the unbiased sample is every cell of the true ratings, so with
+    # alpha1 = 0 and a vanishing alpha2 the joint table is the binomial rate
+    # count_D(i, r) / n(i, r), n(i, r) being the truth cells with item i and
+    # rating r. Over cells with n >= 50 and a truth p below 1 (capped items
+    # have no variance), z = (estimate - p) / sqrt(p (1 - p) / n). Measured
+    # on seeds 0-19, the share of cells with |z| > 3 was at most 0.7% where an
+    # estimator's bias model holds (joint at every gamma, popularity at
+    # gamma 0, positivity at gamma 1) and at least 23% where it does not
+    # (popularity at gamma 1, positivity at gamma 0 and 0.5). Popularity at
+    # gamma 0.5, 2.5-4.1%, is too close to call and left unasserted.
+    truth = convert_to_ratings(generate_engagement(3000, 500, seed=[seed, 0]))
+    rho_i, _ = build_item_propensities(truth)
+    users, items = (a.ravel() for a in np.indices(truth.shape))
+    ratings = truth.ravel().astype(np.int64)
+    everything = RatingDataset(3000, 500, users, items, ratings)
+    n = np.bincount(items * 5 + ratings - 1, minlength=500 * 5).reshape(500, 5)
+
+    share_off = {}
+    for gamma in (0.0, 0.5, 1.0):
+        biased, gt = sample_observations(
+            truth, np.asarray(DEFAULT_RATING_PROPENSITIES), rho_i, gamma, seed=[seed, 1])
+        p = gt.table
+        keep = (n >= 50) & (p < 1)
+        sd = np.sqrt(p[keep] * (1 - p[keep]) / n[keep])
+        tables = {
+            "joint": estimate_multifactorial(
+                biased, everything, SmoothingConfig(0.0, 1e-9)).table,
+            "popularity": estimate_popularity(biased).table[:, None],
+            "positivity": estimate_positivity(biased, everything).table[None, :],
+        }
+        for name, table in tables.items():
+            z = (np.broadcast_to(table, p.shape)[keep] - p[keep]) / sd
+            share_off[name, gamma] = float(np.mean(np.abs(z) > 3))
+
+    holds, fails = 0.02, 0.10
+    for gamma in (0.0, 0.5, 1.0):
+        assert share_off["joint", gamma] < holds
+    assert share_off["popularity", 0.0] < holds
+    assert share_off["popularity", 1.0] > fails
+    assert share_off["positivity", 1.0] < holds
+    assert share_off["positivity", 0.0] > fails
+    assert share_off["positivity", 0.5] > fails
 
 
 class TestMFLearned:
     def test_fully_observed_matrix_fits_near_one(self):
         triples = [(u, i, 3) for u in range(10) for i in range(10)]
         train = make_dataset(10, 10, triples)
-        model = estimate_mf_propensity(train, 10, 10, dim=2, max_steps=400, seed=0)
+        model = estimate_mf_propensity(train, dim=2, max_steps=400, seed=0)
         scores = score_dataset(model, train)
         assert np.all(scores > 0.95)
 
@@ -289,7 +356,7 @@ class TestMFLearned:
         users, items = np.nonzero(obs)
         train = RatingDataset(n, n, users, items, np.full(len(users), 3))
         model = estimate_mf_propensity(
-            train, n, n, dim=2, learning_rate=0.1, max_steps=4000, seed=1
+            train, dim=2, learning_rate=0.1, max_steps=4000, seed=1
         )
         uu, ii = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
         fitted = score_many(model, uu.ravel(), ii.ravel(), np.full(n * n, 3))
@@ -311,7 +378,7 @@ class TestMFLearned:
         users, items = np.nonzero(obs)
         train = RatingDataset(40, 6, users, items, np.full(len(users), 3))
         model = estimate_mf_propensity(
-            train, 40, 6, dim=2, l2_weight=1e-2, max_steps=800, seed=3
+            train, dim=2, l2_weight=1e-2, max_steps=800, seed=3
         )
         cold = score_many(model, np.zeros(6, int), np.arange(6), np.full(6, 3))
         assert abs(cold.mean() - obs.mean()) < 0.15
@@ -322,7 +389,7 @@ class TestMFLearned:
         train = random_observations(8, 6, 0.5, seed=1)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            model = estimate_mf_propensity(train, 8, 6, dim=2, learning_rate=5.0,
+            model = estimate_mf_propensity(train, dim=2, learning_rate=5.0,
                                            l2_weight=0.0, max_steps=60)
         assert np.all(model.table > 0.0)
         assert model.table.min() < 1e-300
@@ -331,7 +398,14 @@ class TestMFLearned:
     def test_no_steps_rejected(self, steps):
         train = random_observations(8, 6, 0.5, seed=1)
         with pytest.raises(ValueError, match=f"max_steps must be at least 1, got {steps}"):
-            estimate_mf_propensity(train, 8, 6, dim=2, max_steps=steps)
+            estimate_mf_propensity(train, dim=2, max_steps=steps)
+
+    @pytest.mark.parametrize("rate", [0.0, -0.05])
+    def test_nonpositive_learning_rate_rejected(self, rate):
+        # such a rate never moves the fit off its initial parameters
+        train = random_observations(8, 6, 0.5, seed=1)
+        with pytest.raises(ValueError, match=f"learning_rate must be positive, got {rate}"):
+            estimate_mf_propensity(train, dim=2, learning_rate=rate)
 
 
 def random_observations(n_users, n_items, density, seed):
@@ -354,7 +428,7 @@ def test_observation_fit_steps_through_adam_step(monkeypatch, caplog):
     n_users, n_items, dim, steps = 9, 7, 3, 12
     train = random_observations(n_users, n_items, 0.4, seed=2)
     with caplog.at_level(logging.WARNING):
-        estimate_mf_propensity(train, n_users, n_items, dim=dim, max_steps=steps, tol=0.0)
+        estimate_mf_propensity(train, dim=dim, max_steps=steps, tol=0.0)
     assert "did not converge" in caplog.text
     assert sizes == [n_users * dim + n_items * dim + n_users + n_items + 1] * steps
 
@@ -367,7 +441,7 @@ class TestMFLearnedMatchesReference:
     def fit_both(self, train, **kwargs):
         factors, losses, converged = estimate_mf_propensity_reference(
             train, train.num_users, train.num_items, **kwargs)
-        model = estimate_mf_propensity(train, train.num_users, train.num_items, **kwargs)
+        model = estimate_mf_propensity(train, **kwargs)
         users, items = (a.ravel() for a in np.meshgrid(
             np.arange(train.num_users), np.arange(train.num_items), indexing="ij"))
         want = mf_learned_scores_reference(factors, users, items)
@@ -403,7 +477,7 @@ class TestMFLearnedMatchesReference:
         train = random_observations(8, 6, 0.5, seed=1)
         kwargs = dict(dim=2, learning_rate=2.0, l2_weight=0.0, max_steps=20, seed=0)
         self.fit_both(train, **kwargs)
-        table = estimate_mf_propensity(train, 8, 6, **kwargs).table
+        table = estimate_mf_propensity(train, **kwargs).table
         assert table.min() < 1e-12 and table.max() > 1.0 - 1e-12
 
     def test_best_loss_before_the_last_step(self):
@@ -440,7 +514,7 @@ class TestClipNormalizeScore:
         )
 
     def test_clip_rejects_bad_tau(self):
-        model = uniform_propensities(make_dataset(1, 2, [(0, 0, 3), (0, 1, 4)]), 1, 2)
+        model = uniform_propensities(make_dataset(1, 2, [(0, 0, 3), (0, 1, 4)]))
         for tau in (0.0, -0.1, 1.5):
             with pytest.raises(ValueError):
                 clip(model, tau)
@@ -448,13 +522,13 @@ class TestClipNormalizeScore:
     def test_normalize_fixed_point(self):
         # full coverage popularity: mean inverse already equals |U||I|/|D|
         train = make_dataset(3, 3, [(u, i, 3) for u in range(3) for i in range(3)])
-        model = estimate_popularity(train, 3, 3)
+        model = estimate_popularity(train)
         normalized = normalize(model, train)
         assert normalized.scale == pytest.approx(1.0, abs=1e-9)
 
     def test_normalize_undoes_uniform_rescale(self):
         train = make_dataset(2, 3, [(0, 0, 2), (0, 1, 4), (1, 0, 5), (1, 2, 1)])
-        base = estimate_popularity(train, 2, 3)
+        base = estimate_popularity(train)
         halved = PropensityModel(
             family="popularity", table=base.table * 0.5,
             rating_scale=base.rating_scale,
@@ -494,24 +568,24 @@ class TestClipNormalizeScore:
 
     def test_prepare_orders_normalize_then_clip(self):
         train = make_dataset(2, 3, [(0, 0, 2), (0, 1, 4), (1, 0, 5), (1, 2, 1)])
-        model = prepare(estimate_popularity(train, 2, 3), train, clip_floor=0.2)
+        model = prepare(estimate_popularity(train), train, clip_floor=0.2)
         assert model.clip_floor == 0.2
         assert model.normalization == "mean-inverse"
 
     def test_uniform_family_value(self):
         train = make_dataset(2, 3, [(0, 0, 2), (1, 1, 4), (1, 2, 5)])
-        model = uniform_propensities(train, 2, 3)
+        model = uniform_propensities(train)
         assert score(model, 0, 0, 1) == pytest.approx(3 / 6)
 
     def test_popularity_ignores_rating(self):
         train = make_dataset(2, 2, [(0, 0, 1), (1, 0, 5), (0, 1, 3)])
-        model = estimate_popularity(train, 2, 2)
+        model = estimate_popularity(train)
         assert score(model, 0, 0, 1) == score(model, 0, 0, 5)
 
     def test_positivity_ignores_user_and_item(self):
         train = make_dataset(2, 2, [(0, 0, 5), (0, 1, 1), (1, 0, 5)])
         mcar = make_dataset(2, 2, [(0, 0, 5), (1, 1, 1)])
-        model = estimate_positivity(train, mcar, 2, 2)
+        model = estimate_positivity(train, mcar)
         assert score(model, 0, 0, 5) == score(model, 1, 1, 5)
 
     def test_ground_truth_returns_stored_value(self):
@@ -531,11 +605,11 @@ class TestClipNormalizeScore:
         mcar = make_dataset(4, 4, [(u, i, int(rng.integers(1, 6)))
                                    for u in range(4) for i in range(2)])
         models = [
-            uniform_propensities(train, 4, 4),
-            estimate_popularity(train, 4, 4),
-            estimate_positivity(train, mcar, 4, 4),
-            estimate_multifactorial(train, mcar, 4, 4, SmoothingConfig(1, 1)),
-            estimate_mf_propensity(train, 4, 4, dim=2, max_steps=50, seed=0),
+            uniform_propensities(train),
+            estimate_popularity(train),
+            estimate_positivity(train, mcar),
+            estimate_multifactorial(train, mcar, SmoothingConfig(1, 1)),
+            estimate_mf_propensity(train, dim=2, max_steps=50, seed=0),
         ]
         for model in models:
             scores = score_dataset(prepare(model, train, clip_floor=0.01), train)
@@ -555,11 +629,11 @@ class TestSerialization:
         mcar = make_dataset(3, 4, [(u, i, int(rng.integers(1, 6)))
                                    for u in range(3) for i in range(2)])
         models = [
-            uniform_propensities(train, 3, 4),
-            clip(estimate_popularity(train, 3, 4), 0.05),
-            estimate_positivity(train, mcar, 3, 4),
+            uniform_propensities(train),
+            clip(estimate_popularity(train), 0.05),
+            estimate_positivity(train, mcar),
             normalize(
-                estimate_multifactorial(train, mcar, 3, 4, SmoothingConfig(2, 1)), train
+                estimate_multifactorial(train, mcar, SmoothingConfig(2, 1)), train
             ),
         ]
         for model in models:
@@ -579,7 +653,7 @@ class TestSerialization:
 
     def test_mf_learned_roundtrip(self, tmp_path):
         train = make_dataset(3, 3, [(0, 0, 3), (1, 1, 2), (2, 2, 4), (0, 1, 5)])
-        model = estimate_mf_propensity(train, 3, 3, dim=2, max_steps=30, seed=0)
+        model = estimate_mf_propensity(train, dim=2, max_steps=30, seed=0)
         back = self.roundtrip(model, tmp_path)
         np.testing.assert_array_equal(
             score_dataset(back, train), score_dataset(model, train)
@@ -590,7 +664,7 @@ class TestSerialization:
         # scores every train triple exactly as the one in memory
         train = random_observations(50, 40, 0.2, seed=2)
         model = prepare(
-            estimate_mf_propensity(train, 50, 40, dim=3, max_steps=60, seed=2), train)
+            estimate_mf_propensity(train, dim=3, max_steps=60, seed=2), train)
         back = self.roundtrip(model, tmp_path)
         assert score_dataset(back, train).tobytes() == score_dataset(model, train).tobytes()
         assert back.table.tobytes() == model.table.tobytes()
@@ -599,7 +673,7 @@ class TestSerialization:
         train = make_dataset(2, 2, [(0, 0, 1), (0, 1, 2), (1, 0, 1)], scale=(1, 2))
         mcar = make_dataset(2, 2, [(0, 0, 1), (1, 1, 2)], scale=(1, 2))
         model = clip(
-            estimate_multifactorial(train, mcar, 2, 2, SmoothingConfig(10, 2)), 0.05
+            estimate_multifactorial(train, mcar, SmoothingConfig(10, 2)), 0.05
         )
         path = tmp_path / "prop.csv"
         save_propensity(model, path)
@@ -637,7 +711,7 @@ class TestLoadValidation:
 
     def test_popularity_zero_for_unobserved_item_roundtrips(self, tmp_path):
         train = make_dataset(3, 4, [(0, 0, 3), (1, 0, 4), (2, 2, 5)])
-        model = estimate_popularity(train, 3, 4)
+        model = estimate_popularity(train)
         assert np.any(model.table == 0)
         path = tmp_path / "prop.csv"
         save_propensity(model, path)
@@ -700,16 +774,14 @@ def every_form(tmp_path_factory):
     sim = simulate(SimulationSpec(num_users=30, num_items=25, gamma=0.5, seed=7,
                                   unbiased_per_user=10))
     train, mcar = sim.bundle.train, sim.bundle.mcar
-    n_u, n_i = train.num_users, train.num_items
-    fitted = estimate_mf_propensity(train, n_u, n_i, dim=3, max_steps=25, seed=0)
+    fitted = estimate_mf_propensity(train, dim=3, max_steps=25, seed=0)
     path = tmp_path_factory.mktemp("mf") / "mf.csv"
     save_propensity(fitted, path)
     raw = {
-        "uniform": uniform_propensities(train, n_u, n_i),
-        "popularity": estimate_popularity(train, n_u, n_i),
-        "positivity": estimate_positivity(train, mcar, n_u, n_i),
-        "multifactorial": estimate_multifactorial(train, mcar, n_u, n_i,
-                                                  SmoothingConfig(2.0, 3.0)),
+        "uniform": uniform_propensities(train),
+        "popularity": estimate_popularity(train),
+        "positivity": estimate_positivity(train, mcar),
+        "multifactorial": estimate_multifactorial(train, mcar, SmoothingConfig(2.0, 3.0)),
         "mf_learned-fitted": fitted,
         "mf_learned-loaded": load_propensity(path),
         "ground_truth": sim.ground_truth_propensities,
@@ -819,9 +891,9 @@ class TestProperties:
     def test_smoothed_tables_sum_to_one(self, data, alpha1, alpha2):
         train = data.draw(rating_data())
         mcar = data.draw(rating_data(st.just(train.num_users), st.just(train.num_items)))
-        joint = smoothed_joint_conditional(train, train.num_items, alpha1)
+        joint = smoothed_joint_conditional(train, alpha1)
         assert joint.sum() == pytest.approx(1.0, abs=1e-9)
-        conditional = smoothed_item_given_rating(mcar, mcar.num_items, alpha2)
+        conditional = smoothed_item_given_rating(mcar, alpha2)
         np.testing.assert_allclose(conditional.sum(axis=0), 1.0, atol=1e-9)
 
     @settings(max_examples=150, deadline=None)
