@@ -22,6 +22,8 @@ import configparser
 import hashlib
 import itertools
 import logging
+import math
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
@@ -541,11 +543,64 @@ def _run_cell(args) -> list[dict]:
     return records
 
 
-def _run_cells(cfg, cells, threads: int) -> list[list[dict]]:
-    if threads <= 1:
-        return [_run_cell(c) for c in cells]
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(_run_cell, cells))
+def _run_cells(cells, threads: int) -> list[list[dict]]:
+    return _map(_run_cell, cells, _workers(threads, len(cells)))
+
+
+def _workers(threads: int | None, units: int) -> int:
+    """Worker processes for `units` independent tasks: `threads`, or
+    :func:`_usable_cores` when None, capped at `units`. 1 means the tasks run
+    in this process."""
+    if threads is None:
+        threads = _usable_cores()
+    elif threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
+    return max(1, min(threads, units))
+
+
+# a cgroup v2 CPU limit, "<quota> <period>" or "max <period>"
+_CPU_MAX = Path("/sys/fs/cgroup/cpu.max")
+
+
+def _usable_cores() -> int:
+    """The cores this process may run on (its CPU affinity, or the machine's
+    count where there is none), lowered to its cgroup's CPU quota if one is
+    set: affinity alone would count every core of a quota-limited host."""
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity on this platform
+        cores = os.cpu_count() or 1
+    try:
+        quota, period = _CPU_MAX.read_text().split()
+        cores = min(cores, math.ceil(int(quota) / int(period)))
+    except (OSError, ValueError):  # no cgroup v2 limit file, or no quota
+        pass
+    return max(1, cores)
+
+
+# what the task functions of the running pool read; set in each worker by
+# the pool initializer, or in this process for the in-process path
+_worker_state = None
+
+
+def _set_worker_state(state) -> None:
+    global _worker_state
+    _worker_state = state
+
+
+def _map(fn, items, workers: int, state=None) -> list:
+    """``[fn(x) for x in items]`` in order, on `workers` processes (1: in this
+    one), with `state` handed once to each process as `_worker_state`."""
+    if workers == 1:
+        _set_worker_state(state)
+        try:
+            return [fn(x) for x in items]
+        finally:
+            _set_worker_state(None)
+    with ProcessPoolExecutor(
+        workers, initializer=_set_worker_state, initargs=(state,)
+    ) as pool:
+        return list(pool.map(fn, items))
 
 
 # --------------------------------------------------------------------------
@@ -586,7 +641,7 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path) -> None:
 
 def cmd_train(cfg: ExperimentConfig, out_dir: Path, threads: int = 1) -> Path:
     cells = [(cfg, seed, None, True) for seed in cfg.seeds]
-    records = [rec for cell in _run_cells(cfg, cells, threads) for rec in cell]
+    records = [rec for cell in _run_cells(cells, threads) for rec in cell]
     out_dir.mkdir(parents=True, exist_ok=True)
 
     for record in records:
@@ -625,7 +680,7 @@ def cmd_sweep_gamma(cfg: ExperimentConfig, out_dir: Path, gammas=None, threads: 
         raise ConfigError("sweep-gamma requires a [simulation] section")
     gammas = list(cfg.gammas if gammas is None else gammas)
     cells = [(cfg, seed, gamma, False) for gamma in gammas for seed in cfg.seeds]
-    rows = [rec["row"] for cell in _run_cells(cfg, cells, threads) for rec in cell]
+    rows = [rec["row"] for cell in _run_cells(cells, threads) for rec in cell]
     out_dir.mkdir(parents=True, exist_ok=True)
     rows.sort(key=lambda r: (r["gamma"], r["method"], r["seed"]))
     results_path = out_dir / "sweep_results.csv"
@@ -662,7 +717,7 @@ def cmd_summarize(results_path: Path, summary_path: Path) -> Path:
     return Path(summary_path)
 
 
-def cmd_tune(cfg: ExperimentConfig, out_dir: Path) -> Path:
+def cmd_tune(cfg: ExperimentConfig, out_dir: Path, threads: int | None = None) -> Path:
     """Grid search per method, selected on the validation split.
 
     A grid point runs as a method in a train cell does: its settings, with
@@ -672,22 +727,27 @@ def cmd_tune(cfg: ExperimentConfig, out_dir: Path) -> Path:
     MSE under their own propensities at their best epoch; a diverged point
     scores inf. A nonzero [tune] budget caps the grid points per method (see
     :func:`_budget_points`). Each distinct (method, pipeline) propensity model
-    is built once per call, as the seed and data are fixed, and shared by the
-    points that need it. Grid points train without the test split.
+    is built once per call, in this process and in grid order, as the seed
+    and data are fixed, and shared by the points that need it. The points
+    then train, without the test split, on `threads` worker processes, by
+    default the usable cores (see :func:`_workers`); the scores are reduced
+    and the divergence warnings logged here, in grid order, so the table and
+    those warnings do not depend on the worker count.
     """
     seed = cfg.seeds[0]
-    loaded = load_experiment_data(cfg, run_seed=seed)
-    bundle = _without_test(loaded.bundle)
-    budget = cfg.tune["budget"]
-    props: dict[tuple, PropensityModel | None] = {}
-
-    tuned_rows = []
+    grids = []
     for method in cfg.methods:
         points = _grid_points(cfg, method)
         if not points:
             raise ConfigError(f"empty tuning grid for {method}")
-        points = _budget_points(points, budget, seed)
-        best = None
+        grids.append((method, _budget_points(points, cfg.tune["budget"], seed)))
+    workers = _workers(threads, sum(len(points) for _, points in grids))
+
+    loaded = load_experiment_data(cfg, run_seed=seed)
+    bundle = _without_test(loaded.bundle)
+    props: dict[tuple, PropensityModel | None] = {}
+    tasks = []  # (method, point, propensity model), in grid order
+    for method, points in grids:
         for point in points:
             pipeline = cfg.pipeline_settings(method, point)
             key = (method, tuple(sorted(pipeline.items())))
@@ -695,18 +755,16 @@ def cmd_tune(cfg: ExperimentConfig, out_dir: Path) -> Path:
                 props[key] = build_propensity_model(
                     method, bundle, pipeline, loaded.ground_truth, seed=seed
                 )
-            prop = props[key]
-            try:
-                report, result = run_method(
-                    method, bundle, bundle.validation,
-                    cfg.train_settings(method, seed, point), prop,
-                )
-            except TrainingDivergedError as exc:
-                logger.warning("%s diverged at %s: %s", method, point, exc)
-                score, clip_floor = float("inf"), None
-            else:
-                score = report.mse if method in ("avg", "mf") else result.best_validation
-                clip_floor = prop.clip_floor if prop is not None else None
+            tasks.append((method, point, props[key]))
+    scores = iter(_map(_tune_point, range(len(tasks)), workers, state=(cfg, bundle, tasks)))
+
+    tuned_rows = []
+    for method, points in grids:
+        best = None
+        for point in points:
+            score, clip_floor, diverged = next(scores)
+            if diverged is not None:
+                logger.warning("%s diverged at %s: %s", method, point, diverged)
             if best is None or score < best[0]:
                 best = (score, point, clip_floor)
         score, point, clip_floor = best
@@ -720,6 +778,23 @@ def cmd_tune(cfg: ExperimentConfig, out_dir: Path) -> Path:
     path = out_dir / "tuned.csv"
     _write_rows(path, columns, tuned_rows)
     return path
+
+
+def _tune_point(index: int) -> tuple[float, float | None, str | None]:
+    """Train and score task `index` of the running :func:`cmd_tune`, whose
+    (config, bundle, tasks) is `_worker_state`. Returns (validation score,
+    clip floor, divergence message or None)."""
+    cfg, bundle, tasks = _worker_state
+    method, point, prop = tasks[index]
+    try:
+        report, result = run_method(
+            method, bundle, bundle.validation,
+            cfg.train_settings(method, cfg.seeds[0], point), prop,
+        )
+    except TrainingDivergedError as exc:
+        return float("inf"), None, str(exc)
+    score = report.mse if method in ("avg", "mf") else result.best_validation
+    return score, (prop.clip_floor if prop is not None else None), None
 
 
 def _grid_points(cfg: ExperimentConfig, method: str) -> list[dict]:
@@ -746,6 +821,16 @@ def _budget_points(points: list[dict], budget: int, seed: int) -> list[dict]:
 # entry point
 
 
+def _thread_count(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="ipsmf", description="Debiased rating-prediction experiments."
@@ -759,16 +844,24 @@ def main(argv=None) -> int:
         p.add_argument("--out", default=None, help="output directory override")
         return p
 
+    def add_threads(p, default, default_text):
+        p.add_argument(
+            "--threads", type=_thread_count, default=default,
+            help=f"worker processes, capped at the cells or grid points (default: "
+                 f"{default_text}); every count writes the same bytes",
+        )
+
     add("simulate", "write simulated dataset splits and a manifest")
     p_train = add("train", "fit and evaluate configured methods and seeds")
     p_train.add_argument("--seeds", default=None, help="comma-separated seed override")
-    p_train.add_argument("--threads", type=int, default=1)
+    add_threads(p_train, 1, "1, in this process")
     p_train.add_argument("--clamp-predictions", action="store_true")
     p_tune = add("tune", "grid-search hyperparameters per method")
+    add_threads(p_tune, None, "the usable cores")
     p_sweep = add("sweep-gamma", "simulate/train across gamma values")
     p_sweep.add_argument("--gammas", default=None, help="comma-separated gamma override")
     p_sweep.add_argument("--seeds", default=None)
-    p_sweep.add_argument("--threads", type=int, default=1)
+    add_threads(p_sweep, 1, "1, in this process")
     p_sum = sub.add_parser("summarize", help="aggregate a results table")
     p_sum.add_argument("--results", required=True)
     p_sum.add_argument("--out", default=None)
@@ -795,7 +888,7 @@ def main(argv=None) -> int:
         elif args.command == "train":
             cmd_train(cfg, out_dir, threads=args.threads)
         elif args.command == "tune":
-            cmd_tune(cfg, out_dir)
+            cmd_tune(cfg, out_dir, threads=args.threads)
         elif args.command == "sweep-gamma":
             gammas = _parse_list(args.gammas, float) if args.gammas else None
             cmd_sweep_gamma(cfg, out_dir, gammas=gammas, threads=args.threads)

@@ -468,3 +468,25 @@ def test_c8_subcommand_determinism(tmp_path):
     cmd_summarize(runs["train"] / "results.csv", out_a)
     cmd_summarize(runs["train"] / "results.csv", out_b)
     assert out_a.read_bytes() == out_b.read_bytes()
+
+
+def test_c8_outputs_do_not_depend_on_the_worker_count(tmp_path):
+    """The determinism contract's second half: parallel output equals serial
+    output, for every output file of train, tune and sweep-gamma."""
+    config_path = tmp_path / "config.ini"
+    config_path.write_text(ACCEPTANCE_CONFIG)
+    cfg = load_config(config_path)
+
+    def snapshot(directory):
+        return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+    for name, invoke in (
+        ("train", lambda d, n: cmd_train(cfg, d, threads=n)),
+        ("tune", lambda d, n: cmd_tune(cfg, d, threads=n)),
+        ("sweep", lambda d, n: cmd_sweep_gamma(cfg, d, gammas=[0.0, 1.0], threads=n)),
+    ):
+        outputs = []
+        for threads in (1, 2, 3):
+            invoke(tmp_path / f"{name}_{threads}", threads)
+            outputs.append(snapshot(tmp_path / f"{name}_{threads}"))
+        assert outputs[0] and outputs[1] == outputs[0] and outputs[2] == outputs[0], name

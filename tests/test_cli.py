@@ -1,4 +1,7 @@
+import logging
+import os
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -520,7 +523,7 @@ budget = 2
             return real(data, propensity_model, config)
 
         monkeypatch.setattr(cli, "train", recording)
-        cmd_tune(cfg, tmp_path / "tuned")
+        cmd_tune(cfg, tmp_path / "tuned", threads=1)
         expected = cli._budget_points(cli._grid_points(cfg, "mf"), 2, cfg.seeds[0])
         assert trained == [(p["learning_rate"], p["l2_weight"]) for p in expected]
 
@@ -600,7 +603,7 @@ def test_tune_builds_each_propensity_model_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "build_propensity_model", counting)
     monkeypatch.setattr(cli, "train", recording)
-    tuned = cmd_tune(cfg, tmp_path / "tuned")
+    tuned = cmd_tune(cfg, tmp_path / "tuned", threads=1)
 
     # one call per distinct (method, pipeline): avg, mf and mf_ips_mf have one
     # pipeline each, mf_ips_mul one per (alpha1, alpha2)
@@ -655,7 +658,7 @@ alpha2 = 2
     count, total = test_split_predictions(gamma=0.0)
     assert count == 0 and total > 0
 
-    cmd_tune(cfg, tmp_path / "tune")
+    cmd_tune(cfg, tmp_path / "tune", threads=1)
     count, total = test_split_predictions()
     assert count == 0 and total > 0
 
@@ -741,3 +744,119 @@ def test_main_reports_propensity_errors(tmp_path, capsys):
     assert code == 2
     assert "propensity error: alpha2=0 with (item, rating) cells unseen" in \
         capsys.readouterr().err
+
+
+SINGLE_POINT_TUNE = """
+[tune]
+learning_rate = 0.01
+l2_weight = 1e-6
+embedding_dim = 4
+alpha1 = 2
+alpha2 = 2
+"""
+
+
+@pytest.mark.parametrize("command", ["train", "tune", "sweep-gamma"])
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_threads_below_one_is_a_usage_error(tmp_path, capsys, command, threads):
+    path = write_config(tmp_path, BASE_CONFIG + SINGLE_POINT_TUNE)
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(path), "--out", str(out), "--threads", threads])
+    assert exc.value.code == 2
+    assert "--threads: must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+    invoke = {"train": cmd_train, "tune": cmd_tune, "sweep-gamma": cmd_sweep_gamma}[command]
+    with pytest.raises(ValueError, match="threads must be at least 1"):
+        invoke(load_config(path), out, threads=int(threads))
+    assert not out.exists()
+
+
+def test_workers_default_to_the_usable_cores_capped_at_the_units(tmp_path, monkeypatch):
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    monkeypatch.setattr(cli, "_CPU_MAX", tmp_path / "absent")
+    assert cli._workers(None, 1000) == cores
+    assert cli._workers(None, 1) == 1
+    assert cli._workers(8, 3) == 3
+    assert cli._workers(2, 5) == 2
+    assert cli._workers(1, 5) == 1
+
+
+@pytest.mark.parametrize("limit, expected", [
+    ("max 100000\n", 64), ("200000 100000\n", 2), ("150000 100000\n", 2),
+    ("50000 100000\n", 1), ("garbled\n", 64),
+])
+def test_usable_cores_follow_a_cgroup_cpu_quota(tmp_path, monkeypatch, limit, expected):
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
+    monkeypatch.setattr(cli, "_CPU_MAX", tmp_path / "cpu.max")
+    (tmp_path / "cpu.max").write_text(limit)
+    assert cli._usable_cores() == expected
+
+
+def test_no_pool_starts_more_workers_than_it_has_units(tmp_path, monkeypatch):
+    started = []
+    real = cli.ProcessPoolExecutor
+
+    def recording(max_workers, **kwargs):
+        started.append(max_workers)
+        return real(max_workers, **kwargs)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", recording)
+    cfg = load_config(write_config(tmp_path, BASE_CONFIG.replace(
+        "max_epochs = 12", "max_epochs = 2") + SINGLE_POINT_TUNE))
+    cmd_train(replace(cfg, seeds=[0]), tmp_path / "one-seed", threads=8)
+    assert started == []  # one cell runs in this process
+    cmd_train(cfg, tmp_path / "default")
+    cmd_sweep_gamma(cfg, tmp_path / "default-sweep", gammas=[0.5])
+    assert started == []  # train and sweep-gamma default to this process
+    cmd_sweep_gamma(cfg, tmp_path / "sweep", gammas=[0.5], threads=8)
+    assert started == [2]  # one gamma x two seeds
+    cmd_tune(cfg, tmp_path / "tune", threads=8)
+    assert started == [2, 3]  # one grid point per method
+
+
+DIVERGING_TUNE_CONFIG = BASE_CONFIG.replace(
+    "methods = avg, mf, mf_ips_mul", "methods = mf_ips_pop, mf_ips_pos, mf_ips_mul, mf_ips_mf"
+).replace("max_epochs = 12", "max_epochs = 3") + """
+[method mf_ips_mf]
+propensity_steps = 40
+
+[tune]
+learning_rate = 0.01, 1e200
+l2_weight = 1e-6
+embedding_dim = 4
+alpha1 = 1, 2
+alpha2 = 2
+budget = 2
+"""
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_tune_table_and_divergence_log_do_not_depend_on_the_workers(tmp_path, caplog):
+    cfg = load_config(write_config(tmp_path, DIVERGING_TUNE_CONFIG))
+    seed = cfg.seeds[0]
+    # every point at the huge learning rate diverges, in grid order
+    expected_log = [
+        (method, point)
+        for method in cfg.methods
+        for point in cli._budget_points(cli._grid_points(cfg, method), 2, seed)
+        if point["learning_rate"] == 1e200
+    ]
+    assert len(expected_log) == 1 + 1 + 2 + 1
+    tables = []
+    for threads in (1, 2):
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="ipsmf.cli"):
+            path = cmd_tune(cfg, tmp_path / f"tuned{threads}", threads=threads)
+        assert [r.args[:2] for r in caplog.records if "diverged" in r.msg] == expected_log
+        tables.append(path.read_bytes())
+    assert tables[0] == tables[1]
+
+    rows = {r["method"]: r for r in cli._read_rows(tmp_path / "tuned1" / "tuned.csv")}
+    # the budget keeps both learning rates of the two-point grids, and only
+    # diverging points of mf_ips_mul's four
+    assert rows["mf_ips_mul"]["validation_score"] == "inf"
+    assert rows["mf_ips_mul"]["clip_floor"] == ""
+    for method in ("mf_ips_pop", "mf_ips_pos", "mf_ips_mf"):
+        assert np.isfinite(float(rows[method]["validation_score"]))
+        assert rows[method]["learning_rate"] == "0.01"
