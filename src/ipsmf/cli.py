@@ -717,6 +717,12 @@ def cmd_summarize(results_path: Path, summary_path: Path) -> Path:
     return Path(summary_path)
 
 
+# methods whose propensity model is an iterative fit, not a table of counts:
+# tune fits each such model in the pool task that trains its grid points, so
+# the fit overlaps the other points' training
+_FITTED_METHODS = ("mf_ips_mf",)
+
+
 def cmd_tune(cfg: ExperimentConfig, out_dir: Path, threads: int | None = None) -> Path:
     """Grid search per method, selected on the validation split.
 
@@ -727,36 +733,50 @@ def cmd_tune(cfg: ExperimentConfig, out_dir: Path, threads: int | None = None) -
     MSE under their own propensities at their best epoch; a diverged point
     scores inf. A nonzero [tune] budget caps the grid points per method (see
     :func:`_budget_points`). Each distinct (method, pipeline) propensity model
-    is built once per call, in this process and in grid order, as the seed
-    and data are fixed, and shared by the points that need it. The points
-    then train, without the test split, on `threads` worker processes, by
-    default the usable cores (see :func:`_workers`); the scores are reduced
-    and the divergence warnings logged here, in grid order, so the table and
+    is built once per call, as the seed and data are fixed, and shared by the
+    points that need it. The table models are built in this process, in grid
+    order, and each of their points is one task. A learned model (see
+    `_FITTED_METHODS`) is one task that fits it and then trains its points in
+    grid order, so its "did not converge" warning comes from the process
+    that runs the task, in completion order. The tasks train, without the
+    test split, on `threads` worker processes, by default the usable cores,
+    capped at the tasks (see :func:`_workers`); the scores are reduced and
+    the divergence warnings logged here, in grid order, so the table and
     those warnings do not depend on the worker count.
     """
     seed = cfg.seeds[0]
     grids = []
+    tasks = []  # (method, pipeline, points), in the grid order of their first point
+    owners = []  # the task of each grid point, in grid order
+    latest: dict[tuple, int] = {}  # each propensity model's latest task
     for method in cfg.methods:
         points = _grid_points(cfg, method)
         if not points:
             raise ConfigError(f"empty tuning grid for {method}")
-        grids.append((method, _budget_points(points, cfg.tune["budget"], seed)))
-    workers = _workers(threads, sum(len(points) for _, points in grids))
+        points = _budget_points(points, cfg.tune["budget"], seed)
+        grids.append((method, points))
+        for point in points:
+            pipeline = cfg.pipeline_settings(method, point)
+            key = _model_key(method, pipeline)
+            if method not in _FITTED_METHODS or key not in latest:
+                latest[key] = len(tasks)
+                tasks.append((method, pipeline, []))
+            tasks[latest[key]][2].append(point)
+            owners.append(latest[key])
+    workers = _workers(threads, len(tasks))
 
     loaded = load_experiment_data(cfg, run_seed=seed)
     bundle = _without_test(loaded.bundle)
-    props: dict[tuple, PropensityModel | None] = {}
-    tasks = []  # (method, point, propensity model), in grid order
-    for method, points in grids:
-        for point in points:
-            pipeline = cfg.pipeline_settings(method, point)
-            key = (method, tuple(sorted(pipeline.items())))
-            if key not in props:
-                props[key] = build_propensity_model(
-                    method, bundle, pipeline, loaded.ground_truth, seed=seed
-                )
-            tasks.append((method, point, props[key]))
-    scores = iter(_map(_tune_point, range(len(tasks)), workers, state=(cfg, bundle, tasks)))
+    props: dict[tuple, PropensityModel | None] = {}  # the table models
+    for method, pipeline, _ in tasks:
+        key = _model_key(method, pipeline)
+        if method not in _FITTED_METHODS and key not in props:
+            props[key] = build_propensity_model(
+                method, bundle, pipeline, loaded.ground_truth, seed=seed
+            )
+    results = _map(_tune_task, range(len(tasks)), workers, state=(cfg, bundle, tasks, props))
+    outcomes = [iter(task_outcomes) for task_outcomes in results]
+    scores = (next(outcomes[task]) for task in owners)  # in grid order
 
     tuned_rows = []
     for method, points in grids:
@@ -780,21 +800,35 @@ def cmd_tune(cfg: ExperimentConfig, out_dir: Path, threads: int | None = None) -
     return path
 
 
-def _tune_point(index: int) -> tuple[float, float | None, str | None]:
-    """Train and score task `index` of the running :func:`cmd_tune`, whose
-    (config, bundle, tasks) is `_worker_state`. Returns (validation score,
-    clip floor, divergence message or None)."""
-    cfg, bundle, tasks = _worker_state
-    method, point, prop = tasks[index]
-    try:
-        report, result = run_method(
-            method, bundle, bundle.validation,
-            cfg.train_settings(method, cfg.seeds[0], point), prop,
-        )
-    except TrainingDivergedError as exc:
-        return float("inf"), None, str(exc)
-    score = report.mse if method in ("avg", "mf") else result.best_validation
-    return score, (prop.clip_floor if prop is not None else None), None
+def _model_key(method: str, pipeline: dict) -> tuple:
+    return method, tuple(sorted(pipeline.items()))
+
+
+def _tune_task(index: int) -> list[tuple[float, float | None, str | None]]:
+    """Train and score the grid points of task `index` of the running
+    :func:`cmd_tune`, whose (config, bundle, tasks, table models) is
+    `_worker_state`, first fitting the task's propensity model if it is a
+    learned one. Returns (validation score, clip floor, divergence message
+    or None) per point, in grid order."""
+    cfg, bundle, tasks, props = _worker_state
+    method, pipeline, points = tasks[index]
+    seed = cfg.seeds[0]
+    if method in _FITTED_METHODS:
+        prop = build_propensity_model(method, bundle, pipeline, seed=seed)
+    else:
+        prop = props[_model_key(method, pipeline)]
+    outcomes = []
+    for point in points:
+        try:
+            report, result = run_method(
+                method, bundle, bundle.validation, cfg.train_settings(method, seed, point), prop,
+            )
+        except TrainingDivergedError as exc:
+            outcomes.append((float("inf"), None, str(exc)))
+            continue
+        score = report.mse if method in ("avg", "mf") else result.best_validation
+        outcomes.append((score, (prop.clip_floor if prop is not None else None), None))
+    return outcomes
 
 
 def _grid_points(cfg: ExperimentConfig, method: str) -> list[dict]:
@@ -847,7 +881,7 @@ def main(argv=None) -> int:
     def add_threads(p, default, default_text):
         p.add_argument(
             "--threads", type=_thread_count, default=default,
-            help=f"worker processes, capped at the cells or grid points (default: "
+            help=f"worker processes, capped at the cells or tune tasks (default: "
                  f"{default_text}); every count writes the same bytes",
         )
 

@@ -275,21 +275,12 @@ def reindex_users(
     return out
 
 
-def save_ratings(
-    data: RatingDataset,
-    path: str | Path,
-    delimiter: str = ",",
-    id_maps: dict[str, list[str]] | None = None,
-) -> None:
+def save_ratings(data: RatingDataset, path: str | Path, delimiter: str = ",") -> None:
     """Write a dataset back to the load_ratings format (header included)."""
-    user_ids = id_maps["users"] if id_maps else None
-    item_ids = id_maps["items"] if id_maps else None
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(delimiter.join(HEADER_FIELDS) + "\n")
         for u, i, r in zip(data.users, data.items, data.ratings):
-            uid = user_ids[u] if user_ids else str(int(u))
-            iid = item_ids[i] if item_ids else str(int(i))
-            fh.write(f"{uid}{delimiter}{iid}{delimiter}{int(r)}\n")
+            fh.write(f"{int(u)}{delimiter}{int(i)}{delimiter}{int(r)}\n")
 
 
 def _floor_count(fraction: float, n: int) -> int:

@@ -618,6 +618,41 @@ def test_tune_builds_each_propensity_model_once(tmp_path, monkeypatch):
     assert [line.split(",")[-1] for line in lines[1:]] == ["1", "4", "4", "16"]
 
 
+def test_tune_fits_a_learned_model_in_the_worker_that_trains_its_points(tmp_path, monkeypatch):
+    text = MEMO_TUNE_CONFIG.replace(
+        "methods = avg, mf, mf_ips_mf, mf_ips_mul", "methods = mf, mf_ips_mf"
+    ).replace("embedding_dim = 4, 8", "embedding_dim = 4")
+    cfg = load_config(write_config(tmp_path, text, name="learned.ini"))
+    serial = cmd_tune(cfg, tmp_path / "serial", threads=1).read_bytes()
+    build, run = cli.build_propensity_model, cli.train
+    log = tmp_path / "calls.txt"
+
+    def record(method):
+        # appended by whichever process makes the call: forked workers
+        # inherit these patches
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()} {method}\n")
+
+    def building(method, bundle, pipeline, ground_truth=None, seed=0):
+        record(f"build {method}")
+        return build(method, bundle, pipeline, ground_truth, seed=seed)
+
+    def training(data, propensity_model, config):
+        record(f"train {propensity_model.family}")
+        return run(data, propensity_model, config)
+
+    monkeypatch.setattr(cli, "build_propensity_model", building)
+    monkeypatch.setattr(cli, "train", training)
+    parallel = cmd_tune(cfg, tmp_path / "parallel", threads=2).read_bytes()
+
+    calls = [line.split(" ", 1) for line in log.read_text().splitlines()]
+    builds = [int(pid) for pid, call in calls if call == "build mf_ips_mf"]
+    trainings = [int(pid) for pid, call in calls if call == "train mf_learned"]
+    assert len(builds) == 1 and builds[0] != os.getpid()
+    assert trainings == builds * 2
+    assert parallel == serial
+
+
 def test_only_train_predicts_the_test_split_every_epoch(tmp_path, monkeypatch):
     # sweep cells and tune grid points keep no history, so the training loop
     # has no use for the per-epoch test MSE
@@ -813,6 +848,10 @@ def test_no_pool_starts_more_workers_than_it_has_units(tmp_path, monkeypatch):
     assert started == [2]  # one gamma x two seeds
     cmd_tune(cfg, tmp_path / "tune", threads=8)
     assert started == [2, 3]  # one grid point per method
+    learned = replace(cfg, methods=["mf_ips_mf"],
+                      tune={**cfg.tune, "learning_rate": (0.01, 0.02)})
+    cmd_tune(learned, tmp_path / "tune-learned", threads=8)
+    assert started == [2, 3]  # one task fits the model and trains both points
 
 
 DIVERGING_TUNE_CONFIG = BASE_CONFIG.replace(
@@ -844,13 +883,14 @@ def test_tune_table_and_divergence_log_do_not_depend_on_the_workers(tmp_path, ca
     ]
     assert len(expected_log) == 1 + 1 + 2 + 1
     tables = []
-    for threads in (1, 2):
+    for threads in (1, 2, 3):
         caplog.clear()
         with caplog.at_level(logging.WARNING, logger="ipsmf.cli"):
             path = cmd_tune(cfg, tmp_path / f"tuned{threads}", threads=threads)
         assert [r.args[:2] for r in caplog.records if "diverged" in r.msg] == expected_log
         tables.append(path.read_bytes())
     assert tables[0] == tables[1]
+    assert tables[2] == tables[0]
 
     rows = {r["method"]: r for r in cli._read_rows(tmp_path / "tuned1" / "tuned.csv")}
     # the budget keeps both learning rates of the two-point grids, and only
