@@ -16,12 +16,10 @@ from .data import (
     save_ratings,
     split_biased,
     split_unbiased,
-    filter_to_test_users,
 )
 from .model import (
     MFParameters,
     init_params,
-    predict,
     predict_many,
     fit_avg,
     save_checkpoint,
@@ -39,7 +37,6 @@ from .propensity import (
     clip,
     normalize,
     prepare,
-    score,
     score_many,
     save_propensity,
     load_propensity,

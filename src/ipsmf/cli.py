@@ -36,6 +36,7 @@ from .data import (
     RatingDataset,
     SplitBundle,
     SplitError,
+    _open_input,
     load_ratings,
     load_rating_pair,
     reindex_users,
@@ -177,6 +178,9 @@ _SIMULATION_CASTS = {
     "engagement_format": str,
 }
 _SIMULATION_LISTS = {"rating_propensities": float, "target_rating_distribution": float}
+# the two [data] layouts: a raw pair that is split here, or the four splits
+RAW_KEYS = ("biased", "unbiased")
+SPLIT_KEYS = ("train", "validation", "mcar", "test")
 _DATA_CASTS = {
     "train": str, "validation": str, "mcar": str, "test": str,
     "biased": str, "unbiased": str, "ground_truth_propensities": str,
@@ -236,7 +240,8 @@ def _parse_section(parser: configparser.ConfigParser, name: str, casts: dict, li
 
 def load_config(path: str | Path) -> ExperimentConfig:
     path = Path(path)
-    text = path.read_text(encoding="utf-8")
+    with _open_input(path, ConfigError) as fh:
+        text = fh.read()
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     parser.read_string(text)
 
@@ -277,6 +282,11 @@ def load_config(path: str | Path) -> ExperimentConfig:
                 f"[data] {key}: file name of {data[key]!r} is the dataset label "
                 "and must not contain a comma or a line break"
             )
+        layout = RAW_KEYS if any(k in data for k in RAW_KEYS) else SPLIT_KEYS
+        given = tuple(k for k in RAW_KEYS + SPLIT_KEYS if k in data)
+        if given != layout:
+            raise ConfigError(f"[data] needs the paths biased and unbiased, or train, "
+                              f"validation, mcar and test; got {', '.join(given) or 'none'}")
     if simulation is None and data is None:
         raise ConfigError("config needs a [simulation] or [data] section")
 
@@ -326,14 +336,12 @@ def _load_split_files(data_cfg: dict) -> LoadedData:
     delim = data_cfg["delimiter"]
     num_users = data_cfg.get("num_users")
     num_items = data_cfg.get("num_items")
-    parts = {}
-    for split in ("train", "validation", "mcar", "test"):
-        if split not in data_cfg:
-            raise ConfigError(f"[data] missing {split} path")
-        parts[split], _ = load_ratings(
-            data_cfg[split], delimiter=delim, num_users=num_users,
-            num_items=num_items, dense_ids=True,
+    parts = {
+        split: load_ratings(
+            data_cfg[split], delimiter=delim, num_users=num_users, num_items=num_items
         )
+        for split in SPLIT_KEYS
+    }
     gt = None
     if data_cfg.get("ground_truth_propensities"):
         gt = load_propensity(data_cfg["ground_truth_propensities"], delimiter=delim)
@@ -352,7 +360,7 @@ def _load_split_files(data_cfg: dict) -> LoadedData:
 
 
 def _load_raw_files(data_cfg: dict) -> LoadedData:
-    biased, unbiased, _ = load_rating_pair(
+    biased, unbiased = load_rating_pair(
         data_cfg["biased"], data_cfg["unbiased"], delimiter=data_cfg["delimiter"]
     )
     if data_cfg["filter_users"]:
@@ -472,7 +480,7 @@ def _write_rows(path: Path, columns, rows: list[dict]) -> None:
 
 
 def _read_rows(path: Path) -> list[dict]:
-    with open(path, "r", encoding="utf-8") as fh:
+    with _open_input(path) as fh:
         header = fh.readline().strip().split(",")
         return [dict(zip(header, line.strip().split(","))) for line in fh if line.strip()]
 

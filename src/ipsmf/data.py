@@ -72,9 +72,6 @@ class RatingDataset:
         lo, hi = self.rating_scale
         return hi - lo + 1
 
-    def triples(self) -> list[tuple[int, int, int]]:
-        return list(zip(self.users.tolist(), self.items.tolist(), self.ratings.tolist()))
-
     def pair_codes(self) -> np.ndarray:
         """Unique int64 code per (user, item) pair, for set operations."""
         return self.users * self.num_items + self.items
@@ -119,12 +116,20 @@ class SplitBundle:
             raise SplitError("mcar and test overlap as (user, item) sets")
 
 
+def _open_input(path: str | Path, error: type[Exception] = RatingDataError):
+    """Open an input file as text, raising `error` naming the path when it
+    cannot be opened (for example a missing file)."""
+    try:
+        return open(path, "r", encoding="utf-8")
+    except OSError as exc:
+        raise error(f"{path}: {exc.strerror}") from None
+
+
 def _parse_triples(path: str | Path, delimiter: str, rating_scale: tuple[int, int]):
     """Yield (user_id, item_id, rating, lineno) from a rating file, skipping an
     optional header line and validating ratings against the scale."""
-    path = Path(path)
     lo, hi = rating_scale
-    with open(path, "r", encoding="utf-8") as fh:
+    with _open_input(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line:
@@ -149,26 +154,27 @@ def _parse_triples(path: str | Path, delimiter: str, rating_scale: tuple[int, in
             yield fields[0], fields[1], int(rating), lineno
 
 
-def _index_triples(parsed, path, user_index, item_index, dense_ids):
+def _index_triples(parsed, path, user_index=None, item_index=None):
+    """Parallel index lists for `parsed` triples. With the id maps, ids are
+    remapped to indices in first-appearance order, extending the maps;
+    without them, ids are 0-based integer indices used verbatim."""
     seen: set[tuple[int, int]] = set()
     users, items, ratings = [], [], []
     for uid, iid, rating, lineno in parsed:
-        if dense_ids:
+        if user_index is None:
             try:
                 u, i = int(uid), int(iid)
             except ValueError:
                 raise RatingDataError(
-                    f"{path}: line {lineno}: non-integer id with dense_ids"
+                    f"{path}: line {lineno}: id ({uid}, {iid}) is not an integer index"
                 ) from None
             if u < 0 or i < 0:
-                raise RatingDataError(f"{path}: line {lineno}: negative index")
+                raise RatingDataError(f"{path}: line {lineno}: negative index ({u}, {i})")
         else:
             u = user_index.setdefault(uid, len(user_index))
             i = item_index.setdefault(iid, len(item_index))
         if (u, i) in seen:
-            raise RatingDataError(
-                f"{path}: line {lineno}: duplicate pair ({uid}, {iid})"
-            )
+            raise RatingDataError(f"{path}: line {lineno}: duplicate pair ({uid}, {iid})")
         seen.add((u, i))
         users.append(u)
         items.append(i)
@@ -199,33 +205,25 @@ def load_ratings(
     rating_scale: tuple[int, int] = (1, 5),
     num_users: int | None = None,
     num_items: int | None = None,
-    dense_ids: bool = False,
-) -> tuple[RatingDataset, dict[str, list[str]]]:
-    """Load a delimiter-separated rating file and remap ids to dense indices.
+) -> RatingDataset:
+    """Load a delimiter-separated rating file whose ids are 0-based integer
+    indices, used verbatim, so that companion files (the other splits, a
+    propensity table) share its index space.
 
-    The expected layout is one `user_id,item_id,rating` triple per line with an
-    optional header line. Ids may be arbitrary strings; they are remapped to
-    0-based indices in first-appearance order. With ``dense_ids=True`` the ids
-    are taken to already be 0-based integer indices and are used verbatim
-    (needed when a companion file, such as a propensity table, refers to the
-    same index space).
-
-    Returns:
-        The validated dataset and a sidecar map ``{"users": [...], "items": [...]}``
-        giving the original id at each dense index (empty when dense_ids).
+    The layout is one `user_id,item_id,rating` triple per line with an
+    optional header line, as :func:`save_ratings` writes. The id space is
+    `num_users` by `num_items`, by default one past the largest id seen.
 
     Raises:
-        RatingDataError: on malformed rows, duplicate (user, item) pairs, or
-            ratings outside the scale, naming the offending line.
+        RatingDataError: naming the file, and the line where there is one, for
+            a file that cannot be opened, a malformed row, an id that is not a
+            nonnegative integer, a duplicate (user, item) pair, or a rating
+            outside the scale.
     """
-    user_index: dict[str, int] = {}
-    item_index: dict[str, int] = {}
     users, items, ratings = _index_triples(
-        _parse_triples(path, delimiter, rating_scale), path, user_index, item_index,
-        dense_ids,
+        _parse_triples(path, delimiter, rating_scale), path
     )
-    dataset = _build(users, items, ratings, num_users, num_items, rating_scale)
-    return dataset, {"users": list(user_index), "items": list(item_index)}
+    return _build(users, items, ratings, num_users, num_items, rating_scale)
 
 
 def load_rating_pair(
@@ -233,23 +231,21 @@ def load_rating_pair(
     path_b: str | Path,
     delimiter: str = ",",
     rating_scale: tuple[int, int] = (1, 5),
-) -> tuple[RatingDataset, RatingDataset, dict[str, list[str]]]:
+) -> tuple[RatingDataset, RatingDataset]:
     """Load two rating files over one shared id space (for example a biased log
-    plus an unbiased sample). Both returned datasets use the union index space."""
+    plus an unbiased sample). Ids may be arbitrary strings; they are remapped
+    to 0-based indices in first-appearance order, through `path_a` and then
+    `path_b`, and both datasets use the union index space. Raises
+    RatingDataError as :func:`load_ratings` does."""
     user_index: dict[str, int] = {}
     item_index: dict[str, int] = {}
-    triples_a = _index_triples(
-        _parse_triples(path_a, delimiter, rating_scale), path_a, user_index,
-        item_index, dense_ids=False,
-    )
-    triples_b = _index_triples(
-        _parse_triples(path_b, delimiter, rating_scale), path_b, user_index,
-        item_index, dense_ids=False,
-    )
+    triples = [
+        _index_triples(_parse_triples(path, delimiter, rating_scale), path, user_index, item_index)
+        for path in (path_a, path_b)
+    ]
     n_users, n_items = len(user_index), len(item_index)
-    ds_a = _build(*triples_a, n_users, n_items, rating_scale)
-    ds_b = _build(*triples_b, n_users, n_items, rating_scale)
-    return ds_a, ds_b, {"users": list(user_index), "items": list(item_index)}
+    ds_a, ds_b = (_build(*t, n_users, n_items, rating_scale) for t in triples)
+    return ds_a, ds_b
 
 
 def reindex_users(
@@ -322,12 +318,6 @@ def split_unbiased(
 ) -> tuple[RatingDataset, RatingDataset]:
     """Uniform-random disjoint (mcar, test) partition of an unbiased sample."""
     return _split(data, mcar_fraction, seed)
-
-
-def filter_to_test_users(biased: RatingDataset, test: RatingDataset) -> RatingDataset:
-    """Restrict biased triples to users that appear in the test set."""
-    keep = np.isin(biased.users, np.unique(test.users))
-    return biased.subset(np.flatnonzero(keep))
 
 
 def write_manifest(path: str | Path, entries: dict) -> None:

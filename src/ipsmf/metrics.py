@@ -30,14 +30,6 @@ class MetricReport:
     num_items: int
 
 
-def _predictions(model, test: RatingDataset) -> np.ndarray:
-    if isinstance(model, MFParameters):
-        return predict_many(model, test.users, test.items)
-    if callable(model):
-        return np.asarray(model(test.users, test.items), dtype=float)
-    raise TypeError(f"cannot predict with {type(model).__name__}")
-
-
 def _per_entity_rmse(indices: np.ndarray, sq_err: np.ndarray, minlength: int) -> tuple[float, int]:
     counts = np.bincount(indices, minlength=minlength)
     sums = np.bincount(indices, weights=sq_err, minlength=minlength)
@@ -47,20 +39,19 @@ def _per_entity_rmse(indices: np.ndarray, sq_err: np.ndarray, minlength: int) ->
 
 
 def evaluate(
-    model,
+    model: MFParameters,
     test: RatingDataset,
     clamp: bool = False,
 ) -> MetricReport:
-    """Score a predictor on held-out triples.
+    """Score a model's predictions on held-out triples.
 
-    `model` may be MFParameters (the avg baseline included) or a callable
-    ``(users, items) -> predictions``. With ``clamp=True`` predictions are
-    clipped to the dataset's rating scale before scoring; the default reports
-    raw errors.
+    `model` is any MFParameters, the avg baseline of :func:`~ipsmf.model.fit_avg`
+    included. With ``clamp=True`` predictions are clipped to the dataset's
+    rating scale before scoring; the default reports raw errors.
     """
     if len(test) == 0:
         raise ValueError("test set is empty")
-    preds = _predictions(model, test)
+    preds = predict_many(model, test.users, test.items)
     if clamp:
         lo, hi = test.rating_scale
         preds = np.clip(preds, lo, hi)

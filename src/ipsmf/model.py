@@ -118,23 +118,6 @@ def init_params(
     )
 
 
-def _check_index(value: int, bound: int, what: str) -> None:
-    if not 0 <= value < bound:
-        raise IndexError(f"{what} index {value} out of range [0, {bound})")
-
-
-def predict(params: MFParameters, user: int, item: int) -> float:
-    """Dot product of the two embeddings plus the three offsets; unclamped."""
-    _check_index(user, params.num_users, "user")
-    _check_index(item, params.num_items, "item")
-    return float(
-        params.user_emb[user] @ params.item_emb[item]
-        + params.user_off[user]
-        + params.item_off[item]
-        + params.global_off
-    )
-
-
 def predict_many(params: MFParameters, users: np.ndarray, items: np.ndarray) -> np.ndarray:
     """Vectorized predictions for parallel index arrays.
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -284,22 +284,19 @@ def train(
     data: SplitBundle,
     propensity_model: propensity.PropensityModel,
     config: TrainConfig,
-    epoch_callback: Callable[[str, int, MFParameters], None] | None = None,
 ) -> TrainResult:
     """Mini-batch IPS training on the schedule ``config.schedule``.
 
     Batches are reshuffled every pass. ``"concurrent"`` updates all parameter
     groups each batch; ``"alternating"`` runs, per outer epoch, one full pass
     updating only {user_emb, user_off, global_off}, then one full pass
-    updating only {item_emb, item_off}. `epoch_callback(phase, epoch, params)`
-    is called after each pass (phase "all", or "user" and "item"). Validation
-    is scored once per outer epoch and the parameters from the best
-    validation epoch are returned.
+    updating only {item_emb, item_off}. Validation is scored once per outer
+    epoch and the parameters from the best validation epoch are returned.
     """
-    return _fit(data, propensity_model, config, epoch_callback)
+    return _fit(data, propensity_model, config)
 
 
-def _fit(data, propensity_model, config, epoch_callback):
+def _fit(data, propensity_model, config):
     """The loop of :func:`train`, under the name perfbench/tracing.py times as
     the optim.fit span."""
     train, validation = data.train, data.validation
@@ -329,9 +326,8 @@ def _fit(data, propensity_model, config, epoch_callback):
     grads = _empty_like(params)
     shuffle_rng = np.random.default_rng([config.seed, 1])
     phases = (
-        [("all", PARAM_GROUPS)]
-        if config.schedule == "concurrent"
-        else [("user", USER_PHASE_GROUPS), ("item", ITEM_PHASE_GROUPS)]
+        [PARAM_GROUPS] if config.schedule == "concurrent"
+        else [USER_PHASE_GROUPS, ITEM_PHASE_GROUPS]
     )
 
     n = len(train)
@@ -339,7 +335,7 @@ def _fit(data, propensity_model, config, epoch_callback):
     best_val, best_params, best_epoch, bad_evals = np.inf, params.copy(), 0, 0
 
     for epoch in range(1, config.max_epochs + 1):
-        for phase_name, mask in phases:
+        for mask in phases:
             perm = shuffle_rng.permutation(n)
             for start in range(0, n, config.batch_size):
                 idx = perm[start:start + config.batch_size]
@@ -348,8 +344,6 @@ def _fit(data, propensity_model, config, epoch_callback):
                     config.l2_weight, mask,
                 )
                 adam_step(params, grads, state, mask, config.learning_rate)
-            if epoch_callback is not None:
-                epoch_callback(phase_name, epoch, params)
 
         train_loss = ips_loss(params, train, p_train, config.l2_weight)
         val_score = _snips(params, validation, p_val)

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import RatingDataset
+from .data import RatingDataset, _open_input
 from .model import PARAM_GROUPS, init_params
 from .optim import adam_step, init_adam_state
 
@@ -134,13 +134,6 @@ def score_many(
     ratings = np.asarray(ratings, dtype=np.int64)
     raw = model._raw(users, items, ratings) * model.scale
     return np.maximum(np.minimum(raw, 1.0), model.clip_floor)
-
-
-def score(model: PropensityModel, user: int, item: int, rating: int) -> float:
-    """Propensity of observing the given rating for one (user, item) pair."""
-    return float(
-        score_many(model, np.array([user]), np.array([item]), np.array([rating]))[0]
-    )
 
 
 def score_dataset(model: PropensityModel, data: RatingDataset) -> np.ndarray:
@@ -499,24 +492,24 @@ _HEADER_KEYS = (
 def load_propensity(path: str | Path, delimiter: str = ",") -> PropensityModel:
     """Read a table written by :func:`save_propensity`.
 
-    Raises ValueError naming the file, and the line where there is one, for a
-    missing header key, a row with the wrong number of fields, an index or
-    propensity that does not parse, a propensity that is not finite or lies
-    outside [0, 1], an index outside its range, a duplicate index, or an index
-    range with a gap.
+    Raises PropensityError (a ValueError) naming the file, and the line where
+    there is one, for a file that cannot be opened, a missing header key, a
+    row with the wrong number of fields, an index or propensity that does not
+    parse, a propensity that is not finite or lies outside [0, 1], an index
+    outside its range, a duplicate index, or an index range with a gap.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with _open_input(path, PropensityError) as fh:
         header = fh.readline().strip()
         if not header.startswith("# "):
-            raise ValueError(f"{path}: missing propensity table header")
+            raise PropensityError(f"{path}: missing propensity table header")
         pairs = [kv.split("=", 1) for kv in header[2:].split()]
         bad = [kv[0] for kv in pairs if len(kv) != 2]
         if bad:
-            raise ValueError(f"{path}:1: header field {bad[0]!r} is not key=value")
+            raise PropensityError(f"{path}:1: header field {bad[0]!r} is not key=value")
         meta = dict(pairs)
         missing = [k for k in _HEADER_KEYS if k not in meta]
         if missing:
-            raise ValueError(f"{path}:1: header is missing key(s) {', '.join(missing)}")
+            raise PropensityError(f"{path}:1: header is missing key(s) {', '.join(missing)}")
         columns = fh.readline().strip().split(delimiter)
         rows = [
             (lineno, line.strip().split(delimiter))
@@ -525,7 +518,7 @@ def load_propensity(path: str | Path, delimiter: str = ",") -> PropensityModel:
 
     family = meta["family"]
     if family not in AXES:
-        raise ValueError(f"{path}: unknown family {family!r} (columns {columns})")
+        raise PropensityError(f"{path}: unknown family {family!r} (columns {columns})")
     try:
         scale_range = (int(meta["rating_min"]), int(meta["rating_max"]))
         kwargs = dict(
@@ -538,10 +531,10 @@ def load_propensity(path: str | Path, delimiter: str = ",") -> PropensityModel:
             alpha2=float(meta["alpha2"]) if meta["alpha2"] else None,
         )
     except ValueError as exc:
-        raise ValueError(f"{path}:1: bad header value: {exc}") from None
+        raise PropensityError(f"{path}:1: bad header value: {exc}") from None
     lo, hi = scale_range
     if hi < lo:
-        raise ValueError(f"{path}:1: rating_max {hi} is below rating_min {lo}")
+        raise PropensityError(f"{path}:1: rating_max {hi} is below rating_min {lo}")
 
     return PropensityModel(table=_read_table(path, rows, AXES[family], lo, hi), **kwargs)
 
@@ -551,37 +544,37 @@ def _read_table(path, rows, index_columns, lo, hi) -> np.ndarray:
     one axis per index column; rating columns span the rating scale, the
     other axes 0 through the largest index seen."""
     if not rows:
-        raise ValueError(f"{path}: no propensity rows")
+        raise PropensityError(f"{path}: no propensity rows")
     n_fields = len(index_columns) + 1
     offsets = [lo if name == "rating" else 0 for name in index_columns]
     indices = np.empty((len(rows), len(index_columns)), dtype=np.int64)
     values = np.empty(len(rows))
     for k, (lineno, fields) in enumerate(rows):
         if len(fields) != n_fields:
-            raise ValueError(
+            raise PropensityError(
                 f"{path}:{lineno}: expected {n_fields} field(s), got {len(fields)}"
             )
         for j, (name, text) in enumerate(zip(index_columns, fields)):
             try:
                 index = int(text)
             except ValueError:
-                raise ValueError(f"{path}:{lineno}: {name} {text!r} is not an integer") from None
+                raise PropensityError(f"{path}:{lineno}: {name} {text!r} is not an integer") from None
             if name == "rating":
                 if not lo <= index <= hi:
-                    raise ValueError(
+                    raise PropensityError(
                         f"{path}:{lineno}: rating {index} outside the header's scale [{lo}, {hi}]"
                     )
             elif index < 0:
-                raise ValueError(f"{path}:{lineno}: {name} {index} is negative")
+                raise PropensityError(f"{path}:{lineno}: {name} {index} is negative")
             indices[k, j] = index - offsets[j]
         try:
             value = float(fields[-1])
         except ValueError:
-            raise ValueError(
+            raise PropensityError(
                 f"{path}:{lineno}: propensity {fields[-1]!r} is not a number"
             ) from None
         if not 0.0 <= value <= 1.0:  # also false for NaN
-            raise ValueError(f"{path}:{lineno}: propensity {value!r} outside [0, 1]")
+            raise PropensityError(f"{path}:{lineno}: propensity {value!r} outside [0, 1]")
         values[k] = value
 
     shape = tuple(
@@ -594,7 +587,7 @@ def _read_table(path, rows, index_columns, lo, hi) -> np.ndarray:
     repeated = np.flatnonzero(ordered[1:] == ordered[:-1])
     if len(repeated):
         first, again = order[repeated[0]], order[repeated[0] + 1]
-        raise ValueError(
+        raise PropensityError(
             f"{path}:{rows[again][0]}: duplicate of the row on line {rows[first][0]}"
         )
     size = int(np.prod(shape, dtype=np.int64))
@@ -606,7 +599,7 @@ def _read_table(path, rows, index_columns, lo, hi) -> np.ndarray:
         where = ", ".join(
             f"{name} {int(i) + off}" for name, i, off in zip(index_columns, gap, offsets)
         )
-        raise ValueError(f"{path}: no row for {where} (gap in the index range)")
+        raise PropensityError(f"{path}: no row for {where} (gap in the index range)")
     table = np.zeros(size)
     table[flat] = values
     return table.reshape(shape)

@@ -15,7 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import RatingDataset, SplitBundle, split_biased, split_unbiased
+from .data import (
+    RatingDataError, RatingDataset, SplitBundle, _open_input, split_biased, split_unbiased,
+)
 from .propensity import PropensityModel
 
 logger = logging.getLogger(__name__)
@@ -88,7 +90,6 @@ class SimulationResult:
     bundle: SplitBundle
     ground_truth_propensities: PropensityModel
     truth: np.ndarray  # (user, item) ratings, uint8 as convert_to_ratings writes them
-    item_propensities: np.ndarray
     capped_items: int
 
 
@@ -400,36 +401,40 @@ def simulate(spec: SimulationSpec) -> SimulationResult:
         bundle=bundle,
         ground_truth_propensities=gt_model,
         truth=truth,
-        item_propensities=rho_i,
         capped_items=capped,
     )
 
 
 def _load_engagement(spec: SimulationSpec) -> np.ndarray:
     """Read the dense engagement source, either as a grid or as fully covering
-    (user_index, item_index, value) triples. NaN values are rejected, naming
-    the file, because a NaN cell has no rating rank."""
+    (user_index, item_index, value) triples. Raises RatingDataError naming the
+    file for one that cannot be opened or parsed, a wrong shape, NaN values
+    (a NaN cell has no rating rank) and uncovered cells."""
     path = spec.engagement_path
     shape = (spec.num_users, spec.num_items)
-    if spec.engagement_format == "dense":
-        engagement = np.loadtxt(path, delimiter=",")
-        if engagement.shape != shape:
-            raise ValueError(
-                f"{path}: engagement matrix shape {engagement.shape} does not match {shape}"
+    dense = spec.engagement_format == "dense"
+    with _open_input(path) as fh:
+        try:
+            values = np.loadtxt(fh, delimiter=",", ndmin=0 if dense else 2)
+        except ValueError as exc:
+            raise RatingDataError(f"{path}: {exc}") from None
+    if dense:
+        if values.shape != shape:
+            raise RatingDataError(
+                f"{path}: engagement matrix shape {values.shape} does not match {shape}"
             )
-        missing = int(np.count_nonzero(np.isnan(engagement)))
+        missing = int(np.count_nonzero(np.isnan(values)))
         if missing:
-            raise ValueError(f"{path}: engagement matrix holds {missing} NaN cells")
-        return engagement
-    rows = np.loadtxt(path, delimiter=",", ndmin=2)
-    if rows.shape[1] != 3:
-        raise ValueError(f"{path}: triples engagement file needs (user, item, value) columns")
-    missing = int(np.count_nonzero(np.isnan(rows[:, 2])))
+            raise RatingDataError(f"{path}: engagement matrix holds {missing} NaN cells")
+        return values
+    if values.shape[1] != 3:
+        raise RatingDataError(f"{path}: triples engagement file needs (user, item, value) columns")
+    missing = int(np.count_nonzero(np.isnan(values[:, 2])))
     if missing:
-        raise ValueError(f"{path}: engagement triples hold {missing} NaN values")
+        raise RatingDataError(f"{path}: engagement triples hold {missing} NaN values")
     engagement = np.full(shape, np.nan)
-    engagement[rows[:, 0].astype(int), rows[:, 1].astype(int)] = rows[:, 2]
+    engagement[values[:, 0].astype(int), values[:, 1].astype(int)] = values[:, 2]
     if np.isnan(engagement).any():
         missing = int(np.isnan(engagement).sum())
-        raise ValueError(f"{path}: engagement triples leave {missing} cells uncovered")
+        raise RatingDataError(f"{path}: engagement triples leave {missing} cells uncovered")
     return engagement

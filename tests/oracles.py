@@ -24,6 +24,11 @@ from ipsmf.propensity import (
 )
 
 
+def triples(data: RatingDataset) -> list[tuple[int, int, int]]:
+    """The (user, item, rating) triples of a dataset, in its order."""
+    return list(zip(data.users.tolist(), data.items.tolist(), data.ratings.tolist()))
+
+
 def rating_counts(triples, rating_values):
     counts = {r: 0 for r in rating_values}
     for _, _, r in triples:

@@ -35,7 +35,8 @@ from ipsmf.propensity import (
 )
 from ipsmf.sim import SimulationSpec, simulate
 
-from oracles import multifactorial_oracle, popularity_oracle, positivity_oracle
+from helpers import train_with_pass_snapshots
+from oracles import multifactorial_oracle, popularity_oracle, positivity_oracle, triples
 
 # shared desk-scale experiment configuration
 DESK_TRAIN = dict(learning_rate=0.01, l2_weight=1e-5, batch_size=512,
@@ -112,20 +113,20 @@ def test_c2_propensity_estimators_match_brute_force_oracle():
     values = [1, 2]
 
     pos = estimate_positivity(train, mcar)
-    pos_oracle = positivity_oracle(train.triples(), mcar.triples(), 3, 3, values)
+    pos_oracle = positivity_oracle(triples(train), triples(mcar), 3, 3, values)
     for r in values:
         assert pos.table[r - 1] == pytest.approx(
             min(pos_oracle[r], 1.0), abs=1e-12
         )
 
     pop = estimate_popularity(train)
-    pop_oracle = popularity_oracle(train.triples(), 3, 3)
+    pop_oracle = popularity_oracle(triples(train), 3, 3)
     for i in range(3):
         assert pop.table[i] == pytest.approx(pop_oracle[i], abs=1e-12)
 
     mul = estimate_multifactorial(train, mcar, SmoothingConfig(2.0, 3.0))
     mul_oracle = multifactorial_oracle(
-        train.triples(), mcar.triples(), 3, 3, values, 2.0, 3.0
+        triples(train), triples(mcar), 3, 3, values, 2.0, 3.0
     )
     for i in range(3):
         for r in values:
@@ -195,12 +196,9 @@ def test_c5_alternating_schedule_contract_and_stability():
     )
 
     # (a) instrumented phase-freezing contract
-    snapshots = []
     config = TrainConfig(schedule="alternating", seed=0,
                          **{**DESK_TRAIN, "max_epochs": 5, "patience": 5})
-    optim.train(sim.bundle, prop, config,
-                lambda phase, epoch, params: snapshots.append(
-                    (phase, epoch, params.copy())))
+    _, snapshots = train_with_pass_snapshots(sim.bundle, prop, config)
     previous_item_state = None
     for phase, epoch, params in snapshots:
         if phase == "user":

@@ -18,11 +18,11 @@ from ipsmf.cli import (
     load_config,
     main,
 )
-from ipsmf.data import load_ratings
+from ipsmf.data import RatingDataset, load_ratings, save_ratings
 from ipsmf.metrics import bootstrap_interval, evaluate
 from ipsmf.model import fit_avg, predict_many
 from ipsmf.optim import TrainConfig, train
-from ipsmf.propensity import load_propensity, score_dataset
+from ipsmf.propensity import PropensityModel, load_propensity, save_propensity, score_dataset
 
 from helpers import read_manifest
 from oracles import bootstrap_interval_oracle
@@ -141,6 +141,8 @@ methods = mf
 [data]
 {key} = {path}
 """
+# the split paths that complete a [data] section holding only `train`
+OTHER_SPLIT_PATHS = "validation = v.csv\nmcar = m.csv\ntest = s.csv\n"
 
 
 @pytest.mark.parametrize("key, name", [
@@ -158,9 +160,9 @@ def test_dataset_label_with_comma_or_newline_rejected(tmp_path, key, name):
 def test_comma_outside_the_label_is_fine(tmp_path):
     # only the stem becomes the label: a comma in a directory is harmless
     text = DATA_ONLY_CONFIG.format(key="train", path=tmp_path / "a,b" / "train.csv")
-    load_config(write_config(tmp_path, text))
-    # with raw input the biased file names the dataset, not the train file
-    text = DATA_ONLY_CONFIG.format(key="train", path=tmp_path / "train,v2.csv")
+    load_config(write_config(tmp_path, text + OTHER_SPLIT_PATHS))
+    # with raw input the biased file names the dataset, not the unbiased file
+    text = DATA_ONLY_CONFIG.format(key="unbiased", path=tmp_path / "unbiased,v2.csv")
     load_config(write_config(tmp_path, text + f"biased = {tmp_path / 'biased.csv'}\n"))
 
 
@@ -170,7 +172,7 @@ class TestSimulateCommand:
         out = tmp_path / "simout"
         cmd_simulate(cfg, out)
         for name in ("train", "validation", "mcar", "test"):
-            ds, _ = load_ratings(out / f"{name}.csv", dense_ids=True)
+            ds = load_ratings(out / f"{name}.csv")
             assert len(ds) > 0
         gt = load_propensity(out / "gt_propensities.csv")
         assert gt.family == "ground_truth"
@@ -309,22 +311,83 @@ embedding_dim = 4
         assert "[data] biased" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("name, old, new, message", [
-        ("unbiased.csv", "user_id,item_id", "user,item", "unbiased.csv: line 1: "),
-        ("raw.ini", "mcar_fraction = 0.25", "mcar_fraction = 1.5",
-         "fraction must be in (0, 1), got 1.5"),
-    ], ids=["bad-header", "bad-fraction"])
-    def test_data_errors_reported(self, tmp_path, capsys, name, old, new, message):
-        # a malformed input file (RatingDataError) or an impossible split
-        # (SplitError) exits 2 with its message, not a traceback
+    def input_files(self, tmp_path):
+        """The raw pair with raw.ini, split files with a ground-truth table
+        (split.ini), and a simulation that reads an engagement matrix
+        (engagement.ini)."""
         self.raw_pair_config(tmp_path)
-        path = tmp_path / name
-        path.write_text(path.read_text().replace(old, new))
+        cmd_simulate(load_config(write_config(tmp_path)), tmp_path / "splits")
+        split_paths = "".join(
+            f"{name} = {tmp_path / 'splits' / name}.csv\n"
+            for name in ("train", "validation", "mcar", "test")
+        )
+        write_config(tmp_path, name="split.ini", text=(
+            f"[data]\n{split_paths}"
+            f"ground_truth_propensities = {tmp_path / 'splits' / 'gt_propensities.csv'}\n"
+            "[experiment]\nmethods = avg, mf_ips_gt\n"
+        ))
+        np.savetxt(tmp_path / "engagement.csv", np.random.default_rng(0).random((30, 25)),
+                   delimiter=",")
+        write_config(tmp_path, name="engagement.ini", text=BASE_CONFIG.replace(
+            "[simulation]\n", f"[simulation]\nengagement_path = {tmp_path / 'engagement.csv'}\n"
+        ))
+
+    @pytest.mark.parametrize("args, name, old, new, error, message", [
+        ("train raw.ini", "unbiased.csv", "user_id,item_id", "user,item", "data",
+         "unbiased.csv: line 1: "),
+        ("train raw.ini", "raw.ini", "mcar_fraction = 0.25", "mcar_fraction = 1.5", "data",
+         "fraction must be in (0, 1), got 1.5"),
+        ("train raw.ini", "raw.ini", "/biased.csv", "/absent.csv", "data",
+         "absent.csv: No such file or directory"),
+        ("train split.ini", "split.ini", "/train.csv", "/absent.csv", "data",
+         "absent.csv: No such file or directory"),
+        ("train split.ini", "splits/test.csv", "user_id,item_id,rating\n",
+         "user_id,item_id,rating\nu0,3,4\n", "data", "test.csv: line 2: "),
+        ("train split.ini", "splits/gt_propensities.csv", " rating_max=5", "", "propensity",
+         "gt_propensities.csv:1: header is missing key(s) rating_max"),
+        ("train split.ini", "split.ini", "gt_propensities.csv", "absent.csv", "propensity",
+         "absent.csv: No such file or directory"),
+        ("train engagement.ini", "engagement.ini", "/engagement.csv", "/absent.csv", "data",
+         "absent.csv: No such file or directory"),
+        ("summarize absent.csv", None, None, None, "data",
+         "absent.csv: No such file or directory"),
+    ], ids=["bad-header", "bad-fraction", "missing-biased", "missing-train",
+            "string-id-in-split", "gt-header-key-missing", "missing-gt-table",
+            "missing-engagement", "missing-results"])
+    def test_data_errors_reported(self, tmp_path, capsys, args, name, old, new, error, message):
+        # a missing or malformed input file (RatingDataError, PropensityError)
+        # or an impossible split (SplitError) exits 2 with its message naming
+        # the file, not a traceback
+        self.input_files(tmp_path)
+        if name is not None:
+            path = tmp_path / name
+            path.write_text(path.read_text().replace(old, new))
+        command, file_name = args.split()
+        flag = "--results" if command == "summarize" else "--config"
         out = tmp_path / "out"
-        assert main(["train", "--config", str(tmp_path / "raw.ini"), "--out", str(out)]) == 2
+        assert main([command, flag, str(tmp_path / file_name), "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("data error: ") and message in err
+        assert err.startswith(f"{error} error: ") and message in err
         assert not out.exists()
+
+    def test_ground_truth_table_widens_the_item_space(self, tmp_path):
+        # a ground-truth table covers every simulated item, including items
+        # that appear in no split; the splits take its item count
+        splits = tmp_path / "splits"
+        splits.mkdir()
+        for k, name in enumerate(("train", "validation", "mcar", "test")):
+            save_ratings(RatingDataset(3, 3, [k % 3, (k + 1) % 3], [0, 2], [4, 5]),
+                         splits / f"{name}.csv")
+        save_propensity(PropensityModel("ground_truth", table=np.full((7, 5), 0.2)),
+                        splits / "gt.csv")
+        text = "".join(f"{n} = {splits / n}.csv\n" for n in ("train", "validation", "mcar", "test"))
+        cfg = load_config(write_config(tmp_path, name="gt.ini", text=(
+            f"[data]\n{text}ground_truth_propensities = {splits / 'gt.csv'}\n"
+            "[experiment]\nmethods = mf_ips_gt\n"
+        )))
+        bundle = cli.load_experiment_data(cfg, run_seed=0).bundle
+        for split in (bundle.train, bundle.validation, bundle.mcar, bundle.test):
+            assert (split.num_users, split.num_items) == (3, 7)
 
     def test_failed_tune_leaves_no_output_dir(self, tmp_path, capsys):
         self.raw_pair_config(tmp_path)
@@ -727,12 +790,24 @@ def test_main_reports_config_errors(tmp_path, capsys):
     assert "gamma" in capsys.readouterr().err
 
 
+DATA_LAYOUT_ERROR = (
+    "[data] needs the paths biased and unbiased, or train, validation, mcar and test; "
+)
+
+
 @pytest.mark.parametrize("old, new, message", [
     ("[method mf_ips_mul]", "[method mf_ips_mf]\npropensity_steps = 0\n[method mf_ips_mul]",
      "[method mf_ips_mf] propensity_steps: must be positive, got 0"),
     ("[train]", "[propensity]\npropensity_steps = -2\n[train]",
      "[propensity] propensity_steps: must be positive, got -2"),
     ("[train]", "[data]\ndense_ids = false\n[train]", "[data] unknown key 'dense_ids'"),
+    ("[train]", "[data]\nbiased = b.csv\n[train]", DATA_LAYOUT_ERROR + "got biased"),
+    ("[train]", "[data]\nunbiased = u.csv\n[train]", DATA_LAYOUT_ERROR + "got unbiased"),
+    ("[train]", "[data]\ntrain = t.csv\nmcar = m.csv\n[train]",
+     DATA_LAYOUT_ERROR + "got train, mcar"),
+    ("[train]", "[data]\nbiased = b.csv\nunbiased = u.csv\ntest = s.csv\n[train]",
+     DATA_LAYOUT_ERROR + "got biased, unbiased, test"),
+    ("[train]", "[data]\ndelimiter = ;\n[train]", DATA_LAYOUT_ERROR + "got none"),
     ("max_epochs = 12", "max_epochs = 0", "[train] max_epochs: must be positive, got 0"),
     ("learning_rate = 0.01", "learning_rate = -1",
      "[train] learning_rate: must be positive, got -1.0"),
@@ -747,7 +822,9 @@ def test_main_reports_config_errors(tmp_path, capsys):
      "[propensity] propensity_learning_rate: must be positive, got 0.0"),
     ("[train]", "[propensity]\npropensity_learning_rate = -0.05\n[train]",
      "[propensity] propensity_learning_rate: must be positive, got -0.05"),
-], ids=["steps-zero", "steps-negative", "dense-ids-removed", "max-epochs-zero",
+], ids=["steps-zero", "steps-negative", "dense-ids-removed", "data-biased-alone",
+        "data-unbiased-alone", "data-splits-incomplete", "data-layouts-mixed",
+        "data-no-paths", "max-epochs-zero",
         "learning-rate-negative", "schedule-unknown", "clip-floor-zero", "alpha1-negative",
         "propensity-dim-zero", "propensity-learning-rate-zero",
         "propensity-learning-rate-negative"])

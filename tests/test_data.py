@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,6 @@ from ipsmf.data import (
     RatingDataset,
     SplitBundle,
     SplitError,
-    filter_to_test_users,
     load_rating_pair,
     load_ratings,
     reindex_users,
@@ -16,6 +17,7 @@ from ipsmf.data import (
     write_manifest,
 )
 from helpers import observed_pairs, read_manifest
+from oracles import triples
 
 
 def make_dataset(n_users, n_items, triples, scale=(1, 5)):
@@ -33,92 +35,124 @@ def grid_dataset(n_users, n_items, rng=None):
     return RatingDataset(n_users, n_items, users, items, ratings)
 
 
+def load_string_ids(path, delimiter=","):
+    """The dataset of a file with string ids: the first of a pair loaded with
+    an empty second file."""
+    empty = path.with_name("empty-companion.csv")
+    empty.write_text("")
+    return load_rating_pair(path, empty, delimiter=delimiter)[0]
+
+
 class TestLoadRatings:
     def test_three_row_file(self, tmp_path):
         path = tmp_path / "r.csv"
         path.write_text("user_id,item_id,rating\nu1,i1,5\nu1,i2,1\nu2,i1,5\n")
-        ds, maps = load_ratings(path)
+        ds = load_string_ids(path)
         assert (ds.num_users, ds.num_items, len(ds)) == (2, 2, 3)
-        assert maps == {"users": ["u1", "u2"], "items": ["i1", "i2"]}
-        assert ds.triples() == [(0, 0, 5), (0, 1, 1), (1, 0, 5)]
+        assert triples(ds) == [(0, 0, 5), (0, 1, 1), (1, 0, 5)]
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")
-        ds, _ = load_ratings(path)
+        ds = load_ratings(path)
         assert (ds.num_users, ds.num_items, len(ds)) == (0, 0, 0)
-        ds2, _ = load_ratings(path, num_users=4, num_items=7)
+        ds2 = load_ratings(path, num_users=4, num_items=7)
         assert (ds2.num_users, ds2.num_items) == (4, 7)
 
     def test_rating_out_of_scale_names_line(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("u1,i1,7\n")
         with pytest.raises(RatingDataError, match="line 1"):
-            load_ratings(path)
+            load_string_ids(path)
 
     def test_out_of_scale_after_header(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("user_id,item_id,rating\nu1,i1,0\n")
         with pytest.raises(RatingDataError, match="line 2"):
-            load_ratings(path)
+            load_string_ids(path)
 
     def test_malformed_row(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("u1,i1,5\nu2,i2\n")
         with pytest.raises(RatingDataError, match="line 2"):
-            load_ratings(path)
+            load_string_ids(path)
 
     def test_non_numeric_rating(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("u1,i1,five\n")
         with pytest.raises(RatingDataError, match="not a number"):
-            load_ratings(path)
+            load_string_ids(path)
 
     def test_duplicate_pair(self, tmp_path):
         path = tmp_path / "dup.csv"
         path.write_text("u1,i1,5\nu1,i1,4\n")
         with pytest.raises(RatingDataError, match="duplicate"):
-            load_ratings(path)
+            load_string_ids(path)
 
     def test_roundtrip(self, tmp_path):
         ds = make_dataset(3, 4, [(0, 0, 5), (1, 3, 1), (2, 2, 3)])
         path = tmp_path / "out.csv"
         save_ratings(ds, path)
-        back, _ = load_ratings(path, dense_ids=True)
-        assert back.triples() == ds.triples()
+        back = load_ratings(path)
+        assert triples(back) == triples(ds)
 
     def test_dense_ids_preserve_indices(self, tmp_path):
         path = tmp_path / "dense.csv"
         path.write_text("user_id,item_id,rating\n5,9,3\n")
-        ds, _ = load_ratings(path, dense_ids=True)
+        ds = load_ratings(path)
         assert ds.num_users == 6 and ds.num_items == 10
-        assert ds.triples() == [(5, 9, 3)]
+        assert triples(ds) == [(5, 9, 3)]
+
+    @pytest.mark.parametrize("row, problem", [
+        ("u1,2,3", "is not an integer index"),
+        ("1,2.5,3", "is not an integer index"),
+        ("1,-2,3", "negative index"),
+        ("-1,2,3", "negative index"),
+    ], ids=["string-user", "fractional-item", "negative-item", "negative-user"])
+    def test_rejects_ids_that_are_not_indices(self, tmp_path, row, problem):
+        # split files hold 0-based integer indices; anything else names the
+        # file and line instead of being remapped
+        path = tmp_path / "split.csv"
+        path.write_text(f"user_id,item_id,rating\n0,0,5\n{row}\n")
+        with pytest.raises(RatingDataError, match=re.escape(f"{path}: line 3: ") + ".*" + problem):
+            load_ratings(path)
+
+    def test_missing_file_named(self, tmp_path):
+        path = tmp_path / "absent.csv"
+        with pytest.raises(RatingDataError, match=re.escape(f"{path}: ")):
+            load_ratings(path)
+        present = tmp_path / "present.csv"
+        present.write_text("u1,i1,5\n")
+        with pytest.raises(RatingDataError, match=re.escape(f"{path}: ")):
+            load_rating_pair(present, path)
 
     def test_tsv_delimiter(self, tmp_path):
         path = tmp_path / "r.tsv"
         path.write_text("a\tb\t4\n")
-        ds, _ = load_ratings(path, delimiter="\t")
-        assert ds.triples() == [(0, 0, 4)]
+        ds = load_string_ids(path, delimiter="\t")
+        assert triples(ds) == [(0, 0, 4)]
 
     def test_id_remap_is_bijection(self, tmp_path):
         path = tmp_path / "r.csv"
         rows = [f"user{u},item{i},{(u + i) % 5 + 1}" for u in range(7) for i in range(5)]
         path.write_text("\n".join(rows))
-        ds, maps = load_ratings(path)
-        assert len(set(maps["users"])) == ds.num_users
-        assert len(set(maps["items"])) == ds.num_items
-        # original ids recoverable from indices
-        assert maps["users"][ds.users[0]] == "user0"
+        ds = load_string_ids(path)
+        assert len(set(ds.users.tolist())) == ds.num_users == 7
+        assert len(set(ds.items.tolist())) == ds.num_items == 5
+        # indices follow first appearance, so the original ids are recoverable
+        assert ds.users.tolist() == [u for u in range(7) for _ in range(5)]
+        assert ds.items.tolist() == list(range(5)) * 7
 
     def test_pair_loading_shares_id_space(self, tmp_path):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
         a.write_text("u1,i1,5\nu2,i2,3\n")
         b.write_text("u2,i3,1\nu3,i1,2\n")
-        ds_a, ds_b, maps = load_rating_pair(a, b)
+        ds_a, ds_b = load_rating_pair(a, b)
         assert ds_a.num_users == ds_b.num_users == 3
         assert ds_a.num_items == ds_b.num_items == 3
-        assert maps["users"] == ["u1", "u2", "u3"]
+        # u1, u2, u3 are indexed in order of first appearance, through a then b
+        assert ds_a.users.tolist() == [0, 1] and ds_b.users.tolist() == [1, 2]
         # u2 has the same index in both datasets
         assert ds_a.users[1] == ds_b.users[0]
 
@@ -161,10 +195,10 @@ class TestSplits:
         ds = grid_dataset(4, 25)
         a = split_biased(ds, 0.8, seed=3)
         b = split_biased(ds, 0.8, seed=3)
-        assert a[0].triples() == b[0].triples()
-        assert a[1].triples() == b[1].triples()
+        assert triples(a[0]) == triples(b[0])
+        assert triples(a[1]) == triples(b[1])
         c = split_biased(ds, 0.8, seed=4)
-        assert a[0].triples() != c[0].triples()
+        assert triples(a[0]) != triples(c[0])
 
     def test_100k_counts_within_one(self):
         ds = grid_dataset(100, 1000)
@@ -175,8 +209,8 @@ class TestSplits:
     def test_union_preserved(self):
         ds = grid_dataset(9, 11)
         train, val = split_biased(ds, 0.7, seed=5)
-        merged = sorted(train.triples() + val.triples())
-        assert merged == sorted(ds.triples())
+        merged = sorted(triples(train) + triples(val))
+        assert merged == sorted(triples(ds))
 
     def test_unbiased_sizes_five_percent(self):
         ds = grid_dataset(54, 1000)
@@ -208,14 +242,14 @@ class TestFilterAndReindex:
     def test_filter_keeps_only_test_users(self):
         biased = make_dataset(3, 2, [(0, 0, 5), (1, 0, 4), (2, 1, 3)])
         test = make_dataset(3, 2, [(0, 1, 2), (1, 1, 5)])
-        kept = filter_to_test_users(biased, test)
+        kept = reindex_users([biased], np.unique(test.users))[0]
         assert sorted(set(kept.users.tolist())) == [0, 1]
         assert len(kept) == 2
 
     def test_filter_identity_when_superset(self):
         biased = make_dataset(2, 2, [(0, 0, 5), (1, 1, 4)])
         test = make_dataset(2, 2, [(0, 1, 2), (1, 0, 5)])
-        assert filter_to_test_users(biased, test).triples() == biased.triples()
+        assert triples(reindex_users([biased], np.unique(test.users))[0]) == triples(biased)
 
     def test_filter_hand_count(self):
         # 5 users with 2, 1, 3, 1, 2 biased triples; users 1 and 3 in test
@@ -223,15 +257,15 @@ class TestFilterAndReindex:
                    (2, 3, 1), (3, 3, 2), (4, 0, 3), (4, 2, 4)]
         biased = make_dataset(5, 4, triples)
         test = make_dataset(5, 4, [(1, 0, 1), (3, 0, 2)])
-        assert len(filter_to_test_users(biased, test)) == 2  # 1 + 1 triples
+        assert len(reindex_users([biased], np.unique(test.users))[0]) == 2  # 1 + 1 triples
 
     def test_reindex_users(self):
         a = make_dataset(4, 2, [(0, 0, 1), (2, 1, 3), (3, 0, 5)])
         b = make_dataset(4, 2, [(2, 0, 4)])
         new_a, new_b = reindex_users([a, b], np.array([2, 3]))
         assert new_a.num_users == 2
-        assert new_a.triples() == [(0, 1, 3), (1, 0, 5)]
-        assert new_b.triples() == [(0, 0, 4)]
+        assert triples(new_a) == [(0, 1, 3), (1, 0, 5)]
+        assert triples(new_b) == [(0, 0, 4)]
 
 
 class TestBundle:

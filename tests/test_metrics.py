@@ -3,9 +3,9 @@ import pytest
 
 from ipsmf.data import RatingDataset
 from ipsmf.metrics import MetricReport, bootstrap_interval, evaluate, summarize_runs
-from ipsmf.model import fit_avg, init_params
+from ipsmf.model import MFParameters, fit_avg, init_params
 
-from oracles import per_user_rmse_oracle
+from oracles import per_user_rmse_oracle, triples
 
 
 def make_dataset(n_users, n_items, triples, scale=(1, 5)):
@@ -13,13 +13,34 @@ def make_dataset(n_users, n_items, triples, scale=(1, 5)):
     return RatingDataset(n_users, n_items, u, i, r, scale)
 
 
-def constant_predictor(value):
-    return lambda users, items: np.full(len(users), float(value))
+def constant_predictor(value, test):
+    """A zero-factor model over `test`'s id space that predicts `value`, as
+    fit_avg builds one: 0 + 0 + 0 + value."""
+    return MFParameters(
+        user_emb=np.zeros((test.num_users, 0)),
+        item_emb=np.zeros((test.num_items, 0)),
+        user_off=np.zeros(test.num_users),
+        item_off=np.zeros(test.num_items),
+        global_off=np.array(float(value)),
+    )
+
+
+def pairwise_predictor(test, preds):
+    """A model whose prediction for the k-th (user, item) pair of `test` is
+    exactly ``preds[k]``: one factor per pair, 1 on the pair's user and
+    ``preds[k]`` on its item, so every other term of the dot product is 0."""
+    k = np.arange(len(test))
+    user_emb = np.zeros((test.num_users, len(test)))
+    item_emb = np.zeros((test.num_items, len(test)))
+    user_emb[test.users, k] = 1.0
+    item_emb[test.items, k] = preds
+    return MFParameters(user_emb, item_emb, np.zeros(test.num_users),
+                        np.zeros(test.num_items), np.array(0.0))
 
 
 def test_perfect_predictions_all_zero():
     test = make_dataset(2, 2, [(0, 0, 3), (1, 1, 3)])
-    report = evaluate(constant_predictor(3.0), test)
+    report = evaluate(constant_predictor(3.0, test), test)
     assert report.mse == report.mae == report.rmse == 0.0
     assert report.rmse_per_user == report.rmse_per_item == 0.0
 
@@ -27,7 +48,7 @@ def test_perfect_predictions_all_zero():
 def test_forced_arithmetic_two_users():
     # residuals (+1, -1) split across two users
     test = make_dataset(2, 2, [(0, 0, 2), (1, 1, 4)])
-    report = evaluate(constant_predictor(3.0), test)
+    report = evaluate(constant_predictor(3.0, test), test)
     assert report.mse == 1.0
     assert report.mae == 1.0
     assert report.rmse == 1.0
@@ -37,9 +58,8 @@ def test_forced_arithmetic_two_users():
 def test_unequal_per_user_counts_match_oracle():
     test = make_dataset(3, 4, [(0, 0, 1), (0, 1, 5), (0, 2, 3), (1, 0, 4), (2, 3, 2)])
     preds = np.array([2.0, 2.0, 3.5, 3.0, 2.0])
-    predictor = lambda users, items: preds
-    report = evaluate(predictor, test)
-    expected_u = per_user_rmse_oracle(test.triples(), preds)
+    report = evaluate(pairwise_predictor(test, preds), test)
+    expected_u = per_user_rmse_oracle(triples(test), preds)
     assert report.rmse_per_user == pytest.approx(expected_u, abs=1e-12)
     assert report.rmse_per_user != pytest.approx(report.rmse)
 
@@ -48,8 +68,8 @@ def test_rmse_is_sqrt_mse_and_mae_bounded():
     rng = np.random.default_rng(4)
     test = make_dataset(6, 6, [(u, i, int(rng.integers(1, 6)))
                                for u in range(6) for i in range(6)])
-    predictor = lambda users, items: rng.normal(3.0, 1.0, size=len(users))
-    report = evaluate(predictor, test)
+    preds = rng.normal(3.0, 1.0, size=len(test))
+    report = evaluate(pairwise_predictor(test, preds), test)
     assert report.rmse == pytest.approx(np.sqrt(report.mse), abs=1e-12)
     assert report.mae <= report.rmse + 1e-12
 
@@ -58,7 +78,7 @@ def test_rmse_per_user_equals_rmse_with_one_triple_each():
     # per-user RMSE of a singleton is |residual|, so the identity with the
     # pooled RMSE needs equal-magnitude residuals
     test = make_dataset(4, 4, [(u, u, 2 if u % 2 else 4) for u in range(4)])
-    report = evaluate(constant_predictor(3.0), test)
+    report = evaluate(constant_predictor(3.0, test), test)
     assert report.rmse_per_user == pytest.approx(report.rmse, abs=1e-12)
 
 
@@ -79,13 +99,13 @@ def test_permutation_invariance():
 def test_empty_test_rejected():
     empty = RatingDataset(2, 2, np.array([], int), np.array([], int), np.array([], int))
     with pytest.raises(ValueError):
-        evaluate(constant_predictor(3.0), empty)
+        evaluate(constant_predictor(3.0, empty), empty)
 
 
 def test_clamp_restricts_to_scale():
     test = make_dataset(1, 2, [(0, 0, 5), (0, 1, 1)])
-    report_raw = evaluate(constant_predictor(7.0), test)
-    report_clamped = evaluate(constant_predictor(7.0), test, clamp=True)
+    report_raw = evaluate(constant_predictor(7.0, test), test)
+    report_clamped = evaluate(constant_predictor(7.0, test), test, clamp=True)
     assert report_clamped.mse < report_raw.mse
     assert report_clamped.mse == pytest.approx((0.0 + 16.0) / 2)
 
@@ -99,7 +119,7 @@ def test_avg_model_path():
 
 def test_counts_reported():
     test = make_dataset(5, 4, [(0, 0, 1), (0, 1, 5), (1, 0, 4), (2, 3, 2)])
-    report = evaluate(constant_predictor(3.0), test)
+    report = evaluate(constant_predictor(3.0, test), test)
     assert report.num_triples == 4
     assert report.num_users == 3
     assert report.num_items == 3

@@ -13,7 +13,6 @@ from ipsmf.model import (
     fit_avg,
     init_params,
     load_checkpoint,
-    predict,
     predict_many,
     save_checkpoint,
 )
@@ -21,11 +20,16 @@ from ipsmf.optim import init_adam_state
 from oracles import predict_many_reference
 
 
+def predict_one(params, user, item):
+    """The prediction for one (user, item) pair, from predict_many."""
+    return float(predict_many(params, np.array([user]), np.array([item]))[0])
+
+
 def test_constant_model_predicts_global_offset():
     params = init_params(3, 4, dim=2, seed=0, scale=0.0, global_offset=3.0)
     for u in range(3):
         for i in range(4):
-            assert predict(params, u, i) == 3.0
+            assert predict_one(params, u, i) == 3.0
 
 
 def test_forced_arithmetic():
@@ -36,7 +40,7 @@ def test_forced_arithmetic():
         item_off=np.array([0.2]),
         global_off=np.array(1.0),
     )
-    assert predict(params, 0, 0) == pytest.approx(3.3, abs=1e-12)
+    assert predict_one(params, 0, 0) == pytest.approx(3.3, abs=1e-12)
 
 
 def test_prediction_matches_manual_recomputation():
@@ -52,7 +56,7 @@ def test_prediction_matches_manual_recomputation():
                 + float(params.user_off[u]) + float(params.item_off[i])
                 + float(params.global_off)
             )
-            assert predict(params, u, i) == pytest.approx(manual, abs=1e-12)
+            assert predict_one(params, u, i) == pytest.approx(manual, abs=1e-12)
 
 
 def test_predict_many_matches_scalar():
@@ -61,13 +65,14 @@ def test_predict_many_matches_scalar():
     items = np.array([1, 3, 0, 4])
     batch = predict_many(params, users, items)
     for k in range(len(users)):
-        assert batch[k] == pytest.approx(predict(params, users[k], items[k]), abs=1e-12)
+        want = predict_many_reference(params, users[k:k + 1], items[k:k + 1])[0]
+        assert batch[k] == pytest.approx(want, abs=1e-12)
 
 
 def test_index_out_of_range():
     params = init_params(2, 2, dim=2, seed=0)
     with pytest.raises(IndexError):
-        predict(params, 2, 0)
+        predict_many(params, np.array([2]), np.array([0]))
     with pytest.raises(IndexError):
         predict_many(params, np.array([0]), np.array([5]))
 
@@ -158,14 +163,14 @@ def test_init_variance_near_scale_squared():
 
 def test_offset_linearity_by_perturbation():
     params = init_params(3, 3, dim=2, seed=3, scale=0.1, global_offset=2.0)
-    base = predict(params, 1, 2)
+    base = predict_one(params, 1, 2)
     for group, idx, bump in (("user_off", 1, 0.25), ("item_off", 2, -0.5)):
         arr = getattr(params, group).copy()
         getattr(params, group)[idx] += bump
-        assert predict(params, 1, 2) == pytest.approx(base + bump, abs=1e-12)
+        assert predict_one(params, 1, 2) == pytest.approx(base + bump, abs=1e-12)
         getattr(params, group)[:] = arr
     params.global_off += 0.75
-    assert predict(params, 1, 2) == pytest.approx(base + 0.75, abs=1e-12)
+    assert predict_one(params, 1, 2) == pytest.approx(base + 0.75, abs=1e-12)
 
 
 def test_rotation_invariance_dim2():
@@ -238,7 +243,10 @@ class TestAvg:
         users = np.array([0, 1, 2, 1])
         items = np.array([0, 1, 2, 3])
         batch = predict_many(params, users, items)
-        assert batch.tolist() == [predict(params, u, i) for u, i in zip(users, items)]
+        assert batch.tolist() == [
+            predict_many_reference(params, users[k:k + 1], items[k:k + 1])[0]
+            for k in range(len(users))
+        ]
 
     def test_random_ratings_bit_for_bit(self):
         rng = np.random.default_rng(4)

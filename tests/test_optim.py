@@ -19,6 +19,7 @@ from ipsmf.optim import (
 )
 from ipsmf.propensity import score_dataset, uniform_propensities
 from ipsmf.sim import SimulationSpec, simulate
+from helpers import train_with_pass_snapshots
 from oracles import adam_step_reference, fit_reference, masked_gradient_reference
 
 
@@ -339,12 +340,9 @@ class TestTraining:
     def test_alternating_freezes_out_of_phase_groups(self):
         bundle = separable_bundle()
         prop = uniform_propensities(bundle.train)
-        snapshots = []
-
-        def callback(phase, epoch, params):
-            snapshots.append((phase, epoch, params.copy()))
-
-        train(bundle, prop, self.config(schedule="alternating", max_epochs=4), callback)
+        _, snapshots = train_with_pass_snapshots(
+            bundle, prop, self.config(schedule="alternating", max_epochs=4)
+        )
         # within an epoch: the user phase must not move item parameters
         by_epoch = {}
         for phase, epoch, params in snapshots:

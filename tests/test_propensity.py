@@ -34,7 +34,6 @@ from ipsmf.propensity import (
     normalize,
     prepare,
     save_propensity,
-    score,
     score_dataset,
     score_many,
     smoothed_item_given_rating,
@@ -51,7 +50,9 @@ from oracles import (
     positivity_oracle,
     save_propensity_reference,
     score_many_reference,
+    triples,
 )
+from helpers import score_one
 
 
 def make_dataset(n_users, n_items, triples, scale=(1, 5)):
@@ -86,7 +87,7 @@ class TestPositivity:
         np.testing.assert_array_equal(model.table[:4], 0.0)
         # unseen-in-train ratings rely on the clip floor
         clipped = clip(model, 0.01)
-        assert score(clipped, 0, 0, 1) == 0.01
+        assert score_one(clipped, 0, 0, 1) == 0.01
 
     def test_missing_mcar_rating_falls_back(self, caplog):
         train = make_dataset(2, 2, [(0, 0, 5), (0, 1, 1), (1, 0, 3)])
@@ -110,7 +111,7 @@ class TestPositivity:
         mcar = make_dataset(4, 5, [(u, i, int(rng.integers(1, 6)))
                                    for u in range(4) for i in range(3)])
         model = estimate_positivity(train, mcar)
-        oracle = positivity_oracle(train.triples(), mcar.triples(), 4, 5, range(1, 6))
+        oracle = positivity_oracle(triples(train), triples(mcar), 4, 5, range(1, 6))
         for r in range(1, 6):
             expected = min(oracle[r], 1.0)
             assert model.table[r - 1] == pytest.approx(expected, abs=1e-12)
@@ -132,7 +133,7 @@ class TestPopularity:
     def test_unobserved_item_gets_clip_floor(self):
         train = make_dataset(2, 3, [(0, 0, 3), (1, 1, 4)])
         model = clip(estimate_popularity(train), 0.05)
-        assert score(model, 0, 2, 3) == 0.05
+        assert score_one(model, 0, 2, 3) == 0.05
 
     def test_item_relabeling_equivariance(self):
         rng = np.random.default_rng(3)
@@ -147,11 +148,11 @@ class TestPopularity:
 
     def test_matches_brute_force_oracle(self):
         rng = np.random.default_rng(1)
-        triples = [(u, i, int(rng.integers(1, 6)))
-                   for u in range(4) for i in range(6) if rng.random() < 0.7]
-        train = make_dataset(4, 6, triples)
+        rows = [(u, i, int(rng.integers(1, 6)))
+                for u in range(4) for i in range(6) if rng.random() < 0.7]
+        train = make_dataset(4, 6, rows)
         model = estimate_popularity(train)
-        oracle = popularity_oracle(train.triples(), 4, 6)
+        oracle = popularity_oracle(triples(train), 4, 6)
         for i in range(6):
             assert model.table[i] == pytest.approx(oracle[i], abs=1e-12)
 
@@ -181,7 +182,7 @@ class TestMultifactorial:
                             + [(0, 1, 3), (1, 2, 5)])
         model = estimate_multifactorial(train, mcar, SmoothingConfig(2.0, 3.0))
         oracle = multifactorial_oracle(
-            train.triples(), mcar.triples(), 5, 3, range(1, 6), 2.0, 3.0
+            triples(train), triples(mcar), 5, 3, range(1, 6), 2.0, 3.0
         )
         for i in range(3):
             for r in range(1, 6):
@@ -495,8 +496,8 @@ class TestClipNormalizeScore:
         model = PropensityModel(family="positivity",
                                 table=np.array([0.001, 0.5, 0.5, 0.5, 0.5]))
         clipped = clip(model, 0.01)
-        assert score(clipped, 0, 0, 1) == 0.01
-        assert score(clipped, 0, 0, 2) == 0.5
+        assert score_one(clipped, 0, 0, 1) == 0.01
+        assert score_one(clipped, 0, 0, 2) == 0.5
 
     def test_clip_one_recovers_unweighted(self):
         model = PropensityModel(family="positivity",
@@ -575,28 +576,28 @@ class TestClipNormalizeScore:
     def test_uniform_family_value(self):
         train = make_dataset(2, 3, [(0, 0, 2), (1, 1, 4), (1, 2, 5)])
         model = uniform_propensities(train)
-        assert score(model, 0, 0, 1) == pytest.approx(3 / 6)
+        assert score_one(model, 0, 0, 1) == pytest.approx(3 / 6)
 
     def test_popularity_ignores_rating(self):
         train = make_dataset(2, 2, [(0, 0, 1), (1, 0, 5), (0, 1, 3)])
         model = estimate_popularity(train)
-        assert score(model, 0, 0, 1) == score(model, 0, 0, 5)
+        assert score_one(model, 0, 0, 1) == score_one(model, 0, 0, 5)
 
     def test_positivity_ignores_user_and_item(self):
         train = make_dataset(2, 2, [(0, 0, 5), (0, 1, 1), (1, 0, 5)])
         mcar = make_dataset(2, 2, [(0, 0, 5), (1, 1, 1)])
         model = estimate_positivity(train, mcar)
-        assert score(model, 0, 0, 5) == score(model, 1, 1, 5)
+        assert score_one(model, 0, 0, 5) == score_one(model, 1, 1, 5)
 
     def test_ground_truth_returns_stored_value(self):
         table = np.array([[0.1, 0.2, 0.3, 0.4, 0.5], [0.05, 0.1, 0.15, 0.2, 0.25]])
         model = PropensityModel(family="ground_truth", table=table)
-        assert score(model, 7, 1, 3) == table[1, 2]
+        assert score_one(model, 7, 1, 3) == table[1, 2]
 
     def test_out_of_range_index_rejected(self):
         model = PropensityModel(family="popularity", table=np.array([0.5, 0.5]))
         with pytest.raises(IndexError):
-            score(model, 0, 2, 3)
+            score_one(model, 0, 2, 3)
 
     def test_scores_in_unit_interval_after_clip(self):
         rng = np.random.default_rng(17)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ipsmf import sim
-from ipsmf.propensity import score, score_many
+from ipsmf.propensity import score_many
 from ipsmf.sim import (
     BLOCK_ROWS,
     DEFAULT_RATING_DISTRIBUTION,
@@ -28,7 +28,9 @@ from oracles import (
     sample_observations_reference,
     sample_unbiased_reference,
     simulate_reference,
+    triples,
 )
+from helpers import score_one
 
 
 class TestConvertToRatings:
@@ -298,7 +300,7 @@ class TestSampleObservations:
             truth, np.array(DEFAULT_RATING_PROPENSITIES), np.array([0.05]),
             gamma=0.5, seed=0,
         )
-        assert score(model, 0, 0, 5) == pytest.approx(0.11475, abs=1e-12)
+        assert score_one(model, 0, 0, 5) == pytest.approx(0.11475, abs=1e-12)
 
     def test_ground_truth_model_matches_sampling_probability(self):
         truth, rho_r, rho_i = self.fixture()
@@ -307,7 +309,7 @@ class TestSampleObservations:
         for u in range(truth.shape[0]):
             for i in range(truth.shape[1]):
                 expected = gamma * rho_r[truth[u, i] - 1] + (1 - gamma) * rho_i[i]
-                assert score(model, u, i, truth[u, i]) == pytest.approx(
+                assert score_one(model, u, i, truth[u, i]) == pytest.approx(
                     expected, abs=1e-15
                 )
 
@@ -331,7 +333,7 @@ class TestSampleObservations:
         truth, rho_r, rho_i = self.fixture()
         a, _ = sample_observations(truth, rho_r, rho_i, gamma=0.4, seed=9)
         b, _ = sample_observations(truth, rho_r, rho_i, gamma=0.4, seed=9)
-        assert a.triples() == b.triples()
+        assert triples(a) == triples(b)
 
     @pytest.mark.parametrize("dtype", [np.int64, np.uint8])
     @pytest.mark.parametrize("bad", [0, 6])
@@ -381,7 +383,7 @@ class TestSampleUnbiased:
         truth = np.random.default_rng(3).integers(1, 6, size=(4, 5))
         mcar, test = sample_unbiased(truth, per_user=3, mcar_fraction=0.3, seed=5)
         for ds in (mcar, test):
-            for u, i, r in ds.triples():
+            for u, i, r in triples(ds):
                 assert truth[u, i] == r
 
     @pytest.mark.parametrize("seed", [0, 7, 31])
@@ -393,7 +395,7 @@ class TestSampleUnbiased:
         got = sample_unbiased(truth, per_user, mcar_fraction=0.2, seed=seed)
         want = sample_unbiased_reference(truth, per_user, mcar_fraction=0.2, seed=seed)
         for a, b in zip(got, want):
-            assert a.triples() == b.triples()
+            assert triples(a) == triples(b)
 
     def test_rejects_per_user_above_item_count(self):
         truth = np.ones((3, 4), dtype=int)
@@ -438,8 +440,8 @@ class TestSimulate:
     def test_deterministic(self):
         a = simulate(self.spec())
         b = simulate(self.spec())
-        assert a.bundle.train.triples() == b.bundle.train.triples()
-        assert a.bundle.test.triples() == b.bundle.test.triples()
+        assert triples(a.bundle.train) == triples(b.bundle.train)
+        assert triples(a.bundle.test) == triples(b.bundle.test)
         np.testing.assert_array_equal(
             a.ground_truth_propensities.table,
             b.ground_truth_propensities.table,
