@@ -113,6 +113,8 @@ def _checked(cast, bad, rule: str):
 _parse_positive = _checked(int, lambda v: v <= 0, "positive")
 _parse_positive_float = _checked(float, lambda v: v <= 0, "positive")
 _parse_nonnegative_float = _checked(float, lambda v: v < 0, "nonnegative")
+# an [experiment] list, or the command-line option that overrides it
+_distinct = _checked(list, lambda v: not v or len(set(v)) < len(v), "nonempty without repeats")
 
 # The checks of TrainConfig, SmoothingConfig (alphas), propensity.clip
 # (clip_floor), init_params (propensity_dim) and estimate_mf_propensity
@@ -253,8 +255,11 @@ def load_config(path: str | Path) -> ExperimentConfig:
     for method in methods:
         if method not in METHODS:
             raise ConfigError(f"[experiment] methods: unknown method {method!r}")
-    if not methods or not seeds:
-        raise ConfigError("[experiment] methods and seeds must be nonempty")
+    for key in _EXPERIMENT_LISTS:
+        try:
+            _distinct(exp[key])
+        except ConfigError as exc:
+            raise ConfigError(f"[experiment] {key}: {exc}") from None
 
     train = _parse_section(parser, "train", _TRAIN_CASTS)
     overrides: dict[str, dict] = {}
@@ -287,8 +292,8 @@ def load_config(path: str | Path) -> ExperimentConfig:
         if given != layout:
             raise ConfigError(f"[data] needs the paths biased and unbiased, or train, "
                               f"validation, mcar and test; got {', '.join(given) or 'none'}")
-    if simulation is None and data is None:
-        raise ConfigError("config needs a [simulation] or [data] section")
+    if (simulation is None) == (data is None):
+        raise ConfigError("config needs exactly one of a [simulation] and a [data] section")
 
     tune = {**_TUNE_DEFAULTS, **_parse_section(parser, "tune", _TUNE_CASTS, _TUNE_LISTS)}
 
@@ -313,11 +318,12 @@ def load_config(path: str | Path) -> ExperimentConfig:
     )
 
 
-def _simulation_spec(cfg: ExperimentConfig, seed_offset: int = 0, gamma: float | None = None) -> SimulationSpec:
+def _simulation_spec(cfg: ExperimentConfig, seed_offset: int = 0) -> SimulationSpec:
     kwargs = dict(cfg.simulation)
     base_seed = kwargs.pop("seed", 0)
-    if gamma is not None:
-        kwargs["gamma"] = gamma
+    missing = [k for k in ("num_users", "num_items", "gamma") if k not in kwargs]
+    if missing:
+        raise ConfigError(f"[simulation] missing key(s) {', '.join(missing)}")
     try:
         return SimulationSpec(seed=base_seed + seed_offset, **kwargs)
     except (TypeError, ValueError) as exc:
@@ -372,7 +378,7 @@ def _load_raw_files(data_cfg: dict) -> LoadedData:
     return LoadedData(bundle, None, Path(data_cfg["biased"]).stem, None)
 
 
-def load_experiment_data(cfg: ExperimentConfig, run_seed: int, gamma: float | None = None) -> LoadedData:
+def load_experiment_data(cfg: ExperimentConfig, run_seed: int) -> LoadedData:
     """Build the split bundle for one run.
 
     With [simulation], every run draws an independent simulated dataset from
@@ -380,7 +386,7 @@ def load_experiment_data(cfg: ExperimentConfig, run_seed: int, gamma: float | No
     run but are identical across runs (only training randomness varies).
     """
     if cfg.simulation is not None:
-        spec = _simulation_spec(cfg, seed_offset=run_seed, gamma=gamma)
+        spec = _simulation_spec(cfg, seed_offset=run_seed)
         result = simulate(spec)
         return LoadedData(
             result.bundle, result.ground_truth_propensities, "simulation", spec.gamma
@@ -479,9 +485,12 @@ def _write_rows(path: Path, columns, rows: list[dict]) -> None:
             fh.write(",".join(_format_cell(row.get(c)) for c in columns) + "\n")
 
 
-def _read_rows(path: Path) -> list[dict]:
+def _read_rows(path: Path, needed=()) -> list[dict]:
     with _open_input(path) as fh:
         header = fh.readline().strip().split(",")
+        missing = [c for c in needed if c not in header]
+        if missing:
+            raise RatingDataError(f"{path}: missing column(s) {', '.join(missing)}")
         return [dict(zip(header, line.strip().split(","))) for line in fh if line.strip()]
 
 
@@ -521,15 +530,15 @@ def _result_row(cfg, loaded, method, seed, train_config, report, result, prop):
 
 
 def _run_cell(args) -> list[dict]:
-    """One worker cell: simulate/load a bundle for (gamma, seed), run all methods.
+    """One worker cell: simulate/load the bundle of (config, seed), run all methods.
 
     Returns one record per method with the result row and, when requested,
     the training history and fitted parameters for artifact files. Without
     them the methods train on the bundle without its test split: a history
     that is discarded needs no per-epoch test MSE.
     """
-    cfg, seed, gamma, keep_artifacts = args
-    loaded = load_experiment_data(cfg, run_seed=seed, gamma=gamma)
+    cfg, seed, keep_artifacts = args
+    loaded = load_experiment_data(cfg, run_seed=seed)
     train_on = loaded.bundle if keep_artifacts else _without_test(loaded.bundle)
     records = []
     for method in cfg.methods:
@@ -549,10 +558,6 @@ def _run_cell(args) -> list[dict]:
             record["params"] = result.params
         records.append(record)
     return records
-
-
-def _run_cells(cells, threads: int) -> list[list[dict]]:
-    return _map(_run_cell, cells, _workers(threads, len(cells)))
 
 
 def _workers(threads: int | None, units: int) -> int:
@@ -648,8 +653,10 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path) -> None:
 
 
 def cmd_train(cfg: ExperimentConfig, out_dir: Path, threads: int = 1) -> Path:
-    cells = [(cfg, seed, None, True) for seed in cfg.seeds]
-    records = [rec for cell in _run_cells(cells, threads) for rec in cell]
+    if cfg.simulation is not None:
+        _simulation_spec(cfg)  # a bad spec is rejected before any cell runs
+    cells = [(cfg, seed, True) for seed in cfg.seeds]
+    records = [r for cell in _map(_run_cell, cells, _workers(threads, len(cells))) for r in cell]
     out_dir.mkdir(parents=True, exist_ok=True)
 
     for record in records:
@@ -686,9 +693,12 @@ def cmd_train(cfg: ExperimentConfig, out_dir: Path, threads: int = 1) -> Path:
 def cmd_sweep_gamma(cfg: ExperimentConfig, out_dir: Path, gammas=None, threads: int = 1) -> Path:
     if cfg.simulation is None:
         raise ConfigError("sweep-gamma requires a [simulation] section")
-    gammas = list(cfg.gammas if gammas is None else gammas)
-    cells = [(cfg, seed, gamma, False) for gamma in gammas for seed in cfg.seeds]
-    rows = [rec["row"] for cell in _run_cells(cells, threads) for rec in cell]
+    configs = [replace(cfg, simulation={**cfg.simulation, "gamma": g})
+               for g in (cfg.gammas if gammas is None else _distinct(gammas))]
+    for config in configs:
+        _simulation_spec(config)  # every gamma is checked before any cell runs
+    cells = [(config, seed, False) for config in configs for seed in cfg.seeds]
+    rows = [r["row"] for cell in _map(_run_cell, cells, _workers(threads, len(cells))) for r in cell]
     out_dir.mkdir(parents=True, exist_ok=True)
     rows.sort(key=lambda r: (r["gamma"], r["method"], r["seed"]))
     results_path = out_dir / "sweep_results.csv"
@@ -700,7 +710,7 @@ def cmd_sweep_gamma(cfg: ExperimentConfig, out_dir: Path, gammas=None, threads: 
 def cmd_summarize(results_path: Path, summary_path: Path) -> Path:
     """Aggregate per-run rows into per-(dataset, gamma, method) summary rows
     with mean, standard deviation, and 95% bootstrap intervals (1000 resamples)."""
-    rows = _read_rows(Path(results_path))
+    rows = _read_rows(Path(results_path), needed=("dataset", "gamma", "method", *METRIC_FIELDS))
     groups: dict[tuple, list[dict]] = {}
     for row in rows:
         groups.setdefault((row["dataset"], row["gamma"], row["method"]), []).append(row)
@@ -742,49 +752,45 @@ def cmd_tune(cfg: ExperimentConfig, out_dir: Path, threads: int | None = None) -
     scores inf. A nonzero [tune] budget caps the grid points per method (see
     :func:`_budget_points`). Each distinct (method, pipeline) propensity model
     is built once per call, as the seed and data are fixed, and shared by the
-    points that need it. The table models are built in this process, in grid
-    order, and each of their points is one task. A learned model (see
-    `_FITTED_METHODS`) is one task that fits it and then trains its points in
-    grid order, so its "did not converge" warning comes from the process
-    that runs the task, in completion order. The tasks train, without the
-    test split, on `threads` worker processes, by default the usable cores,
-    capped at the tasks (see :func:`_workers`); the scores are reduced and
-    the divergence warnings logged here, in grid order, so the table and
-    those warnings do not depend on the worker count.
+    points that need it. Tasks follow the grid: each point of a table model
+    is one task, carrying the model, which is built here in grid order; each
+    run of consecutive points sharing a learned model (see `_FITTED_METHODS`;
+    `mf_ips_mf`'s whole grid, which varies train keys only) is one task that
+    fits it and then trains the points, so its "did not converge" warning
+    comes from that task's process, in completion order. The tasks train,
+    without the test split, on `threads` worker processes, by default the
+    usable cores, capped at the tasks (see :func:`_workers`). Their outcomes
+    concatenate in grid order; the scores are reduced and the divergence
+    warnings logged here, so neither depends on the worker count.
     """
     seed = cfg.seeds[0]
     grids = []
-    tasks = []  # (method, pipeline, points), in the grid order of their first point
-    owners = []  # the task of each grid point, in grid order
-    latest: dict[tuple, int] = {}  # each propensity model's latest task
     for method in cfg.methods:
         points = _grid_points(cfg, method)
         if not points:
             raise ConfigError(f"empty tuning grid for {method}")
-        points = _budget_points(points, cfg.tune["budget"], seed)
-        grids.append((method, points))
-        for point in points:
-            pipeline = cfg.pipeline_settings(method, point)
-            key = _model_key(method, pipeline)
-            if method not in _FITTED_METHODS or key not in latest:
-                latest[key] = len(tasks)
-                tasks.append((method, pipeline, []))
-            tasks[latest[key]][2].append(point)
-            owners.append(latest[key])
-    workers = _workers(threads, len(tasks))
+        grids.append((method, _budget_points(points, cfg.tune["budget"], seed)))
 
     loaded = load_experiment_data(cfg, run_seed=seed)
     bundle = _without_test(loaded.bundle)
+    tasks = []  # (method, pipeline, table model or None, points), in grid order
     props: dict[tuple, PropensityModel | None] = {}  # the table models
-    for method, pipeline, _ in tasks:
-        key = _model_key(method, pipeline)
-        if method not in _FITTED_METHODS and key not in props:
-            props[key] = build_propensity_model(
-                method, bundle, pipeline, loaded.ground_truth, seed=seed
-            )
-    results = _map(_tune_task, range(len(tasks)), workers, state=(cfg, bundle, tasks, props))
-    outcomes = [iter(task_outcomes) for task_outcomes in results]
-    scores = (next(outcomes[task]) for task in owners)  # in grid order
+    for method, points in grids:
+        fitted = method in _FITTED_METHODS
+        for point in points:
+            pipeline = cfg.pipeline_settings(method, point)
+            if fitted and tasks and tasks[-1][:2] == (method, pipeline):
+                tasks[-1][3].append(point)
+                continue
+            key = (method, tuple(sorted(pipeline.items())))
+            if not fitted and key not in props:
+                props[key] = build_propensity_model(
+                    method, bundle, pipeline, loaded.ground_truth, seed=seed
+                )
+            tasks.append((method, pipeline, props.get(key), [point]))
+    workers = _workers(threads, len(tasks))
+    results = _map(_tune_task, range(len(tasks)), workers, state=(cfg, bundle, tasks))
+    scores = itertools.chain.from_iterable(results)  # in grid order
 
     tuned_rows = []
     for method, points in grids:
@@ -808,23 +814,17 @@ def cmd_tune(cfg: ExperimentConfig, out_dir: Path, threads: int | None = None) -
     return path
 
 
-def _model_key(method: str, pipeline: dict) -> tuple:
-    return method, tuple(sorted(pipeline.items()))
-
-
 def _tune_task(index: int) -> list[tuple[float, float | None, str | None]]:
     """Train and score the grid points of task `index` of the running
-    :func:`cmd_tune`, whose (config, bundle, tasks, table models) is
-    `_worker_state`, first fitting the task's propensity model if it is a
-    learned one. Returns (validation score, clip floor, divergence message
-    or None) per point, in grid order."""
-    cfg, bundle, tasks, props = _worker_state
-    method, pipeline, points = tasks[index]
+    :func:`cmd_tune`, whose (config, bundle, tasks) is `_worker_state`, with
+    the task's table model, or first fitting its learned one. Returns
+    (validation score, clip floor, divergence message or None) per point, in
+    grid order."""
+    cfg, bundle, tasks = _worker_state
+    method, pipeline, prop, points = tasks[index]
     seed = cfg.seeds[0]
     if method in _FITTED_METHODS:
         prop = build_propensity_model(method, bundle, pipeline, seed=seed)
-    else:
-        prop = props[_model_key(method, pipeline)]
     outcomes = []
     for point in points:
         try:
@@ -863,14 +863,18 @@ def _budget_points(points: list[dict], budget: int, seed: int) -> list[dict]:
 # entry point
 
 
-def _thread_count(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _option(parse):
+    """An argparse type that reports the ValueError of `parse` as a usage error."""
+    def option(text: str):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return option
+
+
+def _list_option(cast):
+    return _option(lambda text: _distinct(_parse_list(text, cast)))
 
 
 def main(argv=None) -> int:
@@ -888,21 +892,23 @@ def main(argv=None) -> int:
 
     def add_threads(p, default, default_text):
         p.add_argument(
-            "--threads", type=_thread_count, default=default,
+            "--threads", type=_option(_checked(int, lambda v: v < 1, "at least 1")),
+            default=default,
             help=f"worker processes, capped at the cells or tune tasks (default: "
                  f"{default_text}); every count writes the same bytes",
         )
 
     add("simulate", "write simulated dataset splits and a manifest")
     p_train = add("train", "fit and evaluate configured methods and seeds")
-    p_train.add_argument("--seeds", default=None, help="comma-separated seed override")
+    p_train.add_argument("--seeds", type=_list_option(int), help="comma-separated seed override")
     add_threads(p_train, 1, "1, in this process")
     p_train.add_argument("--clamp-predictions", action="store_true")
     p_tune = add("tune", "grid-search hyperparameters per method")
     add_threads(p_tune, None, "the usable cores")
     p_sweep = add("sweep-gamma", "simulate/train across gamma values")
-    p_sweep.add_argument("--gammas", default=None, help="comma-separated gamma override")
-    p_sweep.add_argument("--seeds", default=None)
+    p_sweep.add_argument("--gammas", type=_list_option(float),
+                         help="comma-separated gamma override")
+    p_sweep.add_argument("--seeds", type=_list_option(int))
     add_threads(p_sweep, 1, "1, in this process")
     p_sum = sub.add_parser("summarize", help="aggregate a results table")
     p_sum.add_argument("--results", required=True)
@@ -920,7 +926,7 @@ def main(argv=None) -> int:
 
         cfg = load_config(args.config)
         if getattr(args, "seeds", None):
-            cfg = replace(cfg, seeds=_parse_list(args.seeds, int))
+            cfg = replace(cfg, seeds=args.seeds)
         if getattr(args, "clamp_predictions", False):
             cfg = replace(cfg, clamp_predictions=True)
         out_dir = Path(args.out) if args.out else cfg.output_dir
@@ -932,8 +938,7 @@ def main(argv=None) -> int:
         elif args.command == "tune":
             cmd_tune(cfg, out_dir, threads=args.threads)
         elif args.command == "sweep-gamma":
-            gammas = _parse_list(args.gammas, float) if args.gammas else None
-            cmd_sweep_gamma(cfg, out_dir, gammas=gammas, threads=args.threads)
+            cmd_sweep_gamma(cfg, out_dir, gammas=args.gammas, threads=args.threads)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

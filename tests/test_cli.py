@@ -110,8 +110,18 @@ class TestConfigParsing:
          "[tune] learning_rate: must be positive, got 0.0"),
         ("[train]", "[tune]\nembedding_dim = 0\n[train]",
          "[tune] embedding_dim: must be positive, got 0"),
+        ("avg, mf, mf_ips_mul", "mf, mf",
+         "[experiment] methods: must be nonempty without repeats, got ['mf', 'mf']"),
+        ("seeds = 0, 1", "seeds = 1, 0, 1",
+         "[experiment] seeds: must be nonempty without repeats, got [1, 0, 1]"),
+        ("seeds = 0, 1", "seeds =", "[experiment] seeds: must be nonempty without repeats, got []"),
+        ("seeds = 0, 1", "gammas = 0.5, 0.50",
+         "[experiment] gammas: must be nonempty without repeats, got [0.5, 0.5]"),
+        ("seeds = 0, 1", "gammas = ,",
+         "[experiment] gammas: must be nonempty without repeats, got []"),
     ], ids=["seeds-not-int", "budget-not-int", "budget-negative", "experiment-typo",
-            "tune-typo", "tune-learning-rate-zero", "tune-dim-zero"])
+            "tune-typo", "tune-learning-rate-zero", "tune-dim-zero", "methods-repeated",
+            "seeds-repeated", "seeds-empty", "gammas-repeated", "gammas-empty"])
     def test_experiment_and_tune_keys_checked(self, tmp_path, capsys, old, new, message):
         path = write_config(tmp_path, BASE_CONFIG.replace(old, new))
         with pytest.raises(ConfigError, match=re.escape(message)):
@@ -313,8 +323,8 @@ embedding_dim = 4
 
     def input_files(self, tmp_path):
         """The raw pair with raw.ini, split files with a ground-truth table
-        (split.ini), and a simulation that reads an engagement matrix
-        (engagement.ini)."""
+        (split.ini), a simulation that reads an engagement matrix
+        (engagement.ini), and a results table (results.csv)."""
         self.raw_pair_config(tmp_path)
         cmd_simulate(load_config(write_config(tmp_path)), tmp_path / "splits")
         split_paths = "".join(
@@ -331,6 +341,10 @@ embedding_dim = 4
         write_config(tmp_path, name="engagement.ini", text=BASE_CONFIG.replace(
             "[simulation]\n", f"[simulation]\nengagement_path = {tmp_path / 'engagement.csv'}\n"
         ))
+        (tmp_path / "results.csv").write_text(
+            "dataset,gamma,method,seed,mse,mae,rmse,rmse_per_user,rmse_per_item\n"
+            "simulation,0.5,mf,0,1.0,0.8,1.0,1.1,1.2\n"
+        )
 
     @pytest.mark.parametrize("args, name, old, new, error, message", [
         ("train raw.ini", "unbiased.csv", "user_id,item_id", "user,item", "data",
@@ -351,9 +365,15 @@ embedding_dim = 4
          "absent.csv: No such file or directory"),
         ("summarize absent.csv", None, None, None, "data",
          "absent.csv: No such file or directory"),
+        ("summarize results.csv", "results.csv", "seed,mse,mae,rmse,rmse_per_user,rmse_per_item\n",
+         "seed\n", "data", "results.csv: missing column(s) mse, mae, rmse, rmse_per_user, "
+         "rmse_per_item"),
+        ("summarize results.csv", "results.csv", "dataset,gamma,", "", "data",
+         "results.csv: missing column(s) dataset, gamma"),
     ], ids=["bad-header", "bad-fraction", "missing-biased", "missing-train",
             "string-id-in-split", "gt-header-key-missing", "missing-gt-table",
-            "missing-engagement", "missing-results"])
+            "missing-engagement", "missing-results", "results-without-metrics",
+            "results-without-keys"])
     def test_data_errors_reported(self, tmp_path, capsys, args, name, old, new, error, message):
         # a missing or malformed input file (RatingDataError, PropensityError)
         # or an impossible split (SplitError) exits 2 with its message naming
@@ -738,8 +758,9 @@ alpha2 = 2
 
     def test_split_predictions(gamma=None):
         """(calls that predicted a test split, all calls) since the last check."""
-        tests = [cli.load_experiment_data(cfg, run_seed=s, gamma=gamma).bundle.test
-                 for s in cfg.seeds]
+        config = cfg if gamma is None else replace(
+            cfg, simulation={**cfg.simulation, "gamma": gamma})
+        tests = [cli.load_experiment_data(config, run_seed=s).bundle.test for s in cfg.seeds]
         count = sum(any(np.array_equal(users, t.users) and np.array_equal(items, t.items)
                         for t in tests) for users, items in predicted)
         total = len(predicted)
@@ -793,6 +814,7 @@ def test_main_reports_config_errors(tmp_path, capsys):
 DATA_LAYOUT_ERROR = (
     "[data] needs the paths biased and unbiased, or train, validation, mcar and test; "
 )
+BOTH_SOURCES_ERROR = "config needs exactly one of a [simulation] and a [data] section"
 
 
 @pytest.mark.parametrize("old, new, message", [
@@ -808,6 +830,9 @@ DATA_LAYOUT_ERROR = (
     ("[train]", "[data]\nbiased = b.csv\nunbiased = u.csv\ntest = s.csv\n[train]",
      DATA_LAYOUT_ERROR + "got biased, unbiased, test"),
     ("[train]", "[data]\ndelimiter = ;\n[train]", DATA_LAYOUT_ERROR + "got none"),
+    ("[train]", "[data]\nbiased = b.csv\nunbiased = u.csv\n[train]", BOTH_SOURCES_ERROR),
+    ("[train]", "[data]\ntrain = t.csv\nvalidation = v.csv\nmcar = m.csv\ntest = s.csv\n[train]",
+     BOTH_SOURCES_ERROR),
     ("max_epochs = 12", "max_epochs = 0", "[train] max_epochs: must be positive, got 0"),
     ("learning_rate = 0.01", "learning_rate = -1",
      "[train] learning_rate: must be positive, got -1.0"),
@@ -824,7 +849,7 @@ DATA_LAYOUT_ERROR = (
      "[propensity] propensity_learning_rate: must be positive, got -0.05"),
 ], ids=["steps-zero", "steps-negative", "dense-ids-removed", "data-biased-alone",
         "data-unbiased-alone", "data-splits-incomplete", "data-layouts-mixed",
-        "data-no-paths", "max-epochs-zero",
+        "data-no-paths", "raw-data-and-simulation", "split-data-and-simulation", "max-epochs-zero",
         "learning-rate-negative", "schedule-unknown", "clip-floor-zero", "alpha1-negative",
         "propensity-dim-zero", "propensity-learning-rate-zero",
         "propensity-learning-rate-negative"])
@@ -839,12 +864,38 @@ def test_pipeline_and_data_keys_checked(tmp_path, capsys, old, new, message):
 @pytest.mark.parametrize("command", ["train", "sweep-gamma"])
 def test_cell_config_error_leaves_no_output_dir(tmp_path, capsys, command):
     # the default unbiased_per_user (40) exceeds num_items (25); the spec is
-    # built, and rejected, inside the first cell
+    # built, and rejected, before the first cell runs
     path = write_config(tmp_path, BASE_CONFIG.replace("unbiased_per_user = 8\n", ""))
     out = tmp_path / "out"
     assert main([command, "--config", str(path), "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("config error: simulation: ")
     assert not out.exists()
+
+
+def test_sweep_checks_every_gamma_before_any_cell(tmp_path, capsys, monkeypatch):
+    # gamma 0 is valid and comes first: no cell of it may be simulated
+    monkeypatch.setattr(cli, "simulate", lambda spec: pytest.fail("a cell was simulated"))
+    path = write_config(tmp_path, BASE_CONFIG.replace("seeds = 0, 1", "gammas = 0, 1.5"))
+    out = tmp_path / "out"
+    assert main(["sweep-gamma", "--config", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "config error: simulation: gamma must be in [0, 1], got 1.5")
+    with pytest.raises(ConfigError, match="without repeats"):
+        cmd_sweep_gamma(load_config(path), out, gammas=[0.5, 0.5])
+    assert not out.exists()
+
+
+def test_missing_simulation_key_named(tmp_path, capsys):
+    # sweep-gamma sets each cell's gamma; the other commands read it from
+    # [simulation]
+    path = write_config(tmp_path, BASE_CONFIG.replace("gamma = 0.5\n", ""))
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "config error: [simulation] missing key(s) gamma\n"
+    assert not out.exists()
+    assert main(["sweep-gamma", "--config", str(path), "--out", str(out),
+                 "--gammas", "0.5", "--seeds", "0"]) == 0
+    assert (out / "sweep_results.csv").exists()
 
 
 def test_main_reports_propensity_errors(tmp_path, capsys):
@@ -881,6 +932,26 @@ def test_threads_below_one_is_a_usage_error(tmp_path, capsys, command, threads):
     invoke = {"train": cmd_train, "tune": cmd_tune, "sweep-gamma": cmd_sweep_gamma}[command]
     with pytest.raises(ValueError, match="threads must be at least 1"):
         invoke(load_config(path), out, threads=int(threads))
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, option, value, message", [
+    ("train", "--threads", "x", "--threads: invalid literal for int() with base 10: 'x'"),
+    ("train", "--seeds", "1,x", "--seeds: invalid literal for int() with base 10: 'x'"),
+    ("train", "--seeds", "1,2,1", "--seeds: must be nonempty without repeats, got [1, 2, 1]"),
+    ("sweep-gamma", "--seeds", ",", "--seeds: must be nonempty without repeats, got []"),
+    ("sweep-gamma", "--gammas", "0.5,abc", "--gammas: could not convert string to float: 'abc'"),
+    ("sweep-gamma", "--gammas", "0,0.0",
+     "--gammas: must be nonempty without repeats, got [0.0, 0.0]"),
+    ("sweep-gamma", "--gammas", ",", "--gammas: must be nonempty without repeats, got []"),
+], ids=["threads-not-int", "seeds-not-int", "seeds-repeated", "seeds-empty", "gammas-not-float",
+        "gammas-repeated", "gammas-empty"])
+def test_malformed_option_is_a_usage_error(tmp_path, capsys, command, option, value, message):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(write_config(tmp_path)), "--out", str(out), option, value])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 
