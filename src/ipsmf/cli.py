@@ -485,13 +485,34 @@ def _write_rows(path: Path, columns, rows: list[dict]) -> None:
             fh.write(",".join(_format_cell(row.get(c)) for c in columns) + "\n")
 
 
-def _read_rows(path: Path, needed=()) -> list[dict]:
+def _read_rows(path: Path, needed=(), numbers=()) -> list[dict]:
+    """The rows of a comma-separated table, each a dict keyed by the header,
+    with the `numbers` columns parsed by ``float``. Raises RatingDataError
+    naming the file, and the line for a row, when a `needed` column is
+    missing, a row's field count differs from the header's, or a `numbers`
+    cell does not parse."""
     with _open_input(path) as fh:
         header = fh.readline().strip().split(",")
         missing = [c for c in needed if c not in header]
         if missing:
             raise RatingDataError(f"{path}: missing column(s) {', '.join(missing)}")
-        return [dict(zip(header, line.strip().split(","))) for line in fh if line.strip()]
+        rows = []
+        for number, line in enumerate(fh, start=2):
+            fields = line.strip().split(",")
+            if fields == [""]:
+                continue
+            if len(fields) != len(header):
+                raise RatingDataError(
+                    f"{path}: line {number}: {len(fields)} fields, the header has {len(header)}")
+            row = dict(zip(header, fields))
+            for name in numbers:
+                try:
+                    row[name] = float(row[name])
+                except ValueError:
+                    raise RatingDataError(
+                        f"{path}: line {number}: {name} {row[name]!r} is not a number") from None
+            rows.append(row)
+        return rows
 
 
 def _result_row(cfg, loaded, method, seed, train_config, report, result, prop):
@@ -710,7 +731,8 @@ def cmd_sweep_gamma(cfg: ExperimentConfig, out_dir: Path, gammas=None, threads: 
 def cmd_summarize(results_path: Path, summary_path: Path) -> Path:
     """Aggregate per-run rows into per-(dataset, gamma, method) summary rows
     with mean, standard deviation, and 95% bootstrap intervals (1000 resamples)."""
-    rows = _read_rows(Path(results_path), needed=("dataset", "gamma", "method", *METRIC_FIELDS))
+    rows = _read_rows(Path(results_path), needed=("dataset", "gamma", "method", *METRIC_FIELDS),
+                      numbers=METRIC_FIELDS)
     groups: dict[tuple, list[dict]] = {}
     for row in rows:
         groups.setdefault((row["dataset"], row["gamma"], row["method"]), []).append(row)
@@ -726,7 +748,7 @@ def cmd_summarize(results_path: Path, summary_path: Path) -> Path:
         group = groups[key]
         row = {"dataset": key[0], "gamma": key[1], "method": key[2], **summarize_runs(group)}
         for name in ("mse", "mae"):
-            values = np.array([float(r[name]) for r in group])
+            values = np.array([r[name] for r in group])
             low, high = bootstrap_interval(values, num_resamples=1000, seed=0)
             row[f"{name}_ci_low"] = low
             row[f"{name}_ci_high"] = high

@@ -117,15 +117,19 @@ def adam_step(
     """
     if len(set(mask)) != len(mask):
         raise ValueError(f"mask names a group twice: {tuple(mask)}")
+    spans = params._spans
     scratch_a, scratch_b = state.scratch
-    buffers = (params, grads, state.m, state.v, scratch_a, scratch_b)
-    if any(b._spans != params._spans for b in buffers[1:]):
-        raise ValueError("gradient and optimizer state must be shaped like the parameters")
+    for other in (grads, state.m, state.v, scratch_a, scratch_b):
+        if other._spans != spans:
+            raise ValueError("gradient and optimizer state must be shaped like the parameters")
+    steps = state.steps
     for name in mask:
-        state.steps[name] += 1
-    for start, stop, t in _update_runs(params._spans, mask, state.steps):
+        steps[name] += 1
+    buffers = (params._buffer, grads._buffer, state.m._buffer, state.v._buffer,
+               scratch_a._buffer, scratch_b._buffer)
+    for start, stop, t in _packed_runs(spans, mask, steps):
         _adam_update(
-            *(b._buffer[start:stop] for b in buffers),
+            *(b[start:stop] for b in buffers),
             t, lr, state.beta1, state.beta2, state.eps,
         )
     return params, state
@@ -152,16 +156,17 @@ def _adam_update(p, g, m, v, a, b, t, lr, beta1, beta2, eps) -> None:
     np.subtract(p, a, out=p)
 
 
-def _update_runs(spans, mask, steps):
+def _packed_runs(spans, mask, steps=None):
     """(start, stop, step count) of each maximal run of `mask` groups that are
-    contiguous in the packed buffer and share a step count."""
+    contiguous in the packed buffer and share a step count in `steps`; with
+    no `steps`, runs break only where the layout does and the count is None."""
     runs = []
-    for name in sorted(mask, key=lambda g: spans[g]):
-        start, stop = spans[name]
-        if runs and runs[-1][1] == start and runs[-1][2] == steps[name]:
+    for start, stop, name in sorted((*spans[g], g) for g in mask):
+        t = None if steps is None else steps[name]
+        if runs and runs[-1][1] == start and runs[-1][2] == t:
             runs[-1][1] = stop
         else:
-            runs.append([start, stop, steps[name]])
+            runs.append([start, stop, t])
     return runs
 
 
@@ -169,7 +174,8 @@ def _check_propensities(propensities: np.ndarray, n: int) -> np.ndarray:
     propensities = np.asarray(propensities, dtype=float)
     if propensities.shape != (n,):
         raise ValueError("propensities must align with the batch triples")
-    if np.any(propensities <= 0) or np.any(propensities > 1):
+    # written so that NaN, which fails every comparison, is rejected too
+    if not np.all((propensities > 0) & (propensities <= 1)):
         raise ValueError("propensities must lie in (0, 1]")
     return propensities
 
@@ -220,25 +226,36 @@ def ips_gradient(
     return grads
 
 
-def _masked_gradient(grads, params, users, items, ratings, propensities, l2_weight, mask):
+def _masked_gradient(grads, params, users, items, ratings, propensities, l2_weight, mask,
+                     flat_index=None):
     """Overwrite the `mask` groups of `grads` with the mini-batch gradient; the
-    other groups of `grads` are left as they are and must not be read."""
-    for g in mask:
-        np.multiply(params.group(g), 2.0 * l2_weight, out=grads.group(g))
+    other groups of `grads` are left as they are and must not be read.
+
+    The L2 term is one multiply per run of masked groups adjacent in the
+    packed buffer. The data term gathers the batch's embedding and offset
+    rows and scatters into the embedding rows, so it costs O(batch * dim)
+    whatever the table sizes. `flat_index` is :func:`_flat_index` of
+    `params`, which a fit builds once for all its batches; it is built here
+    when not given.
+    """
+    l2_scale = 2.0 * l2_weight
+    for start, stop, _ in _packed_runs(params._spans, mask):
+        np.multiply(params._buffer[start:stop], l2_scale, out=grads._buffer[start:stop])
     n = len(users)
-    user_rows = params.user_emb[users]
-    item_rows = params.item_emb[items]
+    user_rows = params.user_emb.take(users, axis=0)
+    item_rows = params.item_emb.take(items, axis=0)
     preds = (
         np.einsum("nd,nd->n", user_rows, item_rows)
-        + params.user_off[users]
-        + params.item_off[items]
+        + params.user_off.take(users)
+        + params.item_off.take(items)
         + params.global_off
     )
     coef = 2.0 * (preds - ratings) / (propensities * n)
+    user_index, item_index = _flat_index(params) if flat_index is None else flat_index
     if "user_emb" in mask:
-        _scatter_add_rows(grads.user_emb, users, coef[:, None] * item_rows)
+        _scatter_add_rows(grads.user_emb, user_index, users, coef[:, None] * item_rows)
     if "item_emb" in mask:
-        _scatter_add_rows(grads.item_emb, items, coef[:, None] * user_rows)
+        _scatter_add_rows(grads.item_emb, item_index, items, coef[:, None] * user_rows)
     if "user_off" in mask:
         grads.user_off += np.bincount(users, weights=coef, minlength=len(grads.user_off))
     if "item_off" in mask:
@@ -247,14 +264,19 @@ def _masked_gradient(grads, params, users, items, ratings, propensities, l2_weig
         grads.global_off += coef.sum()
 
 
-def _scatter_add_rows(out, rows, values):
+def _flat_index(params):
+    """For the user and the item embedding table, the flat index of each
+    element, shaped like the table."""
+    return tuple(np.arange(t.size).reshape(t.shape) for t in (params.user_emb, params.item_emb))
+
+
+def _scatter_add_rows(out, index, rows, values):
     """``out[rows[k]] += values[k]`` for each k in order, like
     ``np.add.at(out, rows, values)``: every element receives its additions in
-    the same order, so the sums are bit-equal, but the flat indices
-    ``row * dim + col`` take numpy's faster 1-D ``np.add.at`` path."""
-    dim = out.shape[1]
-    flat = (rows[:, None] * dim + np.arange(dim)).reshape(-1)
-    np.add.at(out.reshape(-1), flat, values.reshape(-1))
+    the same order, so the sums are bit-equal, but the flat indices of the
+    rows' elements, gathered from `index` (each element's flat index in
+    `out`, shaped like it), take numpy's faster 1-D ``np.add.at`` path."""
+    np.add.at(out.reshape(-1), index.take(rows, axis=0).reshape(-1), values.reshape(-1))
 
 
 def _snips(params, data, propensities) -> float:
@@ -298,7 +320,17 @@ def train(
 
 def _fit(data, propensity_model, config):
     """The loop of :func:`train`, under the name perfbench/tracing.py times as
-    the optim.fit span."""
+    the optim.fit span.
+
+    Each pass gathers the train triples and their propensities in the order
+    of its permutation once; its batches are slices of these. The embedding
+    tables' flat indices (:func:`_flat_index`) are built once per fit, so a
+    batch's scatter indices are a row gather too. A step then costs
+    O(batch * dim) in gathers and scatters, plus the L2 term and the Adam
+    update over the phase's slice of the packed buffer. ``adam_step``,
+    ``ips_loss``, ``_snips`` and ``predict_many`` are looked up as module
+    globals on every call, so that a caller can wrap them.
+    """
     train, validation = data.train, data.validation
     if len(train) == 0:
         raise ValueError("train set is empty")
@@ -324,24 +356,28 @@ def _fit(data, propensity_model, config):
     )
     state = init_adam_state(params)
     grads = _empty_like(params)
+    flat_index = _flat_index(params)
     shuffle_rng = np.random.default_rng([config.seed, 1])
     phases = (
         [PARAM_GROUPS] if config.schedule == "concurrent"
         else [USER_PHASE_GROUPS, ITEM_PHASE_GROUPS]
     )
 
-    n = len(train)
+    n, batch_size = len(train), config.batch_size
     history: list[HistoryRow] = []
     best_val, best_params, best_epoch, bad_evals = np.inf, params.copy(), 0, 0
 
     for epoch in range(1, config.max_epochs + 1):
         for mask in phases:
             perm = shuffle_rng.permutation(n)
-            for start in range(0, n, config.batch_size):
-                idx = perm[start:start + config.batch_size]
+            pass_users, pass_items = users.take(perm), items.take(perm)
+            pass_ratings, pass_p = ratings.take(perm), p_train.take(perm)
+            for start in range(0, n, batch_size):
+                stop = start + batch_size
                 _masked_gradient(
-                    grads, params, users[idx], items[idx], ratings[idx], p_train[idx],
-                    config.l2_weight, mask,
+                    grads, params, pass_users[start:stop], pass_items[start:stop],
+                    pass_ratings[start:stop], pass_p[start:stop], config.l2_weight, mask,
+                    flat_index,
                 )
                 adam_step(params, grads, state, mask, config.learning_rate)
 

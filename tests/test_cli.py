@@ -370,10 +370,14 @@ embedding_dim = 4
          "rmse_per_item"),
         ("summarize results.csv", "results.csv", "dataset,gamma,", "", "data",
          "results.csv: missing column(s) dataset, gamma"),
+        ("summarize results.csv", "results.csv", "0,1.0,0.8", "0,abc,0.8", "data",
+         "results.csv: line 2: mse 'abc' is not a number"),
+        ("summarize results.csv", "results.csv", ",1.1,1.2\n", ",1.1\n", "data",
+         "results.csv: line 2: 8 fields, the header has 9"),
     ], ids=["bad-header", "bad-fraction", "missing-biased", "missing-train",
             "string-id-in-split", "gt-header-key-missing", "missing-gt-table",
             "missing-engagement", "missing-results", "results-without-metrics",
-            "results-without-keys"])
+            "results-without-keys", "results-metric-not-a-number", "results-short-row"])
     def test_data_errors_reported(self, tmp_path, capsys, args, name, old, new, error, message):
         # a missing or malformed input file (RatingDataError, PropensityError)
         # or an impossible split (SplitError) exits 2 with its message naming

@@ -77,6 +77,15 @@ def test_index_out_of_range():
         predict_many(params, np.array([0]), np.array([5]))
 
 
+@pytest.mark.parametrize("users, items, side", [([1, -1], [0, 1], "user"),
+                                                 ([0, 1], [-2, 0], "item")])
+def test_negative_index_raises(users, items, side):
+    # the rows are gathered with take, which would read row n-1 for index -1
+    params = init_params(2, 2, dim=2, seed=0)
+    with pytest.raises(IndexError, match=side):
+        predict_many(params, np.array(users), np.array(items))
+
+
 B = model._PREDICT_BLOCK
 
 
@@ -124,7 +133,7 @@ class TestPredictManyBlocks:
 
     def test_peak_memory_is_a_few_blocks(self):
         # a whole-array gather of 200,000 pairs at dim 16 holds two 25.6 MB
-        # row matrices; blocked, the gathers are 2 MB each
+        # row matrices; blocked, the gathers are one block's rows each
         n, dim = 200_000, 16
         params = init_params(2000, 1000, dim=dim, seed=0)
         users, items = self.pairs(n, 2000, 1000)

@@ -17,7 +17,7 @@ from ipsmf.optim import (
     ips_loss,
     train,
 )
-from ipsmf.propensity import score_dataset, uniform_propensities
+from ipsmf.propensity import PropensityModel, score_dataset, uniform_propensities
 from ipsmf.sim import SimulationSpec, simulate
 from helpers import train_with_pass_snapshots
 from oracles import adam_step_reference, fit_reference, masked_gradient_reference
@@ -108,6 +108,35 @@ def finite_difference(params, data, propensities, lam, h=1e-6):
             grad_flat[k] = (up - down) / (2 * h)
         grads.append(grad)
     return grads
+
+
+class TestPropensityRange:
+    """ips_loss, ips_gradient and train reject a propensity outside (0, 1],
+    NaN included: it fails both bounds' comparisons."""
+
+    @pytest.mark.parametrize("bad", [0.0, -0.5, 1.5, np.nan], ids=["zero", "negative",
+                                                                  "above-one", "nan"])
+    def test_loss_and_gradient_reject(self, bad):
+        data, params, p = random_instance(seed=4)
+        p[3] = bad
+        with pytest.raises(ValueError, match=r"\(0, 1\]"):
+            ips_loss(params, data, p, 0.0)
+        with pytest.raises(ValueError, match=r"\(0, 1\]"):
+            ips_gradient(params, data, p, 0.0)
+
+    def test_two_triples_with_nan(self):
+        data = make_dataset(2, 2, [(0, 0, 3), (1, 1, 4)])
+        params = init_params(2, 2, 2, seed=0)
+        with pytest.raises(ValueError, match=r"\(0, 1\]"):
+            ips_loss(params, data, np.array([np.nan, 0.5]), 0.0)
+
+    def test_train_rejects_nan_scores(self):
+        # a positivity table with NaN for rating 3, which the train split holds
+        bundle = separable_bundle()
+        assert 3 in bundle.train.ratings
+        prop = PropensityModel("positivity", table=[0.5, 0.5, np.nan, 0.5, 0.5])
+        with pytest.raises(ValueError, match=r"\(0, 1\]"):
+            train(bundle, prop, TrainConfig(max_epochs=2))
 
 
 class TestIpsGradient:
@@ -207,8 +236,11 @@ def duplicate_heavy_batch(kind, num_users, num_items, n=300, seed=0):
     return np.array([num_users - 1]), np.array([num_items - 2])
 
 
-@pytest.mark.parametrize("mask", [USER_PHASE_GROUPS, ITEM_PHASE_GROUPS, PARAM_GROUPS],
-                         ids=["user", "item", "all"])
+# ("user_emb", "item_off") is two runs of the packed buffer, so its L2 term is
+# two multiplies
+@pytest.mark.parametrize("mask", [USER_PHASE_GROUPS, ITEM_PHASE_GROUPS, PARAM_GROUPS,
+                                  ("user_emb", "item_off")],
+                         ids=["user", "item", "all", "split"])
 @pytest.mark.parametrize("kind", ["one-user", "zipf-items", "single-row"])
 def test_masked_gradient_bit_equal_to_reference(kind, mask):
     num_users, num_items = 20, 40
@@ -225,6 +257,8 @@ def test_masked_gradient_bit_equal_to_reference(kind, mask):
                                          1e-3, mask)
     for g in mask:
         assert grads.group(g).tobytes() == expected.group(g).tobytes(), g
+    for g in set(PARAM_GROUPS) - set(mask):
+        assert np.isnan(grads.group(g)).all(), g
 
 
 def test_adam_step_bit_equal_to_reference_over_mixed_masks():
@@ -410,14 +444,28 @@ class TestTraining:
             train(broken, prop, self.config())
 
 
-@pytest.mark.parametrize("schedule", ["concurrent", "alternating"])
-def test_fit_bit_equal_to_allocating_reference(schedule):
+# the desk settings on each schedule, then the edges of a training pass's
+# batch layout: the split has 1,431 triples, so a batch of 2,048 is the whole
+# pass and batches of 286 leave a last batch of one triple
+FIT_CASES = [pytest.param(s, {}, id=s) for s in ("concurrent", "alternating")] + [
+    pytest.param(s, overrides, id=f"{s}-{name}")
+    for name, overrides in (("one-batch", {"batch_size": 2048}),
+                            ("last-batch-of-one", {"batch_size": 286}),
+                            ("dim-1", {"embedding_dim": 1}))
+    for s in ("concurrent", "alternating")
+]
+
+
+@pytest.mark.parametrize("schedule, overrides", FIT_CASES)
+def test_fit_bit_equal_to_allocating_reference(schedule, overrides):
     # c5-shaped: gamma=0.5 simulation, ground-truth IPS weights, desk settings
     # with a patience short enough that early stopping picks the best epoch
     sim = simulate(SimulationSpec(num_users=120, num_items=150, gamma=0.5, seed=1005))
-    config = TrainConfig(learning_rate=0.01, l2_weight=1e-5, batch_size=256,
-                         max_epochs=12, patience=3, embedding_dim=16,
-                         schedule=schedule, seed=3)
+    assert len(sim.bundle.train) == 1431
+    settings = dict(learning_rate=0.01, l2_weight=1e-5, batch_size=256,
+                    max_epochs=12, patience=3, embedding_dim=16,
+                    schedule=schedule, seed=3)
+    config = TrainConfig(**{**settings, **overrides})
     result = train(sim.bundle, sim.ground_truth_propensities, config)
     best, history = fit_reference(sim.bundle, sim.ground_truth_propensities, config)
     assert [(r.epoch, r.train_ips_loss, r.validation_snips_mse, r.test_mse)
