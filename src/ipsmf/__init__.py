@@ -27,7 +27,6 @@ from .model import (
 )
 from .propensity import (
     PropensityModel,
-    SmoothingConfig,
     PropensityError,
     uniform_propensities,
     estimate_positivity,

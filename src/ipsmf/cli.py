@@ -51,7 +51,6 @@ from .optim import SCHEDULES, HistoryRow, TrainConfig, TrainingDivergedError, tr
 from .propensity import (
     PropensityError,
     PropensityModel,
-    SmoothingConfig,
     estimate_mf_propensity,
     estimate_multifactorial,
     estimate_popularity,
@@ -67,13 +66,14 @@ logger = logging.getLogger(__name__)
 
 METHODS = ("avg", "mf", "mf_ips_pop", "mf_ips_pos", "mf_ips_mul", "mf_ips_mf", "mf_ips_gt")
 
+# the four splits of a bundle, in the order files and tables list them
+SPLIT_KEYS = ("train", "validation", "mcar", "test")
+SPLIT_SIZES = tuple(f"n_{k}" for k in SPLIT_KEYS)
 RESULT_COLUMNS = (
     "config_hash", "dataset", "gamma", "method", "seed", "schedule",
     "learning_rate", "l2_weight", "embedding_dim", "batch_size",
     "alpha1", "alpha2", "clip_floor", "normalization", "clamped",
-    "n_train", "n_validation", "n_mcar", "n_test",
-    "epochs_run", "best_epoch",
-    "mse", "mae", "rmse", "rmse_per_user", "rmse_per_item",
+    *SPLIT_SIZES, "epochs_run", "best_epoch", *METRIC_FIELDS,
 )
 HISTORY_COLUMNS = tuple(f.name for f in fields(HistoryRow))
 
@@ -116,7 +116,7 @@ _parse_nonnegative_float = _checked(float, lambda v: v < 0, "nonnegative")
 # an [experiment] list, or the command-line option that overrides it
 _distinct = _checked(list, lambda v: not v or len(set(v)) < len(v), "nonempty without repeats")
 
-# The checks of TrainConfig, SmoothingConfig (alphas), propensity.clip
+# The checks of TrainConfig, estimate_multifactorial (alphas), propensity.clip
 # (clip_floor), init_params (propensity_dim) and estimate_mf_propensity
 # (propensity_learning_rate, propensity_steps).
 _TRAIN_CASTS = {
@@ -182,7 +182,6 @@ _SIMULATION_CASTS = {
 _SIMULATION_LISTS = {"rating_propensities": float, "target_rating_distribution": float}
 # the two [data] layouts: a raw pair that is split here, or the four splits
 RAW_KEYS = ("biased", "unbiased")
-SPLIT_KEYS = ("train", "validation", "mcar", "test")
 _DATA_CASTS = {
     "train": str, "validation": str, "mcar": str, "test": str,
     "biased": str, "unbiased": str, "ground_truth_propensities": str,
@@ -423,9 +422,7 @@ def build_propensity_model(
     elif method == "mf_ips_mul":
         if len(bundle.mcar) == 0:
             raise ConfigError("mf_ips_mul requires a nonempty mcar split")
-        model = estimate_multifactorial(
-            train, bundle.mcar, SmoothingConfig(pipeline["alpha1"], pipeline["alpha2"])
-        )
+        model = estimate_multifactorial(train, bundle.mcar, pipeline["alpha1"], pipeline["alpha2"])
     elif method == "mf_ips_mf":
         model = estimate_mf_propensity(
             train,
@@ -523,15 +520,8 @@ def _result_row(cfg, loaded, method, seed, train_config, report, result, prop):
         "method": method,
         "seed": seed,
         "clamped": cfg.clamp_predictions,
-        "n_train": len(loaded.bundle.train),
-        "n_validation": len(loaded.bundle.validation),
-        "n_mcar": len(loaded.bundle.mcar),
-        "n_test": len(loaded.bundle.test),
-        "mse": report.mse,
-        "mae": report.mae,
-        "rmse": report.rmse,
-        "rmse_per_user": report.rmse_per_user,
-        "rmse_per_item": report.rmse_per_item,
+        **{n: len(getattr(loaded.bundle, k)) for n, k in zip(SPLIT_SIZES, SPLIT_KEYS)},
+        **{name: getattr(report, name) for name in METRIC_FIELDS},
     }
     if method != "avg":
         row.update({
@@ -648,7 +638,7 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path) -> None:
     result = simulate(spec)
     out_dir.mkdir(parents=True, exist_ok=True)
     bundle = result.bundle
-    for name in ("train", "validation", "mcar", "test"):
+    for name in SPLIT_KEYS:
         save_ratings(getattr(bundle, name), out_dir / f"{name}.csv")
     save_propensity(result.ground_truth_propensities, out_dir / "gt_propensities.csv")
     manifest = {
@@ -664,10 +654,7 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path) -> None:
         "train_fraction": repr(spec.train_fraction),
         "rating_propensities": ",".join(repr(p) for p in spec.rating_propensities),
         "capped_item_propensities": result.capped_items,
-        "n_train": len(bundle.train),
-        "n_validation": len(bundle.validation),
-        "n_mcar": len(bundle.mcar),
-        "n_test": len(bundle.test),
+        **{n: len(getattr(bundle, k)) for n, k in zip(SPLIT_SIZES, SPLIT_KEYS)},
     }
     write_manifest(out_dir / "manifest.txt", manifest)
     logger.info("wrote simulated splits to %s", out_dir)
@@ -706,7 +693,7 @@ def cmd_train(cfg: ExperimentConfig, out_dir: Path, threads: int = 1) -> Path:
             "split_seed": cfg.data["split_seed"],
             "train_fraction": repr(cfg.data["train_fraction"]),
             "mcar_fraction": repr(cfg.data["mcar_fraction"]),
-            **{k: sizes[k] for k in ("n_train", "n_validation", "n_mcar", "n_test")},
+            **{k: sizes[k] for k in SPLIT_SIZES},
         })
     return results_path
 
@@ -828,8 +815,7 @@ def cmd_tune(cfg: ExperimentConfig, out_dir: Path, threads: int | None = None) -
                "points_evaluated": len(points), **point}
         tuned_rows.append(row)
 
-    columns = ("method", "learning_rate", "l2_weight", "embedding_dim",
-               "alpha1", "alpha2", "clip_floor", "validation_score", "points_evaluated")
+    columns = ("method", *_TUNE_LISTS, "clip_floor", "validation_score", "points_evaluated")
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "tuned.csv"
     _write_rows(path, columns, tuned_rows)
@@ -865,9 +851,9 @@ def _grid_points(cfg: ExperimentConfig, method: str) -> list[dict]:
     """Every combination of the [tune] keys `method` reads, the last key
     varying fastest (nested-loop order): none for avg, the alphas only for
     mf_ips_mul."""
-    keys = () if method == "avg" else ("learning_rate", "l2_weight", "embedding_dim")
+    keys = () if method == "avg" else tuple(k for k in _TUNE_LISTS if k in TRAIN_KEYS)
     if method == "mf_ips_mul":
-        keys += ("alpha1", "alpha2")
+        keys += tuple(k for k in _TUNE_LISTS if k in PIPELINE_KEYS)
     return [dict(zip(keys, values)) for values in itertools.product(*(cfg.tune[k] for k in keys))]
 
 
@@ -903,7 +889,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="ipsmf", description="Debiased rating-prediction experiments."
     )
-    parser.add_argument("--log-level", default="INFO")
+    parser.add_argument("--log-level", default="INFO", type=str.upper,
+                        choices=("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL"))
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, help_text):
@@ -937,7 +924,7 @@ def main(argv=None) -> int:
     p_sum.add_argument("--out", default=None)
 
     args = parser.parse_args(argv)
-    logging.basicConfig(level=getattr(logging, args.log_level.upper(), logging.INFO))
+    logging.basicConfig(level=args.log_level)
 
     try:
         if args.command == "summarize":

@@ -11,6 +11,9 @@ import numpy as np
 logger = logging.getLogger(__name__)
 
 HEADER_FIELDS = ("user_id", "item_id", "rating")
+# the inclusive range of rating values that files, simulations and estimators
+# use; a RatingDataset or PropensityModel built directly may take another
+RATING_SCALE = (1, 5)
 
 
 class RatingDataError(ValueError):
@@ -38,7 +41,7 @@ class RatingDataset:
     users: np.ndarray
     items: np.ndarray
     ratings: np.ndarray
-    rating_scale: tuple[int, int] = (1, 5)
+    rating_scale: tuple[int, int] = RATING_SCALE
 
     def __post_init__(self):
         for name in ("users", "items", "ratings"):
@@ -125,10 +128,10 @@ def _open_input(path: str | Path, error: type[Exception] = RatingDataError):
         raise error(f"{path}: {exc.strerror}") from None
 
 
-def _parse_triples(path: str | Path, delimiter: str, rating_scale: tuple[int, int]):
+def _parse_triples(path: str | Path, delimiter: str):
     """Yield (user_id, item_id, rating, lineno) from a rating file, skipping an
-    optional header line and validating ratings against the scale."""
-    lo, hi = rating_scale
+    optional header line and validating ratings against RATING_SCALE."""
+    lo, hi = RATING_SCALE
     with _open_input(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -182,27 +185,21 @@ def _index_triples(parsed, path, user_index=None, item_index=None):
     return users, items, ratings
 
 
-def _build(users, items, ratings, num_users, num_items, rating_scale) -> RatingDataset:
-    observed_u = max(users) + 1 if users else 0
-    observed_i = max(items) + 1 if items else 0
-    n_users = observed_u if num_users is None else num_users
-    n_items = observed_i if num_items is None else num_items
-    if n_users < observed_u or n_items < observed_i:
-        raise RatingDataError("declared num_users/num_items smaller than observed ids")
+def _build(users, items, ratings, num_users, num_items) -> RatingDataset:
+    """The dataset of parallel index lists over a `num_users` by `num_items`
+    id space, each None meaning one past the largest index."""
     return RatingDataset(
-        num_users=n_users,
-        num_items=n_items,
+        num_users=max(users, default=-1) + 1 if num_users is None else num_users,
+        num_items=max(items, default=-1) + 1 if num_items is None else num_items,
         users=np.array(users, dtype=np.int64),
         items=np.array(items, dtype=np.int64),
         ratings=np.array(ratings, dtype=np.int64),
-        rating_scale=rating_scale,
     )
 
 
 def load_ratings(
     path: str | Path,
     delimiter: str = ",",
-    rating_scale: tuple[int, int] = (1, 5),
     num_users: int | None = None,
     num_items: int | None = None,
 ) -> RatingDataset:
@@ -217,20 +214,25 @@ def load_ratings(
     Raises:
         RatingDataError: naming the file, and the line where there is one, for
             a file that cannot be opened, a malformed row, an id that is not a
-            nonnegative integer, a duplicate (user, item) pair, or a rating
-            outside the scale.
+            nonnegative integer, a duplicate (user, item) pair, a rating
+            outside RATING_SCALE, or an id that is not below the declared
+            `num_users` or `num_items`.
     """
-    users, items, ratings = _index_triples(
-        _parse_triples(path, delimiter, rating_scale), path
-    )
-    return _build(users, items, ratings, num_users, num_items, rating_scale)
+    users, items, ratings = _index_triples(_parse_triples(path, delimiter), path)
+    for column, ids, key, declared in ((0, users, "num_users", num_users),
+                                       (1, items, "num_items", num_items)):
+        if declared is not None and max(ids, default=-1) >= declared:
+            # only on this error: parse again for the line of the first such id
+            row = next(t for t in _parse_triples(path, delimiter) if int(t[column]) >= declared)
+            raise RatingDataError(f"{path}: line {row[3]}: {HEADER_FIELDS[column]} {row[column]} "
+                                  f"is outside the declared {key} = {declared}")
+    return _build(users, items, ratings, num_users, num_items)
 
 
 def load_rating_pair(
     path_a: str | Path,
     path_b: str | Path,
     delimiter: str = ",",
-    rating_scale: tuple[int, int] = (1, 5),
 ) -> tuple[RatingDataset, RatingDataset]:
     """Load two rating files over one shared id space (for example a biased log
     plus an unbiased sample). Ids may be arbitrary strings; they are remapped
@@ -240,12 +242,10 @@ def load_rating_pair(
     user_index: dict[str, int] = {}
     item_index: dict[str, int] = {}
     triples = [
-        _index_triples(_parse_triples(path, delimiter, rating_scale), path, user_index, item_index)
+        _index_triples(_parse_triples(path, delimiter), path, user_index, item_index)
         for path in (path_a, path_b)
     ]
-    n_users, n_items = len(user_index), len(item_index)
-    ds_a, ds_b = (_build(*t, n_users, n_items, rating_scale) for t in triples)
-    return ds_a, ds_b
+    return tuple(_build(*t, len(user_index), len(item_index)) for t in triples)
 
 
 def reindex_users(

@@ -142,14 +142,22 @@ def predict_many(params: MFParameters, users: np.ndarray, items: np.ndarray) -> 
     for start in range(0, len(users), _PREDICT_BLOCK):
         u = users[start:start + _PREDICT_BLOCK]
         i = items[start:start + _PREDICT_BLOCK]
-        preds[start:start + _PREDICT_BLOCK] = (
-            np.einsum("nd,nd->n", params.user_emb.take(u, axis=0),
-                      params.item_emb.take(i, axis=0))
-            + params.user_off.take(u)
-            + params.item_off.take(i)
-            + params.global_off
+        preds[start:start + _PREDICT_BLOCK] = _predict_rows(
+            params, u, i, params.user_emb.take(u, axis=0), params.item_emb.take(i, axis=0)
         )
     return preds
+
+
+def _predict_rows(params, users, items, user_rows, item_rows) -> np.ndarray:
+    """The predictions of `params` for the pairs (`users`, `items`), whose
+    embedding rows are already gathered as `user_rows` and `item_rows`:
+    the prediction expression of :class:`MFParameters`, in this order."""
+    return (
+        np.einsum("nd,nd->n", user_rows, item_rows)
+        + params.user_off.take(users)
+        + params.item_off.take(items)
+        + params.global_off
+    )
 
 
 def fit_avg(train: RatingDataset) -> MFParameters:

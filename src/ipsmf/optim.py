@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
 from .data import RatingDataset, SplitBundle
 from . import propensity
-from .model import MFParameters, PARAM_GROUPS, init_params, predict_many
+from .model import MFParameters, PARAM_GROUPS, _predict_rows, init_params, predict_many
 
 logger = logging.getLogger(__name__)
 
@@ -68,14 +68,16 @@ class AdamState:
 
     ``scratch`` holds two parameter-shaped work buffers that :func:`adam_step`
     overwrites on every call, so a step allocates no full-size temporaries.
+    The decay rates and ``eps`` are the usual Adam constants, fixed for every
+    fit.
     """
 
+    beta1: ClassVar[float] = 0.9
+    beta2: ClassVar[float] = 0.999
+    eps: ClassVar[float] = 1e-8
     m: MFParameters
     v: MFParameters
     steps: dict[str, int]
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     scratch: tuple[MFParameters, MFParameters] = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -128,18 +130,16 @@ def adam_step(
     buffers = (params._buffer, grads._buffer, state.m._buffer, state.v._buffer,
                scratch_a._buffer, scratch_b._buffer)
     for start, stop, t in _packed_runs(spans, mask, steps):
-        _adam_update(
-            *(b[start:stop] for b in buffers),
-            t, lr, state.beta1, state.beta2, state.eps,
-        )
+        _adam_update(*(b[start:stop] for b in buffers), t, lr)
     return params, state
 
 
-def _adam_update(p, g, m, v, a, b, t, lr, beta1, beta2, eps) -> None:
+def _adam_update(p, g, m, v, a, b, t, lr) -> None:
     """The update of :func:`adam_step` on the array `p` with gradient `g`,
     moments `m`, `v` and step count `t`, in place. It is evaluated in that
     operation order in the scratch arrays `a` and `b` (shaped like `p`), so
     no temporary is allocated."""
+    beta1, beta2, eps = AdamState.beta1, AdamState.beta2, AdamState.eps
     np.multiply(m, beta1, out=m)
     np.multiply(g, 1.0 - beta1, out=a)
     np.add(m, a, out=m)
@@ -241,16 +241,10 @@ def _masked_gradient(grads, params, users, items, ratings, propensities, l2_weig
     l2_scale = 2.0 * l2_weight
     for start, stop, _ in _packed_runs(params._spans, mask):
         np.multiply(params._buffer[start:stop], l2_scale, out=grads._buffer[start:stop])
-    n = len(users)
     user_rows = params.user_emb.take(users, axis=0)
     item_rows = params.item_emb.take(items, axis=0)
-    preds = (
-        np.einsum("nd,nd->n", user_rows, item_rows)
-        + params.user_off.take(users)
-        + params.item_off.take(items)
-        + params.global_off
-    )
-    coef = 2.0 * (preds - ratings) / (propensities * n)
+    preds = _predict_rows(params, users, items, user_rows, item_rows)
+    coef = 2.0 * (preds - ratings) / (propensities * len(users))
     user_index, item_index = _flat_index(params) if flat_index is None else flat_index
     if "user_emb" in mask:
         _scatter_add_rows(grads.user_emb, user_index, users, coef[:, None] * item_rows)

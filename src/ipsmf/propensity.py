@@ -18,7 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import RatingDataset, _open_input
+from .blas import one_blas_thread
+from .data import RATING_SCALE, RatingDataset, _open_input
 from .model import PARAM_GROUPS, init_params
 from .optim import adam_step, init_adam_state
 
@@ -43,24 +44,6 @@ class PropensityError(ValueError):
 
 
 @dataclass(frozen=True)
-class SmoothingConfig:
-    """Additive-count smoothing strengths for the joint estimator.
-
-    alpha1 smooths the observed (item, rating) frequency table; alpha2 smooths
-    the item-given-rating distribution estimated from the unbiased sample.
-    """
-
-    alpha1: float = 1.0
-    alpha2: float = 1.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "alpha1", float(self.alpha1))
-        object.__setattr__(self, "alpha2", float(self.alpha2))
-        if self.alpha1 < 0 or self.alpha2 < 0:
-            raise ValueError("smoothing strengths must be nonnegative")
-
-
-@dataclass(frozen=True)
 class PropensityModel:
     """A scoring object mapping (user, item, rating) to an observation probability.
 
@@ -74,7 +57,7 @@ class PropensityModel:
     """
 
     family: str
-    rating_scale: tuple[int, int] = (1, 5)
+    rating_scale: tuple[int, int] = RATING_SCALE
     table: np.ndarray | None = None
     scale: float = 1.0
     clip_floor: float = 0.0
@@ -227,7 +210,8 @@ def estimate_popularity(train: RatingDataset) -> PropensityModel:
 def estimate_multifactorial(
     train: RatingDataset,
     mcar: RatingDataset,
-    smoothing: SmoothingConfig = SmoothingConfig(),
+    alpha1: float = 1.0,
+    alpha2: float = 1.0,
 ) -> PropensityModel:
     """Joint (item, rating) propensities via Bayes' rule with additive smoothing.
 
@@ -244,15 +228,19 @@ def estimate_multifactorial(
       (with the same zero-count fallback as the positivity estimator);
     - ``P(o=1) = |D| / (U * I)``, with the id space (U, I) of `train`.
 
-    Raises PropensityError for an empty mcar sample or a different item space.
+    The smoothing strengths are stored as floats on the model. Raises
+    ValueError for a negative strength, and PropensityError for an empty mcar
+    sample or a different item space.
     """
+    a1, a2 = float(alpha1), float(alpha2)
+    if a1 < 0 or a2 < 0:
+        raise ValueError("smoothing strengths must be nonnegative")
     if len(mcar) == 0:
         raise PropensityError("joint estimation requires a nonempty mcar sample")
     if mcar.num_items != train.num_items:
         raise PropensityError(
             f"mcar sample has {mcar.num_items} items but train has {train.num_items}"
         )
-    a1, a2 = smoothing.alpha1, smoothing.alpha2
     joint_conditional = smoothed_joint_conditional(train, a1)
     if a1 == 0.0 and np.any(joint_conditional == 0):
         logger.warning(
@@ -324,7 +312,9 @@ def estimate_mf_propensity(
     ``log(where(obs, s, 1 - s))`` bit for bit (the zero-weighted term adds
     -0.0): one log per cell is taken instead of two.
 
-    The returned table holds the unclipped sigmoid scores of the best
+    The loop's matrix products run with OpenBLAS at one thread (see
+    :mod:`ipsmf.blas`), so the fit does not depend on the host's cores. The
+    returned table holds the unclipped sigmoid scores of the best
     parameters, built in ``s``; its dot products use the per-pair ``einsum``
     reduction, not ``P @ Q.T``, whose BLAS sums can differ in the last bit.
     """
@@ -344,31 +334,32 @@ def estimate_mf_propensity(
     w = np.empty_like(s)
     best_loss, best, prev_loss, converged = np.inf, None, np.inf, False
 
-    for _ in range(max_steps):
-        np.matmul(params.user_emb, params.item_emb.T, out=s)
-        _sigmoid_of_logits(s, params)
-        np.clip(s, 1e-12, 1.0 - 1e-12, out=s)
-        np.subtract(1.0, s, out=w)
-        np.copyto(w, s, where=observed)
-        np.log(w, out=w)
-        loss = float(-np.mean(w) + l2_weight * params.squared_norm())
-        if loss < best_loss:
-            best_loss, best = loss, params.copy()
-        if np.isfinite(prev_loss) and abs(prev_loss - loss) <= tol * max(abs(prev_loss), 1.0):
-            converged = True
-            break
-        prev_loss = loss
+    with one_blas_thread():  # the three products go through BLAS
+        for _ in range(max_steps):
+            np.matmul(params.user_emb, params.item_emb.T, out=s)
+            _sigmoid_of_logits(s, params)
+            np.clip(s, 1e-12, 1.0 - 1e-12, out=s)
+            np.subtract(1.0, s, out=w)
+            np.copyto(w, s, where=observed)
+            np.log(w, out=w)
+            loss = float(-np.mean(w) + l2_weight * params.squared_norm())
+            if loss < best_loss:
+                best_loss, best = loss, params.copy()
+            if np.isfinite(prev_loss) and abs(prev_loss - loss) <= tol * max(abs(prev_loss), 1.0):
+                converged = True
+                break
+            prev_loss = loss
 
-        g = np.subtract(s, observed, out=w)
-        g /= n_cells
-        np.matmul(g, params.item_emb, out=grads.user_emb)
-        np.matmul(g.T, params.user_emb, out=grads.item_emb)
-        np.sum(g, axis=1, out=grads.user_off)
-        np.sum(g, axis=0, out=grads.item_off)
-        np.sum(g, out=grads.global_off)
-        for name in PARAM_GROUPS:
-            grads.group(name)[...] += 2 * l2_weight * params.group(name)
-        adam_step(params, grads, state, PARAM_GROUPS, learning_rate)
+            g = np.subtract(s, observed, out=w)
+            g /= n_cells
+            np.matmul(g, params.item_emb, out=grads.user_emb)
+            np.matmul(g.T, params.user_emb, out=grads.item_emb)
+            np.sum(g, axis=1, out=grads.user_off)
+            np.sum(g, axis=0, out=grads.item_off)
+            np.sum(g, out=grads.global_off)
+            for name in PARAM_GROUPS:
+                grads.group(name)[...] += 2 * l2_weight * params.group(name)
+            adam_step(params, grads, state, PARAM_GROUPS, learning_rate)
 
     if not converged:
         logger.warning(

@@ -15,8 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .blas import one_blas_thread
 from .data import (
-    RatingDataError, RatingDataset, SplitBundle, _open_input, split_biased, split_unbiased,
+    RATING_SCALE, RatingDataError, RatingDataset, SplitBundle, _open_input, split_biased,
+    split_unbiased,
 )
 from .propensity import PropensityModel
 
@@ -65,6 +67,13 @@ class SimulationSpec:
     engagement_format: str = "dense"  # dense grid or (user, item, value) triples
 
     def __post_init__(self):
+        if self.num_users < 1 or self.num_items < 1:
+            raise ValueError("num_users and num_items must be at least 1")
+        lo, hi = RATING_SCALE
+        for name in ("rating_propensities", "target_rating_distribution"):
+            if len(getattr(self, name)) != hi - lo + 1:
+                raise ValueError(f"{name} needs one entry per rating {lo}..{hi}, "
+                                 f"got {len(getattr(self, name))}")
         if self.engagement_format not in ("dense", "triples"):
             raise ValueError(
                 f"engagement_format must be dense or triples, got {self.engagement_format}"
@@ -116,8 +125,9 @@ def generate_engagement(
     user_f = rng.normal(0.0, 1.0, size=(num_users, rank)) / np.sqrt(rank)
     item_f = rng.normal(0.0, 1.0, size=(num_items, rank))
     item_quality = rng.normal(0.0, 1.0, size=num_items)
+    with one_blas_thread():  # a threaded product may sum in another order
+        engagement = user_f @ item_f.T
     # the same additions, in the same order, as one full-size noise draw
-    engagement = user_f @ item_f.T
     engagement += item_quality
     for start, stop in _row_blocks(num_users):
         engagement[start:stop] += rng.normal(0.0, noise, size=(stop - start, num_items))
@@ -277,7 +287,6 @@ def sample_observations(
     item_propensities: np.ndarray,
     gamma: float,
     seed: int,
-    rating_scale: tuple[int, int] = (1, 5),
 ) -> tuple[RatingDataset, PropensityModel]:
     """Bernoulli-sample a biased log from interpolated propensities.
 
@@ -286,11 +295,11 @@ def sample_observations(
     Also returns the exact propensity table as a ground_truth model, which
     reproduces the sampling probability of every cell. Raises ValueError
     when an interpolated propensity lies outside [0, 1] or a true rating
-    outside `rating_scale`.
+    outside RATING_SCALE.
     """
     truth = np.asarray(truth)
     num_users, num_items = truth.shape
-    lo, hi = rating_scale
+    lo, hi = RATING_SCALE
     rho_r = np.asarray(rating_propensities, dtype=float)
     rho_i = np.asarray(item_propensities, dtype=float)
     table = gamma * rho_r[None, :] + (1.0 - gamma) * rho_i[:, None]  # (I, R)
@@ -299,7 +308,7 @@ def sample_observations(
     if truth.size:
         for value in (truth.min(), truth.max()):
             if not lo <= value <= hi:
-                raise ValueError(f"true rating {value} outside the rating scale {rating_scale}")
+                raise ValueError(f"true rating {value} outside the rating scale {RATING_SCALE}")
 
     # the same uniform stream as one full-size draw, compared a row block at a
     # time so that no full-size float temporary is live
@@ -316,12 +325,8 @@ def sample_observations(
         users=users,
         items=items,
         ratings=truth[users, items],
-        rating_scale=rating_scale,
     )
-    model = PropensityModel(
-        family="ground_truth", rating_scale=rating_scale, table=table
-    )
-    return dataset, model
+    return dataset, PropensityModel(family="ground_truth", table=table)
 
 
 def sample_unbiased(
@@ -329,7 +334,6 @@ def sample_unbiased(
     per_user: int,
     mcar_fraction: float,
     seed: int,
-    rating_scale: tuple[int, int] = (1, 5),
 ) -> tuple[RatingDataset, RatingDataset]:
     """Uniform-random unbiased ratings: `per_user` items per user without
     replacement, pooled, then split into (mcar, test) with the mcar side
@@ -355,7 +359,6 @@ def sample_unbiased(
         users=users,
         items=items,
         ratings=truth[users, items],
-        rating_scale=rating_scale,
     )
     return split_unbiased(pool, mcar_fraction, seed)
 

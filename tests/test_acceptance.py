@@ -26,7 +26,6 @@ from ipsmf.optim import (
     ips_loss,
 )
 from ipsmf.propensity import (
-    SmoothingConfig,
     estimate_multifactorial,
     estimate_popularity,
     estimate_positivity,
@@ -124,7 +123,7 @@ def test_c2_propensity_estimators_match_brute_force_oracle():
     for i in range(3):
         assert pop.table[i] == pytest.approx(pop_oracle[i], abs=1e-12)
 
-    mul = estimate_multifactorial(train, mcar, SmoothingConfig(2.0, 3.0))
+    mul = estimate_multifactorial(train, mcar, 2.0, 3.0)
     mul_oracle = multifactorial_oracle(
         triples(train), triples(mcar), 3, 3, values, 2.0, 3.0
     )

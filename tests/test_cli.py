@@ -374,10 +374,13 @@ embedding_dim = 4
          "results.csv: line 2: mse 'abc' is not a number"),
         ("summarize results.csv", "results.csv", ",1.1,1.2\n", ",1.1\n", "data",
          "results.csv: line 2: 8 fields, the header has 9"),
+        ("train split.ini", "split.ini", "[experiment]", "num_users = 3\n[experiment]", "data",
+         "train.csv: line 25: user_id 3 is outside the declared num_users = 3"),
     ], ids=["bad-header", "bad-fraction", "missing-biased", "missing-train",
             "string-id-in-split", "gt-header-key-missing", "missing-gt-table",
             "missing-engagement", "missing-results", "results-without-metrics",
-            "results-without-keys", "results-metric-not-a-number", "results-short-row"])
+            "results-without-keys", "results-metric-not-a-number", "results-short-row",
+            "id-outside-declared-users"])
     def test_data_errors_reported(self, tmp_path, capsys, args, name, old, new, error, message):
         # a missing or malformed input file (RatingDataError, PropensityError)
         # or an impossible split (SplitError) exits 2 with its message naming
@@ -874,6 +877,42 @@ def test_cell_config_error_leaves_no_output_dir(tmp_path, capsys, command):
     assert main([command, "--config", str(path), "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("config error: simulation: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("seed = 3", "seed = 3\ntarget_rating_distribution = 0.5, 0.2, 0.1, 0.1, 0.05, 0.05",
+     "target_rating_distribution needs one entry per rating 1..5, got 6"),
+    ("seed = 3", "seed = 3\nrating_propensities = 0.1, 0.2, 0.3",
+     "rating_propensities needs one entry per rating 1..5, got 3"),
+    ("num_users = 30", "num_users = 0", "num_users and num_items must be at least 1"),
+], ids=["six-ratings", "three-propensities", "no-users"])
+def test_unsimulatable_spec_is_a_config_error(tmp_path, capsys, old, new, message):
+    # each used to end in a traceback, or in a data error once simulated
+    path = write_config(tmp_path, BASE_CONFIG.replace(old, new))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: simulation: {message}\n"
+    assert not out.exists()
+
+
+def test_unknown_log_level_is_a_usage_error(tmp_path, capsys):
+    # an unknown level used to run silently at INFO
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["--log-level", "LOUD", "simulate", "--config", str(write_config(tmp_path)),
+              "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--log-level: invalid choice: 'LOUD'" in err
+    assert all(level in err for level in ("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL"))
+    assert not out.exists()
+
+
+def test_log_level_is_case_insensitive(tmp_path):
+    out = tmp_path / "out"
+    assert main(["--log-level", "warning", "simulate", "--config", str(write_config(tmp_path)),
+                 "--out", str(out)]) == 0
+    assert (out / "manifest.txt").exists()
 
 
 def test_sweep_checks_every_gamma_before_any_cell(tmp_path, capsys, monkeypatch):

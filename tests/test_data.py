@@ -59,6 +59,18 @@ class TestLoadRatings:
         ds2 = load_ratings(path, num_users=4, num_items=7)
         assert (ds2.num_users, ds2.num_items) == (4, 7)
 
+    @pytest.mark.parametrize("sizes, message", [
+        (dict(num_users=3), "line 5: user_id 5 is outside the declared num_users = 3"),
+        (dict(num_items=4), "line 6: item_id 4 is outside the declared num_items = 4"),
+        (dict(num_users=6, num_items=3), "line 5: item_id 3 is outside the declared num_items = 3"),
+    ])
+    def test_id_outside_declared_space_names_file_line_and_key(self, tmp_path, sizes, message):
+        path = tmp_path / "ids.csv"
+        path.write_text("user_id,item_id,rating\n0,1,4\n\n2,0,3\n5,3,1\n3,4,2\n")
+        with pytest.raises(RatingDataError, match=f"^{re.escape(f'{path}: {message}')}$"):
+            load_ratings(path, **sizes)
+        assert len(load_ratings(path, num_users=6, num_items=5)) == 4
+
     def test_rating_out_of_scale_names_line(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("u1,i1,7\n")

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from ipsmf import optim
+from ipsmf.blas import one_blas_thread
 from ipsmf.data import RatingDataset
 from ipsmf.sim import (
     DEFAULT_RATING_PROPENSITIES,
@@ -24,7 +25,6 @@ from ipsmf.propensity import (
     FAMILIES,
     PropensityError,
     PropensityModel,
-    SmoothingConfig,
     clip,
     estimate_mf_propensity,
     estimate_multifactorial,
@@ -166,7 +166,7 @@ class TestMultifactorial:
     def test_hand_counted_cells(self):
         # exact fractions, computed independently from the three formulas
         train, mcar = self.small_fixture()
-        model = estimate_multifactorial(train, mcar, SmoothingConfig(1, 1))
+        model = estimate_multifactorial(train, mcar, 1, 1)
         np.testing.assert_allclose(
             model.table,
             [[27 / 28, 9 / 14], [9 / 14, 9 / 14]],
@@ -180,7 +180,7 @@ class TestMultifactorial:
         # every rating value appears in the unbiased sample
         mcar = make_dataset(5, 3, [(u, u % 3, u + 1) for u in range(5)]
                             + [(0, 1, 3), (1, 2, 5)])
-        model = estimate_multifactorial(train, mcar, SmoothingConfig(2.0, 3.0))
+        model = estimate_multifactorial(train, mcar, 2.0, 3.0)
         oracle = multifactorial_oracle(
             triples(train), triples(mcar), 5, 3, range(1, 6), 2.0, 3.0
         )
@@ -214,7 +214,20 @@ class TestMultifactorial:
     def test_alpha2_zero_with_zero_counts_rejected(self):
         train, mcar = self.small_fixture()
         with pytest.raises(PropensityError, match="alpha2"):
-            estimate_multifactorial(train, mcar, SmoothingConfig(1.0, 0.0))
+            estimate_multifactorial(train, mcar, 1.0, 0.0)
+
+    @pytest.mark.parametrize("alpha1, alpha2", [(-1.0, 1.0), (1.0, -0.5)])
+    def test_negative_smoothing_rejected(self, alpha1, alpha2):
+        train, mcar = self.small_fixture()
+        with pytest.raises(ValueError, match="smoothing strengths must be nonnegative"):
+            estimate_multifactorial(train, mcar, alpha1, alpha2)
+
+    def test_integer_strengths_stored_as_floats(self, tmp_path):
+        train, mcar = self.small_fixture()
+        model = estimate_multifactorial(train, mcar, 2, 1)
+        assert (type(model.alpha1), type(model.alpha2)) == (float, float)
+        save_propensity(model, tmp_path / "joint.csv")
+        assert " alpha1=2.0 alpha2=1.0 " in (tmp_path / "joint.csv").read_text().splitlines()[0]
 
     @pytest.mark.parametrize("mcar_items", [1, 3])
     def test_mcar_item_space_must_match_train(self, mcar_items):
@@ -224,7 +237,7 @@ class TestMultifactorial:
         mcar = make_dataset(2, mcar_items, [(0, 0, 1), (1, 0, 2)], scale=(1, 2))
         with pytest.raises(PropensityError, match=f"mcar sample has {mcar_items} items "
                                                   "but train has 2"):
-            estimate_multifactorial(train, mcar, SmoothingConfig(1, 1))
+            estimate_multifactorial(train, mcar, 1, 1)
 
     @pytest.mark.parametrize("alpha1, alpha2", [
         (0.0, 1.0), (0.0, 7.5), (1.0, 1.0), (2.0, 0.5), (10.0, 3.0), (0.3, 12.0),
@@ -233,8 +246,7 @@ class TestMultifactorial:
         bundle = simulate(SimulationSpec(
             num_users=60, num_items=40, gamma=0.5, seed=4, unbiased_per_user=10)).bundle
         train, mcar = bundle.train, bundle.mcar
-        model = estimate_multifactorial(
-            train, mcar, SmoothingConfig(alpha1, alpha2))
+        model = estimate_multifactorial(train, mcar, alpha1, alpha2)
         expected = estimate_multifactorial_table_reference(
             train, mcar, 60, 40, alpha1, alpha2)
         assert model.table.tobytes() == expected.tobytes()
@@ -242,7 +254,7 @@ class TestMultifactorial:
     def test_alpha1_zero_with_unobserved_cells_warns(self, caplog):
         train, mcar = self.small_fixture()  # (item 1, rating 1) is never observed
         with caplog.at_level(logging.WARNING):
-            model = estimate_multifactorial(train, mcar, SmoothingConfig(0.0, 1.0))
+            model = estimate_multifactorial(train, mcar, 0.0, 1.0)
         assert "alpha1=0" in caplog.text
         assert model.table[1, 0] == 0.0
 
@@ -250,7 +262,7 @@ class TestMultifactorial:
         train = make_dataset(2, 2, [(0, 0, 1), (0, 1, 2), (1, 0, 1)], scale=(1, 2))
         mcar = make_dataset(2, 2, [(0, 0, 1), (1, 0, 1)], scale=(1, 2))  # no rating 2
         with caplog.at_level(logging.WARNING):
-            model = estimate_multifactorial(train, mcar, SmoothingConfig(1, 1))
+            model = estimate_multifactorial(train, mcar, 1, 1)
         assert "unseen" in caplog.text
         assert np.all(model.table > 0)
 
@@ -280,7 +292,7 @@ def test_smoothing_reduces_joint_table_error(seed):
     train, mcar = sim.bundle.train, sim.bundle.mcar
     score = {
         alphas: weighted_log_error(
-            estimate_multifactorial(train, mcar, SmoothingConfig(*alphas)).table, sim)
+            estimate_multifactorial(train, mcar, *alphas).table, sim)
         for alphas in ((0.01, 0.01), (1.0, 1.0))
     }
     assert score[(1.0, 1.0)] / score[(0.01, 0.01)] < 0.25
@@ -317,7 +329,7 @@ def test_each_estimator_recovers_the_truth_where_its_bias_model_holds(seed):
         sd = np.sqrt(p[keep] * (1 - p[keep]) / n[keep])
         tables = {
             "joint": estimate_multifactorial(
-                biased, everything, SmoothingConfig(0.0, 1e-9)).table,
+                biased, everything, 0.0, 1e-9).table,
             "popularity": estimate_popularity(biased).table[:, None],
             "positivity": estimate_positivity(biased, everything).table[None, :],
         }
@@ -440,8 +452,12 @@ class TestMFLearnedMatchesReference:
     factors fitted by the allocating two-log fit with its own Adam loop."""
 
     def fit_both(self, train, **kwargs):
-        factors, losses, converged = estimate_mf_propensity_reference(
-            train, train.num_users, train.num_items, **kwargs)
+        # the fit runs its matrix products at one OpenBLAS thread, and a
+        # threaded product can differ in the last bit, so the reference's
+        # products run at one thread too
+        with one_blas_thread():
+            factors, losses, converged = estimate_mf_propensity_reference(
+                train, train.num_users, train.num_items, **kwargs)
         model = estimate_mf_propensity(train, **kwargs)
         users, items = (a.ravel() for a in np.meshgrid(
             np.arange(train.num_users), np.arange(train.num_items), indexing="ij"))
@@ -609,7 +625,7 @@ class TestClipNormalizeScore:
             uniform_propensities(train),
             estimate_popularity(train),
             estimate_positivity(train, mcar),
-            estimate_multifactorial(train, mcar, SmoothingConfig(1, 1)),
+            estimate_multifactorial(train, mcar, 1, 1),
             estimate_mf_propensity(train, dim=2, max_steps=50, seed=0),
         ]
         for model in models:
@@ -634,7 +650,7 @@ class TestSerialization:
             clip(estimate_popularity(train), 0.05),
             estimate_positivity(train, mcar),
             normalize(
-                estimate_multifactorial(train, mcar, SmoothingConfig(2, 1)), train
+                estimate_multifactorial(train, mcar, 2, 1), train
             ),
         ]
         for model in models:
@@ -674,7 +690,7 @@ class TestSerialization:
         train = make_dataset(2, 2, [(0, 0, 1), (0, 1, 2), (1, 0, 1)], scale=(1, 2))
         mcar = make_dataset(2, 2, [(0, 0, 1), (1, 1, 2)], scale=(1, 2))
         model = clip(
-            estimate_multifactorial(train, mcar, SmoothingConfig(10, 2)), 0.05
+            estimate_multifactorial(train, mcar, 10, 2), 0.05
         )
         path = tmp_path / "prop.csv"
         save_propensity(model, path)
@@ -782,7 +798,7 @@ def every_form(tmp_path_factory):
         "uniform": uniform_propensities(train),
         "popularity": estimate_popularity(train),
         "positivity": estimate_positivity(train, mcar),
-        "multifactorial": estimate_multifactorial(train, mcar, SmoothingConfig(2.0, 3.0)),
+        "multifactorial": estimate_multifactorial(train, mcar, 2.0, 3.0),
         "mf_learned-fitted": fitted,
         "mf_learned-loaded": load_propensity(path),
         "ground_truth": sim.ground_truth_propensities,

@@ -418,6 +418,22 @@ class TestSimulationSpec:
             SimulationSpec(num_users=10, num_items=10, gamma=0.5,
                            target_rating_distribution=(0.5, 0.2, 0.2, 0.2, 0.1))
 
+    @pytest.mark.parametrize("field, value", [
+        ("target_rating_distribution", (0.5, 0.2, 0.1, 0.1, 0.05, 0.05)),
+        ("rating_propensities", (0.1, 0.2, 0.3)),
+    ])
+    def test_rating_lists_need_one_entry_per_rating(self, field, value):
+        # a sixth rating used to fail only in sample_observations, and three
+        # propensities with an IndexError
+        with pytest.raises(ValueError, match=f"{field} needs one entry per rating 1..5, "
+                                             f"got {len(value)}"):
+            SimulationSpec(num_users=10, num_items=10, gamma=0.5, **{field: value})
+
+    @pytest.mark.parametrize("num_users, num_items", [(0, 10), (10, 0), (-1, 10)])
+    def test_id_space_must_be_nonempty(self, num_users, num_items):
+        with pytest.raises(ValueError, match="num_users and num_items must be at least 1"):
+            SimulationSpec(num_users=num_users, num_items=num_items, gamma=0.5)
+
 
 class TestSimulate:
     def spec(self, **kw):
