@@ -110,9 +110,10 @@ def _checked(cast, bad, rule: str):
     return parse
 
 
-_parse_positive = _checked(int, lambda v: v <= 0, "positive")
-_parse_positive_float = _checked(float, lambda v: v <= 0, "positive")
-_parse_nonnegative_float = _checked(float, lambda v: v < 0, "nonnegative")
+# written so that NaN, which fails every comparison, is rejected too
+_parse_positive = _checked(int, lambda v: not v > 0, "positive")
+_parse_positive_float = _checked(float, lambda v: not v > 0, "positive")
+_parse_nonnegative_float = _checked(float, lambda v: not v >= 0, "nonnegative")
 # an [experiment] list, or the command-line option that overrides it
 _distinct = _checked(list, lambda v: not v or len(set(v)) < len(v), "nonempty without repeats")
 

@@ -47,15 +47,16 @@ class TrainConfig:
     init_scale: float = 0.1
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
+        # negated comparisons, so that NaN is rejected too
+        if not self.learning_rate > 0:
             raise ValueError("learning_rate must be positive")
-        if self.l2_weight < 0:
+        if not self.l2_weight >= 0:
             raise ValueError("l2_weight must be nonnegative")
-        if self.batch_size <= 0 or self.max_epochs <= 0 or self.patience <= 0:
+        if not (self.batch_size > 0 and self.max_epochs > 0 and self.patience > 0):
             raise ValueError("batch_size, max_epochs, and patience must be positive")
-        if self.embedding_dim <= 0:
+        if not self.embedding_dim > 0:
             raise ValueError("embedding_dim must be positive")
-        if self.init_scale < 0:
+        if not self.init_scale >= 0:
             raise ValueError("init_scale must be nonnegative")
         if self.schedule not in SCHEDULES:
             raise ValueError(f"unknown schedule {self.schedule!r}")

@@ -233,7 +233,7 @@ def estimate_multifactorial(
     sample or a different item space.
     """
     a1, a2 = float(alpha1), float(alpha2)
-    if a1 < 0 or a2 < 0:
+    if not (a1 >= 0 and a2 >= 0):  # NaN fails both
         raise ValueError("smoothing strengths must be nonnegative")
     if len(mcar) == 0:
         raise PropensityError("joint estimation requires a nonempty mcar sample")

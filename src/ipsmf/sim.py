@@ -11,7 +11,10 @@ real dense matrix can be supplied instead.
 from __future__ import annotations
 
 import logging
+import math
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,7 +32,7 @@ logger = logging.getLogger(__name__)
 DEFAULT_RATING_DISTRIBUTION = (0.5148, 0.2525, 0.1496, 0.0554, 0.0277)
 DEFAULT_RATING_PROPENSITIES = (0.0123, 0.0102, 0.0213, 0.0568, 0.1795)
 # Rows of the dense user x item matrices that the simulation handles at once
-# (engagement noise, rating conversion, observation draws, unbiased sort keys);
+# (engagement, rating conversion, observation draws, unbiased sort keys);
 # bounds each stage's scratch memory (8 MB per float block at 1,000 items)
 # independently of the user count. The Generator yields the same stream in
 # pieces, so outputs do not depend on it.
@@ -108,6 +111,61 @@ def _row_blocks(num_rows: int):
         yield start, min(start + BLOCK_ROWS, num_rows)
 
 
+class _Engagement(NamedTuple):
+    """A real matrix that rating conversion reads one row block at a time.
+
+    Each call of ``blocks()`` yields the matrix's row blocks of at most
+    BLOCK_ROWS rows in order, from the first; a block may be overwritten once
+    the next is asked for. ``whole()`` gives all of its cells in flat
+    (row-major) order, for the conversion's last resort.
+    """
+
+    shape: tuple[int, ...]
+    blocks: Callable[[], Iterator[np.ndarray]]
+    whole: Callable[[], np.ndarray]
+
+
+def _array_engagement(engagement) -> _Engagement:
+    """The row slices of a real array: an engagement file or a caller's matrix."""
+    shape = np.shape(engagement)
+    flat = np.asarray(engagement, dtype=float).reshape(-1)
+    rows = shape[0] if shape else 1
+    width = flat.size // max(rows, 1)
+    return _Engagement(
+        shape, lambda: (flat[a * width:b * width] for a, b in _row_blocks(rows)), lambda: flat
+    )
+
+
+def _generated_engagement(num_users, num_items, seed, rank, noise) -> _Engagement:
+    """The matrix of ``generate_engagement``, made again at each call of its
+    ``blocks()``, one row block at a time."""
+    args = (num_users, num_items, seed, rank, noise)
+    return _Engagement((num_users, num_items), lambda: _engagement_blocks(*args),
+                       lambda: generate_engagement(*args).reshape(-1))
+
+
+def _engagement_blocks(num_users, num_items, seed, rank, noise):
+    """The row blocks of ``generate_engagement``'s matrix, each made as it is
+    asked for, in one buffer: a block is overwritten by the next."""
+    rng = np.random.default_rng(seed)
+    user_f = rng.normal(0.0, 1.0, size=(num_users, rank)) / np.sqrt(rank)
+    item_f = rng.normal(0.0, 1.0, size=(num_items, rank))
+    item_quality = rng.normal(0.0, 1.0, size=num_items)
+    # every product has the first block's shape, so a short tail block is
+    # computed at full block height: OpenBLAS picks its kernel by shape, and a
+    # one-row product (gemv) differs in the last bit from the rows of a matrix
+    product = np.empty((min(BLOCK_ROWS, num_users), num_items))
+    for start, stop in _row_blocks(num_users):
+        low = stop - len(product)
+        with one_blas_thread():  # a threaded product may sum in another order
+            np.matmul(user_f[low:stop], item_f.T, out=product)
+        block = product[start - low:]
+        # the additions of one full-size noise draw, in the same order
+        block += item_quality
+        block += rng.normal(0.0, noise, size=block.shape)
+        yield block
+
+
 def generate_engagement(
     num_users: int,
     num_items: int,
@@ -119,23 +177,19 @@ def generate_engagement(
 
     The item offset spreads item averages (so item popularity ranks are
     meaningful) while the low-rank term carries user-specific structure that a
-    factorized predictor can learn.
+    factorized predictor can learn. The matrix is made one row block at a
+    time; ``simulate`` rates those blocks as they are made instead of holding
+    the matrix.
     """
-    rng = np.random.default_rng(seed)
-    user_f = rng.normal(0.0, 1.0, size=(num_users, rank)) / np.sqrt(rank)
-    item_f = rng.normal(0.0, 1.0, size=(num_items, rank))
-    item_quality = rng.normal(0.0, 1.0, size=num_items)
-    with one_blas_thread():  # a threaded product may sum in another order
-        engagement = user_f @ item_f.T
-    # the same additions, in the same order, as one full-size noise draw
-    engagement += item_quality
-    for start, stop in _row_blocks(num_users):
-        engagement[start:stop] += rng.normal(0.0, noise, size=(stop - start, num_items))
+    engagement = np.empty((num_users, num_items))
+    blocks = _engagement_blocks(num_users, num_items, seed, rank, noise)
+    for (start, stop), block in zip(_row_blocks(num_users), blocks):
+        engagement[start:stop] = block
     return engagement
 
 
 def convert_to_ratings(
-    engagement: np.ndarray,
+    engagement: np.ndarray | _Engagement,
     target_distribution: tuple[float, ...] = DEFAULT_RATING_DISTRIBUTION,
 ) -> np.ndarray:
     """Quantile-convert a dense real matrix into integer ratings.
@@ -146,15 +200,17 @@ def convert_to_ratings(
     boundaries are floor(cumulative fraction * cell count); leftover cells
     beyond the last boundary join the top rating bucket.
 
-    Only the cells at the inner boundaries are selected (see
-    ``_boundary_values``), not the whole ranking: a cell lies at or above
-    boundary ``b`` with value ``v`` when it exceeds ``v``, or when it equals
-    ``v`` and is not among the first ``b - count(cells < v)`` cells equal to
-    ``v`` in flat-index order. This is the rank a stable sort gives. The
-    ratings are the smallest unsigned dtype that holds the number of ratings
-    (uint8 for up to 255) and are written a row block at a time, so unless
-    the selection falls back to a partitioned copy, no other full-size array
-    is allocated.
+    `engagement` is a real array, or the generated engagement that
+    ``simulate`` passes as an ``_Engagement``, whose row blocks are made as
+    they are read. Only the cells at the inner boundaries are selected (see
+    ``_classify``), not the whole ranking: a cell lies at or above boundary
+    ``b`` with value ``v`` when it exceeds ``v``, or when it equals ``v`` and
+    is not among the first ``b - count(cells < v)`` cells equal to ``v`` in
+    flat-index order. This is the rank a stable sort gives. The ratings are
+    the smallest unsigned dtype that holds the number of ratings (uint8 for up
+    to 255) and are written as each row block is read, so unless the
+    selection falls back to a partitioned copy, no full-size array other than
+    the ratings (and an array passed in) is allocated.
 
     Raises:
         ValueError: if the distribution has a negative entry or does not sum
@@ -164,84 +220,135 @@ def convert_to_ratings(
         raise ValueError("target distribution must sum to 1")
     if any(p < 0 for p in target_distribution):
         raise ValueError("target distribution entries must be nonnegative")
-    shape = np.shape(engagement)
-    flat = np.asarray(engagement, dtype=float).ravel()
-    n = flat.size
-    # row blocks of the first axis, as offsets into `flat`
-    rows = shape[0] if shape else 1
-    width = n // max(rows, 1)
-    blocks = [(a * width, b * width) for a, b in _row_blocks(rows)]
-    missing = sum(int(np.count_nonzero(np.isnan(flat[a:b]))) for a, b in blocks)
-    if missing:
-        raise ValueError(f"engagement holds {missing} NaN cells of {n}")
+    if not isinstance(engagement, _Engagement):
+        engagement = _array_engagement(engagement)
+    n = math.prod(engagement.shape)
     cumulative = np.cumsum(target_distribution)
     # epsilon guards against float noise in the cumulative sums
     boundaries = np.floor(cumulative[:-1] * n + 1e-9).astype(np.int64)
-    inner = boundaries[(boundaries > 0) & (boundaries < n)]
-    values, less = _boundary_values(flat, inner, blocks)
-    # ties still to be left below each boundary, consumed in flat-index order
-    left = inner - less
+    ranks = boundaries[(boundaries > 0) & (boundaries < n)]
     # a cell's rating is 1 plus the number of boundaries at or below its rank;
     # boundaries at 0 count for every cell, boundaries at n for none
-    ratings = np.full(n, 1 + np.count_nonzero(boundaries <= 0),
-                      dtype=np.min_scalar_type(len(target_distribution)))
-    for a, b in blocks:
-        cells, out = flat[a:b], ratings[a:b]
-        for k, v in enumerate(values):
-            out += cells > v
-            ties = np.flatnonzero(cells == v)
-            out[ties[left[k]:]] += 1
-            left[k] -= min(left[k], ties.size)
-    return ratings.reshape(shape)
-
-
-def _boundary_values(flat, ranks, blocks):
-    """Values at the ascending `ranks` of `flat`, and the number of cells
-    strictly below each value; exact.
-
-    From a sample of ``_SAMPLE_SIZE`` cells at fixed random positions, each
-    rank is bracketed by the sample's order statistics about 4 standard
-    deviations to either side of the rank's expected position. One pass over
-    `blocks` counts the cells below each bracket and collects the cells inside
-    it, and only those candidates are partitioned. The sample decides the
-    cost, never the answer: a rank outside its bracket, or more than
-    ``n // 4`` candidates in all (heavy ties), falls back to partitioning a
-    full copy of `flat`, as does a matrix no larger than the sample.
-    """
-    n = flat.size
-    if not ranks.size:
-        return np.empty(0), np.zeros(0, dtype=np.int64)
+    base = 1 + np.count_nonzero(boundaries <= 0)
+    ratings = np.empty(n, dtype=np.min_scalar_type(len(target_distribution)))
     if n > _SAMPLE_SIZE:
-        positions = np.random.default_rng(_SAMPLE_SEED).integers(0, n, size=_SAMPLE_SIZE)
-        sample = np.sort(flat[positions])
-        expected = ranks / n * _SAMPLE_SIZE
-        spread = 4.0 * np.sqrt(expected * (1.0 - ranks / n)) + 1.0
-        brackets = [
-            (sample[lo] if lo >= 0 else -np.inf, sample[hi] if hi < _SAMPLE_SIZE else np.inf)
-            for lo, hi in zip(np.floor(expected - spread).astype(np.int64),
-                              np.ceil(expected + spread).astype(np.int64))
-        ]
-        below = np.zeros(ranks.size, dtype=np.int64)
-        found = [[] for _ in brackets]
-        collected = 0
-        for a, b in blocks:
-            cells = flat[a:b]
-            for k, (lo, hi) in enumerate(brackets):
-                below[k] += np.count_nonzero(cells < lo)
-                found[k].append(cells[(cells >= lo) & (cells <= hi)])
-                collected += found[k][-1].size
-            if collected > n // 4:
-                break
-        else:
-            candidates = [np.concatenate(f) for f in found]
-            offsets = ranks - below
-            if all(0 <= r < m.size for r, m in zip(offsets, candidates)):
-                picks = [_select_ranks(m, r[None]) for r, m in zip(offsets, candidates)]
-                values, less = (np.concatenate(x) for x in zip(*picks))
-                return values, below + less
+        # brackets from a sample of the first row block, then, if they miss,
+        # from the sample of the whole matrix that the first pass gathered
+        exact, sample = _classify(engagement, ranks, ratings, base)
+        if not exact and sample is not None:
+            exact, _ = _classify(engagement, ranks, ratings, base, sample)
+        if exact:
+            return ratings.reshape(engagement.shape)
         logger.debug("the sampled brackets do not isolate the rating boundaries; "
                      "partitioning all %d cells", n)
-    return _select_ranks(flat, ranks)
+    flat = engagement.whole()
+    _reject_nan(np.count_nonzero(np.isnan(flat)), n)
+    values, less = _select_ranks(flat, ranks)
+    ratings.fill(base)
+    for v, left in zip(values, ranks - less):
+        ratings += flat > v
+        ratings[np.flatnonzero(flat == v)[left:]] += 1
+    return ratings.reshape(engagement.shape)
+
+
+def _reject_nan(missing, n):
+    """Raise for `missing` NaN cells of `n`: NaN has no rank."""
+    if missing:
+        raise ValueError(f"engagement holds {missing} NaN cells of {n}")
+
+
+def _classify(engagement, ranks, ratings, base, sample=None):
+    """Rate the cells of `engagement` in one pass over its row blocks, each
+    boundary rank bracketed by the order statistics of a sorted sample of
+    ``_SAMPLE_SIZE`` cells: `sample` when given, else one drawn from the
+    first block, when that holds more cells than the sample.
+
+    Each block is read once, while it is in cache: its NaN cells are counted,
+    and so are its cells below each bracket; its cells inside a bracket are
+    kept as (value, flat index) candidates; and each cell is given the
+    provisional rating `base` plus the number of brackets it lies above. Only
+    the candidates are then partitioned for the exact boundary values, and
+    their ratings fixed by the rule of ``convert_to_ratings``. The brackets
+    decide the cost, never the answer: a rank outside its bracket, or more
+    than ``n // 4`` candidates in all (heavy ties), leaves `ratings`
+    unfinished.
+
+    Returns whether `ratings` is exact, and the sorted values of the cells at
+    ``_sample_positions(n)``, which the pass gathers, for the next brackets;
+    None in place of them for a matrix of one block, whose own sample that is.
+
+    Raises:
+        ValueError: if the matrix holds NaN.
+    """
+    n = ratings.size
+    positions = _sample_positions(n)
+    positions.sort()
+    gathered = np.empty(_SAMPLE_SIZE)
+    brackets = None if sample is None else _brackets(sample, ranks, n)
+    below = np.zeros(ranks.size, dtype=np.int64)
+    found = [([], []) for _ in ranks]
+    missing = collected = start = 0
+    for read, block in enumerate(engagement.blocks(), start=1):
+        cells = block.ravel()
+        stop = start + cells.size
+        missing += np.count_nonzero(np.isnan(cells))
+        i, j = np.searchsorted(positions, (start, stop))
+        gathered[i:j] = cells[positions[i:j] - start]
+        if brackets is None and read == 1 and cells.size > _SAMPLE_SIZE:
+            pilot = cells[_sample_positions(cells.size)]
+            pilot.sort()
+            brackets = _brackets(pilot, ranks, n)
+        if brackets is not None and collected <= n // 4:
+            out = ratings[start:stop]
+            out.fill(base)
+            for k, ((lo, hi), (values, index)) in enumerate(zip(brackets, found)):
+                under, over = cells < lo, cells > hi
+                below[k] += np.count_nonzero(under)
+                out += over
+                inside = np.flatnonzero(~(under | over))  # and NaN, rejected below
+                values.append(cells[inside])
+                index.append(inside + start)
+                collected += inside.size
+        start = stop
+    _reject_nan(missing, n)
+    exact = brackets is not None and collected <= n // 4 and _settle(ratings, ranks - below, found)
+    return exact, (np.sort(gathered) if read > 1 else None)
+
+
+def _settle(ratings, offsets, found):
+    """Fix the ratings of the candidates `found` inside each bracket, given
+    each rank's `offsets` among its candidates, emptying `found` as it goes;
+    False, and nothing changed, when an offset lies outside them."""
+    if not all(0 <= r < sum(map(len, values)) for r, (values, _) in zip(offsets, found)):
+        return False
+    for r, (values, index) in zip(offsets, found):
+        cells, where = np.concatenate(values), np.concatenate(index)
+        values.clear()
+        index.clear()
+        (v,), (less,) = _select_ranks(cells, r[None])
+        ratings[where[cells > v]] += 1
+        ratings[where[cells == v][r - less:]] += 1
+    return True
+
+
+def _sample_positions(size):
+    """Flat positions of ``_SAMPLE_SIZE`` of `size` cells, drawn with
+    replacement from a fixed seed."""
+    return np.random.default_rng(_SAMPLE_SEED).integers(0, size, size=_SAMPLE_SIZE)
+
+
+def _brackets(sample, ranks, n):
+    """(low, high) value brackets of the ascending `ranks` of `n` cells from a
+    sorted sample of them: the sample's order statistics about 4 standard
+    deviations to either side of each rank's expected position, infinite past
+    the sample's ends."""
+    expected = ranks / n * _SAMPLE_SIZE
+    spread = 4.0 * np.sqrt(expected * (1.0 - ranks / n)) + 1.0
+    return [
+        (sample[lo] if lo >= 0 else -np.inf, sample[hi] if hi < _SAMPLE_SIZE else np.inf)
+        for lo, hi in zip(np.floor(expected - spread).astype(np.int64),
+                          np.ceil(expected + spread).astype(np.int64))
+    ]
 
 
 def _select_ranks(cells, ranks):
@@ -373,15 +480,16 @@ def simulate(spec: SimulationSpec) -> SimulationResult:
     if spec.engagement_path is not None:
         engagement = _load_engagement(spec)
     else:
-        engagement = generate_engagement(
+        # rated block by block as it is made: no dense 8-byte matrix is live
+        engagement = _generated_engagement(
             spec.num_users,
             spec.num_items,
-            seed=[spec.seed, 0],
-            rank=spec.engagement_rank,
-            noise=spec.engagement_noise,
+            [spec.seed, 0],
+            spec.engagement_rank,
+            spec.engagement_noise,
         )
     truth = convert_to_ratings(engagement, spec.target_rating_distribution)
-    del engagement  # the one dense 8-byte user x item matrix
+    del engagement  # a loaded file is one dense 8-byte user x item matrix
     rho_i, capped = build_item_propensities(truth, spec.powerlaw_eta, spec.k_min)
     biased, gt_model = sample_observations(
         truth,

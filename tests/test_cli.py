@@ -843,11 +843,14 @@ BOTH_SOURCES_ERROR = "config needs exactly one of a [simulation] and a [data] se
     ("max_epochs = 12", "max_epochs = 0", "[train] max_epochs: must be positive, got 0"),
     ("learning_rate = 0.01", "learning_rate = -1",
      "[train] learning_rate: must be positive, got -1.0"),
+    ("learning_rate = 0.01", "learning_rate = nan",
+     "[train] learning_rate: must be positive, got nan"),
     ("schedule = alternating", "schedule = sideways",
      "[train] schedule: must be concurrent or alternating, got 'sideways'"),
     ("[train]", "[propensity]\nclip_floor = 0\n[train]",
      "[propensity] clip_floor: must be in (0, 1], got 0.0"),
     ("alpha1 = 2", "alpha1 = -1", "[method mf_ips_mul] alpha1: must be nonnegative, got -1.0"),
+    ("alpha1 = 2", "alpha1 = nan", "[method mf_ips_mul] alpha1: must be nonnegative, got nan"),
     ("[method mf_ips_mul]", "[method mf_ips_mf]\npropensity_dim = 0\n[method mf_ips_mul]",
      "[method mf_ips_mf] propensity_dim: must be positive, got 0"),
     ("[train]", "[propensity]\npropensity_learning_rate = 0\n[train]",
@@ -857,7 +860,8 @@ BOTH_SOURCES_ERROR = "config needs exactly one of a [simulation] and a [data] se
 ], ids=["steps-zero", "steps-negative", "dense-ids-removed", "data-biased-alone",
         "data-unbiased-alone", "data-splits-incomplete", "data-layouts-mixed",
         "data-no-paths", "raw-data-and-simulation", "split-data-and-simulation", "max-epochs-zero",
-        "learning-rate-negative", "schedule-unknown", "clip-floor-zero", "alpha1-negative",
+        "learning-rate-negative", "learning-rate-nan", "schedule-unknown", "clip-floor-zero",
+        "alpha1-negative", "alpha1-nan",
         "propensity-dim-zero", "propensity-learning-rate-zero",
         "propensity-learning-rate-negative"])
 def test_pipeline_and_data_keys_checked(tmp_path, capsys, old, new, message):

@@ -305,6 +305,17 @@ def test_adam_step_updates_each_phase_in_one_call(monkeypatch, mask):
     assert sizes == [sum(params.group(g).size for g in mask)]
 
 
+@pytest.mark.parametrize("field, message", [
+    ("learning_rate", "learning_rate must be positive"),
+    ("l2_weight", "l2_weight must be nonnegative"),
+    ("init_scale", "init_scale must be nonnegative"),
+])
+def test_train_config_rejects_nan(field, message):
+    # NaN fails every comparison, so a check written as `v <= 0` passes it
+    with pytest.raises(ValueError, match=message):
+        TrainConfig(**{field: float("nan")})
+
+
 def test_adam_step_rejects_repeated_group_and_misshaped_gradient():
     params = init_params(3, 4, 2, seed=0)
     state = init_adam_state(params)

@@ -216,7 +216,7 @@ class TestMultifactorial:
         with pytest.raises(PropensityError, match="alpha2"):
             estimate_multifactorial(train, mcar, 1.0, 0.0)
 
-    @pytest.mark.parametrize("alpha1, alpha2", [(-1.0, 1.0), (1.0, -0.5)])
+    @pytest.mark.parametrize("alpha1, alpha2", [(-1.0, 1.0), (1.0, -0.5), (np.nan, 1.0)])
     def test_negative_smoothing_rejected(self, alpha1, alpha2):
         train, mcar = self.small_fixture()
         with pytest.raises(ValueError, match="smoothing strengths must be nonnegative"):

@@ -162,6 +162,17 @@ class TestBracketedSelection:
             got, convert_to_ratings_reference(engagement, distribution))
         assert sizes and max(sizes) <= engagement.size // 4
 
+    @pytest.mark.parametrize("block_rows", [7, BLOCK_ROWS])
+    def test_rejects_nan_with_count(self, monkeypatch, block_rows):
+        # counted in the pass that rates the blocks, before any selection
+        monkeypatch.setattr(sim, "BLOCK_ROWS", block_rows)
+        engagement = self.engagement(None)
+        engagement[3, 5] = engagement[399, 299] = np.nan
+        sizes = spy_on_selection(monkeypatch)
+        with pytest.raises(ValueError, match="2 NaN cells of 120000"):
+            convert_to_ratings(engagement)
+        assert sizes == []
+
     def test_ties_over_a_quarter_of_the_cells_fall_back(self, monkeypatch):
         # at 10 values the four boundary runs hold about 40% of the cells:
         # collecting them would cost more than the one partitioned copy
@@ -612,6 +623,44 @@ class TestBlockedStagesMatchWholeMatrix:
             num_users=50, num_items=30, gamma=0.5, seed=2, unbiased_per_user=10,
         ))
 
+    @pytest.mark.parametrize("num_users, num_items, rank, seed", [
+        (5000, 300, 8, 0),
+        (1500, 500, 4, 2),  # the shape and seeds of the CI BLAS thread-count step
+        (1500, 500, 4, 3),
+        (1025, 1000, 4, 0),  # a one-row tail block
+    ])
+    def test_simulate_where_block_products_may_differ(self, num_users, num_items, rank, seed):
+        # OpenBLAS picks its kernel by the product's shape, so a row block's
+        # product can differ from the one-call product in the last bit (tens
+        # of cells at the first three shapes); the ratings depend on the
+        # engagement only through its rank order
+        self.assert_simulate_matches(SimulationSpec(
+            num_users=num_users, num_items=num_items, gamma=0.5, seed=seed,
+            engagement_rank=rank,
+        ))
+
+    def test_simulate_after_a_pilot_miss(self, monkeypatch):
+        # the first 7-row block (70,000 cells, more than the sample) holds
+        # too few users to represent the whole matrix, so the brackets from
+        # its sample miss; the second pass brackets the ranks from the
+        # whole-matrix sample that the first one gathered
+        monkeypatch.setattr(sim, "BLOCK_ROWS", 7)
+        made = []
+        brackets = sim._brackets
+
+        def spy(*args):
+            made.append(brackets(*args))
+            return made[-1]
+
+        monkeypatch.setattr(sim, "_brackets", spy)
+        sizes = spy_on_selection(monkeypatch)
+        num_users, num_items = 40, 10_000
+        self.assert_simulate_matches(SimulationSpec(
+            num_users=num_users, num_items=num_items, gamma=0.5, seed=0,
+        ))
+        assert len(made) == 2
+        assert sizes and max(sizes) <= num_users * num_items // 4
+
 
 def test_simulate_peak_memory_is_about_two_dense_matrices():
     # the dense stages hold at most two user x item 8-byte matrices plus one
@@ -628,10 +677,10 @@ def test_simulate_peak_memory_is_about_two_dense_matrices():
 
 
 def test_simulate_peak_memory_is_one_dense_matrix_and_a_block():
-    # the engagement matrix is the only full-size 8-byte array: rating
-    # conversion selects its boundaries from a sampled bracket and writes
-    # one-byte ratings, so what else is live is a row block (a third of a
-    # matrix at this shape) and one-byte-per-cell arrays
+    # no full-size 8-byte array is live: the engagement is made and rated a
+    # row block (a third of a matrix at this shape) at a time, beside
+    # one-byte-per-cell arrays; the bound dates from the whole engagement
+    # matrix
     num_users, num_items = 3000, 1000
     spec = SimulationSpec(num_users=num_users, num_items=num_items, gamma=0.5, seed=0)
     tracemalloc.start()
@@ -641,3 +690,21 @@ def test_simulate_peak_memory_is_one_dense_matrix_and_a_block():
     finally:
         tracemalloc.stop()
     assert peak <= 1.5 * num_users * num_items * 8, peak / (num_users * num_items * 8)
+
+
+def test_simulate_peak_memory_is_under_half_a_dense_matrix(monkeypatch):
+    # 17 row blocks: what is live is one-byte-per-cell arrays (the ratings,
+    # the observation mask), the rating candidates (about 0.6 byte per cell)
+    # and two blocks; 0.39 of a dense 8-byte matrix, against 1.14 while the
+    # engagement was one such matrix. At 2,000 items the copies that
+    # sample_unbiased makes of its 40-per-user pool stay near 0.2 of one.
+    monkeypatch.setattr(sim, "BLOCK_ROWS", 128)
+    num_users, num_items = 16 * 128 + 1, 2000
+    spec = SimulationSpec(num_users=num_users, num_items=num_items, gamma=0.5, seed=0)
+    tracemalloc.start()
+    try:
+        simulate(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * num_users * num_items * 8, peak / (num_users * num_items * 8)
