@@ -49,6 +49,7 @@ from .metrics import METRIC_FIELDS, bootstrap_interval, evaluate, summarize_runs
 from .model import fit_avg, save_checkpoint
 from .optim import SCHEDULES, HistoryRow, TrainConfig, TrainingDivergedError, train
 from .propensity import (
+    AXES,
     PropensityError,
     PropensityModel,
     estimate_mf_propensity,
@@ -349,16 +350,26 @@ def _load_split_files(data_cfg: dict) -> LoadedData:
         for split in SPLIT_KEYS
     }
     gt = None
-    if data_cfg.get("ground_truth_propensities"):
-        gt = load_propensity(data_cfg["ground_truth_propensities"], delimiter=delim)
+    gt_path = data_cfg.get("ground_truth_propensities")
+    if gt_path:
+        gt = load_propensity(gt_path, delimiter=delim)
     counts_u = max(p.num_users for p in parts.values())
     counts_i = max(p.num_items for p in parts.values())
-    if gt is not None and gt.family in ("multifactorial", "ground_truth"):
-        # the table covers the full simulated item space, including items that
-        # happen to be unobserved in every split
-        counts_i = max(counts_i, gt.table.shape[0])
+    if gt is not None:
+        if gt.family in ("multifactorial", "ground_truth"):
+            # the table covers the full simulated item space, including items
+            # that happen to be unobserved in every split
+            counts_i = max(counts_i, gt.table.shape[0])
+        # a rating axis always has NUM_RATINGS entries, checked at load
+        sizes = {"user_index": counts_u, "item_index": counts_i}
+        for axis, length in zip(AXES[gt.family], gt.table.shape):
+            if length < sizes.get(axis, length):
+                raise PropensityError(
+                    f"{gt_path}: {axis} axis has {length} entries, fewer than "
+                    f"the {sizes[axis]} of the split files"
+                )
     parts = {
-        k: RatingDataset(counts_u, counts_i, p.users, p.items, p.ratings, p.rating_scale)
+        k: RatingDataset(counts_u, counts_i, p.users, p.items, p.ratings)
         for k, p in parts.items()
     }
     label = Path(data_cfg["train"]).stem

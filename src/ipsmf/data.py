@@ -11,9 +11,10 @@ import numpy as np
 logger = logging.getLogger(__name__)
 
 HEADER_FIELDS = ("user_id", "item_id", "rating")
-# the inclusive range of rating values that files, simulations and estimators
-# use; a RatingDataset or PropensityModel built directly may take another
+# the inclusive range of rating values of every file, simulation, dataset and
+# propensity table, and the number of values in it
 RATING_SCALE = (1, 5)
+NUM_RATINGS = RATING_SCALE[1] - RATING_SCALE[0] + 1
 
 
 class RatingDataError(ValueError):
@@ -32,8 +33,8 @@ class RatingDataset:
         num_users: Number of users in the index space (indices 0..num_users-1).
         num_items: Number of items in the index space.
         users, items, ratings: Parallel 1-d integer arrays, one entry per
-            observed triple. A (user, item) pair may appear at most once.
-        rating_scale: Inclusive integer range of valid rating values.
+            observed triple. A (user, item) pair may appear at most once,
+            and every rating lies in RATING_SCALE.
     """
 
     num_users: int
@@ -41,7 +42,6 @@ class RatingDataset:
     users: np.ndarray
     items: np.ndarray
     ratings: np.ndarray
-    rating_scale: tuple[int, int] = RATING_SCALE
 
     def __post_init__(self):
         for name in ("users", "items", "ratings"):
@@ -49,19 +49,16 @@ class RatingDataset:
             object.__setattr__(self, name, arr)
         if not (len(self.users) == len(self.items) == len(self.ratings)):
             raise RatingDataError("users, items, and ratings must be equal length")
-        lo, hi = self.rating_scale
-        if lo > hi:
-            raise RatingDataError(f"invalid rating scale {self.rating_scale}")
         if len(self.users) > 0:
             if self.users.min() < 0 or self.users.max() >= self.num_users:
                 raise RatingDataError("user index out of range")
             if self.items.min() < 0 or self.items.max() >= self.num_items:
                 raise RatingDataError("item index out of range")
+            lo, hi = RATING_SCALE
             if self.ratings.min() < lo or self.ratings.max() > hi:
-                raise RatingDataError(
-                    f"rating outside scale [{lo}, {hi}]"
-                )
-            codes = np.sort(self.users * self.num_items + self.items)
+                raise RatingDataError(f"rating outside scale [{lo}, {hi}]")
+            codes = self.pair_codes()
+            codes.sort()
             if np.any(codes[1:] == codes[:-1]):
                 raise RatingDataError("duplicate (user, item) pair")
         for name in ("users", "items", "ratings"):
@@ -69,11 +66,6 @@ class RatingDataset:
 
     def __len__(self) -> int:
         return len(self.users)
-
-    @property
-    def num_rating_values(self) -> int:
-        lo, hi = self.rating_scale
-        return hi - lo + 1
 
     def pair_codes(self) -> np.ndarray:
         """Unique int64 code per (user, item) pair, for set operations."""
@@ -88,7 +80,6 @@ class RatingDataset:
             users=self.users[idx],
             items=self.items[idx],
             ratings=self.ratings[idx],
-            rating_scale=self.rating_scale,
         )
 
 
@@ -150,7 +141,8 @@ def _parse_triples(path: str | Path, delimiter: str):
                 raise RatingDataError(
                     f"{path}: line {lineno}: rating {fields[2]!r} is not a number"
                 ) from None
-            if rating != int(rating) or not (lo <= int(rating) <= hi):
+            # the range test comes first: int() of nan or inf raises
+            if not lo <= rating <= hi or rating != int(rating):
                 raise RatingDataError(
                     f"{path}: line {lineno}: rating {fields[2]} outside scale [{lo}, {hi}]"
                 )
@@ -266,7 +258,6 @@ def reindex_users(
             users=new_users[mask],
             items=ds.items[mask],
             ratings=ds.ratings[mask],
-            rating_scale=ds.rating_scale,
         ))
     return out
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import RatingDataset
+from .data import RATING_SCALE, RatingDataset
 from .model import MFParameters, predict_many
 
 
@@ -46,15 +46,14 @@ def evaluate(
     """Score a model's predictions on held-out triples.
 
     `model` is any MFParameters, the avg baseline of :func:`~ipsmf.model.fit_avg`
-    included. With ``clamp=True`` predictions are clipped to the dataset's
-    rating scale before scoring; the default reports raw errors.
+    included. With ``clamp=True`` predictions are clipped to RATING_SCALE
+    before scoring; the default reports raw errors.
     """
     if len(test) == 0:
         raise ValueError("test set is empty")
     preds = predict_many(model, test.users, test.items)
     if clamp:
-        lo, hi = test.rating_scale
-        preds = np.clip(preds, lo, hi)
+        preds = np.clip(preds, *RATING_SCALE)
     err = preds - test.ratings
     sq = err**2
     mse = float(sq.mean())

@@ -19,15 +19,16 @@ from pathlib import Path
 import numpy as np
 
 from .blas import one_blas_thread
-from .data import RATING_SCALE, RatingDataset, _open_input
+from .data import NUM_RATINGS, RATING_SCALE, RatingDataset, _open_input
 from .model import PARAM_GROUPS, init_params
 from .optim import adam_step, init_adam_state
 
 logger = logging.getLogger(__name__)
 
 # The axes of each family's propensity table, in order; these are also the
-# index columns of its table file. "rating" axes run over the rating scale
-# (file columns hold rating values), the others over 0-based indices.
+# index columns of its table file. A "rating" axis has NUM_RATINGS entries, one
+# per value of RATING_SCALE (file columns hold rating values); the others run
+# over 0-based indices.
 AXES = {
     "uniform": (),
     "popularity": ("item_index",),
@@ -53,11 +54,11 @@ class PropensityModel:
     by :func:`clip`.
 
     Raises ValueError for an unknown family, a missing table, and a table
-    whose axis count or rating-axis length does not fit the family and scale.
+    whose axis count or rating-axis length does not fit the family and
+    RATING_SCALE.
     """
 
     family: str
-    rating_scale: tuple[int, int] = RATING_SCALE
     table: np.ndarray | None = None
     scale: float = 1.0
     clip_floor: float = 0.0
@@ -78,19 +79,14 @@ class PropensityModel:
                 f"{self.family} table needs {len(axes)} axes {axes}, got shape {table.shape}"
             )
         for name, length in zip(axes, table.shape):
-            if name == "rating" and length != self.num_rating_values:
+            if name == "rating" and length != NUM_RATINGS:
                 raise ValueError(
                     f"{self.family} table has {length} rating entries for the "
-                    f"rating scale {self.rating_scale}"
+                    f"rating scale {RATING_SCALE}"
                 )
 
-    @property
-    def num_rating_values(self) -> int:
-        lo, hi = self.rating_scale
-        return hi - lo + 1
-
     def _raw(self, users: np.ndarray, items: np.ndarray, ratings: np.ndarray) -> np.ndarray:
-        lo, hi = self.rating_scale
+        lo, hi = RATING_SCALE
         if np.any(ratings < lo) or np.any(ratings > hi):
             raise IndexError("rating outside the model's rating scale")
         columns = {"user_index": users, "item_index": items, "rating": ratings - lo}
@@ -124,15 +120,13 @@ def score_dataset(model: PropensityModel, data: RatingDataset) -> np.ndarray:
 
 
 def _counts_by_rating(data: RatingDataset) -> np.ndarray:
-    lo, _ = data.rating_scale
-    return np.bincount(data.ratings - lo, minlength=data.num_rating_values).astype(float)
+    return np.bincount(data.ratings - RATING_SCALE[0], minlength=NUM_RATINGS).astype(float)
 
 
 def _counts_by_item_rating(data: RatingDataset) -> np.ndarray:
-    lo, _ = data.rating_scale
-    flat = data.items * data.num_rating_values + (data.ratings - lo)
-    counts = np.bincount(flat, minlength=data.num_items * data.num_rating_values)
-    return counts.reshape(data.num_items, data.num_rating_values).astype(float)
+    flat = data.items * NUM_RATINGS + (data.ratings - RATING_SCALE[0])
+    counts = np.bincount(flat, minlength=data.num_items * NUM_RATINGS)
+    return counts.reshape(data.num_items, NUM_RATINGS).astype(float)
 
 
 def _fallback_prior(prior: np.ndarray, what: str) -> np.ndarray:
@@ -163,9 +157,7 @@ def _cap_at_one(table: np.ndarray, family: str) -> np.ndarray:
 def uniform_propensities(train: RatingDataset) -> PropensityModel:
     """Constant propensity equal to the overall observation frequency."""
     value = len(train) / (train.num_users * train.num_items)
-    return PropensityModel(
-        family="uniform", rating_scale=train.rating_scale, table=value
-    )
+    return PropensityModel(family="uniform", table=value)
 
 
 def estimate_positivity(train: RatingDataset, mcar: RatingDataset) -> PropensityModel:
@@ -185,9 +177,7 @@ def estimate_positivity(train: RatingDataset, mcar: RatingDataset) -> Propensity
     p_obs = len(train) / (train.num_users * train.num_items)
     conditional = count_d / len(train)
     table = _cap_at_one(conditional * p_obs / prior, "positivity")
-    return PropensityModel(
-        family="positivity", rating_scale=train.rating_scale, table=table
-    )
+    return PropensityModel(family="positivity", table=table)
 
 
 def estimate_popularity(train: RatingDataset) -> PropensityModel:
@@ -202,9 +192,7 @@ def estimate_popularity(train: RatingDataset) -> PropensityModel:
         raise PropensityError("popularity estimation requires a nonempty train set")
     counts = np.bincount(train.items, minlength=train.num_items).astype(float)
     table = counts / train.num_users
-    return PropensityModel(
-        family="popularity", rating_scale=train.rating_scale, table=table
-    )
+    return PropensityModel(family="popularity", table=table)
 
 
 def estimate_multifactorial(
@@ -258,19 +246,13 @@ def estimate_multifactorial(
     prior = rating_prior[None, :] * item_given_rating
     p_obs = len(train) / (train.num_users * train.num_items)
     table = _cap_at_one(joint_conditional * p_obs / prior, "multifactorial")
-    return PropensityModel(
-        family="multifactorial",
-        rating_scale=train.rating_scale,
-        table=table,
-        alpha1=a1,
-        alpha2=a2,
-    )
+    return PropensityModel(family="multifactorial", table=table, alpha1=a1, alpha2=a2)
 
 
 def smoothed_joint_conditional(train: RatingDataset, alpha1: float) -> np.ndarray:
     """The alpha1-smoothed (item, rating) frequency table; sums to 1 over cells."""
     count = _counts_by_item_rating(train)
-    return (count + alpha1) / (len(train) + alpha1 * train.num_items * train.num_rating_values)
+    return (count + alpha1) / (len(train) + alpha1 * train.num_items * NUM_RATINGS)
 
 
 def smoothed_item_given_rating(mcar: RatingDataset, alpha2: float) -> np.ndarray:
@@ -368,7 +350,7 @@ def estimate_mf_propensity(
         )
     np.einsum("ud,id->ui", best.user_emb, best.item_emb, out=s)
     table = _sigmoid_of_logits(s, best)
-    return PropensityModel(family="mf_learned", rating_scale=train.rating_scale, table=table)
+    return PropensityModel(family="mf_learned", table=table)
 
 
 # the largest float64 whose exp is finite
@@ -453,7 +435,7 @@ def prepare(
 
 
 def save_propensity(model: PropensityModel, path: str | Path, delimiter: str = ",") -> None:
-    lo, hi = model.rating_scale
+    lo, hi = RATING_SCALE
     meta = {
         "family": model.family,
         "tau": repr(model.clip_floor),
@@ -485,9 +467,10 @@ def load_propensity(path: str | Path, delimiter: str = ",") -> PropensityModel:
 
     Raises PropensityError (a ValueError) naming the file, and the line where
     there is one, for a file that cannot be opened, a missing header key, a
-    row with the wrong number of fields, an index or propensity that does not
-    parse, a propensity that is not finite or lies outside [0, 1], an index
-    outside its range, a duplicate index, or an index range with a gap.
+    header rating range other than RATING_SCALE, a row with the wrong number
+    of fields, an index or propensity that does not parse, a propensity that
+    is not finite or lies outside [0, 1], an index outside its range, a
+    duplicate index, or an index range with a gap.
     """
     with _open_input(path, PropensityError) as fh:
         header = fh.readline().strip()
@@ -511,10 +494,9 @@ def load_propensity(path: str | Path, delimiter: str = ",") -> PropensityModel:
     if family not in AXES:
         raise PropensityError(f"{path}: unknown family {family!r} (columns {columns})")
     try:
-        scale_range = (int(meta["rating_min"]), int(meta["rating_max"]))
+        lo, hi = int(meta["rating_min"]), int(meta["rating_max"])
         kwargs = dict(
             family=family,
-            rating_scale=scale_range,
             scale=float(meta["scale"]),
             clip_floor=float(meta["tau"]),
             normalization=meta["normalization"],
@@ -523,19 +505,21 @@ def load_propensity(path: str | Path, delimiter: str = ",") -> PropensityModel:
         )
     except ValueError as exc:
         raise PropensityError(f"{path}:1: bad header value: {exc}") from None
-    lo, hi = scale_range
-    if hi < lo:
-        raise PropensityError(f"{path}:1: rating_max {hi} is below rating_min {lo}")
+    if (lo, hi) != RATING_SCALE:
+        raise PropensityError(
+            f"{path}:1: rating_min={lo} rating_max={hi} is not the rating scale {RATING_SCALE}"
+        )
 
-    return PropensityModel(table=_read_table(path, rows, AXES[family], lo, hi), **kwargs)
+    return PropensityModel(table=_read_table(path, rows, AXES[family]), **kwargs)
 
 
-def _read_table(path, rows, index_columns, lo, hi) -> np.ndarray:
+def _read_table(path, rows, index_columns) -> np.ndarray:
     """The dense table that `rows` (pairs of line number and fields) fill, with
-    one axis per index column; rating columns span the rating scale, the
-    other axes 0 through the largest index seen."""
+    one axis per index column; rating columns span RATING_SCALE, the other
+    axes 0 through the largest index seen."""
     if not rows:
         raise PropensityError(f"{path}: no propensity rows")
+    lo, hi = RATING_SCALE
     n_fields = len(index_columns) + 1
     offsets = [lo if name == "rating" else 0 for name in index_columns]
     indices = np.empty((len(rows), len(index_columns)), dtype=np.int64)
@@ -569,7 +553,7 @@ def _read_table(path, rows, index_columns, lo, hi) -> np.ndarray:
         values[k] = value
 
     shape = tuple(
-        hi - lo + 1 if name == "rating" else int(indices[:, j].max()) + 1
+        NUM_RATINGS if name == "rating" else int(indices[:, j].max()) + 1
         for j, name in enumerate(index_columns)
     )
     flat = np.ravel_multi_index(tuple(indices.T), shape) if shape else np.zeros(len(rows), np.int64)

@@ -20,8 +20,8 @@ import numpy as np
 
 from .blas import one_blas_thread
 from .data import (
-    RATING_SCALE, RatingDataError, RatingDataset, SplitBundle, _open_input, split_biased,
-    split_unbiased,
+    NUM_RATINGS, RATING_SCALE, RatingDataError, RatingDataset, SplitBundle, _open_input,
+    split_biased, split_unbiased,
 )
 from .propensity import PropensityModel
 
@@ -74,7 +74,7 @@ class SimulationSpec:
             raise ValueError("num_users and num_items must be at least 1")
         lo, hi = RATING_SCALE
         for name in ("rating_propensities", "target_rating_distribution"):
-            if len(getattr(self, name)) != hi - lo + 1:
+            if len(getattr(self, name)) != NUM_RATINGS:
                 raise ValueError(f"{name} needs one entry per rating {lo}..{hi}, "
                                  f"got {len(getattr(self, name))}")
         if self.engagement_format not in ("dense", "triples"):

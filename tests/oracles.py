@@ -11,7 +11,9 @@ under test must match them bit for bit.
 
 import numpy as np
 
-from ipsmf.data import RatingDataset, SplitBundle, split_biased, split_unbiased
+from ipsmf.data import (
+    NUM_RATINGS, RATING_SCALE, RatingDataset, SplitBundle, split_biased, split_unbiased,
+)
 from ipsmf.model import MFParameters, PARAM_GROUPS, init_params, predict_many
 from ipsmf.optim import ITEM_PHASE_GROUPS, USER_PHASE_GROUPS, ips_loss
 from ipsmf.propensity import (
@@ -50,10 +52,18 @@ def item_rating_counts(triples, num_items, rating_values):
     return counts
 
 
+def prior_counts(mcar, rating_values):
+    """Per-rating counts of the unbiased sample for its rating prior; a rating
+    it never holds takes the smallest count of those it does."""
+    counts = rating_counts(mcar, rating_values)
+    smallest = min(c for c in counts.values() if c > 0)
+    return {r: counts[r] or smallest for r in rating_values}
+
+
 def positivity_oracle(train, mcar, num_users, num_items, rating_values):
     """Per-rating observation probability from observed vs unbiased frequencies."""
     count_d = rating_counts(train, rating_values)
-    count_m = rating_counts(mcar, rating_values)
+    count_m = prior_counts(mcar, rating_values)
     out = {}
     for r in rating_values:
         out[r] = (len(mcar) * count_d[r]) / (num_users * num_items * count_m[r])
@@ -76,6 +86,7 @@ def multifactorial_oracle(train, mcar, num_users, num_items, rating_values, alph
     count_d_ir = item_rating_counts(train, num_items, rating_values)
     count_m_r = rating_counts(mcar, rating_values)
     count_m_ir = item_rating_counts(mcar, num_items, rating_values)
+    prior_m_r = prior_counts(mcar, rating_values)
     p_obs = len(train) / (num_users * num_items)
     out = {}
     for i in range(num_items):
@@ -83,7 +94,7 @@ def multifactorial_oracle(train, mcar, num_users, num_items, rating_values, alph
             joint_cond = (count_d_ir[(i, r)] + alpha1) / (
                 len(train) + alpha1 * num_items * n_r
             )
-            rating_prior = count_m_r[r] / len(mcar)
+            rating_prior = prior_m_r[r] / len(mcar)
             item_given_rating = (count_m_ir[(i, r)] + alpha2) / (
                 count_m_r[r] + alpha2 * num_items
             )
@@ -184,22 +195,20 @@ def build_item_propensities_reference(truth, eta=1.4, k_min=20):
     return np.minimum(raw, 1.0), int(np.sum(raw > 1.0))
 
 
-def sample_observations_reference(truth, rating_propensities, item_propensities,
-                                  gamma, seed, rating_scale=(1, 5)):
+def sample_observations_reference(truth, rating_propensities, item_propensities, gamma, seed):
     """Biased log from one full-size uniform draw against a full-size table of
     cell propensities."""
     truth = np.asarray(truth)
     num_users, num_items = truth.shape
-    lo, _ = rating_scale
+    lo, _ = RATING_SCALE
     rho_r = np.asarray(rating_propensities, dtype=float)
     rho_i = np.asarray(item_propensities, dtype=float)
     table = gamma * rho_r[None, :] + (1.0 - gamma) * rho_i[:, None]
     cell_p = table[np.arange(num_items)[None, :], truth - lo]
     mask = np.random.default_rng(seed).random(truth.shape) < cell_p
     users, items = np.nonzero(mask)
-    dataset = RatingDataset(num_users, num_items, users, items, truth[users, items],
-                            rating_scale)
-    model = PropensityModel(family="ground_truth", rating_scale=rating_scale, table=table)
+    dataset = RatingDataset(num_users, num_items, users, items, truth[users, items])
+    model = PropensityModel(family="ground_truth", table=table)
     return dataset, model
 
 
@@ -224,7 +233,7 @@ def simulate_reference(spec):
     return truth, SplitBundle(train, validation, mcar, test), model
 
 
-def sample_unbiased_reference(truth, per_user, mcar_fraction, seed, rating_scale=(1, 5)):
+def sample_unbiased_reference(truth, per_user, mcar_fraction, seed):
     """Unbiased pool from a full per-row argsort of one random key matrix."""
     truth = np.asarray(truth)
     num_users, num_items = truth.shape
@@ -232,8 +241,7 @@ def sample_unbiased_reference(truth, per_user, mcar_fraction, seed, rating_scale
     chosen = np.argsort(rng.random((num_users, num_items)), axis=1)[:, :per_user]
     users = np.repeat(np.arange(num_users), per_user)
     items = chosen.ravel()
-    pool = RatingDataset(num_users, num_items, users, items, truth[users, items],
-                         rating_scale)
+    pool = RatingDataset(num_users, num_items, users, items, truth[users, items])
     return split_unbiased(pool, mcar_fraction, seed)
 
 
@@ -404,7 +412,7 @@ def mf_learned_scores_reference(factors, users, items):
 def estimate_multifactorial_table_reference(train, mcar, num_users, num_items, alpha1, alpha2):
     """The joint (item, rating) table with both smoothed factors written out
     inline rather than taken from the smoothing helpers."""
-    n_r = train.num_rating_values
+    n_r = NUM_RATINGS
     count_d_ir = _counts_by_item_rating(train)
     count_m_r = _counts_by_rating(mcar)
     count_m_ir = _counts_by_item_rating(mcar)
@@ -422,7 +430,7 @@ def estimate_multifactorial_table_reference(train, mcar, num_users, num_items, a
 
 def raw_propensity_reference(model, users, items, ratings):
     """Unscaled, unclipped scores with one branch per family."""
-    lo, hi = model.rating_scale
+    lo, hi = RATING_SCALE
     if np.any(ratings < lo) or np.any(ratings > hi):
         raise IndexError("rating outside the model's rating scale")
     r_idx = ratings - lo
@@ -458,7 +466,7 @@ def score_many_reference(model, users, items, ratings):
 
 def save_propensity_reference(model, path, delimiter=","):
     """Write a propensity table file with one layout branch per family."""
-    lo, hi = model.rating_scale
+    lo, hi = RATING_SCALE
     meta = {
         "family": model.family,
         "tau": repr(model.clip_floor),

@@ -99,17 +99,17 @@ def test_c1_ips_estimator_unbiasedness():
 
 def test_c2_propensity_estimators_match_brute_force_oracle():
     """Criterion 2: all three counting estimators agree with an independent
-    brute-force script on a 3-user/3-item/2-rating fixture, cell by cell."""
-    scale = (1, 2)
+    brute-force script on a 3-user/3-item fixture, cell by cell; its ratings
+    are 1 and 2 only, so ratings 3-5 take the unseen-rating fallback."""
     train = RatingDataset(3, 3,
                           np.array([0, 0, 1, 1, 2]),
                           np.array([0, 1, 0, 2, 1]),
-                          np.array([1, 2, 1, 1, 2]), scale)
+                          np.array([1, 2, 1, 1, 2]))
     mcar = RatingDataset(3, 3,
                          np.array([0, 1, 2, 2]),
                          np.array([2, 1, 0, 2]),
-                         np.array([2, 1, 1, 2]), scale)
-    values = [1, 2]
+                         np.array([2, 1, 1, 2]))
+    values = [1, 2, 3, 4, 5]
 
     pos = estimate_positivity(train, mcar)
     pos_oracle = positivity_oracle(triples(train), triples(mcar), 3, 3, values)

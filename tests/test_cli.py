@@ -357,8 +357,14 @@ embedding_dim = 4
          "absent.csv: No such file or directory"),
         ("train split.ini", "splits/test.csv", "user_id,item_id,rating\n",
          "user_id,item_id,rating\nu0,3,4\n", "data", "test.csv: line 2: "),
+        ("train split.ini", "splits/test.csv", "user_id,item_id,rating\n",
+         "user_id,item_id,rating\n0,0,nan\n", "data",
+         "test.csv: line 2: rating nan outside scale [1, 5]"),
         ("train split.ini", "splits/gt_propensities.csv", " rating_max=5", "", "propensity",
          "gt_propensities.csv:1: header is missing key(s) rating_max"),
+        ("train split.ini", "splits/gt_propensities.csv", " rating_min=1", " rating_min=0",
+         "propensity", "gt_propensities.csv:1: rating_min=0 rating_max=5 is not the rating "
+         "scale (1, 5)"),
         ("train split.ini", "split.ini", "gt_propensities.csv", "absent.csv", "propensity",
          "absent.csv: No such file or directory"),
         ("train engagement.ini", "engagement.ini", "/engagement.csv", "/absent.csv", "data",
@@ -377,7 +383,8 @@ embedding_dim = 4
         ("train split.ini", "split.ini", "[experiment]", "num_users = 3\n[experiment]", "data",
          "train.csv: line 25: user_id 3 is outside the declared num_users = 3"),
     ], ids=["bad-header", "bad-fraction", "missing-biased", "missing-train",
-            "string-id-in-split", "gt-header-key-missing", "missing-gt-table",
+            "string-id-in-split", "nan-rating-in-split", "gt-header-key-missing",
+            "gt-rating-scale-from-zero", "missing-gt-table",
             "missing-engagement", "missing-results", "results-without-metrics",
             "results-without-keys", "results-metric-not-a-number", "results-short-row",
             "id-outside-declared-users"])
@@ -415,6 +422,33 @@ embedding_dim = 4
         bundle = cli.load_experiment_data(cfg, run_seed=0).bundle
         for split in (bundle.train, bundle.validation, bundle.mcar, bundle.test):
             assert (split.num_users, split.num_items) == (3, 7)
+
+    @pytest.mark.parametrize("family, shape, message", [
+        ("popularity", (3,), "item_index axis has 3 entries, fewer than the 6 of the split files"),
+        ("ground_truth", (3, 5),
+         "item_index axis has 3 entries, fewer than the 6 of the split files"),
+        ("mf_learned", (2, 6), "user_index axis has 2 entries, fewer than the 3 of the split files"),
+    ], ids=["popularity", "ground_truth", "mf_learned"])
+    def test_ground_truth_table_smaller_than_the_id_space_rejected(
+            self, tmp_path, capsys, family, shape, message):
+        # the splits use users 0-2 and items 0-5; training would score pairs
+        # past the end of a table that does not cover them
+        splits = tmp_path / "splits"
+        splits.mkdir()
+        for k, name in enumerate(("train", "validation", "mcar", "test")):
+            save_ratings(RatingDataset(3, 6, [k % 3, (k + 1) % 3], [0, 5], [4, 5]),
+                         splits / f"{name}.csv")
+        save_propensity(PropensityModel(family, table=np.full(shape, 0.2)), splits / "gt.csv")
+        text = "".join(f"{n} = {splits / n}.csv\n" for n in ("train", "validation", "mcar", "test"))
+        config = write_config(tmp_path, name="gt.ini", text=(
+            f"[data]\n{text}ground_truth_propensities = {splits / 'gt.csv'}\n"
+            "[experiment]\nmethods = mf_ips_gt\n"
+        ))
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"propensity error: {splits / 'gt.csv'}: {message}\n"
+        assert not out.exists()
 
     def test_failed_tune_leaves_no_output_dir(self, tmp_path, capsys):
         self.raw_pair_config(tmp_path)

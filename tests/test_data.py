@@ -20,10 +20,10 @@ from helpers import observed_pairs, read_manifest
 from oracles import triples
 
 
-def make_dataset(n_users, n_items, triples, scale=(1, 5)):
+def make_dataset(n_users, n_items, triples):
     u, i, r = (np.array(x) for x in zip(*triples)) if triples else (
         np.array([], dtype=int),) * 3
-    return RatingDataset(n_users, n_items, u, i, r, scale)
+    return RatingDataset(n_users, n_items, u, i, r)
 
 
 def grid_dataset(n_users, n_items, rng=None):
@@ -82,6 +82,15 @@ class TestLoadRatings:
         path.write_text("user_id,item_id,rating\nu1,i1,0\n")
         with pytest.raises(RatingDataError, match="line 2"):
             load_string_ids(path)
+
+    @pytest.mark.parametrize("rating", ["nan", "inf", "-inf"])
+    def test_non_finite_rating_names_line(self, tmp_path, rating):
+        # int() of nan or inf raises, so the range test must come first
+        path = tmp_path / "bad.tsv"
+        path.write_text(f"u0\ti0\t4\nu0\ti1\t{rating}\n")
+        message = f"{path}: line 2: rating {rating} outside scale [1, 5]"
+        with pytest.raises(RatingDataError, match=f"^{re.escape(message)}$"):
+            load_string_ids(path, delimiter="\t")
 
     def test_malformed_row(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -8,9 +8,9 @@ from ipsmf.model import MFParameters, fit_avg, init_params
 from oracles import per_user_rmse_oracle, triples
 
 
-def make_dataset(n_users, n_items, triples, scale=(1, 5)):
+def make_dataset(n_users, n_items, triples):
     u, i, r = (np.array(x) for x in zip(*triples))
-    return RatingDataset(n_users, n_items, u, i, r, scale)
+    return RatingDataset(n_users, n_items, u, i, r)
 
 
 def constant_predictor(value, test):

@@ -23,9 +23,9 @@ from helpers import train_with_pass_snapshots
 from oracles import adam_step_reference, fit_reference, masked_gradient_reference
 
 
-def make_dataset(n_users, n_items, triples, scale=(1, 5)):
+def make_dataset(n_users, n_items, triples):
     u, i, r = (np.array(x) for x in zip(*triples))
-    return RatingDataset(n_users, n_items, u, i, r, scale)
+    return RatingDataset(n_users, n_items, u, i, r)
 
 
 def random_instance(n_users=6, n_items=6, dim=4, seed=0, density=1.0):

@@ -10,7 +10,7 @@ from hypothesis.extra.numpy import arrays
 
 from ipsmf import optim
 from ipsmf.blas import one_blas_thread
-from ipsmf.data import RatingDataset
+from ipsmf.data import NUM_RATINGS, RATING_SCALE, RatingDataset
 from ipsmf.sim import (
     DEFAULT_RATING_PROPENSITIES,
     SimulationSpec,
@@ -55,9 +55,9 @@ from oracles import (
 from helpers import score_one
 
 
-def make_dataset(n_users, n_items, triples, scale=(1, 5)):
+def make_dataset(n_users, n_items, triples):
     u, i, r = (np.array(x) for x in zip(*triples))
-    return RatingDataset(n_users, n_items, u, i, r, scale)
+    return RatingDataset(n_users, n_items, u, i, r)
 
 
 class TestPositivity:
@@ -70,12 +70,14 @@ class TestPositivity:
         assert model.table[0] == pytest.approx(0.5, abs=1e-12)   # (2*1)/(4*1)
 
     def test_no_bias_gives_all_ones(self):
-        # full 2x2 observation, identical rating distributions in train and mcar
-        train = make_dataset(2, 2, [(0, 0, 1), (0, 1, 2), (1, 0, 1), (1, 1, 2)],
-                             scale=(1, 2))
-        mcar = make_dataset(2, 2, [(0, 0, 1), (0, 1, 2)], scale=(1, 2))
+        # full 2x2 observation, identical rating distributions in train and
+        # mcar: each observed rating scores (2 * 2) / (4 * 1) = 1; ratings 3-5
+        # are never observed, so their conditional is 0 whatever the prior
+        train = make_dataset(2, 2, [(0, 0, 1), (0, 1, 2), (1, 0, 1), (1, 1, 2)])
+        mcar = make_dataset(2, 2, [(0, 0, 1), (0, 1, 2)])
         model = estimate_positivity(train, mcar)
-        np.testing.assert_allclose(model.table, 1.0, atol=1e-12)
+        np.testing.assert_allclose(model.table[:2], 1.0, atol=1e-12)
+        np.testing.assert_array_equal(model.table[2:], 0.0)
 
     def test_all_fives_with_uniform_mcar(self, caplog):
         train = make_dataset(2, 3, [(0, 0, 5), (0, 1, 5), (1, 2, 5)])
@@ -159,17 +161,22 @@ class TestPopularity:
 
 class TestMultifactorial:
     def small_fixture(self):
-        train = make_dataset(2, 2, [(0, 0, 1), (0, 1, 2), (1, 0, 1)], scale=(1, 2))
-        mcar = make_dataset(2, 2, [(0, 0, 1), (1, 1, 2)], scale=(1, 2))
+        train = make_dataset(2, 2, [(0, 0, 1), (0, 1, 2), (1, 0, 1)])
+        mcar = make_dataset(2, 2, [(0, 0, 1), (1, 1, 2)])
         return train, mcar
 
     def test_hand_counted_cells(self):
-        # exact fractions, computed independently from the three formulas
+        # exact fractions, computed independently from the three formulas:
+        # joint conditional (count_D + 1) / (3 + 1 * 2 * 5), P(o=1) = 3/4,
+        # rating prior 1/2 for r = 1, 2 and the fallback 1/2 for the unseen
+        # r = 3..5, item-given-rating (count_M + 1) / (count_M(r) + 2), which
+        # is 2/3 or 1/3 for r = 1, 2 and 1/2 for r = 3..5
         train, mcar = self.small_fixture()
         model = estimate_multifactorial(train, mcar, 1, 1)
         np.testing.assert_allclose(
             model.table,
-            [[27 / 28, 9 / 14], [9 / 14, 9 / 14]],
+            [[27 / 52, 9 / 26, 3 / 13, 3 / 13, 3 / 13],
+             [9 / 26, 9 / 26, 3 / 13, 3 / 13, 3 / 13]],
             atol=1e-12,
         )
 
@@ -234,7 +241,7 @@ class TestMultifactorial:
         # a larger mcar item space used to fail inside numpy's reshape, a
         # smaller one to be padded with zero counts
         train, _ = self.small_fixture()
-        mcar = make_dataset(2, mcar_items, [(0, 0, 1), (1, 0, 2)], scale=(1, 2))
+        mcar = make_dataset(2, mcar_items, [(0, 0, 1), (1, 0, 2)])
         with pytest.raises(PropensityError, match=f"mcar sample has {mcar_items} items "
                                                   "but train has 2"):
             estimate_multifactorial(train, mcar, 1, 1)
@@ -259,8 +266,8 @@ class TestMultifactorial:
         assert model.table[1, 0] == 0.0
 
     def test_mcar_rating_gap_falls_back(self, caplog):
-        train = make_dataset(2, 2, [(0, 0, 1), (0, 1, 2), (1, 0, 1)], scale=(1, 2))
-        mcar = make_dataset(2, 2, [(0, 0, 1), (1, 0, 1)], scale=(1, 2))  # no rating 2
+        train = make_dataset(2, 2, [(0, 0, 1), (0, 1, 2), (1, 0, 1)])
+        mcar = make_dataset(2, 2, [(0, 0, 1), (1, 0, 1)])  # no rating 2
         with caplog.at_level(logging.WARNING):
             model = estimate_multifactorial(train, mcar, 1, 1)
         assert "unseen" in caplog.text
@@ -273,8 +280,7 @@ def weighted_log_error(est, sim):
     hold that item and rating."""
     truth = sim.ground_truth_propensities.table
     num_items, num_ratings = truth.shape
-    lowest = sim.bundle.train.rating_scale[0]
-    cells = np.arange(num_items) * num_ratings + (sim.truth.astype(np.int64) - lowest)
+    cells = np.arange(num_items) * num_ratings + (sim.truth.astype(np.int64) - RATING_SCALE[0])
     weight = np.bincount(cells.ravel(), minlength=truth.size).reshape(truth.shape)
     held = weight > 0
     sq = (np.log(est[held]) - np.log(truth[held])) ** 2
@@ -546,10 +552,7 @@ class TestClipNormalizeScore:
     def test_normalize_undoes_uniform_rescale(self):
         train = make_dataset(2, 3, [(0, 0, 2), (0, 1, 4), (1, 0, 5), (1, 2, 1)])
         base = estimate_popularity(train)
-        halved = PropensityModel(
-            family="popularity", table=base.table * 0.5,
-            rating_scale=base.rating_scale,
-        )
+        halved = PropensityModel(family="popularity", table=base.table * 0.5)
         renormalized = normalize(halved, train)
         np.testing.assert_allclose(
             score_dataset(renormalized, train),
@@ -687,8 +690,8 @@ class TestSerialization:
         assert back.table.tobytes() == model.table.tobytes()
 
     def test_header_records_family_and_smoothing(self, tmp_path):
-        train = make_dataset(2, 2, [(0, 0, 1), (0, 1, 2), (1, 0, 1)], scale=(1, 2))
-        mcar = make_dataset(2, 2, [(0, 0, 1), (1, 1, 2)], scale=(1, 2))
+        train = make_dataset(2, 2, [(0, 0, 1), (0, 1, 2), (1, 0, 1)])
+        mcar = make_dataset(2, 2, [(0, 0, 1), (1, 1, 2)])
         model = clip(
             estimate_multifactorial(train, mcar, 10, 2), 0.05
         )
@@ -702,8 +705,13 @@ class TestSerialization:
 
 GOOD_HEADER = (
     "# family=multifactorial tau=0.05 alpha1=1.0 alpha2=1.0 scale=1.0 "
-    "normalization=none rating_min=1 rating_max=2\n"
+    "normalization=none rating_min=1 rating_max=5\n"
 )
+
+
+def item_rows(item, ratings=range(1, 6)):
+    """Rows of propensity 0.5 for `item` at each of `ratings`."""
+    return [f"{item},{r},0.5" for r in ratings]
 
 
 class TestLoadValidation:
@@ -716,15 +724,23 @@ class TestLoadValidation:
         return GOOD_HEADER + "item_index,rating,propensity\n" + "".join(r + "\n" for r in rows)
 
     def test_complete_table_loads(self, tmp_path):
-        path = self.write(tmp_path, self.table(["0,1,0.5", "0,2,0.0", "1,1,1.0", "1,2,0.25"]))
-        model = load_propensity(path)
-        np.testing.assert_array_equal(model.table, [[0.5, 0.0], [1.0, 0.25]])
+        rows = ["0,1,0.5", "0,2,0.0", "1,1,1.0", "1,2,0.25"]
+        rows += [f"{i},{r},0.75" for i in (0, 1) for r in (3, 4, 5)]
+        model = load_propensity(self.write(tmp_path, self.table(rows)))
+        np.testing.assert_array_equal(
+            model.table, [[0.5, 0.0, 0.75, 0.75, 0.75], [1.0, 0.25, 0.75, 0.75, 0.75]])
 
-    def test_rating_scale_from_zero_loads(self, tmp_path):
+    @pytest.mark.parametrize("lo, hi", [(0, 1), (0, 5), (1, 4), (1, 6), (5, 1)],
+                             ids=["from-zero-two-values", "from-zero", "to-four", "to-six",
+                                  "max-below-min"])
+    def test_other_rating_scale_rejected(self, tmp_path, lo, hi):
         header = GOOD_HEADER.replace("family=multifactorial", "family=positivity")
-        header = header.replace("rating_min=1 rating_max=2", "rating_min=0 rating_max=1")
-        path = self.write(tmp_path, header + "rating,propensity\n0,0.25\n1,0.5\n")
-        np.testing.assert_array_equal(load_propensity(path).table, [0.25, 0.5])
+        header = header.replace("rating_min=1 rating_max=5", f"rating_min={lo} rating_max={hi}")
+        rows = "".join(f"{r},0.5\n" for r in range(lo, hi + 1))
+        path = self.write(tmp_path, header + "rating,propensity\n" + rows)
+        with pytest.raises(PropensityError, match=rf"prop.csv:1: rating_min={lo} rating_max={hi} "
+                                                  r"is not the rating scale \(1, 5\)"):
+            load_propensity(path)
 
     def test_popularity_zero_for_unobserved_item_roundtrips(self, tmp_path):
         train = make_dataset(3, 4, [(0, 0, 3), (1, 0, 4), (2, 2, 5)])
@@ -755,13 +771,13 @@ class TestLoadValidation:
         (["0,1,0.5", "0,2,1.5", "1,1,0.5", "1,2,0.5"], r"prop.csv:4: propensity 1.5 outside"),
         (["0,1,0.5", "x,2,0.5", "1,1,0.5", "1,2,0.5"], r"prop.csv:4: item_index 'x' is not an integer"),
         (["0,1,0.5", "-1,2,0.5", "1,1,0.5", "1,2,0.5"], r"prop.csv:4: item_index -1 is negative"),
-        (["0,1,0.5", "0,3,0.5", "1,1,0.5", "1,2,0.5"], r"prop.csv:4: rating 3 outside the header's scale"),
+        (["0,1,0.5", "0,6,0.5", "1,1,0.5", "1,2,0.5"], r"prop.csv:4: rating 6 outside the header's scale"),
         (["0,1,0.5", "0,2,0.5", "1,1,0.5", "0,2,0.25", "1,2,0.5"],
          r"prop.csv:6: duplicate of the row on line 4"),
-        (["0,1,0.5", "0,2,0.5", "2,1,0.5", "2,2,0.5"],
+        (item_rows(0) + item_rows(2),
          r"prop.csv: no row for item_index 1, rating 1 \(gap in the index range\)"),
-        (["0,1,0.5", "1,1,0.5", "1,2,0.5"], r"no row for item_index 0, rating 2"),
-        (["0,1,0.5", "0,2,0.5", "1,1,0.5"], r"no row for item_index 1, rating 2"),
+        (["0,1,0.5"] + item_rows(1), r"no row for item_index 0, rating 2"),
+        (item_rows(0) + item_rows(1, range(1, 5)), r"no row for item_index 1, rating 5"),
         ([], r"prop.csv: no propensity rows"),
     ], ids=["too-few-fields", "too-many-fields", "not-a-number", "nan", "inf", "negative",
             "above-one", "bad-index", "negative-index", "rating-off-scale", "duplicate",
@@ -859,8 +875,8 @@ class TestConstructionChecks:
          r"multifactorial table needs 2 axes \('item_index', 'rating'\), got shape \(4,\)"),
         (dict(family="positivity", table=np.full(3, 0.5)),
          r"positivity table has 3 rating entries for the rating scale \(1, 5\)"),
-        (dict(family="ground_truth", table=np.full((4, 5), 0.5), rating_scale=(0, 5)),
-         r"ground_truth table has 5 rating entries for the rating scale \(0, 5\)"),
+        (dict(family="ground_truth", table=np.full((4, 6), 0.5)),
+         r"ground_truth table has 6 rating entries for the rating scale \(1, 5\)"),
     ], ids=["unknown-family", "neither", "uniform-axes", "joint-axes", "positivity-rating-axis", "joint-rating-axis"])
     def test_rejected(self, kwargs, match):
         with pytest.raises(ValueError, match=match):
@@ -889,14 +905,13 @@ def rating_data(draw, n_users=st.integers(1, 8), n_items=st.integers(1, 8), max_
         (code // n_items, code % n_items, r) for code, r in zip(codes, ratings)])
 
 
-def table_model(draw, family, data, elements, rating_scale=(1, 5)):
+def table_model(draw, family, data, elements):
     """A `family` model whose table covers the id space of `data`."""
-    lo, hi = rating_scale
     length = {"user_index": data.num_users, "item_index": data.num_items,
-              "rating": hi - lo + 1}
+              "rating": NUM_RATINGS}
     shape = tuple(length[axis] for axis in AXES[family])
     table = draw(arrays(np.float64, shape, elements=elements))
-    return PropensityModel(family=family, rating_scale=rating_scale, table=table)
+    return PropensityModel(family=family, table=table)
 
 
 ANY_FAMILY = st.sampled_from(FAMILIES)
@@ -950,23 +965,20 @@ class TestProperties:
         assert np.all(scores >= prepared.clip_floor) and np.all(scores <= 1.0)
 
     @settings(max_examples=100, deadline=None)
-    @given(data=st.data(), family=ANY_FAMILY, lo=st.integers(0, 3), width=st.integers(0, 4),
-           scale=st.floats(1e-3, 1e3), clip_floor=st.floats(0.0, 1.0),
+    @given(data=st.data(), family=ANY_FAMILY, scale=st.floats(1e-3, 1e3), clip_floor=st.floats(0.0, 1.0),
            normalization=st.sampled_from(("none", "mean-inverse")),
            alphas=st.tuples(st.none() | st.floats(0.0, 20.0),
                             st.none() | st.floats(0.0, 20.0)))
-    def test_save_load_round_trips(self, tmp_path_factory, data, family, lo,
-                                   width, scale, clip_floor, normalization, alphas):
+    def test_save_load_round_trips(self, tmp_path_factory, data, family, scale, clip_floor,
+                                   normalization, alphas):
         ids = data.draw(rating_data(st.integers(1, 5), st.integers(1, 5)))
         fields = dict(scale=scale, clip_floor=clip_floor, normalization=normalization,
                          alpha1=alphas[0], alpha2=alphas[1])
-        model = replace(table_model(data.draw, family, ids, st.floats(0.0, 1.0),
-                                    rating_scale=(lo, lo + width)), **fields)
+        model = replace(table_model(data.draw, family, ids, st.floats(0.0, 1.0)), **fields)
         path = tmp_path_factory.mktemp("roundtrip") / "prop.csv"
         save_propensity(model, path)
         back = load_propensity(path)
-        for name in ("family", "rating_scale", "scale", "clip_floor", "normalization",
-                     "alpha1", "alpha2"):
+        for name in ("family", "scale", "clip_floor", "normalization", "alpha1", "alpha2"):
             assert getattr(back, name) == getattr(model, name), name
         assert back.table.tobytes() == model.table.tobytes()
         again = path.with_name("again.csv")
