@@ -15,6 +15,10 @@ HEADER_FIELDS = ("user_id", "item_id", "rating")
 # propensity table, and the number of values in it
 RATING_SCALE = (1, 5)
 NUM_RATINGS = RATING_SCALE[1] - RATING_SCALE[0] + 1
+# users and items are stored as int32, so an id space holds fewer ids than this
+ID_LIMIT = 2**31
+# the dtype that RatingDataset stores each column in
+_COLUMNS = {"users": np.int32, "items": np.int32, "ratings": np.uint8}
 
 
 class RatingDataError(ValueError):
@@ -30,11 +34,17 @@ class RatingDataset:
     """Immutable set of observed (user, item, rating) triples with dense indices.
 
     Args:
-        num_users: Number of users in the index space (indices 0..num_users-1).
-        num_items: Number of items in the index space.
-        users, items, ratings: Parallel 1-d integer arrays, one entry per
-            observed triple. A (user, item) pair may appear at most once,
+        num_users: Number of users in the index space (indices 0..num_users-1),
+            below ID_LIMIT.
+        num_items: Number of items in the index space, below ID_LIMIT.
+        users, items, ratings: Parallel 1-d arrays of whole numbers, one entry
+            per observed triple. A (user, item) pair may appear at most once,
             and every rating lies in RATING_SCALE.
+
+    Once checked, users and items are stored as int32 and ratings as uint8,
+    9 bytes per triple; an array already of that dtype is kept, not copied.
+    Arithmetic on the ids that can pass the int32 range, such as
+    :meth:`pair_codes`, is done in int64.
     """
 
     num_users: int
@@ -44,32 +54,42 @@ class RatingDataset:
     ratings: np.ndarray
 
     def __post_init__(self):
-        for name in ("users", "items", "ratings"):
-            arr = np.asarray(getattr(self, name), dtype=np.int64)
-            object.__setattr__(self, name, arr)
-        if not (len(self.users) == len(self.items) == len(self.ratings)):
+        for key in ("num_users", "num_items"):
+            if getattr(self, key) >= ID_LIMIT:
+                raise RatingDataError(
+                    f"{key} = {getattr(self, key)} is not below the id limit 2**31"
+                )
+        arrays = {name: _whole_numbers(name, getattr(self, name)) for name in _COLUMNS}
+        users, items, ratings = arrays.values()
+        if not (len(users) == len(items) == len(ratings)):
             raise RatingDataError("users, items, and ratings must be equal length")
-        if len(self.users) > 0:
-            if self.users.min() < 0 or self.users.max() >= self.num_users:
+        if len(users) > 0:
+            if users.min() < 0 or users.max() >= self.num_users:
                 raise RatingDataError("user index out of range")
-            if self.items.min() < 0 or self.items.max() >= self.num_items:
+            if items.min() < 0 or items.max() >= self.num_items:
                 raise RatingDataError("item index out of range")
             lo, hi = RATING_SCALE
-            if self.ratings.min() < lo or self.ratings.max() > hi:
+            if ratings.min() < lo or ratings.max() > hi:
                 raise RatingDataError(f"rating outside scale [{lo}, {hi}]")
+        for name, dtype in _COLUMNS.items():
+            arr = arrays[name].astype(dtype, copy=False)
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+        if len(self) > 1:
             codes = self.pair_codes()
             codes.sort()
             if np.any(codes[1:] == codes[:-1]):
                 raise RatingDataError("duplicate (user, item) pair")
-        for name in ("users", "items", "ratings"):
-            getattr(self, name).setflags(write=False)
 
     def __len__(self) -> int:
         return len(self.users)
 
     def pair_codes(self) -> np.ndarray:
         """Unique int64 code per (user, item) pair, for set operations."""
-        return self.users * self.num_items + self.items
+        codes = self.users.astype(np.int64)
+        codes *= self.num_items
+        codes += self.items
+        return codes
 
     def subset(self, indices: np.ndarray) -> "RatingDataset":
         """New dataset keeping the given triple positions, in ascending order."""
@@ -81,6 +101,21 @@ class RatingDataset:
             items=self.items[idx],
             ratings=self.ratings[idx],
         )
+
+
+def _whole_numbers(name: str, values) -> np.ndarray:
+    """`values` as an array, unchanged, after checking that its entries are
+    whole numbers: a cast would truncate a fraction and turn NaN into an
+    arbitrary integer."""
+    arr = np.asarray(values)
+    if arr.dtype.kind in "biu":
+        return arr
+    if arr.dtype.kind != "f":
+        raise RatingDataError(f"{name} must hold numbers, got dtype {arr.dtype}")
+    whole = np.isfinite(arr) & (arr == np.floor(arr))
+    if not whole.all():
+        raise RatingDataError(f"{name} holds {float(arr[~whole][0])}, not a whole number")
+    return arr
 
 
 @dataclass(frozen=True)
@@ -165,6 +200,11 @@ def _index_triples(parsed, path, user_index=None, item_index=None):
                 ) from None
             if u < 0 or i < 0:
                 raise RatingDataError(f"{path}: line {lineno}: negative index ({u}, {i})")
+            if max(u, i) >= ID_LIMIT - 1:
+                raise RatingDataError(
+                    f"{path}: line {lineno}: index ({u}, {i}) is past the largest "
+                    f"index {ID_LIMIT - 2} (id limit 2**31)"
+                )
         else:
             u = user_index.setdefault(uid, len(user_index))
             i = item_index.setdefault(iid, len(item_index))
@@ -183,9 +223,9 @@ def _build(users, items, ratings, num_users, num_items) -> RatingDataset:
     return RatingDataset(
         num_users=max(users, default=-1) + 1 if num_users is None else num_users,
         num_items=max(items, default=-1) + 1 if num_items is None else num_items,
-        users=np.array(users, dtype=np.int64),
-        items=np.array(items, dtype=np.int64),
-        ratings=np.array(ratings, dtype=np.int64),
+        users=np.array(users, dtype=_COLUMNS["users"]),
+        items=np.array(items, dtype=_COLUMNS["items"]),
+        ratings=np.array(ratings, dtype=_COLUMNS["ratings"]),
     )
 
 
@@ -246,7 +286,7 @@ def reindex_users(
     """Restrict the user index space to `keep` (sorted unique user indices),
     renumbering users 0..len(keep)-1. Triples of dropped users are removed."""
     keep = np.asarray(keep, dtype=np.int64)
-    remap = np.full(max(ds.num_users for ds in datasets), -1, dtype=np.int64)
+    remap = np.full(max(ds.num_users for ds in datasets), -1, dtype=_COLUMNS["users"])
     remap[keep] = np.arange(len(keep))
     out = []
     for ds in datasets:

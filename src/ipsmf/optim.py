@@ -318,10 +318,10 @@ def _fit(data, propensity_model, config):
     the optim.fit span.
 
     Each pass gathers the train triples and their propensities in the order
-    of its permutation once; its batches are slices of these. The embedding
-    tables' flat indices (:func:`_flat_index`) are built once per fit, so a
-    batch's scatter indices are a row gather too. A step then costs
-    O(batch * dim) in gathers and scatters, plus the L2 term and the Adam
+    of its permutation once, into buffers made once per fit; its batches are
+    slices of these. The embedding tables' flat indices (:func:`_flat_index`)
+    are built once per fit, so a batch's scatter indices are a row gather
+    too. A step then costs O(batch * dim) in gathers and scatters, plus the L2 term and the Adam
     update over the phase's slice of the packed buffer. ``adam_step``,
     ``ips_loss``, ``_snips`` and ``predict_many`` are looked up as module
     globals on every call, so that a caller can wrap them.
@@ -331,8 +331,6 @@ def _fit(data, propensity_model, config):
         raise ValueError("train set is empty")
     if len(validation) == 0:
         raise ValueError("validation set is empty (needed for early stopping)")
-    users, items = train.users, train.items
-    ratings = train.ratings.astype(float)
     p_train = _check_propensities(
         propensity.score_dataset(propensity_model, train), len(train)
     )
@@ -359,14 +357,28 @@ def _fit(data, propensity_model, config):
     )
 
     n, batch_size = len(train), config.batch_size
+    # each pass gathers the train columns in its permutation's order into
+    # these buffers, as intp indices and float64 ratings: a step's take and
+    # bincount would convert compact ones on every call. take does not cast
+    # into its output, so each compact column is gathered in its own dtype
+    # into pass_p's memory first.
+    pass_users, pass_items = np.empty(n, dtype=np.intp), np.empty(n, dtype=np.intp)
+    pass_ratings, pass_p = np.empty(n), np.empty(n)
+    gathers = [(column, pass_p.view(column.dtype)[:n], out) for column, out in
+               ((train.users, pass_users), (train.items, pass_items),
+                (train.ratings, pass_ratings))]
     history: list[HistoryRow] = []
     best_val, best_params, best_epoch, bad_evals = np.inf, params.copy(), 0, 0
 
     for epoch in range(1, config.max_epochs + 1):
         for mask in phases:
             perm = shuffle_rng.permutation(n)
-            pass_users, pass_items = users.take(perm), items.take(perm)
-            pass_ratings, pass_p = ratings.take(perm), p_train.take(perm)
+            # mode="clip" gathers without a copy of the output; a
+            # permutation's indices are all in range, so nothing is clipped
+            for column, gathered, out in gathers:
+                np.take(column, perm, out=gathered, mode="clip")
+                np.copyto(out, gathered)
+            np.take(p_train, perm, out=pass_p, mode="clip")
             for start in range(0, n, batch_size):
                 stop = start + batch_size
                 _masked_gradient(

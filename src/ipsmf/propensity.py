@@ -107,11 +107,9 @@ def score_many(
     items: np.ndarray,
     ratings: np.ndarray,
 ) -> np.ndarray:
-    """Vectorized propensity scores for parallel (user, item, rating) arrays."""
-    users = np.asarray(users, dtype=np.int64)
-    items = np.asarray(items, dtype=np.int64)
-    ratings = np.asarray(ratings, dtype=np.int64)
-    raw = model._raw(users, items, ratings) * model.scale
+    """Vectorized propensity scores for parallel (user, item, rating) arrays
+    of integers, in any integer dtype."""
+    raw = model._raw(np.asarray(users), np.asarray(items), np.asarray(ratings)) * model.scale
     return np.maximum(np.minimum(raw, 1.0), model.clip_floor)
 
 
@@ -124,7 +122,10 @@ def _counts_by_rating(data: RatingDataset) -> np.ndarray:
 
 
 def _counts_by_item_rating(data: RatingDataset) -> np.ndarray:
-    flat = data.items * NUM_RATINGS + (data.ratings - RATING_SCALE[0])
+    # int64 codes: int32 items times NUM_RATINGS overflow past 2**31 / NUM_RATINGS
+    flat = data.items.astype(np.int64)
+    flat *= NUM_RATINGS
+    flat += data.ratings - RATING_SCALE[0]
     counts = np.bincount(flat, minlength=data.num_items * NUM_RATINGS)
     return counts.reshape(data.num_items, NUM_RATINGS).astype(float)
 

@@ -418,20 +418,25 @@ def sample_observations(
                 raise ValueError(f"true rating {value} outside the rating scale {RATING_SCALE}")
 
     # the same uniform stream as one full-size draw, compared a row block at a
-    # time so that no full-size float temporary is live
+    # time so that no full-size float temporary or mask is live; each block's
+    # observed cells are kept in the dataset's compact dtypes
     rng = np.random.default_rng(seed)
     item_index = np.arange(num_items)
-    mask = np.empty(truth.shape, dtype=bool)
+    users, items = [np.empty(0, np.int32)], [np.empty(0, np.int32)]
+    ratings = [np.empty(0, truth.dtype)]
     for start, stop in _row_blocks(num_users):
-        cell_p = table[item_index, truth[start:stop] - lo]
-        np.less(rng.random(cell_p.shape), cell_p, out=mask[start:stop])
-    users, items = np.nonzero(mask)
+        rows = truth[start:stop]
+        cell_p = table[item_index, rows - lo]
+        u, i = np.nonzero(rng.random(cell_p.shape) < cell_p)
+        users.append((u + start).astype(np.int32))
+        items.append(i.astype(np.int32))
+        ratings.append(rows[u, i])
     dataset = RatingDataset(
         num_users=num_users,
         num_items=num_items,
-        users=users,
-        items=items,
-        ratings=truth[users, items],
+        users=np.concatenate(users),
+        items=np.concatenate(items),
+        ratings=np.concatenate(ratings),
     )
     return dataset, PropensityModel(family="ground_truth", table=table)
 
@@ -451,21 +456,23 @@ def sample_unbiased(
         raise ValueError("per_user cannot exceed the number of items")
     rng = np.random.default_rng(seed)
     # the same key stream as one (num_users, num_items) draw, a block of rows
-    # at a time; each row keeps its per_user smallest keys in ascending order
-    chosen = np.empty((num_users, per_user), dtype=np.int64)
+    # at a time; each row keeps its per_user smallest keys in ascending order,
+    # and their ratings, in the dataset's compact dtypes
+    chosen = np.empty((num_users, per_user), dtype=np.int32)
+    rated = np.empty((num_users, per_user), dtype=truth.dtype)
     for start, stop in _row_blocks(num_users):
         keys = rng.random((stop - start, num_items))
         top = np.argpartition(keys, per_user - 1, axis=1)[:, :per_user]
         order = np.argsort(np.take_along_axis(keys, top, axis=1), axis=1, kind="stable")
-        chosen[start:stop] = np.take_along_axis(top, order, axis=1)
-    users = np.repeat(np.arange(num_users), per_user)
-    items = chosen.ravel()
+        picked = np.take_along_axis(top, order, axis=1)
+        chosen[start:stop] = picked
+        rated[start:stop] = np.take_along_axis(truth[start:stop], picked, axis=1)
     pool = RatingDataset(
         num_users=num_users,
         num_items=num_items,
-        users=users,
-        items=items,
-        ratings=truth[users, items],
+        users=np.repeat(np.arange(num_users, dtype=np.int32), per_user),
+        items=chosen.ravel(),
+        ratings=rated.ravel(),
     )
     return split_unbiased(pool, mcar_fraction, seed)
 

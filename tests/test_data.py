@@ -2,8 +2,12 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ipsmf import optim, propensity
 from ipsmf.data import (
+    ID_LIMIT,
     RatingDataError,
     RatingDataset,
     SplitBundle,
@@ -16,6 +20,7 @@ from ipsmf.data import (
     split_unbiased,
     write_manifest,
 )
+from ipsmf.model import fit_avg
 from helpers import observed_pairs, read_manifest
 from oracles import triples
 
@@ -138,6 +143,17 @@ class TestLoadRatings:
         with pytest.raises(RatingDataError, match=re.escape(f"{path}: line 3: ") + ".*" + problem):
             load_ratings(path)
 
+    def test_id_past_the_limit_names_line(self, tmp_path):
+        # an id space of 2**31 ids or more cannot be stored as int32
+        path = tmp_path / "split.csv"
+        path.write_text(f"user_id,item_id,rating\n0,0,5\n0,{ID_LIMIT - 1},3\n")
+        message = (f"{path}: line 3: index (0, {ID_LIMIT - 1}) is past the largest "
+                   f"index {ID_LIMIT - 2} (id limit 2**31)")
+        with pytest.raises(RatingDataError, match=f"^{re.escape(message)}$"):
+            load_ratings(path)
+        path.write_text(f"user_id,item_id,rating\n0,0,5\n0,{ID_LIMIT - 2},3\n")
+        assert load_ratings(path).num_items == ID_LIMIT - 1
+
     def test_missing_file_named(self, tmp_path):
         path = tmp_path / "absent.csv"
         with pytest.raises(RatingDataError, match=re.escape(f"{path}: ")):
@@ -204,6 +220,120 @@ class TestDatasetInvariants:
         ds = grid_dataset(5, 6)
         assert len(observed_pairs(ds)) == len(ds)
 
+
+class TestCompactStorage:
+    """Triples are stored in 9 bytes: int32 ids and a uint8 rating."""
+
+    def test_columns_are_compact(self):
+        ds = make_dataset(3, 4, [(0, 0, 5), (2, 3, 1)])
+        assert (ds.users.dtype, ds.items.dtype, ds.ratings.dtype) == (
+            np.int32, np.int32, np.uint8)
+        assert ds.users.nbytes + ds.items.nbytes + ds.ratings.nbytes == 9 * len(ds)
+        assert triples(ds) == [(0, 0, 5), (2, 3, 1)]
+
+    def test_compact_arrays_are_kept(self):
+        users, items = np.array([0, 1], np.int32), np.array([1, 0], np.int32)
+        ratings = np.array([3, 4], np.uint8)
+        ds = RatingDataset(2, 2, users, items, ratings)
+        assert ds.users is users and ds.items is items and ds.ratings is ratings
+
+    def test_whole_floats_are_accepted(self):
+        ds = RatingDataset(2, 3, np.array([0.0, 1.0]), [2.0, 0.0], [5.0, 1.0])
+        assert triples(ds) == [(0, 2, 5), (1, 0, 1)]
+
+    @pytest.mark.parametrize("field, values, shown", [
+        ("users", [0.5, 1.7], "0.5"),
+        ("items", [0.0, 1.25], "1.25"),
+        ("ratings", [4.9, 3.0], "4.9"),
+        ("users", [np.nan, 0.0], "nan"),
+        ("items", [0.0, np.inf], "inf"),
+        ("ratings", [3.0, -np.inf], "-inf"),
+    ], ids=["fractional-user", "fractional-item", "fractional-rating", "nan-user",
+            "inf-item", "minus-inf-rating"])
+    def test_rejects_values_a_cast_would_change(self, field, values, shown):
+        # a cast truncates 4.9 to 4 and turns NaN into an arbitrary integer
+        columns = {"users": [0.0, 1.0], "items": [0.0, 1.0], "ratings": [3.0, 4.0]}
+        columns[field] = values
+        message = f"{field} holds {shown}, not a whole number"
+        with pytest.raises(RatingDataError, match=f"^{re.escape(message)}$"):
+            RatingDataset(2, 2, **columns)
+
+    def test_rejects_non_numeric_arrays(self):
+        with pytest.raises(RatingDataError, match="^items must hold numbers"):
+            RatingDataset(2, 2, [0], np.array(["1"]), [3])
+
+    @pytest.mark.parametrize("key", ["num_users", "num_items"])
+    def test_rejects_an_id_space_at_the_limit(self, key):
+        sizes = {"num_users": 1, "num_items": 1, key: ID_LIMIT}
+        message = f"{key} = {ID_LIMIT} is not below the id limit 2**31"
+        with pytest.raises(RatingDataError, match=f"^{re.escape(message)}$"):
+            RatingDataset(**sizes, users=[], items=[], ratings=[])
+        sizes[key] = ID_LIMIT - 1
+        assert len(RatingDataset(**sizes, users=[0], items=[0], ratings=[5])) == 1
+
+    def test_pair_codes_are_int64_past_the_int32_range(self):
+        # int32 user * num_items wraps past 2**31 - 1
+        num_items = ID_LIMIT - 1
+        ds = RatingDataset(3, num_items, [2, 0, 1], [num_items - 1, 5, 7], [1, 2, 3])
+        codes = ds.pair_codes()
+        assert codes.dtype == np.int64
+        assert codes.tolist() == [2 * num_items + num_items - 1, 5, num_items + 7]
+
+    def test_duplicate_pair_found_past_the_int32_range(self):
+        # two pairs whose codes collide when computed in int32
+        num_items = ID_LIMIT - 1
+        ds = RatingDataset(3, num_items, [0, 2], [0, 2], [1, 1])
+        assert len(set(ds.pair_codes().tolist())) == 2
+        with pytest.raises(RatingDataError, match="duplicate"):
+            RatingDataset(3, num_items, [2, 2], [9, 9], [1, 2])
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_any_input_dtype_gives_bit_equal_results(self, data):
+        """Datasets made from int64, float64 and compact arrays store the same
+        columns, and every consumer of them returns the same bits."""
+        n_users, n_items = data.draw(st.integers(2, 7)), data.draw(st.integers(2, 7))
+        cells = n_users * n_items
+        codes = data.draw(st.lists(st.integers(0, cells - 1), min_size=4, max_size=cells,
+                                   unique=True))
+        ratings = data.draw(st.lists(st.integers(1, 5), min_size=len(codes),
+                                     max_size=len(codes)))
+        users, items = [c // n_items for c in codes], [c % n_items for c in codes]
+        seed = data.draw(st.integers(0, 2**16))
+
+        def results(types):
+            user_type, rating_type = types
+            ds = RatingDataset(n_users, n_items, np.array(users, user_type),
+                               np.array(items, user_type), np.array(ratings, rating_type))
+            half = len(ds) // 2
+            biased, unbiased = ds.subset(np.arange(half)), ds.subset(np.arange(half, len(ds)))
+            train, validation = split_biased(biased, 0.5, seed)
+            mcar, test = split_unbiased(unbiased, 0.5, seed)
+            models = [
+                propensity.uniform_propensities(train),
+                propensity.estimate_popularity(train),
+                propensity.estimate_positivity(train, mcar),
+                propensity.estimate_multifactorial(train, mcar, alpha1=2.0, alpha2=0.5),
+                propensity.estimate_mf_propensity(train, dim=2, max_steps=5, seed=seed),
+                propensity.PropensityModel(
+                    "ground_truth", np.linspace(0.1, 1.0, n_items * 5).reshape(n_items, 5)),
+            ]
+            out = [np.stack([ds.users, ds.items]).tobytes(), ds.ratings.tobytes()]
+            out += [m.table.tobytes() for m in models]
+            out += [propensity.score_dataset(propensity.prepare(m, train), ds).tobytes()
+                    for m in models]
+            out.append(fit_avg(train)._buffer.tobytes())
+            result = optim.train(
+                SplitBundle(train, validation, mcar, test), propensity.clip(models[3], 0.05),
+                optim.TrainConfig(learning_rate=0.05, batch_size=2, max_epochs=3,
+                                  embedding_dim=2, schedule="alternating", seed=seed))
+            out.append(result.params._buffer.tobytes())
+            out.append([vars(row) for row in result.history])
+            return out
+
+        wide = results((np.int64, np.int64))
+        assert results((np.int32, np.uint8)) == wide
+        assert results((np.float64, np.float64)) == wide
 
 class TestSplits:
     def test_ratio_point8_on_ten(self):

@@ -8,9 +8,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from ipsmf import optim
+from ipsmf import optim, propensity
 from ipsmf.blas import one_blas_thread
-from ipsmf.data import NUM_RATINGS, RATING_SCALE, RatingDataset
+from ipsmf.data import ID_LIMIT, NUM_RATINGS, RATING_SCALE, RatingDataset
 from ipsmf.sim import (
     DEFAULT_RATING_PROPENSITIES,
     SimulationSpec,
@@ -272,6 +272,27 @@ class TestMultifactorial:
             model = estimate_multifactorial(train, mcar, 1, 1)
         assert "unseen" in caplog.text
         assert np.all(model.table > 0)
+
+
+def test_item_rating_codes_are_int64_past_the_int32_range(monkeypatch):
+    # an int32 item times NUM_RATINGS wraps past 429,496,729 items; counting
+    # over a table that wide would take GBs, so the codes are caught on their
+    # way into bincount
+    item = ID_LIMIT // NUM_RATINGS + 1
+    data = RatingDataset(1, ID_LIMIT - 1, [0], [item], [RATING_SCALE[1]])
+
+    class Counted(Exception):
+        pass
+
+    def catch(codes, minlength=0):
+        raise Counted(codes)
+
+    monkeypatch.setattr(propensity.np, "bincount", catch)
+    with pytest.raises(Counted) as caught:
+        propensity._counts_by_item_rating(data)
+    codes = caught.value.args[0]
+    assert codes.dtype == np.int64
+    assert codes.tolist() == [item * NUM_RATINGS + NUM_RATINGS - 1]
 
 
 def weighted_log_error(est, sim):

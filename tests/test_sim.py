@@ -413,6 +413,22 @@ class TestSampleUnbiased:
         with pytest.raises(ValueError):
             sample_unbiased(truth, per_user=5, mcar_fraction=0.2, seed=0)
 
+    def test_pool_memory_is_compact(self, monkeypatch):
+        # 65 row blocks of 32 users, so the 81,960-triple pool and its split,
+        # not a block's keys, set the peak: about 40 bytes per pool triple,
+        # against 70 while the pool and its copies were int64
+        monkeypatch.setattr(sim, "BLOCK_ROWS", 32)
+        num_users, num_items, per_user = 2049, 2000, 40
+        truth = np.random.default_rng(0).integers(1, 6, size=(num_users, num_items))
+        truth = truth.astype(np.uint8)
+        tracemalloc.start()
+        try:
+            sample_unbiased(truth, per_user, mcar_fraction=0.2, seed=[0, 2])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 45 * num_users * per_user, peak / (num_users * per_user)
+
 
 class TestSimulationSpec:
     def test_gamma_out_of_range(self):
@@ -660,6 +676,15 @@ class TestBlockedStagesMatchWholeMatrix:
         ))
         assert len(made) == 2
         assert sizes and max(sizes) <= num_users * num_items // 4
+
+
+def test_every_split_takes_nine_bytes_per_triple():
+    result = simulate(SimulationSpec(num_users=300, num_items=200, gamma=0.5, seed=4))
+    for name in ("train", "validation", "mcar", "test"):
+        split = getattr(result.bundle, name)
+        assert len(split) > 0, name
+        nbytes = split.users.nbytes + split.items.nbytes + split.ratings.nbytes
+        assert nbytes == 9 * len(split), name
 
 
 def test_simulate_peak_memory_is_about_two_dense_matrices():
