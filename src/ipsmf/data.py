@@ -146,74 +146,96 @@ class SplitBundle:
 
 
 def _open_input(path: str | Path, error: type[Exception] = RatingDataError):
-    """Open an input file as text, raising `error` naming the path when it
-    cannot be opened (for example a missing file)."""
+    """Open an input file as UTF-8 text, dropping a leading byte-order mark,
+    raising `error` naming the path when it cannot be opened (for example a
+    missing file)."""
     try:
-        return open(path, "r", encoding="utf-8")
+        return open(path, "r", encoding="utf-8-sig")
     except OSError as exc:
         raise error(f"{path}: {exc.strerror}") from None
 
 
-def _parse_triples(path: str | Path, delimiter: str):
-    """Yield (user_id, item_id, rating, lineno) from a rating file, skipping an
-    optional header line and validating ratings against RATING_SCALE."""
+# the text of each rating value as save_ratings writes it, read without a
+# float parse; any other text takes the checked parse
+_RATING_TEXT = {str(r): r for r in range(RATING_SCALE[0], RATING_SCALE[1] + 1)}
+
+
+def _parse_rating(text: str, path, lineno: int) -> int:
     lo, hi = RATING_SCALE
+    try:
+        rating = float(text)
+    except ValueError:
+        raise RatingDataError(f"{path}: line {lineno}: rating {text!r} is not a number") from None
+    # the range test comes first: int() of nan or inf raises
+    if not lo <= rating <= hi or rating != int(rating):
+        raise RatingDataError(f"{path}: line {lineno}: rating {text} outside scale [{lo}, {hi}]")
+    return int(rating)
+
+
+def _index_triples(path, delimiter, user_index=None, item_index=None, declared=(None, None)):
+    """Parallel (users, items, ratings) index lists of the triples of a rating
+    file, in one pass: blank lines and an optional header line are skipped,
+    and ratings checked against RATING_SCALE. With the id maps, ids are
+    remapped to indices in first-appearance order, extending the maps;
+    without them, ids are 0-based integer indices used verbatim, and the
+    first that is not below its `declared` (num_users, num_items) bound is
+    reported once the whole file has parsed, users first. Every error names
+    the file and line."""
+    seen: set[tuple[int, int]] = set()
+    users, items, ratings = [], [], []
+    # ids below these need no further check
+    user_limit, item_limit = (ID_LIMIT - 1 if d is None else min(d, ID_LIMIT - 1) for d in declared)
+    past: dict[int, tuple[int, str]] = {}  # column -> (line, id) of its first id past `declared`
     with _open_input(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
             if not line:
                 continue
-            fields = [f.strip() for f in line.split(delimiter)]
-            if lineno == 1 and tuple(f.lower() for f in fields) == HEADER_FIELDS:
-                continue
+            fields = line.split(delimiter)
             if len(fields) != 3:
                 raise RatingDataError(
                     f"{path}: line {lineno}: expected 3 fields, got {len(fields)}"
                 )
-            try:
-                rating = float(fields[2])
-            except ValueError:
-                raise RatingDataError(
-                    f"{path}: line {lineno}: rating {fields[2]!r} is not a number"
-                ) from None
-            # the range test comes first: int() of nan or inf raises
-            if not lo <= rating <= hi or rating != int(rating):
-                raise RatingDataError(
-                    f"{path}: line {lineno}: rating {fields[2]} outside scale [{lo}, {hi}]"
-                )
-            yield fields[0], fields[1], int(rating), lineno
-
-
-def _index_triples(parsed, path, user_index=None, item_index=None):
-    """Parallel index lists for `parsed` triples. With the id maps, ids are
-    remapped to indices in first-appearance order, extending the maps;
-    without them, ids are 0-based integer indices used verbatim."""
-    seen: set[tuple[int, int]] = set()
-    users, items, ratings = [], [], []
-    for uid, iid, rating, lineno in parsed:
-        if user_index is None:
-            try:
-                u, i = int(uid), int(iid)
-            except ValueError:
-                raise RatingDataError(
-                    f"{path}: line {lineno}: id ({uid}, {iid}) is not an integer index"
-                ) from None
-            if u < 0 or i < 0:
-                raise RatingDataError(f"{path}: line {lineno}: negative index ({u}, {i})")
-            if max(u, i) >= ID_LIMIT - 1:
-                raise RatingDataError(
-                    f"{path}: line {lineno}: index ({u}, {i}) is past the largest "
-                    f"index {ID_LIMIT - 2} (id limit 2**31)"
-                )
-        else:
-            u = user_index.setdefault(uid, len(user_index))
-            i = item_index.setdefault(iid, len(item_index))
-        if (u, i) in seen:
-            raise RatingDataError(f"{path}: line {lineno}: duplicate pair ({uid}, {iid})")
-        seen.add((u, i))
-        users.append(u)
-        items.append(i)
-        ratings.append(rating)
+            uid, iid, text = fields
+            uid, iid = uid.strip(), iid.strip()
+            if lineno == 1 and (uid.lower(), iid.lower(), text.strip().lower()) == HEADER_FIELDS:
+                continue
+            rating = _RATING_TEXT.get(text)
+            if rating is None:
+                rating = _parse_rating(text.strip(), path, lineno)
+            if user_index is None:
+                try:
+                    u, i = int(uid), int(iid)
+                except ValueError:
+                    raise RatingDataError(
+                        f"{path}: line {lineno}: id ({uid}, {iid}) is not an integer index"
+                    ) from None
+                if not (0 <= u < user_limit and 0 <= i < item_limit):
+                    if u < 0 or i < 0:
+                        raise RatingDataError(f"{path}: line {lineno}: negative index ({u}, {i})")
+                    if max(u, i) >= ID_LIMIT - 1:
+                        raise RatingDataError(
+                            f"{path}: line {lineno}: index ({u}, {i}) is past the largest "
+                            f"index {ID_LIMIT - 2} (id limit 2**31)"
+                        )
+                    for column, index, limit, id_text in ((0, u, user_limit, uid),
+                                                          (1, i, item_limit, iid)):
+                        if index >= limit:
+                            past.setdefault(column, (lineno, id_text))
+            else:
+                u = user_index.setdefault(uid, len(user_index))
+                i = item_index.setdefault(iid, len(item_index))
+            if (u, i) in seen:
+                raise RatingDataError(f"{path}: line {lineno}: duplicate pair ({uid}, {iid})")
+            seen.add((u, i))
+            users.append(u)
+            items.append(i)
+            ratings.append(rating)
+    for column in sorted(past):
+        lineno, text = past[column]
+        key = ("num_users", "num_items")[column]
+        raise RatingDataError(f"{path}: line {lineno}: {HEADER_FIELDS[column]} {text} "
+                              f"is outside the declared {key} = {declared[column]}")
     return users, items, ratings
 
 
@@ -250,14 +272,7 @@ def load_ratings(
             outside RATING_SCALE, or an id that is not below the declared
             `num_users` or `num_items`.
     """
-    users, items, ratings = _index_triples(_parse_triples(path, delimiter), path)
-    for column, ids, key, declared in ((0, users, "num_users", num_users),
-                                       (1, items, "num_items", num_items)):
-        if declared is not None and max(ids, default=-1) >= declared:
-            # only on this error: parse again for the line of the first such id
-            row = next(t for t in _parse_triples(path, delimiter) if int(t[column]) >= declared)
-            raise RatingDataError(f"{path}: line {row[3]}: {HEADER_FIELDS[column]} {row[column]} "
-                                  f"is outside the declared {key} = {declared}")
+    users, items, ratings = _index_triples(path, delimiter, declared=(num_users, num_items))
     return _build(users, items, ratings, num_users, num_items)
 
 
@@ -274,7 +289,7 @@ def load_rating_pair(
     user_index: dict[str, int] = {}
     item_index: dict[str, int] = {}
     triples = [
-        _index_triples(_parse_triples(path, delimiter), path, user_index, item_index)
+        _index_triples(path, delimiter, user_index, item_index)
         for path in (path_a, path_b)
     ]
     return tuple(_build(*t, len(user_index), len(item_index)) for t in triples)

@@ -282,18 +282,28 @@ def estimate_mf_propensity(
     deliberately firm: it shrinks sparsely observed entities toward the global
     rate instead of letting a single binary matrix be memorized. On
     non-convergence the best parameters seen are returned with a warning.
+    Raises ValueError for fewer than one step, a learning rate that is not
+    positive, or an L2 weight or tolerance that is negative or NaN.
 
     The model has the rating model's structure, so the fit is an
     :class:`~ipsmf.model.MFParameters` stepped by :func:`~ipsmf.optim.adam_step`
     over all groups at once.
 
-    Each step works in two preallocated (U, I) buffers: the clipped scores
-    ``s`` and a work buffer that first holds the per-cell log-likelihood and
-    then the logit gradient. The observation matrix is 0/1 and ``s`` lies in
-    ``[1e-12, 1 - 1e-12]``, so both logs are finite and
-    ``obs * log(s) + (1 - obs) * log(1 - s)`` equals
-    ``log(where(obs, s, 1 - s))`` bit for bit (the zero-weighted term adds
-    -0.0): one log per cell is taken instead of two.
+    The observation matrix is never built: the observed cells are their
+    sorted flat indices (the sorted pair codes), and the base rate is their
+    count over the cells. Each step works in two preallocated (U, I)
+    buffers: the clipped scores ``s`` and a work buffer that first holds the
+    per-cell log-likelihood and then the logit gradient. One ``P @ Q.T``
+    fills ``s``; the elementwise passes then run on row blocks of about
+    ``_FIT_BLOCK_CELLS`` cells, which stay in cache between passes, and
+    write the observed cells of each block through their indices. ``s`` lies
+    in ``[1e-12, 1 - 1e-12]``, so both logs are finite and
+    ``obs * log(s) + (1 - obs) * log(1 - s)`` equals the log of ``s`` at an
+    observed cell and of ``1 - s`` elsewhere bit for bit (the zero-weighted
+    term adds -0.0): one log per cell is taken instead of two. The gradient
+    ``(s - obs) / (U * I)`` is ``s / (U * I)``, with ``(s - 1) / (U * I)`` at
+    the observed cells. The loss mean, the gradient sums and products and
+    the Adam step run over the whole buffers.
 
     The loop's matrix products run with OpenBLAS at one thread (see
     :mod:`ipsmf.blas`), so the fit does not depend on the host's cores. The
@@ -303,28 +313,39 @@ def estimate_mf_propensity(
     """
     if max_steps < 1:
         raise ValueError(f"max_steps must be at least 1, got {max_steps}")
-    if learning_rate <= 0:
+    # negated comparisons, so that NaN is rejected too
+    if not learning_rate > 0:
         raise ValueError(f"learning_rate must be positive, got {learning_rate}")
-    observed = np.zeros((train.num_users, train.num_items), dtype=bool)
-    observed[train.users, train.items] = True
-    base_rate = np.clip(observed.mean(), 1e-6, 1.0 - 1e-6)
+    if not l2_weight >= 0:
+        raise ValueError(f"l2_weight must be nonnegative, got {l2_weight}")
+    if not tol >= 0:
+        raise ValueError(f"tol must be nonnegative, got {tol}")
+    n_users, n_items = train.num_users, train.num_items
+    n_cells = n_users * n_items
+    cells = np.sort(train.pair_codes())  # the flat indices of the observed cells
+    base_rate = np.clip(len(cells) / n_cells, 1e-6, 1.0 - 1e-6)
     c = float(np.log(base_rate / (1.0 - base_rate)))
-    params = init_params(*observed.shape, dim, seed, scale=0.1, global_offset=c)
+    params = init_params(n_users, n_items, dim, seed, scale=0.1, global_offset=c)
     state = init_adam_state(params)
     grads = params.copy()  # every group is overwritten each step
-    n_cells = observed.size
-    s = np.empty(observed.shape)
+    s = np.empty((n_users, n_items))
     w = np.empty_like(s)
+    block_rows = max(1, _FIT_BLOCK_CELLS // n_items)
+    blocks = []  # (rows, their observed cells as flat indices into s[rows])
+    for r in range(0, n_users, block_rows):
+        lo, hi = np.searchsorted(cells, [r * n_items, (r + block_rows) * n_items])
+        blocks.append((slice(r, r + block_rows), cells[lo:hi] - r * n_items))
     best_loss, best, prev_loss, converged = np.inf, None, np.inf, False
 
     with one_blas_thread():  # the three products go through BLAS
         for _ in range(max_steps):
             np.matmul(params.user_emb, params.item_emb.T, out=s)
-            _sigmoid_of_logits(s, params)
-            np.clip(s, 1e-12, 1.0 - 1e-12, out=s)
-            np.subtract(1.0, s, out=w)
-            np.copyto(w, s, where=observed)
-            np.log(w, out=w)
+            for rows, obs in blocks:
+                sb = _sigmoid_of_logits(s, params, rows)
+                np.clip(sb, 1e-12, 1.0 - 1e-12, out=sb)
+                wb = np.subtract(1.0, sb, out=w[rows])
+                wb.put(obs, sb.take(obs))
+                np.log(wb, out=wb)
             loss = float(-np.mean(w) + l2_weight * params.squared_norm())
             if loss < best_loss:
                 best_loss, best = loss, params.copy()
@@ -333,13 +354,15 @@ def estimate_mf_propensity(
                 break
             prev_loss = loss
 
-            g = np.subtract(s, observed, out=w)
-            g /= n_cells
-            np.matmul(g, params.item_emb, out=grads.user_emb)
-            np.matmul(g.T, params.user_emb, out=grads.item_emb)
-            np.sum(g, axis=1, out=grads.user_off)
-            np.sum(g, axis=0, out=grads.item_off)
-            np.sum(g, out=grads.global_off)
+            for rows, obs in blocks:
+                sb = s[rows]
+                wb = np.divide(sb, n_cells, out=w[rows])
+                wb.put(obs, (sb.take(obs) - 1.0) / n_cells)
+            np.matmul(w, params.item_emb, out=grads.user_emb)
+            np.matmul(w.T, params.user_emb, out=grads.item_emb)
+            np.sum(w, axis=1, out=grads.user_off)
+            np.sum(w, axis=0, out=grads.item_off)
+            np.sum(w, out=grads.global_off)
             for name in PARAM_GROUPS:
                 grads.group(name)[...] += 2 * l2_weight * params.group(name)
             adam_step(params, grads, state, PARAM_GROUPS, learning_rate)
@@ -350,31 +373,41 @@ def estimate_mf_propensity(
             "best parameters seen (loss %.6g)", max_steps, best_loss,
         )
     np.einsum("ud,id->ui", best.user_emb, best.item_emb, out=s)
-    table = _sigmoid_of_logits(s, best)
-    return PropensityModel(family="mf_learned", table=table)
+    for rows, _ in blocks:
+        _sigmoid_of_logits(s, best, rows)
+    return PropensityModel(family="mf_learned", table=s)
 
 
 # the largest float64 whose exp is finite
 _MAX_EXP_ARG = float(np.log(np.finfo(float).max))
 
+# The cells of one row block of the observation-model fit's elementwise
+# passes: 64k float64 cells are 512 KB in each of the two (U, I) buffers, so
+# a block stays in a 2 MB L2 cache from its first pass to its last. On a
+# 2-vCPU Xeon VM (2 MB L2 per core) at 1,000 x 500, dimension 8 and 90
+# steps, blocks of 16k to 1M cells wrote the same table bytes; 32k-131k
+# took 0.65-0.68 s, 16k 0.74 s and one block of the whole matrix 0.81 s.
+_FIT_BLOCK_CELLS = 1 << 16
 
-def _sigmoid_of_logits(s, params):
-    """Overwrite the (user, item) dot products `s` of `params` with
-    ``1 / (1 + exp(-(s + a[:, None] + b[None, :] + c)))``, where ``a, b, c``
-    are its offset groups, in that operation order, and return `s`.
+
+def _sigmoid_of_logits(s, params, rows):
+    """Overwrite the row block ``s[rows]`` of the (user, item) dot products
+    of `params` with ``1 / (1 + exp(-(s + a[:, None] + b[None, :] + c)))``,
+    where ``a, b, c`` are its offset groups, and return the block. The sums
+    are taken in that order; ``-c - x`` is the negated ``x + c`` bit for bit.
 
     ``exp`` is taken of at most ``_MAX_EXP_ARG``, so a logit below about -709
     gives a tiny positive score instead of an overflow to 0; every other cell
     is unchanged."""
-    s += params.user_off[:, None]
-    s += params.item_off[None, :]
-    s += params.global_off
-    np.negative(s, out=s)
-    np.minimum(s, _MAX_EXP_ARG, out=s)
-    np.exp(s, out=s)
-    np.add(1.0, s, out=s)
-    np.divide(1.0, s, out=s)
-    return s
+    block = s[rows]
+    block += params.user_off[rows, None]
+    block += params.item_off[None, :]
+    np.subtract(-params.global_off, block, out=block)
+    np.minimum(block, _MAX_EXP_ARG, out=block)
+    np.exp(block, out=block)
+    np.add(1.0, block, out=block)
+    np.divide(1.0, block, out=block)
+    return block
 
 
 def clip(model: PropensityModel, tau: float) -> PropensityModel:

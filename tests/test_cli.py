@@ -129,6 +129,29 @@ class TestConfigParsing:
         assert main(["tune", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err.startswith(f"config error: {message}")
 
+    @pytest.mark.parametrize("text, message", [
+        ("num_users = 30\n" + BASE_CONFIG, "File contains no section headers."),
+        (BASE_CONFIG + "\n[simulation]\nnum_items = 25\n",
+         "section 'simulation' already exists"),
+        (BASE_CONFIG.replace("num_items = 25", "num_items = 25\nnum_users = 31"),
+         "option 'num_users' in section 'simulation' already exists"),
+    ], ids=["key-before-section", "repeated-section", "repeated-key"])
+    def test_malformed_file_names_the_path(self, tmp_path, capsys, text, message):
+        path = write_config(tmp_path, text)
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            load_config(path)
+        assert main(["train", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {path}: ") and message in err
+        assert "<string>" not in err and not (tmp_path / "out").exists()
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        # before the first section header it made the file have none
+        text = BASE_CONFIG.lstrip()
+        path = tmp_path / "bom.ini"
+        path.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        assert load_config(path) == load_config(write_config(tmp_path, text))
+
     def test_defaults(self, tmp_path):
         cfg = load_config(write_config(tmp_path, "[simulation]\nnum_users = 5\n"))
         assert (cfg.methods, cfg.seeds, cfg.gammas) == (["mf"], [0], [0.0, 0.25, 0.5, 0.75, 1.0])
@@ -775,6 +798,28 @@ def test_tune_fits_a_learned_model_in_the_worker_that_trains_its_points(tmp_path
     assert len(builds) == 1 and builds[0] != os.getpid()
     assert trainings == builds * 2
     assert parallel == serial
+
+
+def test_tune_dispatches_the_learned_task_first(tmp_path, monkeypatch):
+    # the learned task fits before it trains; listed last, it is still
+    # submitted first, and the table does not depend on the dispatch
+    text = MEMO_TUNE_CONFIG.replace(
+        "methods = avg, mf, mf_ips_mf, mf_ips_mul", "methods = avg, mf, mf_ips_mul, mf_ips_mf"
+    )
+    cfg = load_config(write_config(tmp_path, text, name="last.ini"))
+    real, submitted = cli._map, []
+
+    def recording(fn, items, workers, state=None):
+        submitted.append(list(items))
+        return real(fn, items, workers, state)
+
+    monkeypatch.setattr(cli, "_map", recording)
+    tables = [cmd_tune(cfg, tmp_path / f"tuned{threads}", threads=threads).read_bytes()
+              for threads in (1, 2, 8)]
+    # avg: 1 task, mf: 4, mf_ips_mul: 16, then mf_ips_mf's one task of 4 points
+    tasks = 1 + 4 + 16 + 1
+    assert submitted == [[tasks - 1, *range(tasks - 1)]] * 3
+    assert tables[1] == tables[0] and tables[2] == tables[0]
 
 
 def test_only_train_predicts_the_test_split_every_epoch(tmp_path, monkeypatch):

@@ -76,6 +76,13 @@ class TestLoadRatings:
             load_ratings(path, **sizes)
         assert len(load_ratings(path, num_users=6, num_items=5)) == 4
 
+    def test_declared_space_is_checked_after_the_rows_parse(self, tmp_path):
+        # an id past a declared bound is reported only when no row is malformed
+        path = tmp_path / "ids.csv"
+        path.write_text("user_id,item_id,rating\n5,0,4\n0,1,4\n1,1,nine\n")
+        with pytest.raises(RatingDataError, match=re.escape(f"{path}: line 4: rating 'nine'")):
+            load_ratings(path, num_users=3)
+
     def test_rating_out_of_scale_names_line(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("u1,i1,7\n")
@@ -153,6 +160,19 @@ class TestLoadRatings:
             load_ratings(path)
         path.write_text(f"user_id,item_id,rating\n0,0,5\n0,{ID_LIMIT - 2},3\n")
         assert load_ratings(path).num_items == ID_LIMIT - 1
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        # before a header it made line 1 a row whose rating 'rating' is not a
+        # number; before a string id, an id unequal to the same id elsewhere
+        bom = b"\xef\xbb\xbf"
+        path = tmp_path / "bom.csv"
+        path.write_bytes(bom + b"user_id,item_id,rating\n0,1,4\n")
+        assert triples(load_ratings(path)) == [(0, 1, 4)]
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        a.write_bytes(bom + b"u1,i1,5\n")
+        b.write_text("u1,i2,3\n")
+        ds_a, ds_b = load_rating_pair(a, b)
+        assert ds_a.num_users == 1 and ds_b.users.tolist() == [0]
 
     def test_missing_file_named(self, tmp_path):
         path = tmp_path / "absent.csv"

@@ -1,4 +1,5 @@
 import logging
+import re
 import warnings
 from dataclasses import replace
 
@@ -440,12 +441,22 @@ class TestMFLearned:
         with pytest.raises(ValueError, match=f"max_steps must be at least 1, got {steps}"):
             estimate_mf_propensity(train, dim=2, max_steps=steps)
 
-    @pytest.mark.parametrize("rate", [0.0, -0.05])
-    def test_nonpositive_learning_rate_rejected(self, rate):
-        # such a rate never moves the fit off its initial parameters
-        train = random_observations(8, 6, 0.5, seed=1)
-        with pytest.raises(ValueError, match=f"learning_rate must be positive, got {rate}"):
-            estimate_mf_propensity(train, dim=2, learning_rate=rate)
+    @pytest.mark.parametrize("key, value, message", [
+        ("learning_rate", 0.0, "learning_rate must be positive, got 0.0"),
+        ("learning_rate", -0.05, "learning_rate must be positive, got -0.05"),
+        ("learning_rate", np.nan, "learning_rate must be positive, got nan"),
+        ("l2_weight", np.nan, "l2_weight must be nonnegative, got nan"),
+        ("l2_weight", -1.0, "l2_weight must be nonnegative, got -1.0"),
+        ("tol", np.nan, "tol must be nonnegative, got nan"),
+        ("tol", -1.0, "tol must be nonnegative, got -1.0"),
+    ], ids=["0.0", "-0.05", "learning_rate=nan", "l2_weight=nan", "l2_weight=-1",
+            "tol=nan", "tol=-1"])
+    def test_nonpositive_learning_rate_rejected(self, key, value, message):
+        # such a rate never moves the fit off its initial parameters; a NaN
+        # L2 weight made every loss NaN, so no best parameters were kept
+        train = random_observations(30, 20, 0.3, seed=1)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            estimate_mf_propensity(train, dim=2, **{key: value})
 
 
 def random_observations(n_users, n_items, density, seed):
@@ -523,6 +534,28 @@ class TestMFLearnedMatchesReference:
         self.fit_both(train, **kwargs)
         table = estimate_mf_propensity(train, **kwargs).table
         assert table.min() < 1e-12 and table.max() > 1.0 - 1e-12
+
+    @pytest.mark.parametrize("block_cells, shape, empty_rows, full_rows", [
+        (12, (7, 5), (), ()),
+        (4, (5, 6), (), ()),
+        (10, (8, 5), (2, 3), ()),
+        (10, (6, 5), (), (1,)),
+        (propensity._FIT_BLOCK_CELLS, (1, 1), (), (0,)),
+    ], ids=["partial-last-block", "one-row-blocks", "block-without-observations",
+            "fully-observed-row", "one-cell"])
+    def test_row_block_edges(self, monkeypatch, block_cells, shape, empty_rows, full_rows):
+        # the elementwise passes run on blocks of block_cells // num_items
+        # rows (at least one), writing each block's observed cells through
+        # their offsets in the block
+        monkeypatch.setattr(propensity, "_FIT_BLOCK_CELLS", block_cells)
+        observed = np.random.default_rng(5).random(shape) < 0.3
+        observed[list(empty_rows)] = False
+        observed[list(full_rows)] = True
+        users, items = np.nonzero(observed)
+        train = RatingDataset(*shape, users, items, np.full(len(users), 3))
+        losses, converged = self.fit_both(
+            train, dim=2, learning_rate=0.1, max_steps=30, seed=0)
+        assert len(losses) > 1
 
     def test_best_loss_before_the_last_step(self):
         # a large step size makes the loss oscillate: the best parameters are
