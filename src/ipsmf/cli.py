@@ -45,9 +45,9 @@ from .data import (
     split_unbiased,
     write_manifest,
 )
-from .metrics import METRIC_FIELDS, bootstrap_interval, evaluate, summarize_runs
+from .metrics import METRIC_FIELDS, MetricReport, bootstrap_interval, evaluate, summarize_runs
 from .model import fit_avg, save_checkpoint
-from .optim import SCHEDULES, HistoryRow, TrainConfig, TrainingDivergedError, train
+from .optim import SCHEDULES, HistoryRow, TrainConfig, TrainingDivergedError, TrainResult, train
 from .propensity import (
     AXES,
     PropensityError,
@@ -70,17 +70,22 @@ METHODS = ("avg", "mf", "mf_ips_pop", "mf_ips_pos", "mf_ips_mul", "mf_ips_mf", "
 # the four splits of a bundle, in the order files and tables list them
 SPLIT_KEYS = ("train", "validation", "mcar", "test")
 SPLIT_SIZES = tuple(f"n_{k}" for k in SPLIT_KEYS)
+# the columns a trained method's row reads off its TrainConfig and its propensity model
+CONFIG_COLUMNS = ("schedule", "learning_rate", "l2_weight", "embedding_dim", "batch_size")
+PROPENSITY_COLUMNS = ("alpha1", "alpha2", "clip_floor", "normalization")
 RESULT_COLUMNS = (
-    "config_hash", "dataset", "gamma", "method", "seed", "schedule",
-    "learning_rate", "l2_weight", "embedding_dim", "batch_size",
-    "alpha1", "alpha2", "clip_floor", "normalization", "clamped",
-    *SPLIT_SIZES, "epochs_run", "best_epoch", *METRIC_FIELDS,
+    "config_hash", "dataset", "gamma", "method", "seed", *CONFIG_COLUMNS, *PROPENSITY_COLUMNS,
+    "clamped", *SPLIT_SIZES, "epochs_run", "best_epoch", *METRIC_FIELDS,
 )
 HISTORY_COLUMNS = tuple(f.name for f in fields(HistoryRow))
 
 
 class ConfigError(ValueError):
     """An experiment config is missing or misusing a field."""
+
+
+class TrainingError(RuntimeError):
+    """A method's training diverged in a train or sweep cell."""
 
 
 def _parse_bool(text: str) -> bool:
@@ -245,7 +250,8 @@ def load_config(path: str | Path) -> ExperimentConfig:
     path = Path(path)
     with _open_input(path, ConfigError) as fh:
         text = fh.read()
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    # no interpolation: a `%` in a value (a path, say) is literal
+    parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=(";", "#"))
     try:
         parser.read_string(text, source=str(path))
     except configparser.Error as exc:  # no section header, a repeated section or key
@@ -425,6 +431,8 @@ def build_propensity_model(
     train = bundle.train
     if method == "avg":
         return None
+    if method in ("mf_ips_pos", "mf_ips_mul") and len(bundle.mcar) == 0:
+        raise ConfigError(f"{method} requires a nonempty mcar split")
     if method == "mf_ips_gt":
         if ground_truth is None:
             raise ConfigError("mf_ips_gt requires ground-truth propensities")
@@ -434,12 +442,8 @@ def build_propensity_model(
     elif method == "mf_ips_pop":
         model = estimate_popularity(train)
     elif method == "mf_ips_pos":
-        if len(bundle.mcar) == 0:
-            raise ConfigError("mf_ips_pos requires a nonempty mcar split")
         model = estimate_positivity(train, bundle.mcar)
     elif method == "mf_ips_mul":
-        if len(bundle.mcar) == 0:
-            raise ConfigError("mf_ips_mul requires a nonempty mcar split")
         model = estimate_multifactorial(train, bundle.mcar, pipeline["alpha1"], pipeline["alpha2"])
     elif method == "mf_ips_mf":
         model = estimate_mf_propensity(
@@ -458,24 +462,35 @@ def build_propensity_model(
     )
 
 
+@dataclass
+class Outcome:
+    """One method trained at one (seed, point) and scored on one split."""
+    method: str
+    config: TrainConfig  # its seed is the run's seed
+    prop: PropensityModel | None  # the prepared model; None for avg
+    report: MetricReport | None  # None when training diverged
+    result: TrainResult | None  # None for avg, or when training diverged
+    diverged: str | None = None  # the divergence message; None when training finished
+
+
 def run_method(
     method: str,
     bundle: SplitBundle,
-    test: RatingDataset,
+    split: RatingDataset,
     train_config: TrainConfig,
     prop: PropensityModel | None,
     clamp: bool = False,
-):
+) -> Outcome:
     """Train one method on `bundle` with a built propensity model and evaluate
-    on `test`: the second of a run's two stages, after
-    :func:`build_propensity_model`. `prop` is None for avg.
-
-    Returns (report, train_result_or_None).
-    """
-    if method == "avg":
-        return evaluate(fit_avg(bundle.train), test, clamp=clamp), None
-    result = train(bundle, prop, train_config)
-    return evaluate(result.params, test, clamp=clamp), result
+    on `split`: the second of a run's two stages, after
+    :func:`build_propensity_model`. `prop` is None for avg. A training run
+    that diverges gives an outcome with its message and no report."""
+    try:
+        result = None if method == "avg" else train(bundle, prop, train_config)
+    except TrainingDivergedError as exc:
+        return Outcome(method, train_config, prop, None, None, str(exc))
+    params = fit_avg(bundle.train) if result is None else result.params
+    return Outcome(method, train_config, prop, evaluate(params, split, clamp=clamp), result)
 
 
 def _without_test(bundle: SplitBundle) -> SplitBundle:
@@ -530,63 +545,70 @@ def _read_rows(path: Path, needed=(), numbers=()) -> list[dict]:
         return rows
 
 
-def _result_row(cfg, loaded, method, seed, train_config, report, result, prop):
+def _result_row(cfg, loaded, outcome: Outcome) -> dict:
     row = {
         "config_hash": cfg.config_hash,
         "dataset": loaded.label,
         "gamma": loaded.gamma,
-        "method": method,
-        "seed": seed,
+        "method": outcome.method,
+        "seed": outcome.config.seed,
         "clamped": cfg.clamp_predictions,
         **{n: len(getattr(loaded.bundle, k)) for n, k in zip(SPLIT_SIZES, SPLIT_KEYS)},
-        **{name: getattr(report, name) for name in METRIC_FIELDS},
+        **{name: getattr(outcome.report, name) for name in METRIC_FIELDS},
     }
-    if method != "avg":
+    if outcome.result is not None:
         row.update({
-            "schedule": train_config.schedule,
-            "learning_rate": train_config.learning_rate,
-            "l2_weight": train_config.l2_weight,
-            "embedding_dim": train_config.embedding_dim,
-            "batch_size": train_config.batch_size,
-            "epochs_run": len(result.history),
-            "best_epoch": result.best_epoch,
-            "alpha1": prop.alpha1,
-            "alpha2": prop.alpha2,
-            "clip_floor": prop.clip_floor,
-            "normalization": prop.normalization,
+            **{name: getattr(outcome.config, name) for name in CONFIG_COLUMNS},
+            **{name: getattr(outcome.prop, name) for name in PROPENSITY_COLUMNS},
+            "epochs_run": len(outcome.result.history),
+            "best_epoch": outcome.result.best_epoch,
         })
     return row
 
 
-def _run_cell(args) -> list[dict]:
+def _run_cell(args) -> list[tuple[dict, TrainResult | None]]:
     """One worker cell: simulate/load the bundle of (config, seed), run all methods.
 
-    Returns one record per method with the result row and, when requested,
-    the training history and fitted parameters for artifact files. Without
-    them the methods train on the bundle without its test split: a history
-    that is discarded needs no per-epoch test MSE.
-    """
+    Returns a (result row, TrainResult) pair per method, the TrainResult
+    (history and fitted parameters, for artifact files; None for avg) only
+    when requested. Without it the methods train without the test split: a
+    discarded history needs no per-epoch test MSE. Raises TrainingError
+    naming the first method that diverges."""
     cfg, seed, keep_artifacts = args
     loaded = load_experiment_data(cfg, run_seed=seed)
     train_on = loaded.bundle if keep_artifacts else _without_test(loaded.bundle)
-    records = []
+    pairs = []
     for method in cfg.methods:
-        train_config = cfg.train_settings(method, seed)
         prop = build_propensity_model(
             method, loaded.bundle, cfg.pipeline_settings(method), loaded.ground_truth, seed=seed
         )
-        report, result = run_method(
-            method, train_on, loaded.bundle.test, train_config, prop,
+        outcome = run_method(
+            method, train_on, loaded.bundle.test, cfg.train_settings(method, seed), prop,
             clamp=cfg.clamp_predictions,
         )
-        record = {
-            "row": _result_row(cfg, loaded, method, seed, train_config, report, result, prop)
-        }
-        if keep_artifacts and result is not None:
-            record["history"] = result.history
-            record["params"] = result.params
-        records.append(record)
-    return records
+        if outcome.diverged is not None:
+            gamma = "" if loaded.gamma is None else f", gamma {loaded.gamma!r}"
+            raise TrainingError(f"{method}, seed {seed}{gamma}: {outcome.diverged}")
+        row = _result_row(cfg, loaded, outcome)
+        pairs.append((row, outcome.result if keep_artifacts else None))
+    return pairs
+
+
+def _run_cells(configs, seeds, keep_artifacts: bool, threads: int, out_dir: Path, prefix: str):
+    """Run the cells (config, seed) of `configs` x `seeds` on `threads`
+    worker processes, then write `<prefix>results.csv`, sorted by (gamma,
+    method, seed), and `<prefix>summary.csv`. Returns the sorted pairs."""
+    for config in configs:
+        if config.simulation is not None:
+            _simulation_spec(config)  # a bad spec is rejected before any cell runs
+    cells = [(config, seed, keep_artifacts) for config in configs for seed in seeds]
+    pairs = [p for cell in _map(_run_cell, cells, _workers(threads, len(cells))) for p in cell]
+    pairs.sort(key=lambda p: (p[0]["gamma"], p[0]["method"], p[0]["seed"]))
+    out_dir.mkdir(parents=True, exist_ok=True)
+    results_path = out_dir / f"{prefix}results.csv"
+    _write_rows(results_path, RESULT_COLUMNS, [row for row, _ in pairs])
+    cmd_summarize(results_path, out_dir / f"{prefix}summary.csv")
+    return pairs
 
 
 def _workers(threads: int | None, units: int) -> int:
@@ -679,41 +701,27 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path) -> None:
 
 
 def cmd_train(cfg: ExperimentConfig, out_dir: Path, threads: int = 1) -> Path:
-    if cfg.simulation is not None:
-        _simulation_spec(cfg)  # a bad spec is rejected before any cell runs
-    cells = [(cfg, seed, True) for seed in cfg.seeds]
-    records = [r for cell in _map(_run_cell, cells, _workers(threads, len(cells))) for r in cell]
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    for record in records:
-        row = record["row"]
-        if "history" not in record:
+    pairs = _run_cells([cfg], cfg.seeds, True, threads, out_dir, "")
+    for row, result in pairs:
+        if result is None:
             continue
         tag = f"{row['method']}_seed{row['seed']}"
         _write_rows(
-            out_dir / f"history_{tag}.csv", HISTORY_COLUMNS, [vars(h) for h in record["history"]]
+            out_dir / f"history_{tag}.csv", HISTORY_COLUMNS, [vars(h) for h in result.history]
         )
-        save_checkpoint(
-            record["params"], out_dir / f"checkpoint_{tag}.bin", seed=row["seed"]
-        )
-
-    rows = sorted((r["row"] for r in records), key=lambda r: (r["method"], r["seed"]))
-    results_path = out_dir / "results.csv"
-    _write_rows(results_path, RESULT_COLUMNS, rows)
-    cmd_summarize(results_path, out_dir / "summary.csv")
+        save_checkpoint(result.params, out_dir / f"checkpoint_{tag}.bin", seed=row["seed"])
 
     if cfg.data and "biased" in cfg.data:
         # raw two-file input: record how it was split (identical for every
         # run, so any result row carries the split sizes)
-        sizes = rows[0]
         write_manifest(out_dir / "split_manifest.txt", {
             "config_hash": cfg.config_hash,
             "split_seed": cfg.data["split_seed"],
             "train_fraction": repr(cfg.data["train_fraction"]),
             "mcar_fraction": repr(cfg.data["mcar_fraction"]),
-            **{k: sizes[k] for k in SPLIT_SIZES},
+            **{k: pairs[0][0][k] for k in SPLIT_SIZES},
         })
-    return results_path
+    return out_dir / "results.csv"
 
 
 def cmd_sweep_gamma(cfg: ExperimentConfig, out_dir: Path, gammas=None, threads: int = 1) -> Path:
@@ -721,16 +729,8 @@ def cmd_sweep_gamma(cfg: ExperimentConfig, out_dir: Path, gammas=None, threads: 
         raise ConfigError("sweep-gamma requires a [simulation] section")
     configs = [replace(cfg, simulation={**cfg.simulation, "gamma": g})
                for g in (cfg.gammas if gammas is None else _distinct(gammas))]
-    for config in configs:
-        _simulation_spec(config)  # every gamma is checked before any cell runs
-    cells = [(config, seed, False) for config in configs for seed in cfg.seeds]
-    rows = [r["row"] for cell in _map(_run_cell, cells, _workers(threads, len(cells))) for r in cell]
-    out_dir.mkdir(parents=True, exist_ok=True)
-    rows.sort(key=lambda r: (r["gamma"], r["method"], r["seed"]))
-    results_path = out_dir / "sweep_results.csv"
-    _write_rows(results_path, RESULT_COLUMNS, rows)
-    cmd_summarize(results_path, out_dir / "sweep_summary.csv")
-    return results_path
+    _run_cells(configs, cfg.seeds, False, threads, out_dir, "sweep_")
+    return out_dir / "sweep_results.csv"
 
 
 def cmd_summarize(results_path: Path, summary_path: Path) -> Path:
@@ -788,9 +788,10 @@ def cmd_tune(cfg: ExperimentConfig, out_dir: Path, threads: int | None = None) -
     without the test split, on `threads` worker processes, by default the
     usable cores, capped at the tasks (see :func:`_workers`). The learned
     tasks are dispatched first, then the others, each kind in grid order.
-    Their outcomes are put back in grid order and concatenated; the scores
-    are reduced and the divergence warnings logged here, so neither depends
-    on the worker count or the dispatch order.
+    Each task reduces its points' outcomes to scores in its worker; the
+    scores are put back in grid order, and the best points chosen and the
+    divergence warnings logged here, so neither depends on the worker count
+    or the dispatch order.
     """
     seed = cfg.seeds[0]
     grids = []
@@ -821,24 +822,19 @@ def cmd_tune(cfg: ExperimentConfig, out_dir: Path, threads: int | None = None) -
     # last, it ran alone while the other workers sat idle
     order = sorted(range(len(tasks)), key=lambda k: tasks[k][0] not in _FITTED_METHODS)
     workers = _workers(threads, len(tasks))
-    results = [None] * len(tasks)
-    for k, outcomes in zip(order, _map(_tune_task, order, workers, state=(cfg, bundle, tasks))):
-        results[k] = outcomes
-    scores = itertools.chain.from_iterable(results)  # in grid order
+    done = dict(zip(order, _map(_tune_task, order, workers, state=(cfg, bundle, tasks))))
+    scores = itertools.chain.from_iterable(done[k] for k in range(len(tasks)))  # in grid order
 
     tuned_rows = []
     for method, points in grids:
-        best = None
-        for point in points:
-            score, clip_floor, diverged = next(scores)
+        scored = [(next(scores), point) for point in points]
+        for (_, _, diverged), point in scored:
             if diverged is not None:
                 logger.warning("%s diverged at %s: %s", method, point, diverged)
-            if best is None or score < best[0]:
-                best = (score, point, clip_floor)
-        score, point, clip_floor = best
-        row = {"method": method, "validation_score": score, "clip_floor": clip_floor,
-               "points_evaluated": len(points), **point}
-        tuned_rows.append(row)
+        # the first of the lowest scores
+        (score, clip_floor, _), point = min(scored, key=lambda s: s[0][0])
+        tuned_rows.append({"method": method, "validation_score": score, "clip_floor": clip_floor,
+                           "points_evaluated": len(points), **point})
 
     columns = ("method", *_TUNE_LISTS, "clip_floor", "validation_score", "points_evaluated")
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -852,24 +848,24 @@ def _tune_task(index: int) -> list[tuple[float, float | None, str | None]]:
     :func:`cmd_tune`, whose (config, bundle, tasks) is `_worker_state`, with
     the task's table model, or first fitting its learned one. Returns
     (validation score, clip floor, divergence message or None) per point, in
-    grid order."""
+    grid order: a diverged point scores inf with no clip floor."""
     cfg, bundle, tasks = _worker_state
     method, pipeline, prop, points = tasks[index]
     seed = cfg.seeds[0]
     if method in _FITTED_METHODS:
         prop = build_propensity_model(method, bundle, pipeline, seed=seed)
-    outcomes = []
+    plain = method in ("avg", "mf")  # scored by the unweighted validation MSE
+    scores = []
     for point in points:
-        try:
-            report, result = run_method(
-                method, bundle, bundle.validation, cfg.train_settings(method, seed, point), prop,
-            )
-        except TrainingDivergedError as exc:
-            outcomes.append((float("inf"), None, str(exc)))
-            continue
-        score = report.mse if method in ("avg", "mf") else result.best_validation
-        outcomes.append((score, (prop.clip_floor if prop is not None else None), None))
-    return outcomes
+        outcome = run_method(
+            method, bundle, bundle.validation, cfg.train_settings(method, seed, point), prop
+        )
+        if outcome.diverged is not None:
+            scores.append((float("inf"), None, outcome.diverged))
+        else:
+            score = outcome.report.mse if plain else outcome.result.best_validation
+            scores.append((score, (prop.clip_floor if prop is not None else None), None))
+    return scores
 
 
 def _grid_points(cfg: ExperimentConfig, method: str) -> list[dict]:
@@ -982,6 +978,9 @@ def main(argv=None) -> int:
     except (RatingDataError, SplitError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
+    except TrainingError as exc:
+        print(f"training error: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -119,9 +119,12 @@ class TestConfigParsing:
          "[experiment] gammas: must be nonempty without repeats, got [0.5, 0.5]"),
         ("seeds = 0, 1", "gammas = ,",
          "[experiment] gammas: must be nonempty without repeats, got []"),
+        ("num_users = 30", "num_users = 10%",
+         "[simulation] num_users: invalid literal for int() with base 10: '10%'"),
     ], ids=["seeds-not-int", "budget-not-int", "budget-negative", "experiment-typo",
             "tune-typo", "tune-learning-rate-zero", "tune-dim-zero", "methods-repeated",
-            "seeds-repeated", "seeds-empty", "gammas-repeated", "gammas-empty"])
+            "seeds-repeated", "seeds-empty", "gammas-repeated", "gammas-empty",
+            "percent-in-value"])
     def test_experiment_and_tune_keys_checked(self, tmp_path, capsys, old, new, message):
         path = write_config(tmp_path, BASE_CONFIG.replace(old, new))
         with pytest.raises(ConfigError, match=re.escape(message)):
@@ -197,6 +200,16 @@ def test_comma_outside_the_label_is_fine(tmp_path):
     # with raw input the biased file names the dataset, not the unbiased file
     text = DATA_ONLY_CONFIG.format(key="unbiased", path=tmp_path / "unbiased,v2.csv")
     load_config(write_config(tmp_path, text + f"biased = {tmp_path / 'biased.csv'}\n"))
+
+
+def test_percent_in_a_path_is_literal(tmp_path):
+    # `%` is an ordinary character in a value, not an interpolation
+    splits = tmp_path / "r3%20splits"
+    cmd_simulate(load_config(write_config(tmp_path)), splits)
+    text = "[data]\n" + "".join(f"{n} = {splits / n}.csv\n" for n in cli.SPLIT_KEYS)
+    cfg = load_config(write_config(tmp_path, text, name="percent.ini"))
+    assert cfg.data["train"] == str(splits / "train.csv")
+    assert len(cli.load_experiment_data(cfg, run_seed=0).bundle.train) > 0
 
 
 class TestSimulateCommand:
@@ -877,6 +890,24 @@ def test_sweep_rows_equal_train_rows(tmp_path):
     assert swept.read_bytes() == trained.read_bytes()
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_run_method_returns_an_outcome_when_training_diverges(tmp_path):
+    cfg = load_config(write_config(tmp_path))
+    bundle = cli.load_experiment_data(cfg, run_seed=0).bundle
+    prop = cli.build_propensity_model("mf", bundle, cfg.pipeline_settings("mf"))
+    diverging = cfg.train_settings("mf", 0, {"learning_rate": 1e200})
+    outcome = cli.run_method("mf", bundle, bundle.validation, diverging, prop)
+    assert outcome.diverged.startswith("non-finite loss at epoch 1")
+    assert outcome.report is None and outcome.result is None
+    assert (outcome.method, outcome.config, outcome.prop) == ("mf", diverging, prop)
+
+    finished = cli.run_method("mf", bundle, bundle.validation, cfg.train_settings("mf", 0), prop)
+    assert finished.diverged is None
+    assert finished.report == evaluate(finished.result.params, bundle.validation)
+    avg = cli.run_method("avg", bundle, bundle.test, cfg.train_settings("avg", 0), None)
+    assert avg.result is None and avg.report == evaluate(fit_avg(bundle.train), bundle.test)
+
+
 def test_main_entrypoint(tmp_path):
     cfg_path = write_config(tmp_path)
     out = tmp_path / "mainout"
@@ -959,6 +990,24 @@ def test_cell_config_error_leaves_no_output_dir(tmp_path, capsys, command):
     out = tmp_path / "out"
     assert main([command, "--config", str(path), "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("config error: simulation: ")
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("args, where", [
+    (["train"], "mf, seed 0, gamma 0.5"),
+    (["train", "--seeds", "1,0", "--threads", "2"], "mf, seed 1, gamma 0.5"),
+    (["sweep-gamma", "--gammas", "0.25,0.75", "--threads", "2"], "mf, seed 0, gamma 0.25"),
+], ids=["train", "train-pool", "sweep-pool"])
+def test_diverged_cell_is_a_training_error(tmp_path, capsys, args, where):
+    # the first method to diverge in the first such cell, the seeds and gammas
+    # taken as listed, at any worker count
+    text = BASE_CONFIG.replace("learning_rate = 0.01", "learning_rate = 1e200")
+    path = write_config(tmp_path, text)
+    out = tmp_path / "out"
+    assert main([*args, "--config", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.endswith(
+        f"training error: {where}: non-finite loss at epoch 1 (train nan, validation nan)\n")
     assert not out.exists()
 
 
