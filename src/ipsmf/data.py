@@ -76,7 +76,9 @@ class RatingDataset:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         if len(self) > 1:
-            codes = self.pair_codes()
+            # int32 codes when every code fits: the same codes, half the bytes
+            fits = self.num_users * self.num_items <= ID_LIMIT
+            codes = self._pair_codes(np.int32 if fits else np.int64)
             codes.sort()
             if np.any(codes[1:] == codes[:-1]):
                 raise RatingDataError("duplicate (user, item) pair")
@@ -86,20 +88,27 @@ class RatingDataset:
 
     def pair_codes(self) -> np.ndarray:
         """Unique int64 code per (user, item) pair, for set operations."""
-        codes = self.users.astype(np.int64)
+        return self._pair_codes(np.int64)
+
+    def _pair_codes(self, dtype) -> np.ndarray:
+        """``user * num_items + item`` per triple, in a new array of `dtype`."""
+        codes = self.users.astype(dtype)
         codes *= self.num_items
         codes += self.items
         return codes
 
     def subset(self, indices: np.ndarray) -> "RatingDataset":
         """New dataset keeping the given triple positions, in ascending order."""
-        idx = np.sort(np.asarray(indices, dtype=np.int64))
+        return self._rows(np.sort(np.asarray(indices, dtype=np.int64)))
+
+    def _rows(self, positions: np.ndarray) -> "RatingDataset":
+        """New dataset of the triples at `positions`, in that order."""
         return RatingDataset(
             num_users=self.num_users,
             num_items=self.num_items,
-            users=self.users[idx],
-            items=self.items[idx],
-            ratings=self.ratings[idx],
+            users=self.users[positions],
+            items=self.items[positions],
+            ratings=self.ratings[positions],
         )
 
 
@@ -341,6 +350,11 @@ def _split_sizes(n: int, first_fraction: float) -> tuple[int, int]:
 
 
 def _split(data: RatingDataset, first_fraction: float, seed: int):
+    """The triples at the first ``_split_sizes(n, first_fraction)[0]``
+    positions of a seeded permutation of `data`, and the rest, each in
+    ascending position order (as :meth:`RatingDataset.subset` keeps them).
+    Each half of the permutation is sorted in place, so no copy of it is
+    made."""
     if not 0.0 < first_fraction < 1.0:
         raise SplitError(f"fraction must be in (0, 1), got {first_fraction}")
     n = len(data)
@@ -348,7 +362,10 @@ def _split(data: RatingDataset, first_fraction: float, seed: int):
         raise SplitError(f"cannot split a dataset with {n} triples")
     n_first, _ = _split_sizes(n, first_fraction)
     perm = np.random.default_rng(seed).permutation(n)
-    return data.subset(perm[:n_first]), data.subset(perm[n_first:])
+    halves = perm[:n_first], perm[n_first:]
+    for half in halves:
+        half.sort()
+    return tuple(data._rows(half) for half in halves)
 
 
 def split_biased(

@@ -32,11 +32,16 @@ logger = logging.getLogger(__name__)
 DEFAULT_RATING_DISTRIBUTION = (0.5148, 0.2525, 0.1496, 0.0554, 0.0277)
 DEFAULT_RATING_PROPENSITIES = (0.0123, 0.0102, 0.0213, 0.0568, 0.1795)
 # Rows of the dense user x item matrices that the simulation handles at once
-# (engagement, rating conversion, observation draws, unbiased sort keys);
-# bounds each stage's scratch memory (8 MB per float block at 1,000 items)
-# independently of the user count. The Generator yields the same stream in
-# pieces, so outputs do not depend on it.
+# (the engagement product, rating conversion); bounds each stage's scratch
+# memory (8 MB per float block at 1,000 items) independently of the user
+# count. The Generator yields the same stream in pieces, so outputs do not
+# depend on it.
 BLOCK_ROWS = 1024
+# Cells of one random draw (the engagement noise, the observation uniforms
+# and their cell propensities, the unbiased sort keys): 2 MB of float64, 256
+# rows at 1,000 items. A piece is whole rows, at most BLOCK_ROWS of them and
+# at least one.
+_DRAW_CELLS = 1 << 18
 # Cells that rating conversion samples, at fixed random positions, to bracket
 # the rating boundaries before its exact pass; they decide its cost, not its
 # output.
@@ -105,10 +110,19 @@ class SimulationResult:
     capped_items: int
 
 
-def _row_blocks(num_rows: int):
-    """(start, stop) bounds of consecutive blocks of at most BLOCK_ROWS rows."""
-    for start in range(0, num_rows, BLOCK_ROWS):
-        yield start, min(start + BLOCK_ROWS, num_rows)
+def _row_blocks(num_rows: int, height: int | None = None):
+    """(start, stop) bounds of consecutive blocks of at most `height` rows,
+    by default BLOCK_ROWS."""
+    height = BLOCK_ROWS if height is None else height
+    for start in range(0, num_rows, height):
+        yield start, min(start + height, num_rows)
+
+
+def _draw_pieces(num_rows: int, num_items: int):
+    """(start, stop) bounds of consecutive pieces of a `num_rows` by
+    `num_items` draw: whole rows, at most ``_DRAW_CELLS`` cells and
+    BLOCK_ROWS rows each, and at least one row."""
+    return _row_blocks(num_rows, max(1, min(BLOCK_ROWS, _DRAW_CELLS // max(num_items, 1))))
 
 
 class _Engagement(NamedTuple):
@@ -160,9 +174,11 @@ def _engagement_blocks(num_users, num_items, seed, rank, noise):
         with one_blas_thread():  # a threaded product may sum in another order
             np.matmul(user_f[low:stop], item_f.T, out=product)
         block = product[start - low:]
-        # the additions of one full-size noise draw, in the same order
+        # the additions of one full-size noise draw, in the same order, the
+        # noise drawn a piece at a time
         block += item_quality
-        block += rng.normal(0.0, noise, size=block.shape)
+        for a, b in _draw_pieces(len(block), num_items):
+            block[a:b] += rng.normal(0.0, noise, size=(b - a, num_items))
         yield block
 
 
@@ -403,6 +419,12 @@ def sample_observations(
     reproduces the sampling probability of every cell. Raises ValueError
     when an interpolated propensity lies outside [0, 1] or a true rating
     outside RATING_SCALE.
+
+    The uniforms are drawn, and the cell propensities looked up, a piece of
+    at most ``_DRAW_CELLS`` cells at a time (see ``_draw_pieces``); the
+    stream is that of one full-size draw, so the sample does not depend on
+    the piece size. The kept triples are int32 ids and ratings in the
+    truth's dtype, in row-major order.
     """
     truth = np.asarray(truth)
     num_users, num_items = truth.shape
@@ -417,17 +439,18 @@ def sample_observations(
             if not lo <= value <= hi:
                 raise ValueError(f"true rating {value} outside the rating scale {RATING_SCALE}")
 
-    # the same uniform stream as one full-size draw, compared a row block at a
-    # time so that no full-size float temporary or mask is live; each block's
-    # observed cells are kept in the dataset's compact dtypes
+    # the same uniform stream as one full-size draw, compared a piece of rows
+    # at a time so that no full-size float temporary or mask is live; each
+    # piece's observed cells are kept in the dataset's compact dtypes
     rng = np.random.default_rng(seed)
     item_index = np.arange(num_items)
     users, items = [np.empty(0, np.int32)], [np.empty(0, np.int32)]
     ratings = [np.empty(0, truth.dtype)]
-    for start, stop in _row_blocks(num_users):
+    for start, stop in _draw_pieces(num_users, num_items):
         rows = truth[start:stop]
         cell_p = table[item_index, rows - lo]
-        u, i = np.nonzero(rng.random(cell_p.shape) < cell_p)
+        # row-major like a 2-D nonzero, from one flat index array
+        u, i = divmod(np.flatnonzero(rng.random(cell_p.shape) < cell_p), num_items)
         users.append((u + start).astype(np.int32))
         items.append(i.astype(np.int32))
         ratings.append(rows[u, i])
@@ -449,18 +472,24 @@ def sample_unbiased(
 ) -> tuple[RatingDataset, RatingDataset]:
     """Uniform-random unbiased ratings: `per_user` items per user without
     replacement, pooled, then split into (mcar, test) with the mcar side
-    floored at ``mcar_fraction`` of the pool."""
+    floored at ``mcar_fraction`` of the pool.
+
+    Each user's items are the `per_user` smallest of a row of uniform sort
+    keys, in ascending key order. The keys are drawn and partitioned a piece
+    of at most ``_DRAW_CELLS`` cells at a time, from the stream of one
+    full-size draw, so the pool does not depend on the piece size.
+    """
     truth = np.asarray(truth)
     num_users, num_items = truth.shape
     if per_user > num_items:
         raise ValueError("per_user cannot exceed the number of items")
     rng = np.random.default_rng(seed)
-    # the same key stream as one (num_users, num_items) draw, a block of rows
+    # the same key stream as one (num_users, num_items) draw, a piece of rows
     # at a time; each row keeps its per_user smallest keys in ascending order,
     # and their ratings, in the dataset's compact dtypes
     chosen = np.empty((num_users, per_user), dtype=np.int32)
     rated = np.empty((num_users, per_user), dtype=truth.dtype)
-    for start, stop in _row_blocks(num_users):
+    for start, stop in _draw_pieces(num_users, num_items):
         keys = rng.random((stop - start, num_items))
         top = np.argpartition(keys, per_user - 1, axis=1)[:, :per_user]
         order = np.argsort(np.take_along_axis(keys, top, axis=1), axis=1, kind="stable")

@@ -617,7 +617,6 @@ embedding_dim = 4
         assert row["points_evaluated"] == "1"
         assert np.isfinite(float(row["validation_score"]))
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergent_point_skipped(self, tmp_path):
         cfg = self.tune_config(tmp_path, """
 [tune]
@@ -890,7 +889,6 @@ def test_sweep_rows_equal_train_rows(tmp_path):
     assert swept.read_bytes() == trained.read_bytes()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_run_method_returns_an_outcome_when_training_diverges(tmp_path):
     cfg = load_config(write_config(tmp_path))
     bundle = cli.load_experiment_data(cfg, run_seed=0).bundle
@@ -993,7 +991,6 @@ def test_cell_config_error_leaves_no_output_dir(tmp_path, capsys, command):
     assert not out.exists()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("args, where", [
     (["train"], "mf, seed 0, gamma 0.5"),
     (["train", "--seeds", "1,0", "--threads", "2"], "mf, seed 1, gamma 0.5"),
@@ -1193,7 +1190,6 @@ budget = 2
 """
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_tune_table_and_divergence_log_do_not_depend_on_the_workers(tmp_path, caplog):
     cfg = load_config(write_config(tmp_path, DIVERGING_TUNE_CONFIG))
     seed = cfg.seeds[0]

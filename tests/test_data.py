@@ -19,6 +19,7 @@ from ipsmf.data import (
     split_biased,
     split_unbiased,
     write_manifest,
+    _split_sizes,
 )
 from ipsmf.model import fit_avg
 from helpers import observed_pairs, read_manifest
@@ -307,6 +308,18 @@ class TestCompactStorage:
         with pytest.raises(RatingDataError, match="duplicate"):
             RatingDataset(3, num_items, [2, 2], [9, 9], [1, 2])
 
+    def test_duplicate_check_on_either_side_of_the_int32_codes(self):
+        # at num_users * num_items == 2**31 every code fits int32; past it the
+        # codes are int64, where pairs 2**16 users apart at 2**16 items would
+        # collide in int32
+        num_items = ID_LIMIT // 2
+        RatingDataset(2, num_items, [1, 0], [num_items - 1, num_items - 1], [1, 1])
+        with pytest.raises(RatingDataError, match="duplicate"):
+            RatingDataset(2, num_items, [1, 1], [num_items - 1, num_items - 1], [1, 2])
+        RatingDataset(2**17, 2**16, [0, 2**16], [5, 5], [1, 1])
+        with pytest.raises(RatingDataError, match="duplicate"):
+            RatingDataset(2**17, 2**16, [2**16, 2**16], [5, 5], [1, 1])
+
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
     def test_any_input_dtype_gives_bit_equal_results(self, data):
@@ -397,6 +410,17 @@ class TestSplits:
         ds = make_dataset(1, 2, [(0, 0, 3), (0, 1, 4)])
         mcar, test = split_unbiased(ds, 0.5, seed=0)
         assert (len(mcar), len(test)) == (1, 1)
+
+    @pytest.mark.parametrize("split, fraction", [(split_biased, 0.7), (split_unbiased, 0.2)])
+    def test_halves_are_subsets_of_the_permutation(self, split, fraction):
+        # each side keeps its permutation positions in ascending order, as
+        # subset does
+        ds = grid_dataset(9, 11)
+        perm = np.random.default_rng(5).permutation(len(ds))
+        n_first = _split_sizes(len(ds), fraction)[0]
+        first, second = split(ds, fraction, seed=5)
+        assert triples(first) == triples(ds.subset(perm[:n_first]))
+        assert triples(second) == triples(ds.subset(perm[n_first:]))
 
     def test_too_small_to_split(self):
         ds = make_dataset(1, 1, [(0, 0, 3)])

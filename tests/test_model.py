@@ -331,7 +331,7 @@ def test_every_constructor_path_packs_the_groups(tmp_path):
     state = init_adam_state(params)
     copied = params.copy()
     unpickled = pickle.loads(pickle.dumps(params))
-    for packed in (params, copied, loaded, unpickled, state.m, state.v, *state.scratch):
+    for packed in (params, copied, loaded, unpickled, state.m, state.v):
         assert_packed(packed)
     for other in (copied, loaded, unpickled, state.m, state.v):
         assert not np.shares_memory(other._buffer, params._buffer)

@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from ipsmf import optim
+from ipsmf import model, optim
 from ipsmf.data import RatingDataset, SplitBundle
 from ipsmf.model import PARAM_GROUPS, _PACKED_ORDER, init_params, predict_many
 from ipsmf.optim import (
@@ -305,6 +307,57 @@ def test_adam_step_updates_each_phase_in_one_call(monkeypatch, mask):
     assert sizes == [sum(params.group(g).size for g in mask)]
 
 
+@pytest.mark.parametrize("block", [1, 7, 64])
+def test_blocked_adam_step_bit_equal_to_reference(monkeypatch, block):
+    # 6 users, 9 items, dim 4: the user phase is 31 elements and the item
+    # phase 45 starting at element 31, so at 7 a run starts mid-block and
+    # ends in a partial block; ("user_emb", "item_off") is two runs
+    monkeypatch.setattr(optim, "_ADAM_BLOCK", block)
+    sizes = []
+    real = optim._adam_update
+
+    def recording(p, *rest):
+        sizes.append(p.size)
+        real(p, *rest)
+
+    monkeypatch.setattr(optim, "_adam_update", recording)
+    masks = [USER_PHASE_GROUPS, ("user_emb", "item_off"), ITEM_PHASE_GROUPS, PARAM_GROUPS,
+             ("global_off", "item_emb"), PARAM_GROUPS]
+    params = init_params(6, 9, 4, seed=3, scale=0.3, global_offset=2.5)
+    reference = params.copy()
+    state = init_adam_state(params)
+    assert all(s.shape == (min(block, params._buffer.size),) for s in state.scratch)
+    m = {g: np.zeros_like(params.group(g)) for g in PARAM_GROUPS}
+    v = {g: np.zeros_like(params.group(g)) for g in PARAM_GROUPS}
+    steps = dict.fromkeys(PARAM_GROUPS, 0)
+    rng = np.random.default_rng(4)
+    for mask in masks:
+        grads = params.copy()
+        for g in PARAM_GROUPS:
+            grads.group(g)[...] = rng.normal(size=grads.group(g).shape)
+        sizes.clear()
+        adam_step(params, grads, state, mask, lr=0.05)
+        adam_step_reference(reference, grads, m, v, steps, mask, lr=0.05)
+        assert max(sizes) <= block
+        assert sum(sizes) == sum(params.group(g).size for g in mask)
+        for g in PARAM_GROUPS:
+            assert params.group(g).tobytes() == reference.group(g).tobytes(), (mask, g)
+            assert state.m.group(g).tobytes() == m[g].tobytes(), (mask, g)
+            assert state.v.group(g).tobytes() == v[g].tobytes(), (mask, g)
+
+
+@pytest.mark.parametrize("num_users, num_items, dim, over_a_block", [
+    (2, 3, 1, False), (2000, 100, 8, True)])
+def test_adam_scratch_is_one_block(num_users, num_items, dim, over_a_block):
+    # two parameter-shaped scratch buffers were 2 * 8 bytes per parameter;
+    # a block is at most 128 KB each, however many parameters there are
+    params = init_params(num_users, num_items, dim, seed=0)
+    count = params._buffer.size
+    assert (count > optim._ADAM_BLOCK) == over_a_block
+    for scratch in init_adam_state(params).scratch:
+        assert scratch.dtype == np.float64 and scratch.shape == (min(optim._ADAM_BLOCK, count),)
+
+
 @pytest.mark.parametrize("field, message", [
     ("learning_rate", "learning_rate must be positive"),
     ("l2_weight", "l2_weight must be nonnegative"),
@@ -425,7 +478,6 @@ class TestTraining:
         assert optim._snips(result.params, bundle.validation, p_val) == best_in_history
         assert result.best_epoch <= len(result.history)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_raises(self):
         # a step size large enough to overflow float64 predictions must abort
         # with a diagnostic instead of returning garbage parameters
@@ -483,6 +535,38 @@ def test_fit_bit_equal_to_allocating_reference(schedule, overrides):
             for r in result.history] == history
     for g in PARAM_GROUPS:
         np.testing.assert_array_equal(result.params.group(g), best.group(g))
+
+
+def test_fit_peak_memory_is_the_arrays_it_needs():
+    # what a fit must hold: five parameter-sized arrays (parameters,
+    # gradient, both moments, best parameters), the embedding tables' flat
+    # indices, four pass columns, the train and validation propensities, one
+    # split's predictions, predict_many's gathered rows and the Adam block
+    # scratch. Measured at 1.01 times that; with two parameter-shaped Adam
+    # scratch copies and the test predictions kept between epochs it was 1.30
+    num_users, num_items, dim = 3000, 300, 16
+    sim = simulate(SimulationSpec(num_users=num_users, num_items=num_items, gamma=0.5, seed=0))
+    bundle = sim.bundle
+    n_train, n_val = len(bundle.train), len(bundle.validation)
+    largest = max(len(getattr(bundle, s)) for s in ("train", "validation", "test"))
+    config = TrainConfig(max_epochs=2, embedding_dim=dim, schedule="alternating")
+    tracemalloc.start()
+    try:
+        train(bundle, sim.ground_truth_propensities, config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    n_params = (num_users + num_items) * (dim + 1) + 1
+    needed = 8 * (
+        5 * n_params
+        + (num_users + num_items) * dim
+        + 4 * n_train
+        + n_train + n_val
+        + largest
+        + 2 * model._PREDICT_BLOCK * dim
+        + 2 * min(optim._ADAM_BLOCK, n_params)
+    )
+    assert peak < 1.1 * needed, peak / needed
 
 
 class TestEvaluateValidation:

@@ -557,6 +557,24 @@ class TestMFLearnedMatchesReference:
             train, dim=2, learning_rate=0.1, max_steps=30, seed=0)
         assert len(losses) > 1
 
+    @pytest.mark.parametrize("adam_block", [1, 7])
+    def test_small_adam_block(self, monkeypatch, adam_block):
+        # 30 users, 20 items, dim 3: 151 parameters, so each step's Adam
+        # update runs in many blocks, the last one partial
+        monkeypatch.setattr(optim, "_ADAM_BLOCK", adam_block)
+        sizes = []
+        real = optim._adam_update
+
+        def recording(p, *rest):
+            sizes.append(p.size)
+            real(p, *rest)
+
+        monkeypatch.setattr(optim, "_adam_update", recording)
+        train = random_observations(30, 20, 0.3, seed=4)
+        losses, converged = self.fit_both(
+            train, dim=3, learning_rate=0.1, max_steps=25, seed=2)
+        assert len(losses) > 1 and max(sizes) == adam_block
+
     def test_best_loss_before_the_last_step(self):
         # a large step size makes the loss oscillate: the best parameters are
         # neither the initial nor the final ones

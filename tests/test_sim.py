@@ -678,6 +678,69 @@ class TestBlockedStagesMatchWholeMatrix:
         assert sizes and max(sizes) <= num_users * num_items // 4
 
 
+class TestDrawPieces:
+    """The random draws run on pieces of whole rows, at most ``_DRAW_CELLS``
+    cells and BLOCK_ROWS rows each, and equal the whole-matrix draws bit for
+    bit: a block splits into several pieces, the last one partial."""
+
+    @pytest.mark.parametrize("num_rows, num_items, draw_cells, block_rows", [
+        (2051, 23, 74, BLOCK_ROWS),  # 3 rows a piece, 1 row in the last
+        (10, 23, 1, BLOCK_ROWS),  # fewer cells than a row: one row a piece
+        (1000, 4, 1 << 18, 32),  # BLOCK_ROWS binds before the cell count
+        (0, 23, 74, BLOCK_ROWS),
+    ])
+    def test_pieces_cover_the_rows(self, monkeypatch, num_rows, num_items, draw_cells,
+                                   block_rows):
+        monkeypatch.setattr(sim, "_DRAW_CELLS", draw_cells)
+        monkeypatch.setattr(sim, "BLOCK_ROWS", block_rows)
+        pieces = list(sim._draw_pieces(num_rows, num_items))
+        assert [row for a, b in pieces for row in range(a, b)] == list(range(num_rows))
+        for a, b in pieces:
+            assert 1 <= b - a <= block_rows
+            assert b - a == 1 or (b - a) * num_items <= draw_cells
+
+    @pytest.mark.parametrize("draw_cells", [1, 74])
+    @pytest.mark.parametrize("num_users", [BLOCK_ROWS - 1, 2 * BLOCK_ROWS + 3])
+    def test_generate_engagement(self, monkeypatch, num_users, draw_cells):
+        monkeypatch.setattr(sim, "_DRAW_CELLS", draw_cells)
+        got = generate_engagement(num_users, 23, seed=[num_users, 0], rank=3, noise=0.7)
+        want = generate_engagement_reference(num_users, 23, [num_users, 0], 3, 0.7)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("draw_cells", [1, 74])
+    @pytest.mark.parametrize("num_users", [1, 100, BLOCK_ROWS + 1])
+    def test_sample_observations(self, monkeypatch, num_users, draw_cells):
+        monkeypatch.setattr(sim, "_DRAW_CELLS", draw_cells)
+        rng = np.random.default_rng(num_users)
+        truth = rng.integers(1, 6, size=(num_users, 23))
+        rho_r = np.array(DEFAULT_RATING_PROPENSITIES) * 3
+        rho_i = rng.random(23)
+        got, got_model = sample_observations(truth.astype(np.uint8), rho_r, rho_i, 0.5,
+                                             seed=[7, 1])
+        want, want_model = sample_observations_reference(truth, rho_r, rho_i, 0.5, [7, 1])
+        assert dataset_bytes(got) == dataset_bytes(want)
+        assert got_model.table.tobytes() == want_model.table.tobytes()
+
+    @pytest.mark.parametrize("draw_cells", [1, 7 * 300 + 1])
+    @pytest.mark.parametrize("per_user", [1, 100])
+    def test_sample_unbiased(self, monkeypatch, per_user, draw_cells):
+        # 1,100 users in pieces of 1 or 7 rows: the last 7-row piece is 1 row
+        monkeypatch.setattr(sim, "_DRAW_CELLS", draw_cells)
+        truth = np.random.default_rng(per_user).integers(1, 6, size=(1100, 300))
+        got = sample_unbiased(truth.astype(np.uint8), per_user, mcar_fraction=0.2, seed=3)
+        want = sample_unbiased_reference(truth, per_user, mcar_fraction=0.2, seed=3)
+        for a, b in zip(got, want):
+            assert triples(a) == triples(b)
+
+    @pytest.mark.parametrize("draw_cells", [1, 100])
+    def test_simulate(self, monkeypatch, draw_cells):
+        monkeypatch.setattr(sim, "_DRAW_CELLS", draw_cells)
+        monkeypatch.setattr(sim, "BLOCK_ROWS", 7)
+        TestBlockedStagesMatchWholeMatrix().assert_simulate_matches(SimulationSpec(
+            num_users=50, num_items=30, gamma=0.5, seed=2, unbiased_per_user=10,
+        ))
+
+
 def test_every_split_takes_nine_bytes_per_triple():
     result = simulate(SimulationSpec(num_users=300, num_items=200, gamma=0.5, seed=4))
     for name in ("train", "validation", "mcar", "test"):
