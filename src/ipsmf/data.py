@@ -76,9 +76,7 @@ class RatingDataset:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         if len(self) > 1:
-            # int32 codes when every code fits: the same codes, half the bytes
-            fits = self.num_users * self.num_items <= ID_LIMIT
-            codes = self._pair_codes(np.int32 if fits else np.int64)
+            codes = self._compact_pair_codes()
             codes.sort()
             if np.any(codes[1:] == codes[:-1]):
                 raise RatingDataError("duplicate (user, item) pair")
@@ -89,6 +87,12 @@ class RatingDataset:
     def pair_codes(self) -> np.ndarray:
         """Unique int64 code per (user, item) pair, for set operations."""
         return self._pair_codes(np.int64)
+
+    def _compact_pair_codes(self) -> np.ndarray:
+        """The codes of :meth:`pair_codes`, as int32 when every code of the id
+        space fits: the same codes, half the bytes."""
+        fits = self.num_users * self.num_items <= ID_LIMIT
+        return self._pair_codes(np.int32 if fits else np.int64)
 
     def _pair_codes(self, dtype) -> np.ndarray:
         """``user * num_items + item`` per triple, in a new array of `dtype`."""
@@ -141,17 +145,14 @@ class SplitBundle:
                   (self.train, self.validation, self.mcar, self.test)}
         if len(shapes) != 1:
             raise SplitError(f"splits disagree on the id space: {sorted(shapes)}")
-        # every RatingDataset has unique pair codes, checked at construction
-        train_val = np.intersect1d(
-            self.train.pair_codes(), self.validation.pair_codes(), assume_unique=True
-        )
-        if len(train_val) > 0:
-            raise SplitError("train and validation overlap as (user, item) sets")
-        mcar_test = np.intersect1d(
-            self.mcar.pair_codes(), self.test.pair_codes(), assume_unique=True
-        )
-        if len(mcar_test) > 0:
-            raise SplitError("mcar and test overlap as (user, item) sets")
+        # every RatingDataset has unique pair codes, checked at construction;
+        # the splits share an id space, so their compact codes share a dtype
+        for first, second in (("train", "validation"), ("mcar", "test")):
+            common = np.intersect1d(getattr(self, first)._compact_pair_codes(),
+                                    getattr(self, second)._compact_pair_codes(),
+                                    assume_unique=True)
+            if len(common) > 0:
+                raise SplitError(f"{first} and {second} overlap as (user, item) sets")
 
 
 def _open_input(path: str | Path, error: type[Exception] = RatingDataError):
@@ -352,20 +353,30 @@ def _split_sizes(n: int, first_fraction: float) -> tuple[int, int]:
 def _split(data: RatingDataset, first_fraction: float, seed: int):
     """The triples at the first ``_split_sizes(n, first_fraction)[0]``
     positions of a seeded permutation of `data`, and the rest, each in
-    ascending position order (as :meth:`RatingDataset.subset` keeps them).
-    Each half of the permutation is sorted in place, so no copy of it is
-    made."""
+    ascending position order (as :meth:`RatingDataset.subset` keeps them)."""
+    first = _split_mask(len(data), first_fraction, seed)
+    return data._rows(first), data._rows(~first)
+
+
+def _split_mask(n: int, first_fraction: float, seed: int) -> np.ndarray:
+    """Whether each of `n` positions is on the first side of :func:`_split`.
+
+    The permutation is of int32 positions when they fit (a Generator
+    shuffles an array in the same order whatever its integer dtype), and is
+    dropped once the mask is set: a side gathered through the mask comes in
+    ascending position order, with no sorted or intp copy of its positions.
+    """
     if not 0.0 < first_fraction < 1.0:
         raise SplitError(f"fraction must be in (0, 1), got {first_fraction}")
-    n = len(data)
     if n < 2:
         raise SplitError(f"cannot split a dataset with {n} triples")
     n_first, _ = _split_sizes(n, first_fraction)
-    perm = np.random.default_rng(seed).permutation(n)
-    halves = perm[:n_first], perm[n_first:]
-    for half in halves:
-        half.sort()
-    return tuple(data._rows(half) for half in halves)
+    # shuffled in place, as permutation(n) shuffles its arange
+    perm = np.arange(n, dtype=np.int32 if n < ID_LIMIT else np.int64)
+    np.random.default_rng(seed).shuffle(perm)
+    first = np.zeros(n, dtype=bool)
+    first[perm[:n_first]] = True
+    return first
 
 
 def split_biased(

@@ -69,6 +69,11 @@ class TrainConfig:
 # fastest; blocks of 4k lost to per-call overhead.
 _ADAM_BLOCK = 16_384
 
+# Train triples that a training pass gathers at once, in whole batches: the
+# chunk's columns take about 1 MB, against 17 bytes per train triple for a
+# pass-length copy of the columns (5.4 MB at the Yahoo shape).
+_PASS_CHUNK = 1 << 15
+
 
 @dataclass
 class AdamState:
@@ -345,17 +350,18 @@ def _fit(data, propensity_model, config):
     the optim.fit span.
 
     Each pass gathers the train triples and their propensities in the order
-    of its permutation once, into buffers made once per fit; its batches are
-    slices of these, and the permutation is dropped before the epoch is
-    scored. The embedding tables' flat indices (:func:`_flat_index`) are
-    built once per fit, so a batch's scatter indices are a row gather too. A
-    step then costs O(batch * dim) in gathers and scatters, plus the L2 term
-    and the Adam update over the phase's slice of the packed buffer, in
-    L2-sized blocks. Each split is scored inside its array of predictions,
-    so the fit holds five parameter-sized arrays (the parameters, the
-    gradient, both moments and the best parameters) beside the embedding
-    tables' flat indices, the pass buffers, the propensities and one scoring
-    buffer at a time. ``adam_step``, ``ips_loss``, ``_snips`` and
+    of its permutation, ``_PASS_CHUNK`` triples (whole batches) at a time,
+    into buffers made once per fit; its batches are slices of these, and the
+    permutation is dropped before the epoch is scored. The embedding tables'
+    flat indices (:func:`_flat_index`) are built once per fit, so a batch's
+    scatter indices are a row gather too. A step then costs O(batch * dim)
+    in gathers and scatters, plus the L2 term and the Adam update over the
+    phase's slice of the packed buffer, in L2-sized blocks. Each split is
+    scored inside its array of predictions, so the fit holds five
+    parameter-sized arrays (the parameters, the gradient, both moments and
+    the best parameters) beside the embedding tables' flat indices, the
+    chunk buffers, the propensities, and the pass's permutation or one
+    scoring buffer at a time. ``adam_step``, ``ips_loss``, ``_snips`` and
     ``predict_many`` are looked up as module globals on every call, so that a
     caller can wrap them.
     """
@@ -390,16 +396,16 @@ def _fit(data, propensity_model, config):
     )
 
     n, batch_size = len(train), config.batch_size
-    # each pass gathers the train columns in its permutation's order into
-    # these buffers, as intp indices and float64 ratings: a step's take and
-    # bincount would convert compact ones on every call. take does not cast
-    # into its output, so each compact column is gathered in its own dtype
-    # into pass_p's memory first.
-    pass_users, pass_items = np.empty(n, dtype=np.intp), np.empty(n, dtype=np.intp)
-    pass_ratings, pass_p = np.empty(n), np.empty(n)
-    gathers = [(column, pass_p.view(column.dtype)[:n], out) for column, out in
-               ((train.users, pass_users), (train.items, pass_items),
-                (train.ratings, pass_ratings))]
+    # each pass gathers the train triples in its permutation's order a chunk
+    # of whole batches at a time, into buffers made once per fit: the
+    # columns in their own dtypes, then the int32 ids copied to intp ones,
+    # since a step's gathers and counts would convert int32 ids on every
+    # call. The gradient widens a batch's uint8 ratings to float64 exactly.
+    chunk = min(n, batch_size * max(1, _PASS_CHUNK // batch_size))
+    columns = (train.users, train.items, train.ratings, p_train)
+    gathered = [np.empty(chunk, dtype=column.dtype) for column in columns]
+    batch_columns = [np.empty(chunk, dtype=np.intp), np.empty(chunk, dtype=np.intp),
+                     *gathered[2:]]
     history: list[HistoryRow] = []
     best_val, best_params, best_epoch, bad_evals = np.inf, params.copy(), 0, 0
 
@@ -411,21 +417,26 @@ def _fit(data, propensity_model, config):
         with np.errstate(over="ignore", invalid="ignore"):
             for mask in phases:
                 perm = shuffle_rng.permutation(n)
-                # mode="clip" gathers without a copy of the output; a
-                # permutation's indices are all in range, so nothing is clipped
-                for column, gathered, out in gathers:
-                    np.take(column, perm, out=gathered, mode="clip")
-                    np.copyto(out, gathered)
-                np.take(p_train, perm, out=pass_p, mode="clip")
-                del perm  # not live while the epoch is scored
-                for start in range(0, n, batch_size):
-                    stop = start + batch_size
-                    _masked_gradient(
-                        grads, params, pass_users[start:stop], pass_items[start:stop],
-                        pass_ratings[start:stop], pass_p[start:stop], config.l2_weight, mask,
-                        flat_index,
-                    )
-                    adam_step(params, grads, state, mask, config.learning_rate)
+                for low in range(0, n, chunk):
+                    order = perm[low:low + chunk]
+                    size = len(order)
+                    # mode="clip" gathers without a copy of the output; a
+                    # permutation's indices are all in range, so nothing is
+                    # clipped
+                    for column, out in zip(columns, gathered):
+                        np.take(column, order, out=out[:size], mode="clip")
+                    for out, ids in zip(batch_columns, gathered[:2]):
+                        np.copyto(out[:size], ids[:size])
+                    users, items, ratings, p = (c[:size] for c in batch_columns)
+                    for start in range(0, size, batch_size):
+                        stop = start + batch_size
+                        _masked_gradient(
+                            grads, params, users[start:stop], items[start:stop],
+                            ratings[start:stop], p[start:stop], config.l2_weight, mask,
+                            flat_index,
+                        )
+                        adam_step(params, grads, state, mask, config.learning_rate)
+                del perm, order  # not live while the epoch is scored
             train_loss = ips_loss(params, train, p_train, config.l2_weight)
             val_score = _snips(params, validation, p_val)
         if not np.isfinite(train_loss) or not np.isfinite(val_score):
@@ -437,9 +448,9 @@ def _fit(data, propensity_model, config):
         history.append(HistoryRow(epoch, train_loss, val_score, test_mse))
 
         if val_score < best_val:
-            best_val, best_params, best_epoch, bad_evals = (
-                val_score, params.copy(), epoch, 0,
-            )
+            # into the buffer made once per fit, not a new copy per epoch
+            np.copyto(best_params._buffer, params._buffer)
+            best_val, best_epoch, bad_evals = val_score, epoch, 0
         else:
             bad_evals += 1
             if bad_evals >= config.patience:

@@ -109,8 +109,10 @@ def score_many(
 ) -> np.ndarray:
     """Vectorized propensity scores for parallel (user, item, rating) arrays
     of integers, in any integer dtype."""
-    raw = model._raw(np.asarray(users), np.asarray(items), np.asarray(ratings)) * model.scale
-    return np.maximum(np.minimum(raw, 1.0), model.clip_floor)
+    # the product is a new array, so the cap and floor go in place
+    scores = model._raw(np.asarray(users), np.asarray(items), np.asarray(ratings)) * model.scale
+    np.minimum(scores, 1.0, out=scores)
+    return np.maximum(scores, model.clip_floor, out=scores)
 
 
 def score_dataset(model: PropensityModel, data: RatingDataset) -> np.ndarray:
@@ -337,8 +339,11 @@ def estimate_mf_propensity(
         blocks.append((slice(r, r + block_rows), cells[lo:hi] - r * n_items))
     best_loss, best, prev_loss, converged = np.inf, None, np.inf, False
 
-    with one_blas_thread():  # the three products go through BLAS
-        for _ in range(max_steps):
+    # a diverging step overflows to inf or NaN, which no loss is below: the
+    # fit then returns the best parameters seen, not a floating-point
+    # warning, even where warnings are errors
+    with one_blas_thread(), np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(max_steps):  # the three products go through BLAS
             np.matmul(params.user_emb, params.item_emb.T, out=s)
             for rows, obs in blocks:
                 sb = _sigmoid_of_logits(s, params, rows)

@@ -21,7 +21,7 @@ import numpy as np
 from .blas import one_blas_thread
 from .data import (
     NUM_RATINGS, RATING_SCALE, RatingDataError, RatingDataset, SplitBundle, _open_input,
-    split_biased, split_unbiased,
+    _split_mask, split_biased,
 )
 from .propensity import PropensityModel
 
@@ -303,6 +303,8 @@ def _classify(engagement, ranks, ratings, base, sample=None):
     brackets = None if sample is None else _brackets(sample, ranks, n)
     below = np.zeros(ranks.size, dtype=np.int64)
     found = [([], []) for _ in ranks]
+    # the candidates' flat indices, kept in int32 when every index fits
+    index_dtype = np.int32 if n < 2**31 else np.int64
     missing = collected = start = 0
     for read, block in enumerate(engagement.blocks(), start=1):
         cells = block.ravel()
@@ -323,7 +325,7 @@ def _classify(engagement, ranks, ratings, base, sample=None):
                 out += over
                 inside = np.flatnonzero(~(under | over))  # and NaN, rejected below
                 values.append(cells[inside])
-                index.append(inside + start)
+                index.append(inside.astype(index_dtype) + start)
                 collected += inside.size
         start = stop
     _reject_nan(missing, n)
@@ -496,14 +498,17 @@ def sample_unbiased(
         picked = np.take_along_axis(top, order, axis=1)
         chosen[start:stop] = picked
         rated[start:stop] = np.take_along_axis(truth[start:stop], picked, axis=1)
-    pool = RatingDataset(
-        num_users=num_users,
-        num_items=num_items,
-        users=np.repeat(np.arange(num_users, dtype=np.int32), per_user),
-        items=chosen.ravel(),
-        ratings=rated.ravel(),
+    # the pool holds each user's row of chosen items in turn, so each side of
+    # its split is gathered from chosen and rated through a mask of their
+    # shape, with a user column of the row counts: no pool dataset is made
+    mcar = _split_mask(num_users * per_user, mcar_fraction, seed).reshape(num_users, per_user)
+    user_ids = np.arange(num_users, dtype=np.int32)
+    return tuple(
+        RatingDataset(num_users=num_users, num_items=num_items,
+                      users=np.repeat(user_ids, np.count_nonzero(side, axis=1)),
+                      items=chosen[side], ratings=rated[side])
+        for side in (mcar, ~mcar)
     )
-    return split_unbiased(pool, mcar_fraction, seed)
 
 
 def simulate(spec: SimulationSpec) -> SimulationResult:

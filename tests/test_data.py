@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -422,6 +423,19 @@ class TestSplits:
         assert triples(first) == triples(ds.subset(perm[:n_first]))
         assert triples(second) == triples(ds.subset(perm[n_first:]))
 
+    def test_halves_match_the_int64_permutation_at_scale(self):
+        # the split shuffles int32 positions, which a Generator moves as it
+        # moves the int64 ones of permutation(n), here past 2**16 and 2**19
+        ds = grid_dataset(700, 900)
+        perm = np.random.default_rng([1, 2]).permutation(len(ds))
+        n_first = _split_sizes(len(ds), 0.2)[0]
+        for side, positions in zip(split_unbiased(ds, 0.2, seed=[1, 2]),
+                                   (perm[:n_first], perm[n_first:])):
+            positions = np.sort(positions)
+            for name in ("users", "items", "ratings"):
+                np.testing.assert_array_equal(getattr(side, name),
+                                              getattr(ds, name)[positions])
+
     def test_too_small_to_split(self):
         ds = make_dataset(1, 1, [(0, 0, 3)])
         with pytest.raises(SplitError):
@@ -476,6 +490,57 @@ class TestBundle:
         test = make_dataset(2, 2, [(1, 1, 5), (1, 0, 4)])
         with pytest.raises(SplitError, match="mcar and test"):
             SplitBundle(train=train, validation=validation, mcar=mcar, test=test)
+
+    # 2**17 x 2**16 cells: past 2**31 the pair codes are int64, where user
+    # 2**16's item 5 and user 0's item 5 would share an int32 code
+    WIDE = (2**17, 2**16)
+
+    def test_rejects_overlapping_train_validation_with_int64_codes(self):
+        ds = make_dataset(*self.WIDE, [(2**17 - 1, 2**16 - 1, 1), (0, 5, 2)])
+        other = make_dataset(*self.WIDE, [(2**16, 5, 3)])
+        empty = make_dataset(*self.WIDE, [])
+        SplitBundle(train=ds, validation=other, mcar=ds, test=empty)
+        with pytest.raises(SplitError, match="train and validation"):
+            SplitBundle(train=ds, validation=ds, mcar=ds, test=empty)
+
+    def test_rejects_overlapping_mcar_test_with_int64_codes(self):
+        train = make_dataset(*self.WIDE, [(0, 0, 1)])
+        validation = make_dataset(*self.WIDE, [(1, 1, 2)])
+        mcar = make_dataset(*self.WIDE, [(0, 5, 3), (2**17 - 1, 2**16 - 1, 4)])
+        SplitBundle(train=train, validation=validation, mcar=mcar,
+                    test=make_dataset(*self.WIDE, [(2**16, 5, 4)]))
+        test = make_dataset(*self.WIDE, [(1, 1, 5), (2**17 - 1, 2**16 - 1, 4)])
+        with pytest.raises(SplitError, match="mcar and test"):
+            SplitBundle(train=train, validation=validation, mcar=mcar, test=test)
+
+    def test_split_and_bundle_memory_is_compact(self):
+        # a 40-per-user pool over 3,000 x 1,000 cells. The split holds the
+        # two sides' 9-byte triples, its mask and that mask negated, and the
+        # larger side's 4-byte codes and duplicate flags: 15 bytes per pool
+        # triple. The bundle's overlap check holds the sides' 4-byte codes
+        # and their sorted concatenation beside the triples: 18 bytes. With
+        # an int64 permutation and int64 codes they were 21 and 26
+        num_users, num_items, per_user = 3000, 1000, 40
+        rng = np.random.default_rng(0)
+        items = np.argsort(rng.random((num_users, num_items)), axis=1)[:, :per_user]
+        n = num_users * per_user
+        pool = RatingDataset(num_users, num_items, np.repeat(np.arange(num_users), per_user),
+                             items.ravel(), rng.integers(1, 6, n))
+        cells = rng.permutation(num_users * num_items)[:n // 2]
+        biased = RatingDataset(num_users, num_items, cells // num_items, cells % num_items,
+                               rng.integers(1, 6, len(cells)))
+        train, validation = split_biased(biased, 0.8, seed=1)
+        tracemalloc.start()
+        try:
+            mcar, test = split_unbiased(pool, 0.2, seed=2)
+            _, split_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            SplitBundle(train=train, validation=validation, mcar=mcar, test=test)
+            _, bundle_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert split_peak < 16 * n, split_peak / n
+        assert bundle_peak < 19 * n, bundle_peak / n
 
     def test_rejects_mismatched_id_spaces(self):
         a = make_dataset(2, 2, [(0, 0, 1)])

@@ -537,19 +537,33 @@ def test_fit_bit_equal_to_allocating_reference(schedule, overrides):
         np.testing.assert_array_equal(result.params.group(g), best.group(g))
 
 
+@pytest.mark.parametrize("pass_chunk", [100, 600])
+@pytest.mark.parametrize("schedule, overrides", FIT_CASES)
+def test_fit_bit_equal_when_a_pass_spans_chunks(monkeypatch, schedule, overrides, pass_chunk):
+    # a chunk is whole batches, at least one: at 100 each batch is a chunk;
+    # at 600 two batches of 256 (or 286) are, and the last chunk ends in the
+    # pass's short last batch
+    monkeypatch.setattr(optim, "_PASS_CHUNK", pass_chunk)
+    test_fit_bit_equal_to_allocating_reference(schedule, overrides)
+
+
 def test_fit_peak_memory_is_the_arrays_it_needs():
     # what a fit must hold: five parameter-sized arrays (parameters,
     # gradient, both moments, best parameters), the embedding tables' flat
-    # indices, four pass columns, the train and validation propensities, one
-    # split's predictions, predict_many's gathered rows and the Adam block
-    # scratch. Measured at 1.01 times that; with two parameter-shaped Adam
-    # scratch copies and the test predictions kept between epochs it was 1.30
-    num_users, num_items, dim = 3000, 300, 16
+    # indices, the train and validation propensities, the pass's int64
+    # permutation or one split's predictions, one chunk of the pass (int32
+    # ids staged for their intp copies, uint8 ratings, float64 propensities:
+    # 33 bytes an entry), predict_many's gathered rows and the Adam block
+    # scratch. Measured at 1.01 times that; with four pass-length columns of
+    # 8 bytes per train triple it was 1.29
+    num_users, num_items, dim = 6000, 1000, 16
     sim = simulate(SimulationSpec(num_users=num_users, num_items=num_items, gamma=0.5, seed=0))
     bundle = sim.bundle
     n_train, n_val = len(bundle.train), len(bundle.validation)
     largest = max(len(getattr(bundle, s)) for s in ("train", "validation", "test"))
     config = TrainConfig(max_epochs=2, embedding_dim=dim, schedule="alternating")
+    chunk = min(n_train, config.batch_size * (optim._PASS_CHUNK // config.batch_size))
+    assert n_train > 3 * chunk
     tracemalloc.start()
     try:
         train(bundle, sim.ground_truth_propensities, config)
@@ -560,12 +574,11 @@ def test_fit_peak_memory_is_the_arrays_it_needs():
     needed = 8 * (
         5 * n_params
         + (num_users + num_items) * dim
-        + 4 * n_train
         + n_train + n_val
-        + largest
+        + max(n_train, largest)
         + 2 * model._PREDICT_BLOCK * dim
         + 2 * min(optim._ADAM_BLOCK, n_params)
-    )
+    ) + 33 * chunk
     assert peak < 1.1 * needed, peak / needed
 
 
