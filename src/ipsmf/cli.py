@@ -515,18 +515,19 @@ def _write_rows(path: Path, columns, rows: list[dict]) -> None:
             fh.write(",".join(_format_cell(row.get(c)) for c in columns) + "\n")
 
 
-def _read_rows(path: Path, needed=(), numbers=()) -> list[dict]:
+def _read_rows(path: Path, needed=(), numbers=(), key=()) -> list[dict]:
     """The rows of a comma-separated table, each a dict keyed by the header,
     with the `numbers` columns parsed by ``float``. Raises RatingDataError
     naming the file, and the line for a row, when a `needed` column is
-    missing, a row's field count differs from the header's, or a `numbers`
-    cell does not parse."""
+    missing, a row's field count differs from the header's, a `numbers`
+    cell does not parse, or two rows hold the same values in the `key`
+    columns (naming both lines)."""
     with _open_input(path) as fh:
         header = fh.readline().strip().split(",")
         missing = [c for c in needed if c not in header]
         if missing:
             raise RatingDataError(f"{path}: missing column(s) {', '.join(missing)}")
-        rows = []
+        rows, first_line = [], {}
         for number, line in enumerate(fh, start=2):
             fields = line.strip().split(",")
             if fields == [""]:
@@ -535,6 +536,11 @@ def _read_rows(path: Path, needed=(), numbers=()) -> list[dict]:
                 raise RatingDataError(
                     f"{path}: line {number}: {len(fields)} fields, the header has {len(header)}")
             row = dict(zip(header, fields))
+            values = tuple(row[c] for c in key)
+            if key and values in first_line:
+                raise RatingDataError(f"{path}: lines {first_line[values]} and {number} both hold "
+                                      + ", ".join(f"{c}={v}" for c, v in zip(key, values)))
+            first_line[values] = number
             for name in numbers:
                 try:
                     row[name] = float(row[name])
@@ -735,9 +741,12 @@ def cmd_sweep_gamma(cfg: ExperimentConfig, out_dir: Path, gammas=None, threads: 
 
 def cmd_summarize(results_path: Path, summary_path: Path) -> Path:
     """Aggregate per-run rows into per-(dataset, gamma, method) summary rows
-    with mean, standard deviation, and 95% bootstrap intervals (1000 resamples)."""
-    rows = _read_rows(Path(results_path), needed=("dataset", "gamma", "method", *METRIC_FIELDS),
-                      numbers=METRIC_FIELDS)
+    with mean, standard deviation, and 95% bootstrap intervals (1000 resamples).
+    A table that repeats a (dataset, gamma, method, seed) row is rejected,
+    since its repeat would be pooled as another run."""
+    run_key = ("dataset", "gamma", "method", "seed")
+    rows = _read_rows(Path(results_path), needed=(*run_key, *METRIC_FIELDS),
+                      numbers=METRIC_FIELDS, key=run_key)
     groups: dict[tuple, list[dict]] = {}
     for row in rows:
         groups.setdefault((row["dataset"], row["gamma"], row["method"]), []).append(row)

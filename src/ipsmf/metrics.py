@@ -53,15 +53,16 @@ def evaluate(
         raise ValueError("test set is empty")
     preds = predict_many(model, test.users, test.items)
     if clamp:
-        preds = np.clip(preds, *RATING_SCALE)
-    err = preds - test.ratings
-    sq = err**2
+        np.clip(preds, *RATING_SCALE, out=preds)
+    err = np.subtract(preds, test.ratings, out=preds)
+    sq = np.square(err)
     mse = float(sq.mean())
     rmse_u, n_users = _per_entity_rmse(test.users, sq, test.num_users)
     rmse_i, n_items = _per_entity_rmse(test.items, sq, test.num_items)
+    del sq
     return MetricReport(
         mse=mse,
-        mae=float(np.abs(err).mean()),
+        mae=float(np.abs(err, out=err).mean()),
         rmse=float(np.sqrt(mse)),
         rmse_per_user=rmse_u,
         rmse_per_item=rmse_i,

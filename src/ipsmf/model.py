@@ -14,8 +14,9 @@ PARAM_GROUPS = ("user_emb", "item_emb", "user_off", "item_off", "global_off")
 
 
 # Order of the groups in the packed buffer: each training phase's groups
-# (optim.USER_PHASE_GROUPS, then optim.ITEM_PHASE_GROUPS) are adjacent, so one
-# phase's Adam update runs over one contiguous slice.
+# (optim.USER_PHASE_GROUPS, then optim.ITEM_PHASE_GROUPS) are adjacent, so a
+# phase is one contiguous slice. optim.adam_step and the gradient's L2 term
+# take only masks that are such a slice, a run of adjacent groups here.
 _PACKED_ORDER = ("user_emb", "user_off", "global_off", "item_emb", "item_off")
 
 # (user, item) pairs that predict_many scores at once: its gathered embedding

@@ -62,7 +62,7 @@ class TrainConfig:
             raise ValueError(f"unknown schedule {self.schedule!r}")
 
 
-# Elements of a packed run that adam_step updates at once: 128 KB per array,
+# Elements of a phase's slice that adam_step updates at once: 128 KB per array,
 # so the parameter, gradient, moment and scratch blocks of one update stay in
 # a 2 MB L2 cache across its 14 passes. On the Yahoo-shaped user phase
 # (261,801 elements, a 2-vCPU Xeon VM) blocks of 16k-24k elements were
@@ -127,29 +127,31 @@ def adam_step(
         theta <- theta - (lr * m / (1 - beta1**t)) / (sqrt(v / (1 - beta2**t)) + eps)
 
     evaluated in this operation order in the state's scratch arrays (see
-    :func:`_adam_update`). The update is elementwise, so it runs over each
-    slice of the packed buffers that holds masked groups adjacent in the
-    layout with equal step counts (one slice per training phase), one block
-    of at most ``len(state.scratch[0])`` elements at a time; every element
-    gets the same operations whatever the block.
+    :func:`_adam_update`). `mask` must be one contiguous slice of the packed
+    buffers (see :func:`_mask_span`) whose groups share one step count: a
+    training phase or a contiguous part of one; any other mask raises
+    ValueError before anything changes. The update runs over that slice one
+    block of at most ``len(state.scratch[0])`` elements at a time; every
+    element gets the same operations whatever the block.
     """
-    if len(set(mask)) != len(mask):
-        raise ValueError(f"mask names a group twice: {tuple(mask)}")
     spans = params._spans
     for other in (grads, state.m, state.v):
         if other._spans != spans:
             raise ValueError("gradient and optimizer state must be shaped like the parameters")
+    start, stop = _mask_span(spans, mask)
     steps = state.steps
-    for name in mask:
-        steps[name] += 1
+    counts = {name: steps[name] for name in mask}
+    if len(set(counts.values())) != 1:
+        raise ValueError(f"mask {tuple(mask)} has groups at different step counts: {counts}")
+    t = steps[mask[0]] + 1
+    steps.update(dict.fromkeys(mask, t))
     buffers = (params._buffer, grads._buffer, state.m._buffer, state.v._buffer)
     scratch_a, scratch_b = state.scratch
     block = len(scratch_a)
-    for start, stop, t in _packed_runs(spans, mask, steps):
-        for low in range(start, stop, block):
-            high = min(low + block, stop)
-            _adam_update(*(b[low:high] for b in buffers),
-                         scratch_a[:high - low], scratch_b[:high - low], t, lr)
+    for low in range(start, stop, block):
+        high = min(low + block, stop)
+        _adam_update(*(b[low:high] for b in buffers),
+                     scratch_a[:high - low], scratch_b[:high - low], t, lr)
     return params, state
 
 
@@ -175,18 +177,17 @@ def _adam_update(p, g, m, v, a, b, t, lr) -> None:
     np.subtract(p, a, out=p)
 
 
-def _packed_runs(spans, mask, steps=None):
-    """(start, stop, step count) of each maximal run of `mask` groups that are
-    contiguous in the packed buffer and share a step count in `steps`; with
-    no `steps`, runs break only where the layout does and the count is None."""
-    runs = []
-    for start, stop, name in sorted((*spans[g], g) for g in mask):
-        t = None if steps is None else steps[name]
-        if runs and runs[-1][1] == start and runs[-1][2] == t:
-            runs[-1][1] = stop
-        else:
-            runs.append([start, stop, t])
-    return runs
+def _mask_span(spans, mask):
+    """The (start, stop) of the packed buffer holding the groups in `mask`,
+    which must be distinct and adjacent in the packed order, the order of
+    the `spans` keys (``model._PACKED_ORDER``); raises ValueError naming any
+    other mask."""
+    order, names = tuple(spans), set(mask)
+    first = next((k for k, g in enumerate(order) if g in names), 0)
+    run = order[first:first + len(mask)]
+    if not mask or len(names) != len(mask) or names != set(run):
+        raise ValueError(f"mask {tuple(mask)} is not one contiguous run of the groups {order}")
+    return spans[run[0]][0], spans[run[-1]][1]
 
 
 def _check_propensities(propensities: np.ndarray, n: int) -> np.ndarray:
@@ -253,16 +254,16 @@ def _masked_gradient(grads, params, users, items, ratings, propensities, l2_weig
     """Overwrite the `mask` groups of `grads` with the mini-batch gradient; the
     other groups of `grads` are left as they are and must not be read.
 
-    The L2 term is one multiply per run of masked groups adjacent in the
-    packed buffer. The data term gathers the batch's embedding and offset
-    rows and scatters into the embedding rows, so it costs O(batch * dim)
-    whatever the table sizes. `flat_index` is :func:`_flat_index` of
-    `params`, which a fit builds once for all its batches; it is built here
-    when not given.
+    `mask` must be one contiguous slice of the packed buffer, as for
+    :func:`adam_step` (any other raises ValueError), so the L2 term is one
+    multiply over that slice. The data term gathers the batch's embedding
+    and offset rows and scatters into the embedding rows, so it costs
+    O(batch * dim) whatever the table sizes. `flat_index` is
+    :func:`_flat_index` of `params`, which a fit builds once for all its
+    batches; it is built here when not given.
     """
-    l2_scale = 2.0 * l2_weight
-    for start, stop, _ in _packed_runs(params._spans, mask):
-        np.multiply(params._buffer[start:stop], l2_scale, out=grads._buffer[start:stop])
+    start, stop = _mask_span(params._spans, mask)
+    np.multiply(params._buffer[start:stop], 2.0 * l2_weight, out=grads._buffer[start:stop])
     user_rows = params.user_emb.take(users, axis=0)
     item_rows = params.item_emb.take(items, axis=0)
     preds = _predict_rows(params, users, items, user_rows, item_rows)

@@ -283,9 +283,10 @@ def estimate_mf_propensity(
     contributes, so no negative sampling is involved. The default L2 weight is
     deliberately firm: it shrinks sparsely observed entities toward the global
     rate instead of letting a single binary matrix be memorized. On
-    non-convergence the best parameters seen are returned with a warning.
-    Raises ValueError for fewer than one step, a learning rate that is not
-    positive, or an L2 weight or tolerance that is negative or NaN.
+    non-convergence, or at the first step that leaves a parameter non-finite,
+    the best parameters seen are returned with a warning. Raises ValueError
+    for fewer than one step, a learning rate that is not positive, or an L2
+    weight or tolerance that is negative or NaN.
 
     The model has the rating model's structure, so the fit is an
     :class:`~ipsmf.model.MFParameters` stepped by :func:`~ipsmf.optim.adam_step`
@@ -304,8 +305,9 @@ def estimate_mf_propensity(
     observed cell and of ``1 - s`` elsewhere bit for bit (the zero-weighted
     term adds -0.0): one log per cell is taken instead of two. The gradient
     ``(s - obs) / (U * I)`` is ``s / (U * I)``, with ``(s - 1) / (U * I)`` at
-    the observed cells. The loss mean, the gradient sums and products and
-    the Adam step run over the whole buffers.
+    the observed cells. The loss mean, the gradient sums and products run
+    over the whole (U, I) buffers; the L2 term (one multiply and one add)
+    and the Adam step over the whole packed parameter buffers.
 
     The loop's matrix products run with OpenBLAS at one thread (see
     :mod:`ipsmf.blas`), so the fit does not depend on the host's cores. The
@@ -340,10 +342,11 @@ def estimate_mf_propensity(
     best_loss, best, prev_loss, converged = np.inf, None, np.inf, False
 
     # a diverging step overflows to inf or NaN, which no loss is below: the
-    # fit then returns the best parameters seen, not a floating-point
-    # warning, even where warnings are errors
+    # fit stops at the first step that leaves a parameter non-finite and
+    # returns the best parameters seen, not a floating-point warning, even
+    # where warnings are errors; no later step could make them finite again
     with one_blas_thread(), np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(max_steps):  # the three products go through BLAS
+        for step in range(1, max_steps + 1):  # the three products go through BLAS
             np.matmul(params.user_emb, params.item_emb.T, out=s)
             for rows, obs in blocks:
                 sb = _sigmoid_of_logits(s, params, rows)
@@ -368,14 +371,17 @@ def estimate_mf_propensity(
             np.sum(w, axis=1, out=grads.user_off)
             np.sum(w, axis=0, out=grads.item_off)
             np.sum(w, out=grads.global_off)
-            for name in PARAM_GROUPS:
-                grads.group(name)[...] += 2 * l2_weight * params.group(name)
+            grads._buffer += np.multiply(params._buffer, 2 * l2_weight)
             adam_step(params, grads, state, PARAM_GROUPS, learning_rate)
+            finite = np.isfinite(params._buffer).all()
+            if not finite:  # inf moments give a NaN update, and NaN sticks
+                break
 
     if not converged:
         logger.warning(
-            "observation-model fit did not converge in %d steps; returning the "
-            "best parameters seen (loss %.6g)", max_steps, best_loss,
+            "observation-model fit did not converge %s; returning the best parameters "
+            "seen (loss %.6g)", f"in {max_steps} steps" if finite else
+            f"(its parameters are non-finite after step {step})", best_loss,
         )
     np.einsum("ud,id->ui", best.user_emb, best.item_emb, out=s)
     for rows, _ in blocks:

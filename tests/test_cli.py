@@ -416,6 +416,13 @@ embedding_dim = 4
          "results.csv: line 2: mse 'abc' is not a number"),
         ("summarize results.csv", "results.csv", ",1.1,1.2\n", ",1.1\n", "data",
          "results.csv: line 2: 8 fields, the header has 9"),
+        ("summarize results.csv", "results.csv", "method,seed,", "method,", "data",
+         "results.csv: missing column(s) seed"),
+        ("summarize results.csv", "results.csv", ",1.1,1.2\n",
+         ",1.1,1.2\nsimulation,0.5,mf,1,1.0,0.8,1.0,1.1,1.2\n"
+         "simulation,0.5,mf,0,2.0,0.9,1.4,1.5,1.6\n", "data",
+         "results.csv: lines 2 and 4 both hold dataset=simulation, gamma=0.5, method=mf, "
+         "seed=0"),
         ("train split.ini", "split.ini", "[experiment]", "num_users = 3\n[experiment]", "data",
          "train.csv: line 25: user_id 3 is outside the declared num_users = 3"),
     ], ids=["bad-header", "bad-fraction", "missing-biased", "missing-train",
@@ -423,6 +430,7 @@ embedding_dim = 4
             "gt-rating-scale-from-zero", "missing-gt-table",
             "missing-engagement", "missing-results", "results-without-metrics",
             "results-without-keys", "results-metric-not-a-number", "results-short-row",
+            "results-without-seed", "results-repeated-run",
             "id-outside-declared-users"])
     def test_data_errors_reported(self, tmp_path, capsys, args, name, old, new, error, message):
         # a missing or malformed input file (RatingDataError, PropensityError)

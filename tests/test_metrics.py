@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from ipsmf.data import RatingDataset
 from ipsmf.metrics import MetricReport, bootstrap_interval, evaluate, summarize_runs
-from ipsmf.model import MFParameters, fit_avg, init_params
+from ipsmf.model import MFParameters, fit_avg, init_params, predict_many
 
 from oracles import per_user_rmse_oracle, triples
 
@@ -36,6 +38,32 @@ def pairwise_predictor(test, preds):
     item_emb[test.items, k] = preds
     return MFParameters(user_emb, item_emb, np.zeros(test.num_users),
                         np.zeros(test.num_items), np.array(0.0))
+
+
+@pytest.mark.parametrize("clamp", [False, True])
+def test_evaluate_works_inside_its_predictions(clamp):
+    # the errors are taken in the prediction array and their absolute values
+    # in place: the peak is the predictions, the squared errors and
+    # bincount's intp copy of the int32 ids, 8 bytes per triple each; a new
+    # array for the errors and one for their absolute values read 4x
+    n_users, n_items, per_user = 2000, 1000, 100
+    rng = np.random.default_rng(0)
+    items = np.argsort(rng.random((n_users, n_items)), axis=1)[:, :per_user].ravel()
+    test = RatingDataset(n_users, n_items, np.repeat(np.arange(n_users), per_user), items,
+                         rng.integers(1, 6, len(items)))
+    params = init_params(n_users, n_items, 16, seed=0)
+    tracemalloc.start()
+    try:
+        report = evaluate(params, test, clamp=clamp)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.25 * 8 * len(test), peak / (8 * len(test))
+    preds = predict_many(params, test.users, test.items)
+    if clamp:
+        preds = np.clip(preds, 1, 5)
+    err = preds - test.ratings
+    assert (report.mse, report.mae) == (float((err**2).mean()), float(np.abs(err).mean()))
 
 
 def test_perfect_predictions_all_zero():

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -238,11 +239,14 @@ def duplicate_heavy_batch(kind, num_users, num_items, n=300, seed=0):
     return np.array([num_users - 1]), np.array([num_items - 2])
 
 
-# ("user_emb", "item_off") is two runs of the packed buffer, so its L2 term is
-# two multiplies
+# groups apart in the packed layout (user_emb, user_off, global_off, item_emb,
+# item_off): not one slice of it, so no mask that a step accepts
+SPLIT_MASK = ("user_emb", "item_off")
+
+
 @pytest.mark.parametrize("mask", [USER_PHASE_GROUPS, ITEM_PHASE_GROUPS, PARAM_GROUPS,
-                                  ("user_emb", "item_off")],
-                         ids=["user", "item", "all", "split"])
+                                  ("global_off", "item_emb"), SPLIT_MASK],
+                         ids=["user", "item", "all", "middle", "split"])
 @pytest.mark.parametrize("kind", ["one-user", "zipf-items", "single-row"])
 def test_masked_gradient_bit_equal_to_reference(kind, mask):
     num_users, num_items = 20, 40
@@ -254,20 +258,47 @@ def test_masked_gradient_bit_equal_to_reference(kind, mask):
     grads = _empty_like(params)
     for g in PARAM_GROUPS:
         grads.group(g)[...] = np.nan
-    _masked_gradient(grads, params, users, items, ratings, propensities, 1e-3, mask)
-    expected = masked_gradient_reference(params, users, items, ratings, propensities,
-                                         1e-3, mask)
+    args = (users, items, ratings, propensities, 1e-3, mask)
+    if mask == SPLIT_MASK:
+        # rejected before any group of the gradient is written
+        with pytest.raises(ValueError, match=r"mask \('user_emb', 'item_off'\) is not one "
+                                             r"contiguous run"):
+            _masked_gradient(grads, params, *args)
+        assert np.isnan(grads._buffer).all()
+        return
+    _masked_gradient(grads, params, *args)
+    expected = masked_gradient_reference(params, *args)
     for g in mask:
         assert grads.group(g).tobytes() == expected.group(g).tobytes(), g
     for g in set(PARAM_GROUPS) - set(mask):
         assert np.isnan(grads.group(g)).all(), g
 
 
+def assert_adam_state(params, state, reference, m, v, steps, context):
+    assert state.steps == steps, context
+    for g in PARAM_GROUPS:
+        assert params.group(g).tobytes() == reference.group(g).tobytes(), (context, g)
+        assert state.m.group(g).tobytes() == m[g].tobytes(), (context, g)
+        assert state.v.group(g).tobytes() == v[g].tobytes(), (context, g)
+
+
 def test_adam_step_bit_equal_to_reference_over_mixed_masks():
-    # ("user_emb", "item_off") is not adjacent in the packed layout, and the
-    # second mask leaves user_emb one step ahead of user_off and global_off
-    masks = [("user_emb",), USER_PHASE_GROUPS, ("user_emb", "item_off"), PARAM_GROUPS,
-             ("global_off", "user_emb"), ITEM_PHASE_GROUPS, PARAM_GROUPS]
+    # phases, a contiguous part of one and single groups step like the
+    # reference; a mask that is not one slice of the packed layout, or whose
+    # groups have taken different numbers of steps, raises and changes
+    # nothing (("global_off", "item_emb") leaves the rest of PARAM_GROUPS a
+    # step behind)
+    masks = [
+        (USER_PHASE_GROUPS, None),
+        (SPLIT_MASK, "not one contiguous run"),
+        (ITEM_PHASE_GROUPS, None),
+        (PARAM_GROUPS, None),
+        (("global_off", "item_emb"), None),
+        (PARAM_GROUPS, "different step counts"),
+        (("user_emb", "user_off"), None),
+        (("item_off",), None),
+        (PARAM_GROUPS, None),
+    ]
     params = init_params(7, 9, 3, seed=5, scale=0.3, global_offset=2.0)
     reference = params.copy()
     state = init_adam_state(params)
@@ -275,20 +306,18 @@ def test_adam_step_bit_equal_to_reference_over_mixed_masks():
     v = {g: np.zeros_like(params.group(g)) for g in PARAM_GROUPS}
     steps = dict.fromkeys(PARAM_GROUPS, 0)
     rng = np.random.default_rng(6)
-    uneven = 0
-    for mask in masks:
-        uneven += len({steps[g] for g in mask}) > 1
+    for mask, error in masks:
         grads = params.copy()
         for g in PARAM_GROUPS:
             grads.group(g)[...] = rng.normal(size=grads.group(g).shape)
-        adam_step(params, grads, state, mask, lr=0.05)
-        adam_step_reference(reference, grads, m, v, steps, mask, lr=0.05)
-        assert state.steps == steps
-        for g in PARAM_GROUPS:
-            assert params.group(g).tobytes() == reference.group(g).tobytes(), (mask, g)
-            assert state.m.group(g).tobytes() == m[g].tobytes(), (mask, g)
-            assert state.v.group(g).tobytes() == v[g].tobytes(), (mask, g)
-    assert uneven >= 3
+        if error:
+            with pytest.raises(ValueError, match=error):
+                adam_step(params, grads, state, mask, lr=0.05)
+        else:
+            adam_step(params, grads, state, mask, lr=0.05)
+            adam_step_reference(reference, grads, m, v, steps, mask, lr=0.05)
+        assert_adam_state(params, state, reference, m, v, steps, mask)
+    assert steps == dict.fromkeys(PARAM_GROUPS, 4)
 
 
 @pytest.mark.parametrize("mask", [USER_PHASE_GROUPS, ITEM_PHASE_GROUPS, PARAM_GROUPS],
@@ -309,9 +338,9 @@ def test_adam_step_updates_each_phase_in_one_call(monkeypatch, mask):
 
 @pytest.mark.parametrize("block", [1, 7, 64])
 def test_blocked_adam_step_bit_equal_to_reference(monkeypatch, block):
-    # 6 users, 9 items, dim 4: the user phase is 31 elements and the item
-    # phase 45 starting at element 31, so at 7 a run starts mid-block and
-    # ends in a partial block; ("user_emb", "item_off") is two runs
+    # 6 users, 9 items, dim 4: the user phase is elements 0-30, the item
+    # phase 31-75 and ("global_off", "item_emb") 30-66, so at 7 each ends in
+    # a partial block; each step is one run of blocks from its slice's start
     monkeypatch.setattr(optim, "_ADAM_BLOCK", block)
     sizes = []
     real = optim._adam_update
@@ -321,8 +350,8 @@ def test_blocked_adam_step_bit_equal_to_reference(monkeypatch, block):
         real(p, *rest)
 
     monkeypatch.setattr(optim, "_adam_update", recording)
-    masks = [USER_PHASE_GROUPS, ("user_emb", "item_off"), ITEM_PHASE_GROUPS, PARAM_GROUPS,
-             ("global_off", "item_emb"), PARAM_GROUPS]
+    masks = [USER_PHASE_GROUPS, ITEM_PHASE_GROUPS, PARAM_GROUPS, ("global_off", "item_emb"),
+             ("user_emb", "user_off"), ("item_off",), PARAM_GROUPS]
     params = init_params(6, 9, 4, seed=3, scale=0.3, global_offset=2.5)
     reference = params.copy()
     state = init_adam_state(params)
@@ -338,12 +367,9 @@ def test_blocked_adam_step_bit_equal_to_reference(monkeypatch, block):
         sizes.clear()
         adam_step(params, grads, state, mask, lr=0.05)
         adam_step_reference(reference, grads, m, v, steps, mask, lr=0.05)
-        assert max(sizes) <= block
-        assert sum(sizes) == sum(params.group(g).size for g in mask)
-        for g in PARAM_GROUPS:
-            assert params.group(g).tobytes() == reference.group(g).tobytes(), (mask, g)
-            assert state.m.group(g).tobytes() == m[g].tobytes(), (mask, g)
-            assert state.v.group(g).tobytes() == v[g].tobytes(), (mask, g)
+        size = sum(params.group(g).size for g in mask)
+        assert sizes == [min(block, size - low) for low in range(0, size, block)], mask
+        assert_adam_state(params, state, reference, m, v, steps, mask)
 
 
 @pytest.mark.parametrize("num_users, num_items, dim, over_a_block", [
@@ -370,16 +396,26 @@ def test_train_config_rejects_nan(field, message):
 
 
 def test_adam_step_rejects_repeated_group_and_misshaped_gradient():
+    # a mask must be distinct groups that form one slice of the packed
+    # layout, with one step count, and the gradient must be shaped like the
+    # parameters; a rejected step changes nothing
     params = init_params(3, 4, 2, seed=0)
     state = init_adam_state(params)
     before = params.copy()
-    with pytest.raises(ValueError, match="twice"):
-        adam_step(params, params.copy(), state, ("item_off", "item_off"), lr=0.1)
+    for mask in [("item_off", "item_off"), SPLIT_MASK, ("user_emb", "global_off"),
+                 ("item_emb", "user_off"), (), ("user_emb", "bias")]:
+        with pytest.raises(ValueError, match=re.escape(f"mask {mask} is not one contiguous run")):
+            adam_step(params, params.copy(), state, mask, lr=0.1)
     with pytest.raises(ValueError, match="shaped like the parameters"):
         adam_step(params, init_params(3, 4, 3, seed=0), state, PARAM_GROUPS, lr=0.1)
-    assert state.steps == dict.fromkeys(PARAM_GROUPS, 0)
+    state.steps["user_emb"] = 1
+    with pytest.raises(ValueError, match=re.escape(
+            "different step counts: {'user_emb': 1, 'user_off': 0, 'global_off': 0}")):
+        adam_step(params, params.copy(), state, USER_PHASE_GROUPS, lr=0.1)
+    assert state.steps == {**dict.fromkeys(PARAM_GROUPS, 0), "user_emb": 1}
     for g in PARAM_GROUPS:
         np.testing.assert_array_equal(params.group(g), before.group(g))
+        np.testing.assert_array_equal(state.m.group(g), 0.0)
 
 
 def test_packed_layout_is_phase_order():

@@ -435,15 +435,27 @@ class TestMFLearned:
         assert np.all(model.table > 0.0)
         assert model.table.min() < 1e-300
 
-    def test_diverging_learning_rate_returns_the_best_parameters_seen(self, caplog):
+    def test_diverging_learning_rate_returns_the_best_parameters_seen(self, caplog,
+                                                                       monkeypatch):
         # the first step at 1e200 overflows the parameters, so no later loss
-        # beats the initial one; the fit ends with its "did not converge"
-        # warning and the initial parameters' finite table, raising no numpy
-        # overflow warning (an error under pytest's filter)
+        # beats the initial one; the fit stops once a step leaves a parameter
+        # non-finite (the second, not the 500th) and ends with its "did not
+        # converge" warning and the initial parameters' finite table, raising
+        # no numpy overflow warning (an error under pytest's filter)
         train = random_observations(20, 15, 0.3, seed=1)
+        calls = []
+        real = propensity.adam_step
+
+        def counting(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(propensity, "adam_step", counting)
         with caplog.at_level(logging.WARNING):
             model = estimate_mf_propensity(train, dim=2, learning_rate=1e200)
-        assert "did not converge" in caplog.text
+        assert len(calls) <= 2
+        assert re.search(r"did not converge \(its parameters are non-finite after step "
+                         rf"{len(calls)}\);", caplog.text)
         assert np.all(np.isfinite(model.table))
         initial = estimate_mf_propensity(train, dim=2, max_steps=1)
         np.testing.assert_array_equal(model.table, initial.table)
