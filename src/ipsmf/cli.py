@@ -118,6 +118,7 @@ def _checked(cast, bad, rule: str):
 
 # written so that NaN, which fails every comparison, is rejected too
 _parse_positive = _checked(int, lambda v: not v > 0, "positive")
+_parse_nonnegative = _checked(int, lambda v: not v >= 0, "nonnegative")
 _parse_positive_float = _checked(float, lambda v: not v > 0, "positive")
 _parse_nonnegative_float = _checked(float, lambda v: not v >= 0, "nonnegative")
 # an [experiment] list, or the command-line option that overrides it
@@ -180,7 +181,7 @@ class ExperimentConfig:
 
 
 _SIMULATION_CASTS = {
-    "num_users": int, "num_items": int, "gamma": float, "seed": int,
+    "num_users": int, "num_items": int, "gamma": float, "seed": _parse_nonnegative,
     "powerlaw_eta": float, "k_min": int, "unbiased_per_user": int,
     "mcar_fraction": float, "train_fraction": float,
     "engagement_rank": int, "engagement_noise": float, "engagement_path": str,
@@ -193,7 +194,7 @@ _DATA_CASTS = {
     "train": str, "validation": str, "mcar": str, "test": str,
     "biased": str, "unbiased": str, "ground_truth_propensities": str,
     "delimiter": _parse_delimiter, "filter_users": _parse_bool,
-    "train_fraction": float, "mcar_fraction": float, "split_seed": int,
+    "train_fraction": float, "mcar_fraction": float, "split_seed": _parse_nonnegative,
     "num_users": int, "num_items": int,
 }
 _DATA_DEFAULTS = {
@@ -203,12 +204,12 @@ _DATA_DEFAULTS = {
 
 
 _EXPERIMENT_CASTS = {"output_dir": Path, "clamp_predictions": _parse_bool}
-_EXPERIMENT_LISTS = {"methods": str, "seeds": int, "gammas": float}
+_EXPERIMENT_LISTS = {"methods": str, "seeds": _parse_nonnegative, "gammas": float}
 _EXPERIMENT_DEFAULTS = {
     "methods": ("mf",), "seeds": (0,), "gammas": (0.0, 0.25, 0.5, 0.75, 1.0),
     "output_dir": Path("out"), "clamp_predictions": False,
 }
-_TUNE_CASTS = {"budget": _checked(int, lambda v: v < 0, "nonnegative")}
+_TUNE_CASTS = {"budget": _parse_nonnegative}
 _TUNE_LISTS = {
     k: _METHOD_CASTS[k] for k in ("learning_rate", "l2_weight", "embedding_dim", "alpha1", "alpha2")
 }
@@ -420,6 +421,21 @@ def load_experiment_data(cfg: ExperimentConfig, run_seed: int) -> LoadedData:
     return _load_split_files(data_cfg)
 
 
+def _require_splits(cfg: ExperimentConfig, loaded: LoadedData, run_seed: int, splits) -> None:
+    """Raise RatingDataError for the first of `splits` that holds no triples,
+    naming its file for split files, or the file it is drawn from (a raw
+    pair) or the run's simulation when that is too small to fill it."""
+    data = cfg.data or {}
+    for split in splits:
+        if len(getattr(loaded.bundle, split)) > 0:
+            continue
+        if split in data:
+            raise RatingDataError(f"{data[split]}: the {split} split holds no ratings")
+        source = (data["biased" if split in ("train", "validation") else "unbiased"] if data
+                  else f"simulation at run seed {run_seed}")
+        raise RatingDataError(f"{source}: too few ratings to fill the {split} split")
+
+
 def build_propensity_model(
     method: str,
     bundle: SplitBundle,
@@ -582,6 +598,7 @@ def _run_cell(args) -> list[tuple[dict, TrainResult | None]]:
     naming the first method that diverges."""
     cfg, seed, keep_artifacts = args
     loaded = load_experiment_data(cfg, run_seed=seed)
+    _require_splits(cfg, loaded, seed, ("train", "validation", "test"))
     train_on = loaded.bundle if keep_artifacts else _without_test(loaded.bundle)
     pairs = []
     for method in cfg.methods:
@@ -811,6 +828,7 @@ def cmd_tune(cfg: ExperimentConfig, out_dir: Path, threads: int | None = None) -
         grids.append((method, _budget_points(points, cfg.tune["budget"], seed)))
 
     loaded = load_experiment_data(cfg, run_seed=seed)
+    _require_splits(cfg, loaded, seed, ("train", "validation"))  # tune never reads the test split
     bundle = _without_test(loaded.bundle)
     tasks = []  # (method, pipeline, table model or None, points), in grid order
     props: dict[tuple, PropensityModel | None] = {}  # the table models
@@ -939,7 +957,8 @@ def main(argv=None) -> int:
 
     add("simulate", "write simulated dataset splits and a manifest")
     p_train = add("train", "fit and evaluate configured methods and seeds")
-    p_train.add_argument("--seeds", type=_list_option(int), help="comma-separated seed override")
+    p_train.add_argument("--seeds", type=_list_option(_parse_nonnegative),
+                         help="comma-separated seed override")
     add_threads(p_train, 1, "1, in this process")
     p_train.add_argument("--clamp-predictions", action="store_true")
     p_tune = add("tune", "grid-search hyperparameters per method")
@@ -947,7 +966,7 @@ def main(argv=None) -> int:
     p_sweep = add("sweep-gamma", "simulate/train across gamma values")
     p_sweep.add_argument("--gammas", type=_list_option(float),
                          help="comma-separated gamma override")
-    p_sweep.add_argument("--seeds", type=_list_option(int))
+    p_sweep.add_argument("--seeds", type=_list_option(_parse_nonnegative))
     add_threads(p_sweep, 1, "1, in this process")
     p_sum = sub.add_parser("summarize", help="aggregate a results table")
     p_sum.add_argument("--results", required=True)

@@ -31,6 +31,8 @@ class MetricReport:
 
 
 def _per_entity_rmse(indices: np.ndarray, sq_err: np.ndarray, minlength: int) -> tuple[float, int]:
+    # bincount counts intp ids: widen int32 ones once, not in each call
+    indices = indices.astype(np.intp, copy=False)
     counts = np.bincount(indices, minlength=minlength)
     sums = np.bincount(indices, weights=sq_err, minlength=minlength)
     observed = counts > 0
@@ -54,15 +56,17 @@ def evaluate(
     preds = predict_many(model, test.users, test.items)
     if clamp:
         np.clip(preds, *RATING_SCALE, out=preds)
+    # the errors, their absolute values and then their squares (|e|**2 is
+    # e**2 bit for bit) all in the array of predictions
     err = np.subtract(preds, test.ratings, out=preds)
-    sq = np.square(err)
+    mae = float(np.abs(err, out=err).mean())
+    sq = np.square(err, out=err)
     mse = float(sq.mean())
     rmse_u, n_users = _per_entity_rmse(test.users, sq, test.num_users)
     rmse_i, n_items = _per_entity_rmse(test.items, sq, test.num_items)
-    del sq
     return MetricReport(
         mse=mse,
-        mae=float(np.abs(err, out=err).mean()),
+        mae=mae,
         rmse=float(np.sqrt(mse)),
         rmse_per_user=rmse_u,
         rmse_per_item=rmse_i,

@@ -215,9 +215,7 @@ def ips_loss(
     estimate of the full-matrix mean squared error under the true propensities.
     """
     propensities = _check_propensities(propensities, len(batch))
-    errors = predict_many(params, batch.users, batch.items)
-    np.subtract(errors, batch.ratings, out=errors)
-    np.square(errors, out=errors)
+    errors = _squared_errors(params, batch)
     np.divide(errors, propensities, out=errors)
     weighted = np.sum(errors)
     if normalization == "observed":
@@ -296,22 +294,21 @@ def _scatter_add_rows(out, index, rows, values):
     np.add.at(out.reshape(-1), index.take(rows, axis=0).reshape(-1), values.reshape(-1))
 
 
+def _squared_errors(params, data) -> np.ndarray:
+    """The squared error of each prediction of `params` on the triples of
+    `data`, computed in the array of predictions: the one pass behind
+    :func:`ips_loss`, :func:`_snips` and the per-epoch test MSE."""
+    errors = predict_many(params, data.users, data.items)
+    np.subtract(errors, data.ratings, out=errors)
+    return np.square(errors, out=errors)
+
+
 def _snips(params, data, propensities) -> float:
     """Self-normalized inverse-propensity-weighted MSE of `params` on `data`."""
-    errors = predict_many(params, data.users, data.items)
+    errors = _squared_errors(params, data)
     w = 1.0 / propensities
-    np.subtract(errors, data.ratings, out=errors)
-    np.square(errors, out=errors)
     np.multiply(w, errors, out=errors)
     return float(np.sum(errors) / np.sum(w))
-
-
-def _mse(params, data) -> float:
-    """Mean squared error of `params` on `data`, computed in the array of
-    predictions."""
-    errors = predict_many(params, data.users, data.items)
-    np.subtract(errors, data.ratings, out=errors)
-    return float(np.mean(np.square(errors, out=errors)))
 
 
 @dataclass
@@ -445,7 +442,7 @@ def _fit(data, propensity_model, config):
                 f"non-finite loss at epoch {epoch} "
                 f"(train {train_loss}, validation {val_score})"
             )
-        test_mse = _mse(params, data.test) if track_test else None
+        test_mse = float(np.mean(_squared_errors(params, data.test))) if track_test else None
         history.append(HistoryRow(epoch, train_loss, val_score, test_mse))
 
         if val_score < best_val:

@@ -121,10 +121,12 @@ class TestConfigParsing:
          "[experiment] gammas: must be nonempty without repeats, got []"),
         ("num_users = 30", "num_users = 10%",
          "[simulation] num_users: invalid literal for int() with base 10: '10%'"),
+        ("seeds = 0, 1", "seeds = 0, -1", "[experiment] seeds: must be nonnegative, got -1"),
+        ("seed = 3", "seed = -5", "[simulation] seed: must be nonnegative, got -5"),
     ], ids=["seeds-not-int", "budget-not-int", "budget-negative", "experiment-typo",
             "tune-typo", "tune-learning-rate-zero", "tune-dim-zero", "methods-repeated",
             "seeds-repeated", "seeds-empty", "gammas-repeated", "gammas-empty",
-            "percent-in-value"])
+            "percent-in-value", "seeds-negative", "simulation-seed-negative"])
     def test_experiment_and_tune_keys_checked(self, tmp_path, capsys, old, new, message):
         path = write_config(tmp_path, BASE_CONFIG.replace(old, new))
         with pytest.raises(ConfigError, match=re.escape(message)):
@@ -359,9 +361,11 @@ embedding_dim = 4
 
     def input_files(self, tmp_path):
         """The raw pair with raw.ini, split files with a ground-truth table
-        (split.ini), a simulation that reads an engagement matrix
-        (engagement.ini), and a results table (results.csv)."""
+        (split.ini), a simulation (config.ini), one that reads an engagement
+        matrix (engagement.ini), a results table (results.csv) and a rating
+        file with no ratings (empty.csv)."""
         self.raw_pair_config(tmp_path)
+        (tmp_path / "empty.csv").write_text("user_id,item_id,rating\n")
         cmd_simulate(load_config(write_config(tmp_path)), tmp_path / "splits")
         split_paths = "".join(
             f"{name} = {tmp_path / 'splits' / name}.csv\n"
@@ -425,17 +429,36 @@ embedding_dim = 4
          "seed=0"),
         ("train split.ini", "split.ini", "[experiment]", "num_users = 3\n[experiment]", "data",
          "train.csv: line 25: user_id 3 is outside the declared num_users = 3"),
+        ("train split.ini", "split.ini", "/splits/train.csv", "/empty.csv", "data",
+         "empty.csv: the train split holds no ratings"),
+        ("train split.ini", "split.ini", "/splits/validation.csv", "/empty.csv", "data",
+         "empty.csv: the validation split holds no ratings"),
+        ("train split.ini", "split.ini", "/splits/test.csv", "/empty.csv", "data",
+         "empty.csv: the test split holds no ratings"),
+        ("tune split.ini", "split.ini", "/splits/validation.csv", "/empty.csv", "data",
+         "empty.csv: the validation split holds no ratings"),
+        ("train raw.ini", "raw.ini", "split_seed = 1", "split_seed = 1\ntrain_fraction = 0.99",
+         "data", "biased.csv: too few ratings to fill the validation split"),
+        ("train raw.ini", "raw.ini", "mcar_fraction = 0.25", "mcar_fraction = 0.99", "data",
+         "unbiased.csv: too few ratings to fill the test split"),
+        ("train config.ini", "config.ini",
+         "num_users = 30\nnum_items = 25\ngamma = 0.5\nseed = 3\nunbiased_per_user = 8",
+         "num_users = 2\nnum_items = 2\ngamma = 0.5\nseed = 3\nunbiased_per_user = 1", "data",
+         "simulation at run seed 0: too few ratings to fill the validation split"),
     ], ids=["bad-header", "bad-fraction", "missing-biased", "missing-train",
             "string-id-in-split", "nan-rating-in-split", "gt-header-key-missing",
             "gt-rating-scale-from-zero", "missing-gt-table",
             "missing-engagement", "missing-results", "results-without-metrics",
             "results-without-keys", "results-metric-not-a-number", "results-short-row",
             "results-without-seed", "results-repeated-run",
-            "id-outside-declared-users"])
+            "id-outside-declared-users", "empty-train-file", "empty-validation-file",
+            "empty-test-file", "tune-empty-validation-file", "raw-pair-empty-validation",
+            "raw-pair-empty-test", "simulation-empty-validation"])
     def test_data_errors_reported(self, tmp_path, capsys, args, name, old, new, error, message):
-        # a missing or malformed input file (RatingDataError, PropensityError)
-        # or an impossible split (SplitError) exits 2 with its message naming
-        # the file, not a traceback
+        # a missing or malformed input file (RatingDataError, PropensityError),
+        # an impossible split (SplitError) or an empty split that training or
+        # evaluation needs exits 2 with its message naming the file, not a
+        # traceback
         self.input_files(tmp_path)
         if name is not None:
             path = tmp_path / name
@@ -447,6 +470,34 @@ embedding_dim = 4
         err = capsys.readouterr().err
         assert err.startswith(f"{error} error: ") and message in err
         assert not out.exists()
+
+    def test_tune_accepts_an_empty_test_split(self, tmp_path, capsys):
+        # tune selects on the validation split and never reads the test split,
+        # which train evaluates on
+        self.raw_pair_config(tmp_path)
+        path = tmp_path / "raw.ini"
+        path.write_text(path.read_text().replace("mcar_fraction = 0.25", "mcar_fraction = 0.99")
+                        + SINGLE_POINT_TUNE)
+        assert len(cli.load_experiment_data(load_config(path), run_seed=0).bundle.test) == 0
+        out = tmp_path / "out"
+        assert main(["tune", "--config", str(path), "--out", str(out), "--threads", "1"]) == 0
+        assert (out / "tuned.csv").exists()
+        assert main(["train", "--config", str(path), "--out", str(tmp_path / "trained")]) == 2
+        assert "too few ratings to fill the test split" in capsys.readouterr().err
+
+    def test_result_mse_is_the_history_test_mse_at_the_best_epoch(self, tmp_path):
+        # unclamped, both are the mean of the best parameters' squared errors
+        # on the test split
+        cfg = load_config(write_config(tmp_path))
+        assert not cfg.clamp_predictions
+        out = tmp_path / "trainout"
+        rows = [r for r in cli._read_rows(cmd_train(cfg, out)) if r["method"] != "avg"]
+        assert len(rows) == 2 * 2
+        for row in rows:
+            history = cli._read_rows(out / f"history_{row['method']}_seed{row['seed']}.csv",
+                                     numbers=("test_mse",))
+            best = [h for h in history if h["epoch"] == row["best_epoch"]]
+            assert len(best) == 1 and best[0]["test_mse"] == float(row["mse"])
 
     def test_ground_truth_table_widens_the_item_space(self, tmp_path):
         # a ground-truth table covers every simulated item, including items
@@ -946,6 +997,8 @@ BOTH_SOURCES_ERROR = "config needs exactly one of a [simulation] and a [data] se
     ("[train]", "[propensity]\npropensity_steps = -2\n[train]",
      "[propensity] propensity_steps: must be positive, got -2"),
     ("[train]", "[data]\ndense_ids = false\n[train]", "[data] unknown key 'dense_ids'"),
+    ("[train]", "[data]\nsplit_seed = -1\n[train]",
+     "[data] split_seed: must be nonnegative, got -1"),
     ("[train]", "[data]\nbiased = b.csv\n[train]", DATA_LAYOUT_ERROR + "got biased"),
     ("[train]", "[data]\nunbiased = u.csv\n[train]", DATA_LAYOUT_ERROR + "got unbiased"),
     ("[train]", "[data]\ntrain = t.csv\nmcar = m.csv\n[train]",
@@ -973,8 +1026,8 @@ BOTH_SOURCES_ERROR = "config needs exactly one of a [simulation] and a [data] se
      "[propensity] propensity_learning_rate: must be positive, got 0.0"),
     ("[train]", "[propensity]\npropensity_learning_rate = -0.05\n[train]",
      "[propensity] propensity_learning_rate: must be positive, got -0.05"),
-], ids=["steps-zero", "steps-negative", "dense-ids-removed", "data-biased-alone",
-        "data-unbiased-alone", "data-splits-incomplete", "data-layouts-mixed",
+], ids=["steps-zero", "steps-negative", "dense-ids-removed", "split-seed-negative",
+        "data-biased-alone", "data-unbiased-alone", "data-splits-incomplete", "data-layouts-mixed",
         "data-no-paths", "raw-data-and-simulation", "split-data-and-simulation", "max-epochs-zero",
         "learning-rate-negative", "learning-rate-nan", "schedule-unknown", "clip-floor-zero",
         "alpha1-negative", "alpha1-nan",
@@ -1119,13 +1172,16 @@ def test_threads_below_one_is_a_usage_error(tmp_path, capsys, command, threads):
     ("train", "--threads", "x", "--threads: invalid literal for int() with base 10: 'x'"),
     ("train", "--seeds", "1,x", "--seeds: invalid literal for int() with base 10: 'x'"),
     ("train", "--seeds", "1,2,1", "--seeds: must be nonempty without repeats, got [1, 2, 1]"),
+    ("train", "--seeds", "0,-1", "--seeds: must be nonnegative, got -1"),
+    ("sweep-gamma", "--seeds", "-2", "--seeds: must be nonnegative, got -2"),
     ("sweep-gamma", "--seeds", ",", "--seeds: must be nonempty without repeats, got []"),
     ("sweep-gamma", "--gammas", "0.5,abc", "--gammas: could not convert string to float: 'abc'"),
     ("sweep-gamma", "--gammas", "0,0.0",
      "--gammas: must be nonempty without repeats, got [0.0, 0.0]"),
     ("sweep-gamma", "--gammas", ",", "--gammas: must be nonempty without repeats, got []"),
-], ids=["threads-not-int", "seeds-not-int", "seeds-repeated", "seeds-empty", "gammas-not-float",
-        "gammas-repeated", "gammas-empty"])
+], ids=["threads-not-int", "seeds-not-int", "seeds-repeated", "seeds-negative",
+        "sweep-seeds-negative", "seeds-empty", "gammas-not-float", "gammas-repeated",
+        "gammas-empty"])
 def test_malformed_option_is_a_usage_error(tmp_path, capsys, command, option, value, message):
     out = tmp_path / "out"
     with pytest.raises(SystemExit) as exc:

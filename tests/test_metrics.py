@@ -42,10 +42,11 @@ def pairwise_predictor(test, preds):
 
 @pytest.mark.parametrize("clamp", [False, True])
 def test_evaluate_works_inside_its_predictions(clamp):
-    # the errors are taken in the prediction array and their absolute values
-    # in place: the peak is the predictions, the squared errors and
-    # bincount's intp copy of the int32 ids, 8 bytes per triple each; a new
-    # array for the errors and one for their absolute values read 4x
+    # the errors, their absolute values and their squares are all taken in
+    # the prediction array, and each int32 id column is widened to intp once
+    # for bincount: the peak is the predictions and one id copy, 8 bytes per
+    # triple each; a separate array of squares read 3x, and new arrays for
+    # the errors and their absolute values 4x
     n_users, n_items, per_user = 2000, 1000, 100
     rng = np.random.default_rng(0)
     items = np.argsort(rng.random((n_users, n_items)), axis=1)[:, :per_user].ravel()
@@ -58,7 +59,7 @@ def test_evaluate_works_inside_its_predictions(clamp):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 3.25 * 8 * len(test), peak / (8 * len(test))
+    assert peak <= 2.25 * 8 * len(test), peak / (8 * len(test))
     preds = predict_many(params, test.users, test.items)
     if clamp:
         preds = np.clip(preds, 1, 5)
