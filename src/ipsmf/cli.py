@@ -59,6 +59,7 @@ from .propensity import (
     load_propensity,
     prepare,
     save_propensity,
+    score_dataset,
     uniform_propensities,
 )
 from .sim import SimulationSpec, simulate
@@ -82,10 +83,6 @@ HISTORY_COLUMNS = tuple(f.name for f in fields(HistoryRow))
 
 class ConfigError(ValueError):
     """An experiment config is missing or misusing a field."""
-
-
-class TrainingError(RuntimeError):
-    """A method's training diverged in a train or sweep cell."""
 
 
 def _parse_bool(text: str) -> bool:
@@ -378,12 +375,23 @@ def _load_split_files(data_cfg: dict) -> LoadedData:
                     f"{gt_path}: {axis} axis has {length} entries, fewer than "
                     f"the {sizes[axis]} of the split files"
                 )
-    parts = {
+    bundle = SplitBundle(**{
         k: RatingDataset(counts_u, counts_i, p.users, p.items, p.ratings)
         for k, p in parts.items()
-    }
-    label = Path(data_cfg["train"]).stem
-    return LoadedData(SplitBundle(**parts), gt, label, None)
+    })
+    if gt is not None:
+        # a triple observed in the biased log cannot have propensity 0
+        for split in ("train", "validation"):
+            data = getattr(bundle, split)
+            scores = score_dataset(gt, data)
+            zero = np.flatnonzero(scores <= 0)
+            if len(zero):
+                k = zero[0]
+                raise PropensityError(
+                    f"{gt_path}: propensity {float(scores[k])!r} at {split} triple (user "
+                    f"{data.users[k]}, item {data.items[k]}, rating {data.ratings[k]})"
+                )
+    return LoadedData(bundle, gt, Path(data_cfg["train"]).stem, None)
 
 
 def _load_raw_files(data_cfg: dict) -> LoadedData:
@@ -422,10 +430,13 @@ def load_experiment_data(cfg: ExperimentConfig, run_seed: int) -> LoadedData:
 
 
 def _require_splits(cfg: ExperimentConfig, loaded: LoadedData, run_seed: int, splits) -> None:
-    """Raise RatingDataError for the first of `splits` that holds no triples,
+    """Raise RatingDataError for the first of `splits`, then of the mcar split
+    when a configured method estimates from it, that holds no triples,
     naming its file for split files, or the file it is drawn from (a raw
     pair) or the run's simulation when that is too small to fill it."""
     data = cfg.data or {}
+    if any(m in ("mf_ips_pos", "mf_ips_mul") for m in cfg.methods):
+        splits += ("mcar",)
     for split in splits:
         if len(getattr(loaded.bundle, split)) > 0:
             continue
@@ -447,8 +458,6 @@ def build_propensity_model(
     train = bundle.train
     if method == "avg":
         return None
-    if method in ("mf_ips_pos", "mf_ips_mul") and len(bundle.mcar) == 0:
-        raise ConfigError(f"{method} requires a nonempty mcar split")
     if method == "mf_ips_gt":
         if ground_truth is None:
             raise ConfigError("mf_ips_gt requires ground-truth propensities")
@@ -594,8 +603,8 @@ def _run_cell(args) -> list[tuple[dict, TrainResult | None]]:
     Returns a (result row, TrainResult) pair per method, the TrainResult
     (history and fitted parameters, for artifact files; None for avg) only
     when requested. Without it the methods train without the test split: a
-    discarded history needs no per-epoch test MSE. Raises TrainingError
-    naming the first method that diverges."""
+    discarded history needs no per-epoch test MSE. Raises TrainingDivergedError
+    naming the first method that diverges and the cell's seed and gamma."""
     cfg, seed, keep_artifacts = args
     loaded = load_experiment_data(cfg, run_seed=seed)
     _require_splits(cfg, loaded, seed, ("train", "validation", "test"))
@@ -611,7 +620,7 @@ def _run_cell(args) -> list[tuple[dict, TrainResult | None]]:
         )
         if outcome.diverged is not None:
             gamma = "" if loaded.gamma is None else f", gamma {loaded.gamma!r}"
-            raise TrainingError(f"{method}, seed {seed}{gamma}: {outcome.diverged}")
+            raise TrainingDivergedError(f"{method}, seed {seed}{gamma}: {outcome.diverged}")
         row = _result_row(cfg, loaded, outcome)
         pairs.append((row, outcome.result if keep_artifacts else None))
     return pairs
@@ -1006,7 +1015,7 @@ def main(argv=None) -> int:
     except (RatingDataError, SplitError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
-    except TrainingError as exc:
+    except TrainingDivergedError as exc:
         print(f"training error: {exc}", file=sys.stderr)
         return 1
     return 0

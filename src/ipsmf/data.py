@@ -44,7 +44,7 @@ class RatingDataset:
     Once checked, users and items are stored as int32 and ratings as uint8,
     9 bytes per triple; an array already of that dtype is kept, not copied.
     Arithmetic on the ids that can pass the int32 range, such as
-    :meth:`pair_codes`, is done in int64.
+    :meth:`pair_codes` past it, is done in int64.
     """
 
     num_users: int
@@ -76,7 +76,7 @@ class RatingDataset:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         if len(self) > 1:
-            codes = self._compact_pair_codes()
+            codes = self.pair_codes()
             codes.sort()
             if np.any(codes[1:] == codes[:-1]):
                 raise RatingDataError("duplicate (user, item) pair")
@@ -85,18 +85,10 @@ class RatingDataset:
         return len(self.users)
 
     def pair_codes(self) -> np.ndarray:
-        """Unique int64 code per (user, item) pair, for set operations."""
-        return self._pair_codes(np.int64)
-
-    def _compact_pair_codes(self) -> np.ndarray:
-        """The codes of :meth:`pair_codes`, as int32 when every code of the id
-        space fits: the same codes, half the bytes."""
-        fits = self.num_users * self.num_items <= ID_LIMIT
-        return self._pair_codes(np.int32 if fits else np.int64)
-
-    def _pair_codes(self, dtype) -> np.ndarray:
-        """``user * num_items + item`` per triple, in a new array of `dtype`."""
-        codes = self.users.astype(dtype)
+        """Unique code ``user * num_items + item`` per triple, for set
+        operations, in a new array: int32 when every code of the id space
+        fits, int64 past that, so datasets over one id space share a dtype."""
+        codes = self.users.astype(_index_dtype(self.num_users * self.num_items))
         codes *= self.num_items
         codes += self.items
         return codes
@@ -114,6 +106,12 @@ class RatingDataset:
             items=self.items[positions],
             ratings=self.ratings[positions],
         )
+
+
+def _index_dtype(count: int) -> type:
+    """The dtype of an array of the indices ``0 .. count - 1``: int32 when
+    they all fit, int64 past that."""
+    return np.int32 if count <= ID_LIMIT else np.int64
 
 
 def _whole_numbers(name: str, values) -> np.ndarray:
@@ -146,10 +144,10 @@ class SplitBundle:
         if len(shapes) != 1:
             raise SplitError(f"splits disagree on the id space: {sorted(shapes)}")
         # every RatingDataset has unique pair codes, checked at construction;
-        # the splits share an id space, so their compact codes share a dtype
+        # the splits share an id space, so their codes share a dtype
         for first, second in (("train", "validation"), ("mcar", "test")):
-            common = np.intersect1d(getattr(self, first)._compact_pair_codes(),
-                                    getattr(self, second)._compact_pair_codes(),
+            common = np.intersect1d(getattr(self, first).pair_codes(),
+                                    getattr(self, second).pair_codes(),
                                     assume_unique=True)
             if len(common) > 0:
                 raise SplitError(f"{first} and {second} overlap as (user, item) sets")
@@ -372,7 +370,7 @@ def _split_mask(n: int, first_fraction: float, seed: int) -> np.ndarray:
         raise SplitError(f"cannot split a dataset with {n} triples")
     n_first, _ = _split_sizes(n, first_fraction)
     # shuffled in place, as permutation(n) shuffles its arange
-    perm = np.arange(n, dtype=np.int32 if n < ID_LIMIT else np.int64)
+    perm = np.arange(n, dtype=_index_dtype(n))
     np.random.default_rng(seed).shuffle(perm)
     first = np.zeros(n, dtype=bool)
     first[perm[:n_first]] = True

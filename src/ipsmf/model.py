@@ -13,11 +13,13 @@ from .data import RatingDataset
 PARAM_GROUPS = ("user_emb", "item_emb", "user_off", "item_off", "global_off")
 
 
-# Order of the groups in the packed buffer: each training phase's groups
-# (optim.USER_PHASE_GROUPS, then optim.ITEM_PHASE_GROUPS) are adjacent, so a
-# phase is one contiguous slice. optim.adam_step and the gradient's L2 term
-# take only masks that are such a slice, a run of adjacent groups here.
-_PACKED_ORDER = ("user_emb", "user_off", "global_off", "item_emb", "item_off")
+# The groups that each phase of the alternating schedule updates.
+USER_PHASE_GROUPS = ("user_emb", "user_off", "global_off")
+ITEM_PHASE_GROUPS = ("item_emb", "item_off")
+# Order of the groups in the packed buffer: phase by phase, so a phase is one
+# contiguous slice. optim.adam_step and the gradient's L2 term take only masks
+# that are such a slice, a run of adjacent groups here.
+_PACKED_ORDER = USER_PHASE_GROUPS + ITEM_PHASE_GROUPS
 
 # (user, item) pairs that predict_many scores at once: its gathered embedding
 # rows are 256 KB per block and group at dim 16. On a desk-shaped fit (a

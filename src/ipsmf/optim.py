@@ -19,13 +19,14 @@ import numpy as np
 
 from .data import RatingDataset, SplitBundle
 from . import propensity
-from .model import MFParameters, PARAM_GROUPS, _predict_rows, init_params, predict_many
+from .model import (
+    ITEM_PHASE_GROUPS, PARAM_GROUPS, USER_PHASE_GROUPS, MFParameters, _predict_rows, init_params,
+    predict_many,
+)
 
 logger = logging.getLogger(__name__)
 
 SCHEDULES = ("concurrent", "alternating")
-USER_PHASE_GROUPS = ("user_emb", "user_off", "global_off")
-ITEM_PHASE_GROUPS = ("item_emb", "item_off")
 
 
 class TrainingDivergedError(RuntimeError):

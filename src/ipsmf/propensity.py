@@ -326,7 +326,8 @@ def estimate_mf_propensity(
         raise ValueError(f"tol must be nonnegative, got {tol}")
     n_users, n_items = train.num_users, train.num_items
     n_cells = n_users * n_items
-    cells = np.sort(train.pair_codes())  # the flat indices of the observed cells
+    # the flat indices of the observed cells, as intp for put and take
+    cells = np.sort(train.pair_codes()).astype(np.intp)
     base_rate = np.clip(len(cells) / n_cells, 1e-6, 1.0 - 1e-6)
     c = float(np.log(base_rate / (1.0 - base_rate)))
     params = init_params(n_users, n_items, dim, seed, scale=0.1, global_offset=c)
@@ -432,10 +433,12 @@ def normalize(model: PropensityModel, train: RatingDataset) -> PropensityModel:
     """Rescale scores by one constant so the mean inverse propensity over the
     train triples equals ``num_users * num_items / |D|``; scores stay capped at 1.
 
-    The constant is computed on the training split only. A train score too
-    small to invert (a subnormal float) makes it overflow, and is rejected
-    rather than turned into an infinite scale.
+    The constant is computed on the training split only, which must hold a
+    triple. A train score too small to invert (a subnormal float) makes it
+    overflow, and is rejected rather than turned into an infinite scale.
     """
+    if len(train) == 0:
+        raise PropensityError("cannot normalize on an empty train split")
     scores = score_dataset(model, train)
     if np.any(scores <= 0):
         raise PropensityError("cannot normalize a model with zero scores on train")
@@ -512,10 +515,12 @@ def load_propensity(path: str | Path, delimiter: str = ",") -> PropensityModel:
 
     Raises PropensityError (a ValueError) naming the file, and the line where
     there is one, for a file that cannot be opened, a missing header key, a
-    header rating range other than RATING_SCALE, a row with the wrong number
-    of fields, an index or propensity that does not parse, a propensity that
-    is not finite or lies outside [0, 1], an index outside its range, a
-    duplicate index, or an index range with a gap.
+    header rating range other than RATING_SCALE, a header scale that is not
+    finite and positive, a tau outside [0, 1], a normalization other than
+    none or mean-inverse, a row with the wrong number of fields, an index or
+    propensity that does not parse, a propensity that is not finite or lies
+    outside [0, 1], an index outside its range, a duplicate index, or an
+    index range with a gap.
     """
     with _open_input(path, PropensityError) as fh:
         header = fh.readline().strip()
@@ -554,6 +559,15 @@ def load_propensity(path: str | Path, delimiter: str = ",") -> PropensityModel:
         raise PropensityError(
             f"{path}:1: rating_min={lo} rating_max={hi} is not the rating scale {RATING_SCALE}"
         )
+    # negated comparisons, so that NaN is rejected too
+    for key, bad, rule in (
+        ("scale", not 0.0 < kwargs["scale"] < np.inf, "finite and positive"),
+        ("tau", not 0.0 <= kwargs["clip_floor"] <= 1.0, "in [0, 1]"),
+        ("normalization", meta["normalization"] not in ("none", "mean-inverse"),
+         "none or mean-inverse"),
+    ):
+        if bad:
+            raise PropensityError(f"{path}:1: {key}={meta[key]} is not {rule}")
 
     return PropensityModel(table=_read_table(path, rows, AXES[family]), **kwargs)
 

@@ -20,8 +20,8 @@ import numpy as np
 
 from .blas import one_blas_thread
 from .data import (
-    NUM_RATINGS, RATING_SCALE, RatingDataError, RatingDataset, SplitBundle, _open_input,
-    _split_mask, split_biased,
+    NUM_RATINGS, RATING_SCALE, RatingDataError, RatingDataset, SplitBundle, _index_dtype,
+    _open_input, _split_mask, split_biased,
 )
 from .propensity import PropensityModel
 
@@ -303,8 +303,6 @@ def _classify(engagement, ranks, ratings, base, sample=None):
     brackets = None if sample is None else _brackets(sample, ranks, n)
     below = np.zeros(ranks.size, dtype=np.int64)
     found = [([], []) for _ in ranks]
-    # the candidates' flat indices, kept in int32 when every index fits
-    index_dtype = np.int32 if n < 2**31 else np.int64
     missing = collected = start = 0
     for read, block in enumerate(engagement.blocks(), start=1):
         cells = block.ravel()
@@ -325,7 +323,7 @@ def _classify(engagement, ranks, ratings, base, sample=None):
                 out += over
                 inside = np.flatnonzero(~(under | over))  # and NaN, rejected below
                 values.append(cells[inside])
-                index.append(inside.astype(index_dtype) + start)
+                index.append(inside.astype(_index_dtype(n)) + start)
                 collected += inside.size
         start = stop
     _reject_nan(missing, n)

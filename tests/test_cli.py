@@ -278,7 +278,7 @@ class TestTrainCommand:
         second = {p.name: read_bytes(p) for p in sorted(out.iterdir())}
         assert first == second
 
-    def test_missing_mcar_rejected_for_positivity(self, tmp_path):
+    def test_missing_mcar_rejected_for_positivity(self, tmp_path, capsys):
         cfg = load_config(write_config(tmp_path))
         out = tmp_path / "splits"
         cmd_simulate(cfg, out)
@@ -299,9 +299,12 @@ max_epochs = 5
 patience = 5
 embedding_dim = 4
 """
-        cfg2 = load_config(write_config(tmp_path, text, name="files.ini"))
-        with pytest.raises(ConfigError, match="mcar"):
-            cmd_train(cfg2, tmp_path / "out2")
+        config = write_config(tmp_path, text, name="files.ini")
+        out2 = tmp_path / "out2"
+        assert main(["train", "--config", str(config), "--out", str(out2)]) == 2
+        message = f"data error: {out}/mcar.csv: the mcar split holds no ratings"
+        assert capsys.readouterr().err.strip() == message
+        assert not out2.exists()
 
     def raw_pair_config(self, tmp_path, seeds="0", biased_name="biased.csv"):
         # two-file ingestion: filter to test users, split 4:1 and mcar/test
@@ -361,12 +364,17 @@ embedding_dim = 4
 
     def input_files(self, tmp_path):
         """The raw pair with raw.ini, split files with a ground-truth table
-        (split.ini), a simulation (config.ini), one that reads an engagement
-        matrix (engagement.ini), a results table (results.csv) and a rating
-        file with no ratings (empty.csv)."""
+        (split.ini), that table with a zero at the first train triple
+        (splits/zero-gt.csv), a simulation (config.ini), one that reads an
+        engagement matrix (engagement.ini), a results table (results.csv) and
+        a rating file with no ratings (empty.csv)."""
         self.raw_pair_config(tmp_path)
         (tmp_path / "empty.csv").write_text("user_id,item_id,rating\n")
         cmd_simulate(load_config(write_config(tmp_path)), tmp_path / "splits")
+        gt = (tmp_path / "splits" / "gt_propensities.csv").read_text().splitlines(keepends=True)
+        _, item, rating = (tmp_path / "splits" / "train.csv").read_text().split()[1].split(",")
+        gt[2 + 5 * int(item) + int(rating) - 1] = f"{item},{rating},0.0\n"
+        (tmp_path / "splits" / "zero-gt.csv").write_text("".join(gt))
         split_paths = "".join(
             f"{name} = {tmp_path / 'splits' / name}.csv\n"
             for name in ("train", "validation", "mcar", "test")
@@ -407,6 +415,13 @@ embedding_dim = 4
          "scale (1, 5)"),
         ("train split.ini", "split.ini", "gt_propensities.csv", "absent.csv", "propensity",
          "absent.csv: No such file or directory"),
+        ("train split.ini", "splits/gt_propensities.csv", "scale=1.0", "scale=nan", "propensity",
+         "gt_propensities.csv:1: scale=nan is not finite and positive"),
+        ("train split.ini", "splits/gt_propensities.csv", "normalization=none",
+         "normalization=a,b", "propensity",
+         "gt_propensities.csv:1: normalization=a,b is not none or mean-inverse"),
+        ("train split.ini", "split.ini", "gt_propensities.csv", "zero-gt.csv", "propensity",
+         "zero-gt.csv: propensity 0.0 at train triple (user 0, item 1, rating 4)"),
         ("train engagement.ini", "engagement.ini", "/engagement.csv", "/absent.csv", "data",
          "absent.csv: No such file or directory"),
         ("summarize absent.csv", None, None, None, "data",
@@ -445,15 +460,24 @@ embedding_dim = 4
          "num_users = 30\nnum_items = 25\ngamma = 0.5\nseed = 3\nunbiased_per_user = 8",
          "num_users = 2\nnum_items = 2\ngamma = 0.5\nseed = 3\nunbiased_per_user = 1", "data",
          "simulation at run seed 0: too few ratings to fill the validation split"),
+        ("train raw.ini", "raw.ini", "mcar_fraction = 0.25", "mcar_fraction = 0.01", "data",
+         "unbiased.csv: too few ratings to fill the mcar split"),
+        ("tune raw.ini", "raw.ini", "mcar_fraction = 0.25", "mcar_fraction = 0.01", "data",
+         "unbiased.csv: too few ratings to fill the mcar split"),
+        ("sweep-gamma config.ini", "config.ini", "unbiased_per_user = 8",
+         "unbiased_per_user = 8\nmcar_fraction = 0.001", "data",
+         "simulation at run seed 0: too few ratings to fill the mcar split"),
     ], ids=["bad-header", "bad-fraction", "missing-biased", "missing-train",
             "string-id-in-split", "nan-rating-in-split", "gt-header-key-missing",
-            "gt-rating-scale-from-zero", "missing-gt-table",
+            "gt-rating-scale-from-zero", "missing-gt-table", "gt-scale-nan",
+            "gt-normalization-not-a-name", "gt-zero-at-a-train-triple",
             "missing-engagement", "missing-results", "results-without-metrics",
             "results-without-keys", "results-metric-not-a-number", "results-short-row",
             "results-without-seed", "results-repeated-run",
             "id-outside-declared-users", "empty-train-file", "empty-validation-file",
             "empty-test-file", "tune-empty-validation-file", "raw-pair-empty-validation",
-            "raw-pair-empty-test", "simulation-empty-validation"])
+            "raw-pair-empty-test", "simulation-empty-validation", "raw-pair-empty-mcar",
+            "tune-raw-pair-empty-mcar", "sweep-simulation-empty-mcar"])
     def test_data_errors_reported(self, tmp_path, capsys, args, name, old, new, error, message):
         # a missing or malformed input file (RatingDataError, PropensityError),
         # an impossible split (SplitError) or an empty split that training or

@@ -20,6 +20,7 @@ from ipsmf.data import (
     split_biased,
     split_unbiased,
     write_manifest,
+    _index_dtype,
     _split_sizes,
 )
 from ipsmf.model import fit_avg
@@ -292,6 +293,17 @@ class TestCompactStorage:
             RatingDataset(**sizes, users=[], items=[], ratings=[])
         sizes[key] = ID_LIMIT - 1
         assert len(RatingDataset(**sizes, users=[0], items=[0], ratings=[5])) == 1
+
+    def test_pair_codes_are_int32_when_every_code_fits(self):
+        ds = RatingDataset(3, 4, [2, 0, 1], [3, 1, 0], [1, 2, 3])
+        codes = ds.pair_codes()
+        assert codes.dtype == np.int32
+        assert codes.tolist() == [11, 1, 4]
+
+    def test_index_dtype_widens_past_the_id_limit(self):
+        # indices 0 .. ID_LIMIT - 1 fit int32, one more does not
+        assert _index_dtype(ID_LIMIT) is np.int32
+        assert _index_dtype(ID_LIMIT + 1) is np.int64
 
     def test_pair_codes_are_int64_past_the_int32_range(self):
         # int32 user * num_items wraps past 2**31 - 1

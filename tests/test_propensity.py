@@ -683,6 +683,11 @@ class TestClipNormalizeScore:
         with pytest.raises(PropensityError, match="overflow"):
             prepare(model, train)
 
+    def test_normalize_rejects_an_empty_train_split(self):
+        train = make_dataset(2, 3, [(0, 0, 3)])
+        with pytest.raises(PropensityError, match="^cannot normalize on an empty train split$"):
+            normalize(estimate_popularity(train), train.subset([]))
+
     def test_prepare_orders_normalize_then_clip(self):
         train = make_dataset(2, 3, [(0, 0, 2), (0, 1, 4), (1, 0, 5), (1, 2, 1)])
         model = prepare(estimate_popularity(train), train, clip_floor=0.2)
@@ -853,7 +858,16 @@ class TestLoadValidation:
         (GOOD_HEADER.replace("scale=1.0", "scale") + "item_index,rating,propensity\n0,1,0.5\n",
          r"prop.csv:1: header field 'scale' is not key=value"),
         (GOOD_HEADER.replace("rating_min=1", "rating_min=one"), r"prop.csv:1: bad header value"),
-    ], ids=["missing-key", "not-key-value", "bad-header-value"])
+        *((GOOD_HEADER.replace("scale=1.0", f"scale={v}"),
+           rf"prop.csv:1: scale={v} is not finite and positive$")
+          for v in ("nan", "-1.0", "0.0", "inf")),
+        *((GOOD_HEADER.replace("tau=0.05", f"tau={v}"),
+           rf"prop.csv:1: tau={v} is not in \[0, 1\]$") for v in ("2.0", "nan", "-0.1")),
+        (GOOD_HEADER.replace("normalization=none", "normalization=a,b"),
+         r"prop.csv:1: normalization=a,b is not none or mean-inverse$"),
+    ], ids=["missing-key", "not-key-value", "bad-header-value", "scale-nan", "scale-negative",
+            "scale-zero", "scale-inf", "tau-above-one", "tau-nan", "tau-negative",
+            "normalization-not-a-name"])
     def test_bad_header(self, tmp_path, text, match):
         with pytest.raises(ValueError, match=match):
             load_propensity(self.write(tmp_path, text))
