@@ -26,12 +26,15 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
 from .data import (
+    _NONNEGATIVE,
+    _POSITIVE,
     RatingDataError,
     RatingDataset,
     SplitBundle,
@@ -47,7 +50,7 @@ from .data import (
 )
 from .metrics import METRIC_FIELDS, MetricReport, bootstrap_interval, evaluate, summarize_runs
 from .model import fit_avg, save_checkpoint
-from .optim import SCHEDULES, HistoryRow, TrainConfig, TrainingDivergedError, TrainResult, train
+from .optim import TRAIN_RULES, HistoryRow, TrainConfig, TrainingDivergedError, TrainResult, train
 from .propensity import (
     AXES,
     PropensityError,
@@ -102,39 +105,34 @@ def _parse_delimiter(text: str) -> str:
     return {"\\t": "\t", "tab": "\t"}.get(text.strip(), text.strip())
 
 
-def _checked(cast, bad, rule: str):
-    """A parser that casts its text and rejects a value for which `bad`
-    holds: the check the value's constructor makes, run at load time."""
+def _checked(cast, holds, rule: str):
+    """A parser that casts its text and rejects a value for which `holds`
+    fails: a settings rule (see data._check_rules), run at load time."""
     def parse(text: str):
         value = cast(text)
-        if bad(value):
+        if not holds(value):
             raise ConfigError(f"must be {rule}, got {value!r}")
         return value
     return parse
 
 
-# written so that NaN, which fails every comparison, is rejected too
-_parse_positive = _checked(int, lambda v: not v > 0, "positive")
-_parse_nonnegative = _checked(int, lambda v: not v >= 0, "nonnegative")
-_parse_positive_float = _checked(float, lambda v: not v > 0, "positive")
-_parse_nonnegative_float = _checked(float, lambda v: not v >= 0, "nonnegative")
+_parse_positive = _checked(int, *_POSITIVE)
+_parse_nonnegative = _checked(int, *_NONNEGATIVE)
 # an [experiment] list, or the command-line option that overrides it
-_distinct = _checked(list, lambda v: not v or len(set(v)) < len(v), "nonempty without repeats")
+_distinct = _checked(list, lambda v: len(set(v)) == len(v) > 0, "nonempty without repeats")
 
-# The checks of TrainConfig, estimate_multifactorial (alphas), propensity.clip
-# (clip_floor), init_params (propensity_dim) and estimate_mf_propensity
-# (propensity_learning_rate, propensity_steps).
+# the [train] parsers: each TrainConfig rule, cast to its field default's type
 _TRAIN_CASTS = {
-    "learning_rate": _parse_positive_float, "l2_weight": _parse_nonnegative_float,
-    "batch_size": _parse_positive, "max_epochs": _parse_positive, "patience": _parse_positive,
-    "schedule": _checked(str, lambda v: v not in SCHEDULES, " or ".join(SCHEDULES)),
-    "embedding_dim": _parse_positive, "init_scale": _parse_nonnegative_float,
+    key: _checked(type(getattr(TrainConfig, key)), *rule) for key, rule in TRAIN_RULES.items()
 }
+# the checks of estimate_multifactorial (alphas), propensity.clip (clip_floor),
+# init_params (propensity_dim) and estimate_mf_propensity
+# (propensity_learning_rate, propensity_steps)
 _PIPELINE_CASTS = {
     "normalize": _parse_bool,
-    "clip_floor": _checked(float, lambda v: not 0.0 < v <= 1.0, "in (0, 1]"),
-    "alpha1": _parse_nonnegative_float, "alpha2": _parse_nonnegative_float,
-    "propensity_dim": _parse_positive, "propensity_learning_rate": _parse_positive_float,
+    "clip_floor": _checked(float, lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
+    "alpha1": _checked(float, *_NONNEGATIVE), "alpha2": _checked(float, *_NONNEGATIVE),
+    "propensity_dim": _parse_positive, "propensity_learning_rate": _checked(float, *_POSITIVE),
     "propensity_steps": _parse_positive,
 }
 _METHOD_CASTS = {**_TRAIN_CASTS, **_PIPELINE_CASTS}
@@ -177,14 +175,13 @@ class ExperimentConfig:
         return self._merged(_PIPELINE_DEFAULTS, PIPELINE_KEYS, method, point)
 
 
+# each SimulationSpec field read as its type (`str | None` as str), a tuple
+# as a list of floats; SimulationSpec checks the values
+_SIMULATION_TYPES = get_type_hints(SimulationSpec)
+_SIMULATION_LISTS = {k: float for k, t in _SIMULATION_TYPES.items() if get_origin(t) is tuple}
 _SIMULATION_CASTS = {
-    "num_users": int, "num_items": int, "gamma": float, "seed": _parse_nonnegative,
-    "powerlaw_eta": float, "k_min": int, "unbiased_per_user": int,
-    "mcar_fraction": float, "train_fraction": float,
-    "engagement_rank": int, "engagement_noise": float, "engagement_path": str,
-    "engagement_format": str,
-}
-_SIMULATION_LISTS = {"rating_propensities": float, "target_rating_distribution": float}
+    k: (get_args(t) or (t,))[0] for k, t in _SIMULATION_TYPES.items() if k not in _SIMULATION_LISTS
+} | {"seed": _parse_nonnegative}
 # the two [data] layouts: a raw pair that is split here, or the four splits
 RAW_KEYS = ("biased", "unbiased")
 _DATA_CASTS = {
@@ -327,13 +324,13 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
 
 def _simulation_spec(cfg: ExperimentConfig, seed_offset: int = 0) -> SimulationSpec:
-    kwargs = dict(cfg.simulation)
-    base_seed = kwargs.pop("seed", 0)
-    missing = [k for k in ("num_users", "num_items", "gamma") if k not in kwargs]
+    kwargs = {**cfg.simulation, "seed": cfg.simulation.get("seed", 0) + seed_offset}
+    missing = [f.name for f in fields(SimulationSpec)
+               if f.default is MISSING and f.name not in kwargs]
     if missing:
         raise ConfigError(f"[simulation] missing key(s) {', '.join(missing)}")
     try:
-        return SimulationSpec(seed=base_seed + seed_offset, **kwargs)
+        return SimulationSpec(**kwargs)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"simulation: {exc}") from None
 
@@ -530,6 +527,8 @@ def _format_cell(value) -> str:
         return ""
     if isinstance(value, float):
         return repr(float(value))
+    if isinstance(value, tuple):
+        return ",".join(map(_format_cell, value))
     return str(value)
 
 
@@ -715,16 +714,7 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path) -> None:
     save_propensity(result.ground_truth_propensities, out_dir / "gt_propensities.csv")
     manifest = {
         "config_hash": cfg.config_hash,
-        "num_users": spec.num_users,
-        "num_items": spec.num_items,
-        "gamma": repr(spec.gamma),
-        "seed": spec.seed,
-        "powerlaw_eta": repr(spec.powerlaw_eta),
-        "k_min": spec.k_min,
-        "unbiased_per_user": spec.unbiased_per_user,
-        "mcar_fraction": repr(spec.mcar_fraction),
-        "train_fraction": repr(spec.train_fraction),
-        "rating_propensities": ",".join(repr(p) for p in spec.rating_propensities),
+        **{f.name: _format_cell(getattr(spec, f.name)) for f in fields(spec)},
         "capped_item_propensities": result.capped_items,
         **{n: len(getattr(bundle, k)) for n, k in zip(SPLIT_SIZES, SPLIT_KEYS)},
     }
@@ -952,13 +942,13 @@ def main(argv=None) -> int:
 
     def add(name, help_text):
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", required=(name != "summarize"))
+        p.add_argument("--config", required=True)
         p.add_argument("--out", default=None, help="output directory override")
         return p
 
     def add_threads(p, default, default_text):
         p.add_argument(
-            "--threads", type=_option(_checked(int, lambda v: v < 1, "at least 1")),
+            "--threads", type=_option(_checked(int, lambda v: v >= 1, "at least 1")),
             default=default,
             help=f"worker processes, capped at the cells or tune tasks (default: "
                  f"{default_text}); every count writes the same bytes",

@@ -153,6 +153,19 @@ class SplitBundle:
                 raise SplitError(f"{first} and {second} overlap as (user, item) sets")
 
 
+# A settings rule is a pair (holds, text) that rejects a value when
+# `not holds(value)`, so NaN, which fails every comparison, is rejected too.
+_POSITIVE, _NONNEGATIVE = (lambda v: v > 0, "positive"), (lambda v: v >= 0, "nonnegative")
+
+
+def _check_rules(obj, rules: dict) -> None:
+    """Raise ValueError ``<name> must be <text>, got <value>`` for the first
+    attribute of `obj`, in `rules` order, that breaks its rule."""
+    for name, (holds, text) in rules.items():
+        if not holds(value := getattr(obj, name)):
+            raise ValueError(f"{name} must be {text}, got {value!r}")
+
+
 def _open_input(path: str | Path, error: type[Exception] = RatingDataError):
     """Open an input file as UTF-8 text, dropping a leading byte-order mark,
     raising `error` naming the path when it cannot be opened (for example a

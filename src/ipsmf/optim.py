@@ -17,7 +17,7 @@ from typing import ClassVar, Sequence
 
 import numpy as np
 
-from .data import RatingDataset, SplitBundle
+from .data import _NONNEGATIVE, _POSITIVE, RatingDataset, SplitBundle, _check_rules
 from . import propensity
 from .model import (
     ITEM_PHASE_GROUPS, PARAM_GROUPS, USER_PHASE_GROUPS, MFParameters, _predict_rows, init_params,
@@ -48,19 +48,16 @@ class TrainConfig:
     init_scale: float = 0.1
 
     def __post_init__(self):
-        # negated comparisons, so that NaN is rejected too
-        if not self.learning_rate > 0:
-            raise ValueError("learning_rate must be positive")
-        if not self.l2_weight >= 0:
-            raise ValueError("l2_weight must be nonnegative")
-        if not (self.batch_size > 0 and self.max_epochs > 0 and self.patience > 0):
-            raise ValueError("batch_size, max_epochs, and patience must be positive")
-        if not self.embedding_dim > 0:
-            raise ValueError("embedding_dim must be positive")
-        if not self.init_scale >= 0:
-            raise ValueError("init_scale must be nonnegative")
-        if self.schedule not in SCHEDULES:
-            raise ValueError(f"unknown schedule {self.schedule!r}")
+        _check_rules(self, TRAIN_RULES)
+
+
+# the rule of each field but the seed (see data._check_rules); cli reads [train] with them
+TRAIN_RULES = {
+    "learning_rate": _POSITIVE, "l2_weight": _NONNEGATIVE, "batch_size": _POSITIVE,
+    "max_epochs": _POSITIVE, "patience": _POSITIVE,
+    "schedule": (lambda v: v in SCHEDULES, " or ".join(SCHEDULES)),
+    "embedding_dim": _POSITIVE, "init_scale": _NONNEGATIVE,
+}
 
 
 # Elements of a phase's slice that adam_step updates at once: 128 KB per array,

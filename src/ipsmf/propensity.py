@@ -517,10 +517,11 @@ def load_propensity(path: str | Path, delimiter: str = ",") -> PropensityModel:
     there is one, for a file that cannot be opened, a missing header key, a
     header rating range other than RATING_SCALE, a header scale that is not
     finite and positive, a tau outside [0, 1], a normalization other than
-    none or mean-inverse, a row with the wrong number of fields, an index or
-    propensity that does not parse, a propensity that is not finite or lies
-    outside [0, 1], an index outside its range, a duplicate index, or an
-    index range with a gap.
+    none or mean-inverse, an alpha that is neither empty nor nonnegative, a
+    column line other than the family's axes and ``propensity``, a row with
+    the wrong number of fields, an index or propensity that does not parse,
+    a propensity that is not finite or lies outside [0, 1], an index outside
+    its range, a duplicate index, or an index range with a gap.
     """
     with _open_input(path, PropensityError) as fh:
         header = fh.readline().strip()
@@ -565,9 +566,15 @@ def load_propensity(path: str | Path, delimiter: str = ",") -> PropensityModel:
         ("tau", not 0.0 <= kwargs["clip_floor"] <= 1.0, "in [0, 1]"),
         ("normalization", meta["normalization"] not in ("none", "mean-inverse"),
          "none or mean-inverse"),
+        *((key, not (kwargs[key] is None or kwargs[key] >= 0.0), "empty or nonnegative")
+          for key in ("alpha1", "alpha2")),
     ):
         if bad:
             raise PropensityError(f"{path}:1: {key}={meta[key]} is not {rule}")
+    expected = (*AXES[family], "propensity")
+    if tuple(columns) != expected:
+        raise PropensityError(f"{path}:2: column line {delimiter.join(columns)!r} is not "
+                              f"{delimiter.join(expected)!r}")
 
     return PropensityModel(table=_read_table(path, rows, AXES[family]), **kwargs)
 

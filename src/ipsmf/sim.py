@@ -20,8 +20,8 @@ import numpy as np
 
 from .blas import one_blas_thread
 from .data import (
-    NUM_RATINGS, RATING_SCALE, RatingDataError, RatingDataset, SplitBundle, _index_dtype,
-    _open_input, _split_mask, split_biased,
+    _NONNEGATIVE, NUM_RATINGS, RATING_SCALE, RatingDataError, RatingDataset, SplitBundle,
+    _check_rules, _index_dtype, _open_input, _split_mask, split_biased,
 )
 from .propensity import PropensityModel
 
@@ -75,31 +75,31 @@ class SimulationSpec:
     engagement_format: str = "dense"  # dense grid or (user, item, value) triples
 
     def __post_init__(self):
-        if self.num_users < 1 or self.num_items < 1:
-            raise ValueError("num_users and num_items must be at least 1")
         lo, hi = RATING_SCALE
         for name in ("rating_propensities", "target_rating_distribution"):
             if len(getattr(self, name)) != NUM_RATINGS:
                 raise ValueError(f"{name} needs one entry per rating {lo}..{hi}, "
                                  f"got {len(getattr(self, name))}")
-        if self.engagement_format not in ("dense", "triples"):
-            raise ValueError(
-                f"engagement_format must be dense or triples, got {self.engagement_format}"
-            )
-        if not 0.0 <= self.gamma <= 1.0:
-            raise ValueError(f"gamma must be in [0, 1], got {self.gamma}")
-        if any(not 0.0 < p <= 1.0 for p in self.rating_propensities):
-            raise ValueError("rating propensities must lie in (0, 1]")
-        if abs(sum(self.target_rating_distribution) - 1.0) > 1e-6:
-            raise ValueError("target rating distribution must sum to 1")
-        if self.powerlaw_eta <= 1.0:
-            raise ValueError("powerlaw_eta must exceed 1")
-        if self.k_min < 1:
-            raise ValueError("k_min must be at least 1")
-        if not 0 < self.unbiased_per_user <= self.num_items:
-            raise ValueError("unbiased_per_user must be in [1, num_items]")
-        if not 0.0 < self.mcar_fraction < 1.0 or not 0.0 < self.train_fraction < 1.0:
-            raise ValueError("fractions must be in (0, 1)")
+        _check_rules(self, _SPEC_RULES)
+        if self.unbiased_per_user > self.num_items:
+            raise ValueError(f"unbiased_per_user must be at most num_items = {self.num_items}, "
+                             f"got {self.unbiased_per_user}")
+
+
+_AT_LEAST_ONE, _FRACTION = (lambda v: v >= 1, "at least 1"), (lambda v: 0.0 < v < 1.0, "in (0, 1)")
+# the rule of each single SimulationSpec field (see data._check_rules)
+_SPEC_RULES = {
+    "num_users": _AT_LEAST_ONE, "num_items": _AT_LEAST_ONE, "k_min": _AT_LEAST_ONE,
+    "unbiased_per_user": _AT_LEAST_ONE, "mcar_fraction": _FRACTION, "train_fraction": _FRACTION,
+    "gamma": (lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
+    "powerlaw_eta": (lambda v: 1.0 < v < math.inf, "finite and above 1"),
+    "rating_propensities": (lambda v: all(0.0 < p <= 1.0 for p in v), "in (0, 1] at every rating"),
+    "target_rating_distribution": (lambda v: all(p >= 0.0 for p in v)
+                                   and abs(sum(v) - 1.0) <= 1e-6, "nonnegative and sum to 1"),
+    "engagement_rank": _NONNEGATIVE,
+    "engagement_noise": (lambda v: 0.0 <= v < math.inf, "finite and nonnegative"),
+    "engagement_format": (lambda v: v in ("dense", "triples"), "dense or triples"),
+}
 
 
 @dataclass
@@ -232,9 +232,9 @@ def convert_to_ratings(
         ValueError: if the distribution has a negative entry or does not sum
             to 1, or if the engagement matrix holds NaN (NaN has no rank).
     """
-    if abs(sum(target_distribution) - 1.0) > 1e-6:
+    if not abs(sum(target_distribution) - 1.0) <= 1e-6:  # NaN fails the test
         raise ValueError("target distribution must sum to 1")
-    if any(p < 0 for p in target_distribution):
+    if not all(p >= 0 for p in target_distribution):
         raise ValueError("target distribution entries must be nonnegative")
     if not isinstance(engagement, _Engagement):
         engagement = _array_engagement(engagement)
@@ -388,8 +388,8 @@ def build_item_propensities(
     default eta and k_min, so values are capped at 1; the cap count is returned
     and logged.
     """
-    if eta <= 1.0 or k_min < 1:
-        raise ValueError("require eta > 1 and k_min >= 1")
+    if not (1.0 < eta < math.inf and k_min >= 1):
+        raise ValueError("require a finite eta > 1 and k_min >= 1")
     # exact without a float copy: the column sums are small integers
     avg_rating = np.asarray(truth).mean(axis=0, dtype=float)
     num_items = len(avg_rating)

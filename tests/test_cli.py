@@ -1,7 +1,7 @@
 import logging
 import os
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -20,9 +20,10 @@ from ipsmf.cli import (
 )
 from ipsmf.data import RatingDataset, load_ratings, save_ratings
 from ipsmf.metrics import bootstrap_interval, evaluate
-from ipsmf.model import fit_avg, predict_many
+from ipsmf.model import fit_avg, load_checkpoint, predict_many
 from ipsmf.optim import TrainConfig, train
 from ipsmf.propensity import PropensityModel, load_propensity, save_propensity, score_dataset
+from ipsmf.sim import SimulationSpec
 
 from helpers import read_manifest
 from oracles import bootstrap_interval_oracle
@@ -228,6 +229,12 @@ class TestSimulateCommand:
         assert manifest["gamma"] == "0.5"
         assert manifest["seed"] == "3"
         assert int(manifest["n_train"]) > 0
+        # every simulation setting, the defaults too
+        assert set(manifest) == {"config_hash", "capped_item_propensities", *cli.SPLIT_SIZES,
+                                 *(f.name for f in fields(SimulationSpec))}
+        assert manifest["target_rating_distribution"] == "0.5148,0.2525,0.1496,0.0554,0.0277"
+        assert (manifest["engagement_rank"], manifest["engagement_noise"]) == ("4", "0.6")
+        assert (manifest["engagement_path"], manifest["engagement_format"]) == ("", "dense")
 
     def test_rerun_is_byte_identical(self, tmp_path):
         cfg = load_config(write_config(tmp_path))
@@ -352,6 +359,18 @@ embedding_dim = 4
         assert int(manifest["n_train"]) + int(manifest["n_validation"]) > 0
         assert manifest["split_seed"] == "1"
 
+    def test_filter_users_off_keeps_users_without_unbiased_ratings(self, tmp_path):
+        filtered = self.raw_pair_config(tmp_path)
+        path = tmp_path / "raw.ini"
+        path.write_text(path.read_text().replace("split_seed = 1",
+                                                 "split_seed = 1\nfilter_users = no"))
+        kept = load_config(path)
+        assert (filtered.data["filter_users"], kept.data["filter_users"]) == (True, False)
+        # u10 and u11 hold biased ratings only
+        sizes = [cli.load_experiment_data(cfg, run_seed=0).bundle.train.num_users
+                 for cfg in (filtered, kept)]
+        assert sizes == [10, 12]
+
     def test_comma_in_dataset_label_rejected_before_training(self, tmp_path, capsys):
         # the biased file's stem is the unquoted `dataset` cell of every table;
         # a comma in it used to shift summary.csv so mse_mean read best_epoch
@@ -389,6 +408,9 @@ embedding_dim = 4
         write_config(tmp_path, name="engagement.ini", text=BASE_CONFIG.replace(
             "[simulation]\n", f"[simulation]\nengagement_path = {tmp_path / 'engagement.csv'}\n"
         ))
+        (tmp_path / "engagement-text.csv").write_text("0.5,high\n")
+        np.savetxt(tmp_path / "engagement-small.csv", np.ones((2, 2)), delimiter=",")
+        (tmp_path / "engagement-pairs.csv").write_text("0,0\n0,1\n")
         (tmp_path / "results.csv").write_text(
             "dataset,gamma,method,seed,mse,mae,rmse,rmse_per_user,rmse_per_item\n"
             "simulation,0.5,mf,0,1.0,0.8,1.0,1.1,1.2\n"
@@ -424,6 +446,19 @@ embedding_dim = 4
          "zero-gt.csv: propensity 0.0 at train triple (user 0, item 1, rating 4)"),
         ("train engagement.ini", "engagement.ini", "/engagement.csv", "/absent.csv", "data",
          "absent.csv: No such file or directory"),
+        ("train engagement.ini", "engagement.ini", "/engagement.csv", "/engagement-text.csv",
+         "data", "engagement-text.csv: could not convert string 'high' to float64"),
+        ("train engagement.ini", "engagement.ini", "/engagement.csv", "/engagement-small.csv",
+         "data", "engagement-small.csv: engagement matrix shape (2, 2) does not match (30, 25)"),
+        ("train engagement.ini", "engagement.ini", "/engagement.csv",
+         "/engagement-pairs.csv\nengagement_format = triples", "data",
+         "engagement-pairs.csv: triples engagement file needs (user, item, value) columns"),
+        ("train split.ini", "splits/gt_propensities.csv", "alpha1=", "alpha1=-3.0", "propensity",
+         "gt_propensities.csv:1: alpha1=-3.0 is not empty or nonnegative"),
+        ("train split.ini", "splits/gt_propensities.csv", "item_index,rating,propensity",
+         "user_index,whatever,foo", "propensity",
+         "gt_propensities.csv:2: column line 'user_index,whatever,foo' is not "
+         "'item_index,rating,propensity'"),
         ("summarize absent.csv", None, None, None, "data",
          "absent.csv: No such file or directory"),
         ("summarize results.csv", "results.csv", "seed,mse,mae,rmse,rmse_per_user,rmse_per_item\n",
@@ -471,7 +506,9 @@ embedding_dim = 4
             "string-id-in-split", "nan-rating-in-split", "gt-header-key-missing",
             "gt-rating-scale-from-zero", "missing-gt-table", "gt-scale-nan",
             "gt-normalization-not-a-name", "gt-zero-at-a-train-triple",
-            "missing-engagement", "missing-results", "results-without-metrics",
+            "missing-engagement", "engagement-not-numbers", "engagement-wrong-shape",
+            "engagement-triples-two-columns", "gt-alpha-negative", "gt-wrong-column-line",
+            "missing-results", "results-without-metrics",
             "results-without-keys", "results-metric-not-a-number", "results-short-row",
             "results-without-seed", "results-repeated-run",
             "id-outside-declared-users", "empty-train-file", "empty-validation-file",
@@ -1001,6 +1038,53 @@ def test_main_entrypoint(tmp_path):
     assert main(["summarize", "--results", str(results)]) == 0
 
 
+@pytest.mark.parametrize("how", ["config", "option"])
+def test_clamped_rows_carry_the_clamped_mse(tmp_path, how):
+    text = BASE_CONFIG.replace("seeds = 0, 1", "seeds = 0").replace("avg, mf, mf_ips_mul", "mf")
+    text = text.replace("learning_rate = 0.01", "learning_rate = 0.2")
+    option = []
+    if how == "config":
+        text = text.replace("output_dir = out", "output_dir = out\nclamp_predictions = yes")
+    else:
+        option = ["--clamp-predictions"]
+    path = write_config(tmp_path, text)
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(path), "--out", str(out), *option]) == 0
+    header, line = (out / "results.csv").read_text().splitlines()
+    row = dict(zip(header.split(","), line.split(",")))
+    params, _ = load_checkpoint(out / "checkpoint_mf_seed0.bin")
+    test = cli.load_experiment_data(load_config(path), run_seed=0).bundle.test
+    clamped, plain = (evaluate(params, test, clamp=c).mse for c in (True, False))
+    assert row["clamped"] == "True"
+    assert row["mse"] == repr(clamped) and clamped != plain
+
+
+def test_normalize_off_keeps_the_propensities_unnormalized(tmp_path):
+    text = BASE_CONFIG.replace("seeds = 0, 1", "seeds = 0")
+    text = text.replace("[train]", "[propensity]\nnormalize = off\n\n[train]")
+    out = tmp_path / "out"
+    cmd_train(load_config(write_config(tmp_path, text)), out)
+    rows = cli._read_rows(out / "results.csv")
+    assert {r["method"]: r["normalization"] for r in rows} == {
+        "avg": "", "mf": "none", "mf_ips_mul": "none"}
+
+
+@pytest.mark.parametrize("command, source, message", [
+    ("tune", "simulation", "empty tuning grid for mf"),
+    ("simulate", "data", "simulate requires a [simulation] section"),
+    ("sweep-gamma", "data", "sweep-gamma requires a [simulation] section"),
+])
+def test_command_config_error_leaves_no_output_dir(tmp_path, capsys, command, source, message):
+    if source == "simulation":  # an empty grid list
+        text = BASE_CONFIG + "\n[tune]\nlearning_rate =\n"
+    else:
+        text = DATA_ONLY_CONFIG.format(key="train", path=tmp_path / "t.csv") + OTHER_SPLIT_PATHS
+    out = tmp_path / "out"
+    assert main([command, "--config", str(write_config(tmp_path, text)), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
 def test_main_reports_config_errors(tmp_path, capsys):
     bad = BASE_CONFIG.replace("gamma = 0.5", "gamma = 1.3")
     cfg_path = write_config(tmp_path, bad)
@@ -1050,13 +1134,22 @@ BOTH_SOURCES_ERROR = "config needs exactly one of a [simulation] and a [data] se
      "[propensity] propensity_learning_rate: must be positive, got 0.0"),
     ("[train]", "[propensity]\npropensity_learning_rate = -0.05\n[train]",
      "[propensity] propensity_learning_rate: must be positive, got -0.05"),
+    ("[method mf_ips_mul]", "[method foo]\nalpha1 = 1\n[method mf_ips_mul]",
+     "[method foo] unknown method"),
+    ("[train]", "[propensity]\nnormalize = maybe\n[train]",
+     "[propensity] normalize: expected a boolean, got 'maybe'"),
+    ("output_dir = out", "output_dir = out\nclamp_predictions = 2",
+     "[experiment] clamp_predictions: expected a boolean, got '2'"),
+    ("[train]", "[data]\nfilter_users = perhaps\n[train]",
+     "[data] filter_users: expected a boolean, got 'perhaps'"),
 ], ids=["steps-zero", "steps-negative", "dense-ids-removed", "split-seed-negative",
         "data-biased-alone", "data-unbiased-alone", "data-splits-incomplete", "data-layouts-mixed",
         "data-no-paths", "raw-data-and-simulation", "split-data-and-simulation", "max-epochs-zero",
         "learning-rate-negative", "learning-rate-nan", "schedule-unknown", "clip-floor-zero",
         "alpha1-negative", "alpha1-nan",
         "propensity-dim-zero", "propensity-learning-rate-zero",
-        "propensity-learning-rate-negative"])
+        "propensity-learning-rate-negative", "unknown-method-section", "normalize-not-a-boolean",
+        "clamp-not-a-boolean", "filter-users-not-a-boolean"])
 def test_pipeline_and_data_keys_checked(tmp_path, capsys, old, new, message):
     path = write_config(tmp_path, BASE_CONFIG.replace(old, new))
     with pytest.raises(ConfigError, match=re.escape(message)):
@@ -1098,10 +1191,24 @@ def test_diverged_cell_is_a_training_error(tmp_path, capsys, args, where):
      "target_rating_distribution needs one entry per rating 1..5, got 6"),
     ("seed = 3", "seed = 3\nrating_propensities = 0.1, 0.2, 0.3",
      "rating_propensities needs one entry per rating 1..5, got 3"),
-    ("num_users = 30", "num_users = 0", "num_users and num_items must be at least 1"),
-], ids=["six-ratings", "three-propensities", "no-users"])
+    ("num_users = 30", "num_users = 0", "num_users must be at least 1, got 0"),
+    ("seed = 3", "seed = 3\nengagement_rank = -1", "engagement_rank must be nonnegative, got -1"),
+    *(("seed = 3", f"seed = 3\nengagement_noise = {v}",
+       f"engagement_noise must be finite and nonnegative, got {v}")
+      for v in ("-1.0", "nan", "inf")),
+    *(("seed = 3", f"seed = 3\npowerlaw_eta = {v}",
+       f"powerlaw_eta must be finite and above 1, got {v}") for v in ("inf", "nan")),
+    ("seed = 3", "seed = 3\ntarget_rating_distribution = 1.2, -0.2, 0, 0, 0",
+     "target_rating_distribution must be nonnegative and sum to 1, "
+     "got (1.2, -0.2, 0.0, 0.0, 0.0)"),
+    ("seed = 3", "seed = 3\ntarget_rating_distribution = nan, 0.2, 0.1, 0.1, 0.1",
+     "target_rating_distribution must be nonnegative and sum to 1, got (nan, 0.2, 0.1, 0.1, 0.1)"),
+], ids=["six-ratings", "three-propensities", "no-users", "negative-rank", "negative-noise",
+        "nan-noise", "inf-noise", "inf-eta", "nan-eta", "negative-rating-share",
+        "nan-rating-share"])
 def test_unsimulatable_spec_is_a_config_error(tmp_path, capsys, old, new, message):
-    # each used to end in a traceback, or in a data error once simulated
+    # each used to end in a traceback, in a data error once simulated, or (a
+    # NaN rating share, an infinite noise) in a run that exited 0
     path = write_config(tmp_path, BASE_CONFIG.replace(old, new))
     out = tmp_path / "out"
     assert main(["simulate", "--config", str(path), "--out", str(out)]) == 2

@@ -113,6 +113,12 @@ class TestLoadRatings:
         with pytest.raises(RatingDataError, match="line 2"):
             load_string_ids(path)
 
+    def test_whole_float_rating_text_is_read(self, tmp_path):
+        # text other than the plain digits takes the checked float parse
+        path = tmp_path / "r.csv"
+        path.write_text("user_id,item_id,rating\n0,0,4.0\n1,0,2e0\n")
+        assert triples(load_ratings(path)) == [(0, 0, 4), (1, 0, 2)]
+
     def test_non_numeric_rating(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("u1,i1,five\n")
@@ -233,6 +239,15 @@ class TestDatasetInvariants:
     def test_rejects_bad_rating(self):
         with pytest.raises(RatingDataError):
             make_dataset(2, 2, [(0, 0, 6)])
+
+    @pytest.mark.parametrize("users, items, message", [
+        ([0, 1], [0], "users, items, and ratings must be equal length"),
+        ([0], [2], "item index out of range"),
+        ([0], [-1], "item index out of range"),
+    ], ids=["unequal-lengths", "item-past-the-space", "negative-item"])
+    def test_rejects_misshapen_columns(self, users, items, message):
+        with pytest.raises(RatingDataError, match=f"^{message}$"):
+            RatingDataset(2, 2, np.array(users), np.array(items), np.array([3]))
 
     def test_arrays_read_only(self):
         ds = make_dataset(2, 2, [(0, 0, 3)])

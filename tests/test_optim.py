@@ -1,5 +1,6 @@
 import re
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -393,6 +394,19 @@ def test_train_config_rejects_nan(field, message):
     # NaN fails every comparison, so a check written as `v <= 0` passes it
     with pytest.raises(ValueError, match=message):
         TrainConfig(**{field: float("nan")})
+
+
+@pytest.mark.parametrize("field, value, rule", [
+    ("learning_rate", 0.0, "positive"), ("l2_weight", -1e-6, "nonnegative"),
+    ("batch_size", 0, "positive"), ("max_epochs", -1, "positive"), ("patience", 0, "positive"),
+    ("schedule", "sideways", "concurrent or alternating"), ("embedding_dim", 0, "positive"),
+    ("init_scale", -0.1, "nonnegative"),
+])
+def test_train_config_names_the_field_and_value(field, value, rule):
+    # one rule per field but the seed, the same that the [train] parsers apply
+    assert set(optim.TRAIN_RULES) == {f.name for f in fields(TrainConfig)} - {"seed"}
+    with pytest.raises(ValueError, match=re.escape(f"{field} must be {rule}, got {value!r}")):
+        TrainConfig(**{field: value})
 
 
 def test_adam_step_rejects_repeated_group_and_misshaped_gradient():

@@ -865,12 +865,38 @@ class TestLoadValidation:
            rf"prop.csv:1: tau={v} is not in \[0, 1\]$") for v in ("2.0", "nan", "-0.1")),
         (GOOD_HEADER.replace("normalization=none", "normalization=a,b"),
          r"prop.csv:1: normalization=a,b is not none or mean-inverse$"),
+        (GOOD_HEADER.replace("alpha1=1.0", "alpha1=-3.0"),
+         r"prop.csv:1: alpha1=-3.0 is not empty or nonnegative$"),
+        (GOOD_HEADER.replace("alpha2=1.0", "alpha2=nan"),
+         r"prop.csv:1: alpha2=nan is not empty or nonnegative$"),
+        ("family=multifactorial tau=0.05\nitem_index,rating,propensity\n0,1,0.5\n",
+         r"prop.csv: missing propensity table header$"),
+        (GOOD_HEADER.replace("family=multifactorial", "family=bespoke")
+         + "item_index,rating,propensity\n0,1,0.5\n",
+         r"prop.csv: unknown family 'bespoke' "
+         r"\(columns \['item_index', 'rating', 'propensity'\]\)$"),
     ], ids=["missing-key", "not-key-value", "bad-header-value", "scale-nan", "scale-negative",
             "scale-zero", "scale-inf", "tau-above-one", "tau-nan", "tau-negative",
-            "normalization-not-a-name"])
+            "normalization-not-a-name", "alpha1-negative", "alpha2-nan", "no-header",
+            "unknown-family"])
     def test_bad_header(self, tmp_path, text, match):
         with pytest.raises(ValueError, match=match):
             load_propensity(self.write(tmp_path, text))
+
+    @pytest.mark.parametrize("family, columns", [
+        ("multifactorial", "user_index,whatever,foo"),
+        ("multifactorial", "rating,item_index,propensity"),
+        ("popularity", "item_index,rating,propensity"),
+        ("uniform", ""),
+    ])
+    def test_column_line_must_name_the_family_axes(self, tmp_path, family, columns):
+        # the rows are read by position, so a table whose column line names
+        # other axes used to load as if it named the family's own
+        header = GOOD_HEADER.replace("family=multifactorial", f"family={family}")
+        expected = ",".join((*AXES[family], "propensity"))
+        with pytest.raises(PropensityError, match=re.escape(
+                f"prop.csv:2: column line {columns!r} is not {expected!r}")):
+            load_propensity(self.write(tmp_path, header + columns + "\n0,1,0.5\n"))
 
     @pytest.mark.parametrize("rows, match", [
         (["0,1,0.5", "0,2", "1,1,0.5", "1,2,0.5"], r"prop.csv:4: expected 3 field\(s\), got 2"),

@@ -69,6 +69,11 @@ class TestConvertToRatings:
         with pytest.raises(ValueError, match="nonnegative"):
             convert_to_ratings(np.zeros((2, 2)), (0.6, -0.1, 0.3, 0.1, 0.1))
 
+    def test_rejects_nan_distribution_entry(self):
+        # it used to pass both checks and rate every cell 5
+        with pytest.raises(ValueError, match="must sum to 1"):
+            convert_to_ratings(np.zeros((2, 2)), (math.nan, 0.2, 0.1, 0.1, 0.1))
+
     def test_rejects_nan_engagement_with_count(self):
         engagement = np.arange(12.0).reshape(3, 4)
         engagement[0, 1] = engagement[2, 3] = np.nan
@@ -282,6 +287,9 @@ class TestItemPropensities:
             build_item_propensities(truth, eta=1.0)
         with pytest.raises(ValueError):
             build_item_propensities(truth, eta=1.4, k_min=0)
+        for eta in (math.nan, math.inf):  # both passed a check written `eta <= 1`
+            with pytest.raises(ValueError, match="finite eta"):
+                build_item_propensities(truth, eta=eta)
 
 
 class TestSampleObservations:
@@ -458,8 +466,46 @@ class TestSimulationSpec:
 
     @pytest.mark.parametrize("num_users, num_items", [(0, 10), (10, 0), (-1, 10)])
     def test_id_space_must_be_nonempty(self, num_users, num_items):
-        with pytest.raises(ValueError, match="num_users and num_items must be at least 1"):
+        field, value = ("num_users", num_users) if num_users < 1 else ("num_items", num_items)
+        with pytest.raises(ValueError, match=f"^{field} must be at least 1, got {value}$"):
             SimulationSpec(num_users=num_users, num_items=num_items, gamma=0.5)
+
+    @pytest.mark.parametrize("field, value, rule", [
+        ("gamma", math.nan, r"in \[0, 1\]"),
+        ("powerlaw_eta", math.nan, "finite and above 1"),
+        ("powerlaw_eta", math.inf, "finite and above 1"),
+        ("powerlaw_eta", 1.0, "finite and above 1"),
+        ("k_min", 0, "at least 1"),
+        ("unbiased_per_user", 0, "at least 1"),
+        ("mcar_fraction", math.nan, r"in \(0, 1\)"),
+        ("train_fraction", 1.0, r"in \(0, 1\)"),
+        ("engagement_rank", -1, "nonnegative"),
+        ("engagement_noise", -1.0, "finite and nonnegative"),
+        ("engagement_noise", math.nan, "finite and nonnegative"),
+        ("engagement_noise", math.inf, "finite and nonnegative"),
+        ("engagement_format", "sparse", "dense or triples"),
+        ("rating_propensities", (0.1, 0.2, math.nan, 0.3, 0.4), r"in \(0, 1\] at every rating"),
+        ("target_rating_distribution", (math.nan, 0.2, 0.1, 0.1, 0.1),
+         "nonnegative and sum to 1"),
+        ("target_rating_distribution", (1.2, -0.2, 0.0, 0.0, 0.0), "nonnegative and sum to 1"),
+    ])
+    def test_field_rules_reject_nan_and_bounds(self, field, value, rule):
+        # each rule is `not holds(value)`, so NaN, which fails every
+        # comparison, is rejected with the rest
+        with pytest.raises(ValueError, match=f"^{field} must be {rule}, got "):
+            SimulationSpec(**{**dict(num_users=10, num_items=10, gamma=0.5,
+                                     unbiased_per_user=5), field: value})
+
+    def test_unbiased_per_user_at_most_num_items(self):
+        with pytest.raises(ValueError, match="unbiased_per_user must be at most num_items = 10, "
+                                             "got 11"):
+            SimulationSpec(num_users=10, num_items=10, gamma=0.5, unbiased_per_user=11)
+
+    def test_rank_zero_engagement_is_valid(self):
+        # rank 0 leaves the item quality and the noise
+        spec = SimulationSpec(num_users=10, num_items=10, gamma=0.5, unbiased_per_user=5,
+                              engagement_rank=0)
+        assert simulate(spec).truth.shape == (10, 10)
 
 
 class TestSimulate:
