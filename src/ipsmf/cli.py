@@ -26,15 +26,16 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import MISSING, dataclass, fields, replace
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
 from .data import (
+    _AT_LEAST_ONE,
+    _FRACTION,
     _NONNEGATIVE,
-    _POSITIVE,
     RatingDataError,
     RatingDataset,
     SplitBundle,
@@ -53,6 +54,8 @@ from .model import fit_avg, save_checkpoint
 from .optim import TRAIN_RULES, HistoryRow, TrainConfig, TrainingDivergedError, TrainResult, train
 from .propensity import (
     AXES,
+    PIPELINE_RULES,
+    PipelineConfig,
     PropensityError,
     PropensityModel,
     estimate_mf_propensity,
@@ -116,30 +119,23 @@ def _checked(cast, holds, rule: str):
     return parse
 
 
-_parse_positive = _checked(int, *_POSITIVE)
 _parse_nonnegative = _checked(int, *_NONNEGATIVE)
 # an [experiment] list, or the command-line option that overrides it
 _distinct = _checked(list, lambda v: len(set(v)) == len(v) > 0, "nonempty without repeats")
+# a [tune] grid list, which may be empty where no configured method reads it
+_no_repeats = _checked(list, lambda v: len(set(v)) == len(v), "without repeats")
 
 # the [train] parsers: each TrainConfig rule, cast to its field default's type
 _TRAIN_CASTS = {
     key: _checked(type(getattr(TrainConfig, key)), *rule) for key, rule in TRAIN_RULES.items()
 }
-# the checks of estimate_multifactorial (alphas), propensity.clip (clip_floor),
-# init_params (propensity_dim) and estimate_mf_propensity
-# (propensity_learning_rate, propensity_steps)
+# the [propensity] and [method X] pipeline parsers: each PipelineConfig field
+# read as its type (`float | None` as float) with its rule, a bool by _parse_bool
 _PIPELINE_CASTS = {
-    "normalize": _parse_bool,
-    "clip_floor": _checked(float, lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
-    "alpha1": _checked(float, *_NONNEGATIVE), "alpha2": _checked(float, *_NONNEGATIVE),
-    "propensity_dim": _parse_positive, "propensity_learning_rate": _checked(float, *_POSITIVE),
-    "propensity_steps": _parse_positive,
+    key: _parse_bool if t is bool else _checked((get_args(t) or (t,))[0], *PIPELINE_RULES[key])
+    for key, t in get_type_hints(PipelineConfig).items()
 }
 _METHOD_CASTS = {**_TRAIN_CASTS, **_PIPELINE_CASTS}
-_PIPELINE_DEFAULTS = {
-    "normalize": True, "clip_floor": None, "alpha1": 1.0, "alpha2": 1.0,
-    "propensity_dim": 8, "propensity_learning_rate": 0.05, "propensity_steps": 300,
-}
 TRAIN_KEYS = tuple(_TRAIN_CASTS)
 PIPELINE_KEYS = tuple(_PIPELINE_CASTS)
 
@@ -172,7 +168,8 @@ class ExperimentConfig:
         return TrainConfig(seed=seed, **self._merged(self.train, TRAIN_KEYS, method, point))
 
     def pipeline_settings(self, method: str, point: dict | None = None) -> dict:
-        return self._merged(_PIPELINE_DEFAULTS, PIPELINE_KEYS, method, point)
+        """Every pipeline setting of `method`, as a checked PipelineConfig's mapping."""
+        return asdict(PipelineConfig(**self._merged({}, PIPELINE_KEYS, method, point)))
 
 
 # each SimulationSpec field read as its type (`str | None` as str), a tuple
@@ -188,8 +185,9 @@ _DATA_CASTS = {
     "train": str, "validation": str, "mcar": str, "test": str,
     "biased": str, "unbiased": str, "ground_truth_propensities": str,
     "delimiter": _parse_delimiter, "filter_users": _parse_bool,
-    "train_fraction": float, "mcar_fraction": float, "split_seed": _parse_nonnegative,
-    "num_users": int, "num_items": int,
+    "train_fraction": _checked(float, *_FRACTION), "mcar_fraction": _checked(float, *_FRACTION),
+    "split_seed": _parse_nonnegative,
+    "num_users": _checked(int, *_AT_LEAST_ONE), "num_items": _checked(int, *_AT_LEAST_ONE),
 }
 _DATA_DEFAULTS = {
     "delimiter": ",", "filter_users": True,
@@ -217,12 +215,15 @@ _TUNE_DEFAULTS = {
 }
 
 
-def _parse_section(parser: configparser.ConfigParser, name: str, casts: dict, lists=None) -> dict:
+def _parse_section(
+    parser: configparser.ConfigParser, name: str, casts: dict, lists=None, check=list
+) -> dict:
     """The keys of section `name`, each cast by `casts`, or parsed as a
-    comma-separated tuple whose elements `lists` casts. An empty scalar value
-    leaves its key out (the default applies); an empty list value is ``()``.
-    Raises ConfigError naming the section and key for an unknown key or a
-    value that does not parse."""
+    comma-separated tuple whose elements `lists` casts and whose list `check`
+    then checks. An empty scalar value leaves its key out (the default
+    applies); an empty list value is ``()``. Raises ConfigError naming the
+    section and key for an unknown key or a value that does not parse or
+    fails its check."""
     lists = lists or {}
     out: dict = {}
     if not parser.has_section(name):
@@ -234,7 +235,8 @@ def _parse_section(parser: configparser.ConfigParser, name: str, casts: dict, li
             continue
         try:
             out[key] = (
-                tuple(_parse_list(value, lists[key])) if key in lists else casts[key](value)
+                tuple(check(_parse_list(value, lists[key]))) if key in lists
+                else casts[key](value)
             )
         except (ValueError, ConfigError) as exc:
             raise ConfigError(f"[{name}] {key}: {exc}") from None
@@ -254,17 +256,12 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
     exp = {
         **_EXPERIMENT_DEFAULTS,
-        **_parse_section(parser, "experiment", _EXPERIMENT_CASTS, _EXPERIMENT_LISTS),
+        **_parse_section(parser, "experiment", _EXPERIMENT_CASTS, _EXPERIMENT_LISTS, _distinct),
     }
     methods, seeds = list(exp["methods"]), list(exp["seeds"])
     for method in methods:
         if method not in METHODS:
             raise ConfigError(f"[experiment] methods: unknown method {method!r}")
-    for key in _EXPERIMENT_LISTS:
-        try:
-            _distinct(exp[key])
-        except ConfigError as exc:
-            raise ConfigError(f"[experiment] {key}: {exc}") from None
 
     train = _parse_section(parser, "train", _TRAIN_CASTS)
     overrides: dict[str, dict] = {}
@@ -300,7 +297,8 @@ def load_config(path: str | Path) -> ExperimentConfig:
     if (simulation is None) == (data is None):
         raise ConfigError("config needs exactly one of a [simulation] and a [data] section")
 
-    tune = {**_TUNE_DEFAULTS, **_parse_section(parser, "tune", _TUNE_CASTS, _TUNE_LISTS)}
+    tune = {**_TUNE_DEFAULTS,
+            **_parse_section(parser, "tune", _TUNE_CASTS, _TUNE_LISTS, _no_repeats)}
 
     if "mf_ips_gt" in methods and simulation is None and not (data or {}).get("ground_truth_propensities"):
         raise ConfigError(
@@ -451,8 +449,11 @@ def build_propensity_model(
     ground_truth: PropensityModel | None = None,
     seed: int = 0,
 ) -> PropensityModel | None:
-    """Estimate, normalize, and clip the propensity model a method trains with."""
+    """Estimate, normalize, and clip the propensity model a method trains with.
+    `pipeline` maps PipelineConfig fields to values; a field it leaves out
+    takes its default."""
     train = bundle.train
+    pipeline = PipelineConfig(**pipeline)
     if method == "avg":
         return None
     if method == "mf_ips_gt":
@@ -466,22 +467,18 @@ def build_propensity_model(
     elif method == "mf_ips_pos":
         model = estimate_positivity(train, bundle.mcar)
     elif method == "mf_ips_mul":
-        model = estimate_multifactorial(train, bundle.mcar, pipeline["alpha1"], pipeline["alpha2"])
+        model = estimate_multifactorial(train, bundle.mcar, pipeline.alpha1, pipeline.alpha2)
     elif method == "mf_ips_mf":
         model = estimate_mf_propensity(
             train,
-            dim=pipeline["propensity_dim"],
-            learning_rate=pipeline["propensity_learning_rate"],
-            max_steps=pipeline["propensity_steps"],
+            dim=pipeline.propensity_dim,
+            learning_rate=pipeline.propensity_learning_rate,
+            max_steps=pipeline.propensity_steps,
             seed=seed,
         )
     else:
         raise ConfigError(f"unknown method {method!r}")
-    return prepare(
-        model, train,
-        do_normalize=pipeline["normalize"],
-        clip_floor=pipeline["clip_floor"],
-    )
+    return prepare(model, train, do_normalize=pipeline.normalize, clip_floor=pipeline.clip_floor)
 
 
 @dataclass
@@ -783,6 +780,7 @@ def cmd_summarize(results_path: Path, summary_path: Path) -> Path:
             row[f"{name}_ci_low"] = low
             row[f"{name}_ci_high"] = high
         out_rows.append(row)
+    Path(summary_path).parent.mkdir(parents=True, exist_ok=True)
     _write_rows(Path(summary_path), columns, out_rows)
     return Path(summary_path)
 
@@ -932,6 +930,20 @@ def _list_option(cast):
     return _option(lambda text: _distinct(_parse_list(text, cast)))
 
 
+def _check_output(path: Path, is_file: bool = False) -> None:
+    """Raise ConfigError naming `path` when a command could not write it: an
+    output directory, or the directory of an output file (`is_file`), that
+    cannot be made as a part of it is not a directory, or an output file
+    that is a directory. Run when the command starts, before any work."""
+    folder = path.parent if is_file else path
+    blocker = next((p for p in (folder, *folder.parents) if p.exists() and not p.is_dir()), None)
+    if blocker is not None:
+        raise ConfigError(f"output {'file' if is_file else 'directory'} {path}: "
+                          f"{blocker} is not a directory")
+    if is_file and path.is_dir():
+        raise ConfigError(f"output file {path} is a directory")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="ipsmf", description="Debiased rating-prediction experiments."
@@ -978,6 +990,7 @@ def main(argv=None) -> int:
         if args.command == "summarize":
             results = Path(args.results)
             out = Path(args.out) if args.out else results.parent / "summary.csv"
+            _check_output(out, is_file=True)
             cmd_summarize(results, out)
             return 0
 
@@ -987,6 +1000,7 @@ def main(argv=None) -> int:
         if getattr(args, "clamp_predictions", False):
             cfg = replace(cfg, clamp_predictions=True)
         out_dir = Path(args.out) if args.out else cfg.output_dir
+        _check_output(out_dir)
 
         if args.command == "simulate":
             cmd_simulate(cfg, out_dir)

@@ -156,13 +156,15 @@ class SplitBundle:
 # A settings rule is a pair (holds, text) that rejects a value when
 # `not holds(value)`, so NaN, which fails every comparison, is rejected too.
 _POSITIVE, _NONNEGATIVE = (lambda v: v > 0, "positive"), (lambda v: v >= 0, "nonnegative")
+_AT_LEAST_ONE, _FRACTION = (lambda v: v >= 1, "at least 1"), (lambda v: 0.0 < v < 1.0, "in (0, 1)")
 
 
-def _check_rules(obj, rules: dict) -> None:
+def _check_rules(values, rules: dict) -> None:
     """Raise ValueError ``<name> must be <text>, got <value>`` for the first
-    attribute of `obj`, in `rules` order, that breaks its rule."""
+    entry of the mapping `values`, in `rules` order, that breaks its rule;
+    a dataclass passes ``vars(self)``, a function the settings it checks."""
     for name, (holds, text) in rules.items():
-        if not holds(value := getattr(obj, name)):
+        if name in values and not holds(value := values[name]):
             raise ValueError(f"{name} must be {text}, got {value!r}")
 
 
@@ -377,8 +379,9 @@ def _split_mask(n: int, first_fraction: float, seed: int) -> np.ndarray:
     dropped once the mask is set: a side gathered through the mask comes in
     ascending position order, with no sorted or intp copy of its positions.
     """
-    if not 0.0 < first_fraction < 1.0:
-        raise SplitError(f"fraction must be in (0, 1), got {first_fraction}")
+    holds, text = _FRACTION
+    if not holds(first_fraction):
+        raise SplitError(f"fraction must be {text}, got {first_fraction}")
     if n < 2:
         raise SplitError(f"cannot split a dataset with {n} triples")
     n_first, _ = _split_sizes(n, first_fraction)

@@ -48,7 +48,7 @@ class TrainConfig:
     init_scale: float = 0.1
 
     def __post_init__(self):
-        _check_rules(self, TRAIN_RULES)
+        _check_rules(vars(self), TRAIN_RULES)
 
 
 # the rule of each field but the seed (see data._check_rules); cli reads [train] with them

@@ -19,7 +19,9 @@ from pathlib import Path
 import numpy as np
 
 from .blas import one_blas_thread
-from .data import NUM_RATINGS, RATING_SCALE, RatingDataset, _open_input
+from .data import (
+    _NONNEGATIVE, _POSITIVE, NUM_RATINGS, RATING_SCALE, RatingDataset, _check_rules, _open_input,
+)
 from .model import PARAM_GROUPS, init_params
 from .optim import adam_step, init_adam_state
 
@@ -220,12 +222,11 @@ def estimate_multifactorial(
     - ``P(o=1) = |D| / (U * I)``, with the id space (U, I) of `train`.
 
     The smoothing strengths are stored as floats on the model. Raises
-    ValueError for a negative strength, and PropensityError for an empty mcar
-    sample or a different item space.
+    ValueError for a strength that is negative or NaN, and PropensityError
+    for an empty mcar sample or a different item space.
     """
     a1, a2 = float(alpha1), float(alpha2)
-    if not (a1 >= 0 and a2 >= 0):  # NaN fails both
-        raise ValueError("smoothing strengths must be nonnegative")
+    _check_rules({"alpha1": a1, "alpha2": a2}, _SMOOTHING_RULES)
     if len(mcar) == 0:
         raise PropensityError("joint estimation requires a nonempty mcar sample")
     if mcar.num_items != train.num_items:
@@ -285,8 +286,8 @@ def estimate_mf_propensity(
     rate instead of letting a single binary matrix be memorized. On
     non-convergence, or at the first step that leaves a parameter non-finite,
     the best parameters seen are returned with a warning. Raises ValueError
-    for fewer than one step, a learning rate that is not positive, or an L2
-    weight or tolerance that is negative or NaN.
+    for a step count or learning rate that is not positive, or an L2 weight
+    or tolerance that is negative or NaN (see ``_FIT_RULES``).
 
     The model has the rating model's structure, so the fit is an
     :class:`~ipsmf.model.MFParameters` stepped by :func:`~ipsmf.optim.adam_step`
@@ -315,15 +316,8 @@ def estimate_mf_propensity(
     parameters, built in ``s``; its dot products use the per-pair ``einsum``
     reduction, not ``P @ Q.T``, whose BLAS sums can differ in the last bit.
     """
-    if max_steps < 1:
-        raise ValueError(f"max_steps must be at least 1, got {max_steps}")
-    # negated comparisons, so that NaN is rejected too
-    if not learning_rate > 0:
-        raise ValueError(f"learning_rate must be positive, got {learning_rate}")
-    if not l2_weight >= 0:
-        raise ValueError(f"l2_weight must be nonnegative, got {l2_weight}")
-    if not tol >= 0:
-        raise ValueError(f"tol must be nonnegative, got {tol}")
+    _check_rules(dict(max_steps=max_steps, learning_rate=learning_rate, l2_weight=l2_weight,
+                      tol=tol), _FIT_RULES)
     n_users, n_items = train.num_users, train.num_items
     n_cells = n_users * n_items
     # the flat indices of the observed cells, as intp for put and take
@@ -423,9 +417,9 @@ def _sigmoid_of_logits(s, params, rows):
 
 
 def clip(model: PropensityModel, tau: float) -> PropensityModel:
-    """Floor every score at tau; tau=1 makes every propensity 1."""
-    if not 0.0 < tau <= 1.0:
-        raise ValueError(f"clip floor must be in (0, 1], got {tau}")
+    """Floor every score at tau; tau=1 makes every propensity 1. Raises
+    ValueError for a tau, None included, outside (0, 1]."""
+    _check_rules({"clip_floor": tau}, {"clip_floor": _CLIP_FLOOR})
     return replace(model, clip_floor=tau)
 
 
@@ -476,6 +470,43 @@ def prepare(
         model = normalize(model, train)
     tau = clip_floor if clip_floor is not None else default_clip_floor(model, train)
     return clip(model, tau)
+
+
+# the settings rules (see data._check_rules) of estimate_multifactorial,
+# estimate_mf_propensity and clip
+_SMOOTHING_RULES = {"alpha1": _NONNEGATIVE, "alpha2": _NONNEGATIVE}
+_FIT_RULES = {"max_steps": _POSITIVE, "learning_rate": _POSITIVE, "l2_weight": _NONNEGATIVE,
+              "tol": _NONNEGATIVE}
+_CLIP_FLOOR = (lambda v: v is not None and 0.0 < v <= 1.0, "in (0, 1]")
+
+
+@dataclass(frozen=True)
+class PipelineConfig:
+    """The propensity pipeline's settings, with the CLI's defaults; a None
+    clip floor is :func:`default_clip_floor`'s. Raises ValueError for a
+    value that breaks its rule in PIPELINE_RULES."""
+
+    normalize: bool = True
+    clip_floor: float | None = None
+    alpha1: float = 1.0
+    alpha2: float = 1.0
+    propensity_dim: int = 8
+    propensity_learning_rate: float = 0.05
+    propensity_steps: int = 300
+
+    def __post_init__(self):
+        _check_rules(vars(self), PIPELINE_RULES)
+
+
+# the rule of each PipelineConfig field but normalize: its function's rule,
+# None also allowed as a clip floor; cli reads [propensity] with them
+PIPELINE_RULES = {
+    "clip_floor": (lambda v: v is None or _CLIP_FLOOR[0](v), _CLIP_FLOOR[1]),
+    **_SMOOTHING_RULES,
+    "propensity_dim": _POSITIVE,  # init_params' rule
+    "propensity_learning_rate": _FIT_RULES["learning_rate"],
+    "propensity_steps": _FIT_RULES["max_steps"],
+}
 
 
 # Table files: one "# key=value ..." header line, a column-name line (the

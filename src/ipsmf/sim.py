@@ -20,8 +20,8 @@ import numpy as np
 
 from .blas import one_blas_thread
 from .data import (
-    _NONNEGATIVE, NUM_RATINGS, RATING_SCALE, RatingDataError, RatingDataset, SplitBundle,
-    _check_rules, _index_dtype, _open_input, _split_mask, split_biased,
+    _AT_LEAST_ONE, _FRACTION, _NONNEGATIVE, NUM_RATINGS, RATING_SCALE, RatingDataError,
+    RatingDataset, SplitBundle, _check_rules, _index_dtype, _open_input, _split_mask, split_biased,
 )
 from .propensity import PropensityModel
 
@@ -80,13 +80,12 @@ class SimulationSpec:
             if len(getattr(self, name)) != NUM_RATINGS:
                 raise ValueError(f"{name} needs one entry per rating {lo}..{hi}, "
                                  f"got {len(getattr(self, name))}")
-        _check_rules(self, _SPEC_RULES)
+        _check_rules(vars(self), _SPEC_RULES)
         if self.unbiased_per_user > self.num_items:
             raise ValueError(f"unbiased_per_user must be at most num_items = {self.num_items}, "
                              f"got {self.unbiased_per_user}")
 
 
-_AT_LEAST_ONE, _FRACTION = (lambda v: v >= 1, "at least 1"), (lambda v: 0.0 < v < 1.0, "in (0, 1)")
 # the rule of each single SimulationSpec field (see data._check_rules)
 _SPEC_RULES = {
     "num_users": _AT_LEAST_ONE, "num_items": _AT_LEAST_ONE, "k_min": _AT_LEAST_ONE,
@@ -229,13 +228,11 @@ def convert_to_ratings(
     the ratings (and an array passed in) is allocated.
 
     Raises:
-        ValueError: if the distribution has a negative entry or does not sum
-            to 1, or if the engagement matrix holds NaN (NaN has no rank).
+        ValueError: if the distribution breaks ``SimulationSpec``'s rule for
+            ``target_rating_distribution`` (nonnegative entries that sum to
+            1), or if the engagement matrix holds NaN (NaN has no rank).
     """
-    if not abs(sum(target_distribution) - 1.0) <= 1e-6:  # NaN fails the test
-        raise ValueError("target distribution must sum to 1")
-    if not all(p >= 0 for p in target_distribution):
-        raise ValueError("target distribution entries must be nonnegative")
+    _check_rules({"target_rating_distribution": target_distribution}, _SPEC_RULES)
     if not isinstance(engagement, _Engagement):
         engagement = _array_engagement(engagement)
     n = math.prod(engagement.shape)
@@ -386,10 +383,10 @@ def build_item_propensities(
     broken by ascending item index), and assigned
     ``(eta - 1) * (rank / k_min) ** (-eta)``. The top ranks exceed 1 for the
     default eta and k_min, so values are capped at 1; the cap count is returned
-    and logged.
+    and logged. Raises ValueError for an eta or k_min that breaks
+    ``SimulationSpec``'s rule for ``powerlaw_eta`` or ``k_min``.
     """
-    if not (1.0 < eta < math.inf and k_min >= 1):
-        raise ValueError("require a finite eta > 1 and k_min >= 1")
+    _check_rules({"powerlaw_eta": eta, "k_min": k_min}, _SPEC_RULES)
     # exact without a float copy: the column sums are small integers
     avg_rating = np.asarray(truth).mean(axis=0, dtype=float)
     num_items = len(avg_rating)

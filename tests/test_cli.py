@@ -22,7 +22,9 @@ from ipsmf.data import RatingDataset, load_ratings, save_ratings
 from ipsmf.metrics import bootstrap_interval, evaluate
 from ipsmf.model import fit_avg, load_checkpoint, predict_many
 from ipsmf.optim import TrainConfig, train
-from ipsmf.propensity import PropensityModel, load_propensity, save_propensity, score_dataset
+from ipsmf.propensity import (
+    PipelineConfig, PropensityModel, load_propensity, save_propensity, score_dataset,
+)
 from ipsmf.sim import SimulationSpec
 
 from helpers import read_manifest
@@ -124,10 +126,15 @@ class TestConfigParsing:
          "[simulation] num_users: invalid literal for int() with base 10: '10%'"),
         ("seeds = 0, 1", "seeds = 0, -1", "[experiment] seeds: must be nonnegative, got -1"),
         ("seed = 3", "seed = -5", "[simulation] seed: must be nonnegative, got -5"),
+        ("[train]", "[tune]\nlearning_rate = 0.01, 0.01\n[train]",
+         "[tune] learning_rate: must be without repeats, got [0.01, 0.01]"),
+        ("[train]", "[tune]\nalpha1 = 1, 2, 1.0\n[train]",
+         "[tune] alpha1: must be without repeats, got [1.0, 2.0, 1.0]"),
     ], ids=["seeds-not-int", "budget-not-int", "budget-negative", "experiment-typo",
             "tune-typo", "tune-learning-rate-zero", "tune-dim-zero", "methods-repeated",
             "seeds-repeated", "seeds-empty", "gammas-repeated", "gammas-empty",
-            "percent-in-value", "seeds-negative", "simulation-seed-negative"])
+            "percent-in-value", "seeds-negative", "simulation-seed-negative",
+            "tune-learning-rate-repeated", "tune-alpha1-repeated"])
     def test_experiment_and_tune_keys_checked(self, tmp_path, capsys, old, new, message):
         path = write_config(tmp_path, BASE_CONFIG.replace(old, new))
         with pytest.raises(ConfigError, match=re.escape(message)):
@@ -419,8 +426,6 @@ embedding_dim = 4
     @pytest.mark.parametrize("args, name, old, new, error, message", [
         ("train raw.ini", "unbiased.csv", "user_id,item_id", "user,item", "data",
          "unbiased.csv: line 1: "),
-        ("train raw.ini", "raw.ini", "mcar_fraction = 0.25", "mcar_fraction = 1.5", "data",
-         "fraction must be in (0, 1), got 1.5"),
         ("train raw.ini", "raw.ini", "/biased.csv", "/absent.csv", "data",
          "absent.csv: No such file or directory"),
         ("train split.ini", "split.ini", "/train.csv", "/absent.csv", "data",
@@ -502,7 +507,7 @@ embedding_dim = 4
         ("sweep-gamma config.ini", "config.ini", "unbiased_per_user = 8",
          "unbiased_per_user = 8\nmcar_fraction = 0.001", "data",
          "simulation at run seed 0: too few ratings to fill the mcar split"),
-    ], ids=["bad-header", "bad-fraction", "missing-biased", "missing-train",
+    ], ids=["bad-header", "missing-biased", "missing-train",
             "string-id-in-split", "nan-rating-in-split", "gt-header-key-missing",
             "gt-rating-scale-from-zero", "missing-gt-table", "gt-scale-nan",
             "gt-normalization-not-a-name", "gt-zero-at-a-train-triple",
@@ -1142,6 +1147,14 @@ BOTH_SOURCES_ERROR = "config needs exactly one of a [simulation] and a [data] se
      "[experiment] clamp_predictions: expected a boolean, got '2'"),
     ("[train]", "[data]\nfilter_users = perhaps\n[train]",
      "[data] filter_users: expected a boolean, got 'perhaps'"),
+    ("[train]", "[data]\nmcar_fraction = 1.5\n[train]",
+     "[data] mcar_fraction: must be in (0, 1), got 1.5"),
+    ("[train]", "[data]\ntrain_fraction = 0\n[train]",
+     "[data] train_fraction: must be in (0, 1), got 0.0"),
+    ("[train]", "[data]\ntrain_fraction = nan\n[train]",
+     "[data] train_fraction: must be in (0, 1), got nan"),
+    ("[train]", "[data]\nnum_users = -1\n[train]", "[data] num_users: must be at least 1, got -1"),
+    ("[train]", "[data]\nnum_items = 0\n[train]", "[data] num_items: must be at least 1, got 0"),
 ], ids=["steps-zero", "steps-negative", "dense-ids-removed", "split-seed-negative",
         "data-biased-alone", "data-unbiased-alone", "data-splits-incomplete", "data-layouts-mixed",
         "data-no-paths", "raw-data-and-simulation", "split-data-and-simulation", "max-epochs-zero",
@@ -1149,13 +1162,86 @@ BOTH_SOURCES_ERROR = "config needs exactly one of a [simulation] and a [data] se
         "alpha1-negative", "alpha1-nan",
         "propensity-dim-zero", "propensity-learning-rate-zero",
         "propensity-learning-rate-negative", "unknown-method-section", "normalize-not-a-boolean",
-        "clamp-not-a-boolean", "filter-users-not-a-boolean"])
+        "clamp-not-a-boolean", "filter-users-not-a-boolean", "mcar-fraction-above-one",
+        "train-fraction-zero", "train-fraction-nan", "num-users-negative", "num-items-zero"])
 def test_pipeline_and_data_keys_checked(tmp_path, capsys, old, new, message):
     path = write_config(tmp_path, BASE_CONFIG.replace(old, new))
     with pytest.raises(ConfigError, match=re.escape(message)):
         load_config(path)
     assert main(["train", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err.startswith(f"config error: {message}")
+    assert not (tmp_path / "out").exists()
+
+
+def test_pipeline_keys_are_the_pipeline_config_fields():
+    assert cli.PIPELINE_KEYS == tuple(f.name for f in fields(PipelineConfig))
+
+
+def test_pipeline_settings_are_a_checked_pipeline_config(tmp_path):
+    cfg = load_config(write_config(tmp_path))
+    assert cfg.pipeline_settings("mf") == vars(PipelineConfig())
+    assert cfg.pipeline_settings("mf_ips_mul", {"alpha1": 3.0}) == vars(
+        PipelineConfig(alpha1=3.0, alpha2=2.0))
+
+
+@pytest.mark.parametrize("method", ["mf_ips_mul", "mf_ips_mf"])
+def test_partial_pipeline_mapping_takes_the_defaults(tmp_path, method):
+    # a library caller's mapping is read through PipelineConfig
+    bundle = cli.load_experiment_data(load_config(write_config(tmp_path)), run_seed=0).bundle
+    full = cli.build_propensity_model(
+        method, bundle, {**vars(PipelineConfig()), "clip_floor": 1e-3}, seed=0)
+    partial = cli.build_propensity_model(method, bundle, {"clip_floor": 1e-3}, seed=0)
+    np.testing.assert_array_equal(partial.table, full.table)
+    assert {**vars(partial), "table": None} == {**vars(full), "table": None}
+    with pytest.raises(ValueError, match=r"^alpha1 must be nonnegative, got nan$"):
+        cli.build_propensity_model(method, bundle, {"alpha1": float("nan")}, seed=0)
+
+
+def test_unread_tune_list_may_be_empty(tmp_path):
+    # no configured method reads the alphas; mf_ips_mul would need them
+    text = BASE_CONFIG.replace("avg, mf, mf_ips_mul", "avg, mf") + "\n[tune]\nalpha1 =\n"
+    cfg = load_config(write_config(tmp_path, text))
+    assert cfg.tune["alpha1"] == () and len(cli._grid_points(cfg, "mf")) == 3 * 6 * 4
+
+
+@pytest.mark.parametrize("command", ["simulate", "train", "tune", "sweep-gamma"])
+@pytest.mark.parametrize("how", ["option", "config", "below-a-file"])
+def test_output_dir_that_is_a_file_is_rejected_at_start(tmp_path, capsys, command, how):
+    # each used to end in a FileExistsError traceback, for train, tune and
+    # sweep-gamma only once every cell had trained
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n")
+    out = taken / "sub" if how == "below-a-file" else taken
+    text = BASE_CONFIG.replace("seeds = 0, 1", "seeds = 0")
+    if how == "config":
+        text = text.replace("output_dir = out", f"output_dir = {out}")
+    args = [command, "--config", str(write_config(tmp_path, text))]
+    assert main(args + (["--out", str(out)] if how != "config" else [])) == 2
+    assert capsys.readouterr().err == (
+        f"config error: output directory {out}: {taken} is not a directory\n")
+    assert taken.read_text() == "kept\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.ini", "taken"]
+
+
+def test_summary_path_that_is_a_directory_is_rejected(tmp_path, capsys):
+    # it used to end in an IsADirectoryError traceback
+    results = tmp_path / "results.csv"
+    results.write_text("dataset,gamma,method,seed,mse,mae,rmse,rmse_per_user,rmse_per_item\n"
+                       "simulation,0.5,mf,0,1.0,0.8,1.0,1.1,1.2\n")
+    (tmp_path / "taken").mkdir()
+    assert main(["summarize", "--results", str(results), "--out", str(tmp_path / "taken")]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: output file {tmp_path / 'taken'} is a directory\n")
+    assert list((tmp_path / "taken").iterdir()) == []
+    results.with_suffix(".txt").write_text("")
+    out = results.with_suffix(".txt") / "summary.csv"
+    assert main(["summarize", "--results", str(results), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: output file {out}: {results.with_suffix('.txt')} is not a directory\n")
+    # missing directories are made, as the other commands make theirs
+    out = tmp_path / "new" / "dir" / "summary.csv"
+    assert main(["summarize", "--results", str(results), "--out", str(out)]) == 0
+    assert out.read_text().startswith("dataset,gamma,method,n_runs,")
 
 
 @pytest.mark.parametrize("command", ["train", "sweep-gamma"])

@@ -24,6 +24,8 @@ from ipsmf.sim import (
 from ipsmf.propensity import (
     AXES,
     FAMILIES,
+    PIPELINE_RULES,
+    PipelineConfig,
     PropensityError,
     PropensityModel,
     clip,
@@ -224,10 +226,14 @@ class TestMultifactorial:
         with pytest.raises(PropensityError, match="alpha2"):
             estimate_multifactorial(train, mcar, 1.0, 0.0)
 
-    @pytest.mark.parametrize("alpha1, alpha2", [(-1.0, 1.0), (1.0, -0.5), (np.nan, 1.0)])
-    def test_negative_smoothing_rejected(self, alpha1, alpha2):
+    @pytest.mark.parametrize("alpha1, alpha2, message", [
+        (-1.0, 1.0, "alpha1 must be nonnegative, got -1.0"),
+        (1.0, -0.5, "alpha2 must be nonnegative, got -0.5"),
+        (np.nan, 1.0, "alpha1 must be nonnegative, got nan"),
+    ], ids=["-1.0-1.0", "1.0--0.5", "nan-1.0"])
+    def test_negative_smoothing_rejected(self, alpha1, alpha2, message):
         train, mcar = self.small_fixture()
-        with pytest.raises(ValueError, match="smoothing strengths must be nonnegative"):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             estimate_multifactorial(train, mcar, alpha1, alpha2)
 
     def test_integer_strengths_stored_as_floats(self, tmp_path):
@@ -463,7 +469,7 @@ class TestMFLearned:
     @pytest.mark.parametrize("steps", [0, -1])
     def test_no_steps_rejected(self, steps):
         train = random_observations(8, 6, 0.5, seed=1)
-        with pytest.raises(ValueError, match=f"max_steps must be at least 1, got {steps}"):
+        with pytest.raises(ValueError, match=f"max_steps must be positive, got {steps}"):
             estimate_mf_propensity(train, dim=2, max_steps=steps)
 
     @pytest.mark.parametrize("key, value, message", [
@@ -639,6 +645,13 @@ class TestClipNormalizeScore:
             with pytest.raises(ValueError):
                 clip(model, tau)
 
+    @pytest.mark.parametrize("tau", [None, np.nan])
+    def test_clip_rejects_none_and_nan(self, tau):
+        # only PipelineConfig reads a None floor, as the default heuristic
+        model = uniform_propensities(make_dataset(1, 2, [(0, 0, 3), (0, 1, 4)]))
+        with pytest.raises(ValueError, match=f"^clip_floor must be in \\(0, 1\\], got {tau}$"):
+            clip(model, tau)
+
     def test_normalize_fixed_point(self):
         # full coverage popularity: mean inverse already equals |U||I|/|D|
         train = make_dataset(3, 3, [(u, i, 3) for u in range(3) for i in range(3)])
@@ -736,6 +749,36 @@ class TestClipNormalizeScore:
         for model in models:
             scores = score_dataset(prepare(model, train, clip_floor=0.01), train)
             assert np.all(scores > 0) and np.all(scores <= 1)
+
+
+class TestPipelineConfig:
+    def test_defaults(self):
+        assert vars(PipelineConfig()) == {
+            "normalize": True, "clip_floor": None, "alpha1": 1.0, "alpha2": 1.0,
+            "propensity_dim": 8, "propensity_learning_rate": 0.05, "propensity_steps": 300}
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("alpha1", np.nan, "alpha1 must be nonnegative, got nan"),
+        ("alpha2", -1.0, "alpha2 must be nonnegative, got -1.0"),
+        ("clip_floor", 0.0, "clip_floor must be in (0, 1], got 0.0"),
+        ("clip_floor", np.nan, "clip_floor must be in (0, 1], got nan"),
+        ("propensity_dim", 0, "propensity_dim must be positive, got 0"),
+        ("propensity_learning_rate", np.nan, "propensity_learning_rate must be positive, got nan"),
+        ("propensity_steps", 0, "propensity_steps must be positive, got 0"),
+    ])
+    def test_field_rules_name_the_field(self, key, value, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            PipelineConfig(**{key: value})
+
+    def test_rules_are_the_estimators_own(self):
+        # each rule is written once, beside the function that applies it
+        assert PIPELINE_RULES["alpha1"] is propensity._SMOOTHING_RULES["alpha1"]
+        assert PIPELINE_RULES["alpha2"] is propensity._SMOOTHING_RULES["alpha2"]
+        assert PIPELINE_RULES["propensity_learning_rate"] is propensity._FIT_RULES["learning_rate"]
+        assert PIPELINE_RULES["propensity_steps"] is propensity._FIT_RULES["max_steps"]
+        holds, text = PIPELINE_RULES["clip_floor"]
+        assert text == propensity._CLIP_FLOOR[1]
+        assert [holds(v) for v in (None, 1e-3, 1.0, 0.0, 1.5)] == [True, True, True, False, False]
 
 
 class TestSerialization:

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -71,7 +72,9 @@ class TestConvertToRatings:
 
     def test_rejects_nan_distribution_entry(self):
         # it used to pass both checks and rate every cell 5
-        with pytest.raises(ValueError, match="must sum to 1"):
+        message = ("target_rating_distribution must be nonnegative and sum to 1, "
+                   "got (nan, 0.2, 0.1, 0.1, 0.1)")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             convert_to_ratings(np.zeros((2, 2)), (math.nan, 0.2, 0.1, 0.1, 0.1))
 
     def test_rejects_nan_engagement_with_count(self):
@@ -288,7 +291,7 @@ class TestItemPropensities:
         with pytest.raises(ValueError):
             build_item_propensities(truth, eta=1.4, k_min=0)
         for eta in (math.nan, math.inf):  # both passed a check written `eta <= 1`
-            with pytest.raises(ValueError, match="finite eta"):
+            with pytest.raises(ValueError, match="powerlaw_eta must be finite and above 1"):
                 build_item_propensities(truth, eta=eta)
 
 
