@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import RatingDataset
+from .data import _POSITIVE, RatingDataset, _check_rules
 
 # Parameter group names, used for masked optimizer updates and checkpoints.
 PARAM_GROUPS = ("user_emb", "item_emb", "user_off", "item_off", "global_off")
@@ -27,6 +27,10 @@ _PACKED_ORDER = USER_PHASE_GROUPS + ITEM_PHASE_GROUPS
 # of 16,384 that held each split's per-epoch predictions (4,812 train and
 # 1,202 validation pairs) in one block.
 _PREDICT_BLOCK = 2048
+
+# init_params' settings rule (see data._check_rules); optim's TRAIN_RULES and
+# propensity's PIPELINE_RULES check their embedding dimensions with it
+_INIT_RULES = {"dim": _POSITIVE}
 
 
 @dataclass
@@ -112,8 +116,7 @@ def init_params(
     Training harnesses pass the mean train rating as ``global_offset`` so the
     model starts centered. Deterministic per seed.
     """
-    if dim <= 0:
-        raise ValueError("embedding dimension must be positive")
+    _check_rules({"dim": dim}, _INIT_RULES)
     rng = np.random.default_rng(seed)
     return MFParameters(
         user_emb=rng.normal(0.0, 1.0, size=(num_users, dim)) * scale,

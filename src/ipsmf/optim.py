@@ -20,8 +20,8 @@ import numpy as np
 from .data import _NONNEGATIVE, _POSITIVE, RatingDataset, SplitBundle, _check_rules
 from . import propensity
 from .model import (
-    ITEM_PHASE_GROUPS, PARAM_GROUPS, USER_PHASE_GROUPS, MFParameters, _predict_rows, init_params,
-    predict_many,
+    _INIT_RULES, ITEM_PHASE_GROUPS, PARAM_GROUPS, USER_PHASE_GROUPS, MFParameters, _predict_rows,
+    init_params, predict_many,
 )
 
 logger = logging.getLogger(__name__)
@@ -56,7 +56,7 @@ TRAIN_RULES = {
     "learning_rate": _POSITIVE, "l2_weight": _NONNEGATIVE, "batch_size": _POSITIVE,
     "max_epochs": _POSITIVE, "patience": _POSITIVE,
     "schedule": (lambda v: v in SCHEDULES, " or ".join(SCHEDULES)),
-    "embedding_dim": _POSITIVE, "init_scale": _NONNEGATIVE,
+    "embedding_dim": _INIT_RULES["dim"], "init_scale": _NONNEGATIVE,
 }
 
 

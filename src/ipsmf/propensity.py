@@ -22,7 +22,7 @@ from .blas import one_blas_thread
 from .data import (
     _NONNEGATIVE, _POSITIVE, NUM_RATINGS, RATING_SCALE, RatingDataset, _check_rules, _open_input,
 )
-from .model import PARAM_GROUPS, init_params
+from .model import _INIT_RULES, PARAM_GROUPS, init_params
 from .optim import adam_step, init_adam_state
 
 logger = logging.getLogger(__name__)
@@ -503,7 +503,7 @@ class PipelineConfig:
 PIPELINE_RULES = {
     "clip_floor": (lambda v: v is None or _CLIP_FLOOR[0](v), _CLIP_FLOOR[1]),
     **_SMOOTHING_RULES,
-    "propensity_dim": _POSITIVE,  # init_params' rule
+    "propensity_dim": _INIT_RULES["dim"],
     "propensity_learning_rate": _FIT_RULES["learning_rate"],
     "propensity_steps": _FIT_RULES["max_steps"],
 }

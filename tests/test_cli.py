@@ -1,6 +1,10 @@
+import ast
+import contextlib
+import inspect
+import io
 import logging
 import os
-import re
+import textwrap
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -11,7 +15,6 @@ from ipsmf import cli, optim
 from ipsmf.cli import (
     ConfigError,
     cmd_simulate,
-    cmd_summarize,
     cmd_sweep_gamma,
     cmd_train,
     cmd_tune,
@@ -27,35 +30,47 @@ from ipsmf.propensity import (
 )
 from ipsmf.sim import SimulationSpec
 
+import cli_cases
+from cli_cases import BASE_CONFIG, CASES, SINGLE_POINT_TUNE, check
 from helpers import read_manifest
 from oracles import bootstrap_interval_oracle
 
-BASE_CONFIG = """
-[simulation]
-num_users = 30
-num_items = 25
-gamma = 0.5
-seed = 3
-unbiased_per_user = 8
 
-[experiment]
-methods = avg, mf, mf_ips_mul
-seeds = 0, 1
-output_dir = out
+def run_main(argv, cwd):
+    """`main(argv)` run in `cwd`: (exit status, stderr); an argparse usage
+    error's SystemExit gives its status. pytest's settings make a
+    RuntimeWarning an error, so one fails the row."""
+    err, home = io.StringIO(), os.getcwd()
+    os.chdir(cwd)
+    try:
+        with contextlib.redirect_stderr(err):
+            try:
+                status = main(argv)
+            except SystemExit as exc:
+                status = exc.code
+    finally:
+        os.chdir(home)
+    return status, err.getvalue()
 
-[train]
-learning_rate = 0.01
-l2_weight = 1e-6
-batch_size = 128
-max_epochs = 12
-patience = 12
-embedding_dim = 4
-schedule = alternating
 
-[method mf_ips_mul]
-alpha1 = 2
-alpha2 = 2
-"""
+def run_row(case, tmp_path):
+    assert check(case, tmp_path, run_main) == []
+
+
+def table_test(group):
+    """A test of the CLI error table's rows of `group`, one per row. A test
+    class holds it as a staticmethod."""
+    @pytest.mark.parametrize(
+        "case", [pytest.param(case, id=case.name) for case in CASES if case.group == group])
+    def test(case, tmp_path):
+        run_row(case, tmp_path)
+    return test
+
+
+def table_row(group):
+    """The one row of `group`, for a test that runs only it."""
+    (case,) = [case for case in CASES if case.group == group]
+    return case
 
 
 def write_config(tmp_path, text=BASE_CONFIG, name="config.ini"):
@@ -102,61 +117,9 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="mf_ips_gt"):
             load_config(write_config(tmp_path, text))
 
-    @pytest.mark.parametrize("old, new, message", [
-        ("seeds = 0, 1", "seeds = two", "[experiment] seeds: invalid literal"),
-        ("[train]", "[tune]\nbudget = two\n[train]", "[tune] budget: invalid literal"),
-        ("[train]", "[tune]\nbudget = -3\n[train]",
-         "[tune] budget: must be nonnegative, got -3"),
-        ("seeds = 0, 1", "sedes = 3", "[experiment] unknown key 'sedes'"),
-        ("[train]", "[tune]\nbudgt = 2\n[train]", "[tune] unknown key 'budgt'"),
-        ("[train]", "[tune]\nlearning_rate = 0.01, 0\n[train]",
-         "[tune] learning_rate: must be positive, got 0.0"),
-        ("[train]", "[tune]\nembedding_dim = 0\n[train]",
-         "[tune] embedding_dim: must be positive, got 0"),
-        ("avg, mf, mf_ips_mul", "mf, mf",
-         "[experiment] methods: must be nonempty without repeats, got ['mf', 'mf']"),
-        ("seeds = 0, 1", "seeds = 1, 0, 1",
-         "[experiment] seeds: must be nonempty without repeats, got [1, 0, 1]"),
-        ("seeds = 0, 1", "seeds =", "[experiment] seeds: must be nonempty without repeats, got []"),
-        ("seeds = 0, 1", "gammas = 0.5, 0.50",
-         "[experiment] gammas: must be nonempty without repeats, got [0.5, 0.5]"),
-        ("seeds = 0, 1", "gammas = ,",
-         "[experiment] gammas: must be nonempty without repeats, got []"),
-        ("num_users = 30", "num_users = 10%",
-         "[simulation] num_users: invalid literal for int() with base 10: '10%'"),
-        ("seeds = 0, 1", "seeds = 0, -1", "[experiment] seeds: must be nonnegative, got -1"),
-        ("seed = 3", "seed = -5", "[simulation] seed: must be nonnegative, got -5"),
-        ("[train]", "[tune]\nlearning_rate = 0.01, 0.01\n[train]",
-         "[tune] learning_rate: must be without repeats, got [0.01, 0.01]"),
-        ("[train]", "[tune]\nalpha1 = 1, 2, 1.0\n[train]",
-         "[tune] alpha1: must be without repeats, got [1.0, 2.0, 1.0]"),
-    ], ids=["seeds-not-int", "budget-not-int", "budget-negative", "experiment-typo",
-            "tune-typo", "tune-learning-rate-zero", "tune-dim-zero", "methods-repeated",
-            "seeds-repeated", "seeds-empty", "gammas-repeated", "gammas-empty",
-            "percent-in-value", "seeds-negative", "simulation-seed-negative",
-            "tune-learning-rate-repeated", "tune-alpha1-repeated"])
-    def test_experiment_and_tune_keys_checked(self, tmp_path, capsys, old, new, message):
-        path = write_config(tmp_path, BASE_CONFIG.replace(old, new))
-        with pytest.raises(ConfigError, match=re.escape(message)):
-            load_config(path)
-        assert main(["tune", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
-        assert capsys.readouterr().err.startswith(f"config error: {message}")
+    test_experiment_and_tune_keys_checked = staticmethod(table_test(cli_cases.KEYS))
 
-    @pytest.mark.parametrize("text, message", [
-        ("num_users = 30\n" + BASE_CONFIG, "File contains no section headers."),
-        (BASE_CONFIG + "\n[simulation]\nnum_items = 25\n",
-         "section 'simulation' already exists"),
-        (BASE_CONFIG.replace("num_items = 25", "num_items = 25\nnum_users = 31"),
-         "option 'num_users' in section 'simulation' already exists"),
-    ], ids=["key-before-section", "repeated-section", "repeated-key"])
-    def test_malformed_file_names_the_path(self, tmp_path, capsys, text, message):
-        path = write_config(tmp_path, text)
-        with pytest.raises(ConfigError, match=re.escape(message)):
-            load_config(path)
-        assert main(["train", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"config error: {path}: ") and message in err
-        assert "<string>" not in err and not (tmp_path / "out").exists()
+    test_malformed_file_names_the_path = staticmethod(table_test(cli_cases.MALFORMED))
 
     def test_byte_order_mark_is_skipped(self, tmp_path):
         # before the first section header it made the file have none
@@ -292,33 +255,8 @@ class TestTrainCommand:
         second = {p.name: read_bytes(p) for p in sorted(out.iterdir())}
         assert first == second
 
-    def test_missing_mcar_rejected_for_positivity(self, tmp_path, capsys):
-        cfg = load_config(write_config(tmp_path))
-        out = tmp_path / "splits"
-        cmd_simulate(cfg, out)
-        (out / "mcar.csv").write_text("user_id,item_id,rating\n")
-        text = f"""
-[data]
-train = {out}/train.csv
-validation = {out}/validation.csv
-mcar = {out}/mcar.csv
-test = {out}/test.csv
-
-[experiment]
-methods = mf_ips_pos
-seeds = 0
-
-[train]
-max_epochs = 5
-patience = 5
-embedding_dim = 4
-"""
-        config = write_config(tmp_path, text, name="files.ini")
-        out2 = tmp_path / "out2"
-        assert main(["train", "--config", str(config), "--out", str(out2)]) == 2
-        message = f"data error: {out}/mcar.csv: the mcar split holds no ratings"
-        assert capsys.readouterr().err.strip() == message
-        assert not out2.exists()
+    def test_missing_mcar_rejected_for_positivity(self, tmp_path):
+        run_row(table_row("test_missing_mcar_rejected_for_positivity"), tmp_path)
 
     def raw_pair_config(self, tmp_path, seeds="0", biased_name="biased.csv"):
         # two-file ingestion: filter to test users, split 4:1 and mcar/test
@@ -388,154 +326,7 @@ embedding_dim = 4
         assert "[data] biased" in capsys.readouterr().err
         assert not out.exists()
 
-    def input_files(self, tmp_path):
-        """The raw pair with raw.ini, split files with a ground-truth table
-        (split.ini), that table with a zero at the first train triple
-        (splits/zero-gt.csv), a simulation (config.ini), one that reads an
-        engagement matrix (engagement.ini), a results table (results.csv) and
-        a rating file with no ratings (empty.csv)."""
-        self.raw_pair_config(tmp_path)
-        (tmp_path / "empty.csv").write_text("user_id,item_id,rating\n")
-        cmd_simulate(load_config(write_config(tmp_path)), tmp_path / "splits")
-        gt = (tmp_path / "splits" / "gt_propensities.csv").read_text().splitlines(keepends=True)
-        _, item, rating = (tmp_path / "splits" / "train.csv").read_text().split()[1].split(",")
-        gt[2 + 5 * int(item) + int(rating) - 1] = f"{item},{rating},0.0\n"
-        (tmp_path / "splits" / "zero-gt.csv").write_text("".join(gt))
-        split_paths = "".join(
-            f"{name} = {tmp_path / 'splits' / name}.csv\n"
-            for name in ("train", "validation", "mcar", "test")
-        )
-        write_config(tmp_path, name="split.ini", text=(
-            f"[data]\n{split_paths}"
-            f"ground_truth_propensities = {tmp_path / 'splits' / 'gt_propensities.csv'}\n"
-            "[experiment]\nmethods = avg, mf_ips_gt\n"
-        ))
-        np.savetxt(tmp_path / "engagement.csv", np.random.default_rng(0).random((30, 25)),
-                   delimiter=",")
-        write_config(tmp_path, name="engagement.ini", text=BASE_CONFIG.replace(
-            "[simulation]\n", f"[simulation]\nengagement_path = {tmp_path / 'engagement.csv'}\n"
-        ))
-        (tmp_path / "engagement-text.csv").write_text("0.5,high\n")
-        np.savetxt(tmp_path / "engagement-small.csv", np.ones((2, 2)), delimiter=",")
-        (tmp_path / "engagement-pairs.csv").write_text("0,0\n0,1\n")
-        (tmp_path / "results.csv").write_text(
-            "dataset,gamma,method,seed,mse,mae,rmse,rmse_per_user,rmse_per_item\n"
-            "simulation,0.5,mf,0,1.0,0.8,1.0,1.1,1.2\n"
-        )
-
-    @pytest.mark.parametrize("args, name, old, new, error, message", [
-        ("train raw.ini", "unbiased.csv", "user_id,item_id", "user,item", "data",
-         "unbiased.csv: line 1: "),
-        ("train raw.ini", "raw.ini", "/biased.csv", "/absent.csv", "data",
-         "absent.csv: No such file or directory"),
-        ("train split.ini", "split.ini", "/train.csv", "/absent.csv", "data",
-         "absent.csv: No such file or directory"),
-        ("train split.ini", "splits/test.csv", "user_id,item_id,rating\n",
-         "user_id,item_id,rating\nu0,3,4\n", "data", "test.csv: line 2: "),
-        ("train split.ini", "splits/test.csv", "user_id,item_id,rating\n",
-         "user_id,item_id,rating\n0,0,nan\n", "data",
-         "test.csv: line 2: rating nan outside scale [1, 5]"),
-        ("train split.ini", "splits/gt_propensities.csv", " rating_max=5", "", "propensity",
-         "gt_propensities.csv:1: header is missing key(s) rating_max"),
-        ("train split.ini", "splits/gt_propensities.csv", " rating_min=1", " rating_min=0",
-         "propensity", "gt_propensities.csv:1: rating_min=0 rating_max=5 is not the rating "
-         "scale (1, 5)"),
-        ("train split.ini", "split.ini", "gt_propensities.csv", "absent.csv", "propensity",
-         "absent.csv: No such file or directory"),
-        ("train split.ini", "splits/gt_propensities.csv", "scale=1.0", "scale=nan", "propensity",
-         "gt_propensities.csv:1: scale=nan is not finite and positive"),
-        ("train split.ini", "splits/gt_propensities.csv", "normalization=none",
-         "normalization=a,b", "propensity",
-         "gt_propensities.csv:1: normalization=a,b is not none or mean-inverse"),
-        ("train split.ini", "split.ini", "gt_propensities.csv", "zero-gt.csv", "propensity",
-         "zero-gt.csv: propensity 0.0 at train triple (user 0, item 1, rating 4)"),
-        ("train engagement.ini", "engagement.ini", "/engagement.csv", "/absent.csv", "data",
-         "absent.csv: No such file or directory"),
-        ("train engagement.ini", "engagement.ini", "/engagement.csv", "/engagement-text.csv",
-         "data", "engagement-text.csv: could not convert string 'high' to float64"),
-        ("train engagement.ini", "engagement.ini", "/engagement.csv", "/engagement-small.csv",
-         "data", "engagement-small.csv: engagement matrix shape (2, 2) does not match (30, 25)"),
-        ("train engagement.ini", "engagement.ini", "/engagement.csv",
-         "/engagement-pairs.csv\nengagement_format = triples", "data",
-         "engagement-pairs.csv: triples engagement file needs (user, item, value) columns"),
-        ("train split.ini", "splits/gt_propensities.csv", "alpha1=", "alpha1=-3.0", "propensity",
-         "gt_propensities.csv:1: alpha1=-3.0 is not empty or nonnegative"),
-        ("train split.ini", "splits/gt_propensities.csv", "item_index,rating,propensity",
-         "user_index,whatever,foo", "propensity",
-         "gt_propensities.csv:2: column line 'user_index,whatever,foo' is not "
-         "'item_index,rating,propensity'"),
-        ("summarize absent.csv", None, None, None, "data",
-         "absent.csv: No such file or directory"),
-        ("summarize results.csv", "results.csv", "seed,mse,mae,rmse,rmse_per_user,rmse_per_item\n",
-         "seed\n", "data", "results.csv: missing column(s) mse, mae, rmse, rmse_per_user, "
-         "rmse_per_item"),
-        ("summarize results.csv", "results.csv", "dataset,gamma,", "", "data",
-         "results.csv: missing column(s) dataset, gamma"),
-        ("summarize results.csv", "results.csv", "0,1.0,0.8", "0,abc,0.8", "data",
-         "results.csv: line 2: mse 'abc' is not a number"),
-        ("summarize results.csv", "results.csv", ",1.1,1.2\n", ",1.1\n", "data",
-         "results.csv: line 2: 8 fields, the header has 9"),
-        ("summarize results.csv", "results.csv", "method,seed,", "method,", "data",
-         "results.csv: missing column(s) seed"),
-        ("summarize results.csv", "results.csv", ",1.1,1.2\n",
-         ",1.1,1.2\nsimulation,0.5,mf,1,1.0,0.8,1.0,1.1,1.2\n"
-         "simulation,0.5,mf,0,2.0,0.9,1.4,1.5,1.6\n", "data",
-         "results.csv: lines 2 and 4 both hold dataset=simulation, gamma=0.5, method=mf, "
-         "seed=0"),
-        ("train split.ini", "split.ini", "[experiment]", "num_users = 3\n[experiment]", "data",
-         "train.csv: line 25: user_id 3 is outside the declared num_users = 3"),
-        ("train split.ini", "split.ini", "/splits/train.csv", "/empty.csv", "data",
-         "empty.csv: the train split holds no ratings"),
-        ("train split.ini", "split.ini", "/splits/validation.csv", "/empty.csv", "data",
-         "empty.csv: the validation split holds no ratings"),
-        ("train split.ini", "split.ini", "/splits/test.csv", "/empty.csv", "data",
-         "empty.csv: the test split holds no ratings"),
-        ("tune split.ini", "split.ini", "/splits/validation.csv", "/empty.csv", "data",
-         "empty.csv: the validation split holds no ratings"),
-        ("train raw.ini", "raw.ini", "split_seed = 1", "split_seed = 1\ntrain_fraction = 0.99",
-         "data", "biased.csv: too few ratings to fill the validation split"),
-        ("train raw.ini", "raw.ini", "mcar_fraction = 0.25", "mcar_fraction = 0.99", "data",
-         "unbiased.csv: too few ratings to fill the test split"),
-        ("train config.ini", "config.ini",
-         "num_users = 30\nnum_items = 25\ngamma = 0.5\nseed = 3\nunbiased_per_user = 8",
-         "num_users = 2\nnum_items = 2\ngamma = 0.5\nseed = 3\nunbiased_per_user = 1", "data",
-         "simulation at run seed 0: too few ratings to fill the validation split"),
-        ("train raw.ini", "raw.ini", "mcar_fraction = 0.25", "mcar_fraction = 0.01", "data",
-         "unbiased.csv: too few ratings to fill the mcar split"),
-        ("tune raw.ini", "raw.ini", "mcar_fraction = 0.25", "mcar_fraction = 0.01", "data",
-         "unbiased.csv: too few ratings to fill the mcar split"),
-        ("sweep-gamma config.ini", "config.ini", "unbiased_per_user = 8",
-         "unbiased_per_user = 8\nmcar_fraction = 0.001", "data",
-         "simulation at run seed 0: too few ratings to fill the mcar split"),
-    ], ids=["bad-header", "missing-biased", "missing-train",
-            "string-id-in-split", "nan-rating-in-split", "gt-header-key-missing",
-            "gt-rating-scale-from-zero", "missing-gt-table", "gt-scale-nan",
-            "gt-normalization-not-a-name", "gt-zero-at-a-train-triple",
-            "missing-engagement", "engagement-not-numbers", "engagement-wrong-shape",
-            "engagement-triples-two-columns", "gt-alpha-negative", "gt-wrong-column-line",
-            "missing-results", "results-without-metrics",
-            "results-without-keys", "results-metric-not-a-number", "results-short-row",
-            "results-without-seed", "results-repeated-run",
-            "id-outside-declared-users", "empty-train-file", "empty-validation-file",
-            "empty-test-file", "tune-empty-validation-file", "raw-pair-empty-validation",
-            "raw-pair-empty-test", "simulation-empty-validation", "raw-pair-empty-mcar",
-            "tune-raw-pair-empty-mcar", "sweep-simulation-empty-mcar"])
-    def test_data_errors_reported(self, tmp_path, capsys, args, name, old, new, error, message):
-        # a missing or malformed input file (RatingDataError, PropensityError),
-        # an impossible split (SplitError) or an empty split that training or
-        # evaluation needs exits 2 with its message naming the file, not a
-        # traceback
-        self.input_files(tmp_path)
-        if name is not None:
-            path = tmp_path / name
-            path.write_text(path.read_text().replace(old, new))
-        command, file_name = args.split()
-        flag = "--results" if command == "summarize" else "--config"
-        out = tmp_path / "out"
-        assert main([command, flag, str(tmp_path / file_name), "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"{error} error: ") and message in err
-        assert not out.exists()
+    test_data_errors_reported = staticmethod(table_test(cli_cases.DATA))
 
     def test_tune_accepts_an_empty_test_split(self, tmp_path, capsys):
         # tune selects on the validation split and never reads the test split,
@@ -584,41 +375,11 @@ embedding_dim = 4
         for split in (bundle.train, bundle.validation, bundle.mcar, bundle.test):
             assert (split.num_users, split.num_items) == (3, 7)
 
-    @pytest.mark.parametrize("family, shape, message", [
-        ("popularity", (3,), "item_index axis has 3 entries, fewer than the 6 of the split files"),
-        ("ground_truth", (3, 5),
-         "item_index axis has 3 entries, fewer than the 6 of the split files"),
-        ("mf_learned", (2, 6), "user_index axis has 2 entries, fewer than the 3 of the split files"),
-    ], ids=["popularity", "ground_truth", "mf_learned"])
-    def test_ground_truth_table_smaller_than_the_id_space_rejected(
-            self, tmp_path, capsys, family, shape, message):
-        # the splits use users 0-2 and items 0-5; training would score pairs
-        # past the end of a table that does not cover them
-        splits = tmp_path / "splits"
-        splits.mkdir()
-        for k, name in enumerate(("train", "validation", "mcar", "test")):
-            save_ratings(RatingDataset(3, 6, [k % 3, (k + 1) % 3], [0, 5], [4, 5]),
-                         splits / f"{name}.csv")
-        save_propensity(PropensityModel(family, table=np.full(shape, 0.2)), splits / "gt.csv")
-        text = "".join(f"{n} = {splits / n}.csv\n" for n in ("train", "validation", "mcar", "test"))
-        config = write_config(tmp_path, name="gt.ini", text=(
-            f"[data]\n{text}ground_truth_propensities = {splits / 'gt.csv'}\n"
-            "[experiment]\nmethods = mf_ips_gt\n"
-        ))
-        out = tmp_path / "out"
-        assert main(["train", "--config", str(config), "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert err == f"propensity error: {splits / 'gt.csv'}: {message}\n"
-        assert not out.exists()
+    test_ground_truth_table_smaller_than_the_id_space_rejected = staticmethod(
+        table_test(cli_cases.SMALL_TABLE))
 
-    def test_failed_tune_leaves_no_output_dir(self, tmp_path, capsys):
-        self.raw_pair_config(tmp_path)
-        path = tmp_path / "unbiased.csv"
-        path.write_text(path.read_text().replace("user_id,item_id", "user,item"))
-        out = tmp_path / "out"
-        assert main(["tune", "--config", str(tmp_path / "raw.ini"), "--out", str(out)]) == 2
-        assert capsys.readouterr().err.startswith("data error: ")
-        assert not out.exists()
+    def test_failed_tune_leaves_no_output_dir(self, tmp_path):
+        run_row(table_row("test_failed_tune_leaves_no_output_dir"), tmp_path)
 
     def test_split_manifest_bytes_pinned(self, tmp_path):
         # the split sizes come from the result rows; they must equal a fresh
@@ -1074,103 +835,18 @@ def test_normalize_off_keeps_the_propensities_unnormalized(tmp_path):
         "avg": "", "mf": "none", "mf_ips_mul": "none"}
 
 
-@pytest.mark.parametrize("command, source, message", [
-    ("tune", "simulation", "empty tuning grid for mf"),
-    ("simulate", "data", "simulate requires a [simulation] section"),
-    ("sweep-gamma", "data", "sweep-gamma requires a [simulation] section"),
-])
-def test_command_config_error_leaves_no_output_dir(tmp_path, capsys, command, source, message):
-    if source == "simulation":  # an empty grid list
-        text = BASE_CONFIG + "\n[tune]\nlearning_rate =\n"
-    else:
-        text = DATA_ONLY_CONFIG.format(key="train", path=tmp_path / "t.csv") + OTHER_SPLIT_PATHS
-    out = tmp_path / "out"
-    assert main([command, "--config", str(write_config(tmp_path, text)), "--out", str(out)]) == 2
-    assert capsys.readouterr().err == f"config error: {message}\n"
-    assert not out.exists()
+test_command_config_error_leaves_no_output_dir = table_test(cli_cases.COMMAND)
+test_pipeline_and_data_keys_checked = table_test(cli_cases.PIPELINE)
+test_output_dir_that_is_a_file_is_rejected_at_start = table_test(cli_cases.OUT_IS_FILE)
+test_cell_config_error_leaves_no_output_dir = table_test(cli_cases.CELL)
+test_diverged_cell_is_a_training_error = table_test(cli_cases.DIVERGED)
+test_unsimulatable_spec_is_a_config_error = table_test(cli_cases.SPEC)
+test_threads_below_one_is_a_usage_error = table_test(cli_cases.THREADS)
+test_malformed_option_is_a_usage_error = table_test(cli_cases.OPTION)
 
 
-def test_main_reports_config_errors(tmp_path, capsys):
-    bad = BASE_CONFIG.replace("gamma = 0.5", "gamma = 1.3")
-    cfg_path = write_config(tmp_path, bad)
-    code = main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "x")])
-    assert code == 2
-    assert "gamma" in capsys.readouterr().err
-
-
-DATA_LAYOUT_ERROR = (
-    "[data] needs the paths biased and unbiased, or train, validation, mcar and test; "
-)
-BOTH_SOURCES_ERROR = "config needs exactly one of a [simulation] and a [data] section"
-
-
-@pytest.mark.parametrize("old, new, message", [
-    ("[method mf_ips_mul]", "[method mf_ips_mf]\npropensity_steps = 0\n[method mf_ips_mul]",
-     "[method mf_ips_mf] propensity_steps: must be positive, got 0"),
-    ("[train]", "[propensity]\npropensity_steps = -2\n[train]",
-     "[propensity] propensity_steps: must be positive, got -2"),
-    ("[train]", "[data]\ndense_ids = false\n[train]", "[data] unknown key 'dense_ids'"),
-    ("[train]", "[data]\nsplit_seed = -1\n[train]",
-     "[data] split_seed: must be nonnegative, got -1"),
-    ("[train]", "[data]\nbiased = b.csv\n[train]", DATA_LAYOUT_ERROR + "got biased"),
-    ("[train]", "[data]\nunbiased = u.csv\n[train]", DATA_LAYOUT_ERROR + "got unbiased"),
-    ("[train]", "[data]\ntrain = t.csv\nmcar = m.csv\n[train]",
-     DATA_LAYOUT_ERROR + "got train, mcar"),
-    ("[train]", "[data]\nbiased = b.csv\nunbiased = u.csv\ntest = s.csv\n[train]",
-     DATA_LAYOUT_ERROR + "got biased, unbiased, test"),
-    ("[train]", "[data]\ndelimiter = ;\n[train]", DATA_LAYOUT_ERROR + "got none"),
-    ("[train]", "[data]\nbiased = b.csv\nunbiased = u.csv\n[train]", BOTH_SOURCES_ERROR),
-    ("[train]", "[data]\ntrain = t.csv\nvalidation = v.csv\nmcar = m.csv\ntest = s.csv\n[train]",
-     BOTH_SOURCES_ERROR),
-    ("max_epochs = 12", "max_epochs = 0", "[train] max_epochs: must be positive, got 0"),
-    ("learning_rate = 0.01", "learning_rate = -1",
-     "[train] learning_rate: must be positive, got -1.0"),
-    ("learning_rate = 0.01", "learning_rate = nan",
-     "[train] learning_rate: must be positive, got nan"),
-    ("schedule = alternating", "schedule = sideways",
-     "[train] schedule: must be concurrent or alternating, got 'sideways'"),
-    ("[train]", "[propensity]\nclip_floor = 0\n[train]",
-     "[propensity] clip_floor: must be in (0, 1], got 0.0"),
-    ("alpha1 = 2", "alpha1 = -1", "[method mf_ips_mul] alpha1: must be nonnegative, got -1.0"),
-    ("alpha1 = 2", "alpha1 = nan", "[method mf_ips_mul] alpha1: must be nonnegative, got nan"),
-    ("[method mf_ips_mul]", "[method mf_ips_mf]\npropensity_dim = 0\n[method mf_ips_mul]",
-     "[method mf_ips_mf] propensity_dim: must be positive, got 0"),
-    ("[train]", "[propensity]\npropensity_learning_rate = 0\n[train]",
-     "[propensity] propensity_learning_rate: must be positive, got 0.0"),
-    ("[train]", "[propensity]\npropensity_learning_rate = -0.05\n[train]",
-     "[propensity] propensity_learning_rate: must be positive, got -0.05"),
-    ("[method mf_ips_mul]", "[method foo]\nalpha1 = 1\n[method mf_ips_mul]",
-     "[method foo] unknown method"),
-    ("[train]", "[propensity]\nnormalize = maybe\n[train]",
-     "[propensity] normalize: expected a boolean, got 'maybe'"),
-    ("output_dir = out", "output_dir = out\nclamp_predictions = 2",
-     "[experiment] clamp_predictions: expected a boolean, got '2'"),
-    ("[train]", "[data]\nfilter_users = perhaps\n[train]",
-     "[data] filter_users: expected a boolean, got 'perhaps'"),
-    ("[train]", "[data]\nmcar_fraction = 1.5\n[train]",
-     "[data] mcar_fraction: must be in (0, 1), got 1.5"),
-    ("[train]", "[data]\ntrain_fraction = 0\n[train]",
-     "[data] train_fraction: must be in (0, 1), got 0.0"),
-    ("[train]", "[data]\ntrain_fraction = nan\n[train]",
-     "[data] train_fraction: must be in (0, 1), got nan"),
-    ("[train]", "[data]\nnum_users = -1\n[train]", "[data] num_users: must be at least 1, got -1"),
-    ("[train]", "[data]\nnum_items = 0\n[train]", "[data] num_items: must be at least 1, got 0"),
-], ids=["steps-zero", "steps-negative", "dense-ids-removed", "split-seed-negative",
-        "data-biased-alone", "data-unbiased-alone", "data-splits-incomplete", "data-layouts-mixed",
-        "data-no-paths", "raw-data-and-simulation", "split-data-and-simulation", "max-epochs-zero",
-        "learning-rate-negative", "learning-rate-nan", "schedule-unknown", "clip-floor-zero",
-        "alpha1-negative", "alpha1-nan",
-        "propensity-dim-zero", "propensity-learning-rate-zero",
-        "propensity-learning-rate-negative", "unknown-method-section", "normalize-not-a-boolean",
-        "clamp-not-a-boolean", "filter-users-not-a-boolean", "mcar-fraction-above-one",
-        "train-fraction-zero", "train-fraction-nan", "num-users-negative", "num-items-zero"])
-def test_pipeline_and_data_keys_checked(tmp_path, capsys, old, new, message):
-    path = write_config(tmp_path, BASE_CONFIG.replace(old, new))
-    with pytest.raises(ConfigError, match=re.escape(message)):
-        load_config(path)
-    assert main(["train", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
-    assert capsys.readouterr().err.startswith(f"config error: {message}")
-    assert not (tmp_path / "out").exists()
+def test_main_reports_config_errors(tmp_path):
+    run_row(table_row("test_main_reports_config_errors"), tmp_path)
 
 
 def test_pipeline_keys_are_the_pipeline_config_fields():
@@ -1204,25 +880,6 @@ def test_unread_tune_list_may_be_empty(tmp_path):
     assert cfg.tune["alpha1"] == () and len(cli._grid_points(cfg, "mf")) == 3 * 6 * 4
 
 
-@pytest.mark.parametrize("command", ["simulate", "train", "tune", "sweep-gamma"])
-@pytest.mark.parametrize("how", ["option", "config", "below-a-file"])
-def test_output_dir_that_is_a_file_is_rejected_at_start(tmp_path, capsys, command, how):
-    # each used to end in a FileExistsError traceback, for train, tune and
-    # sweep-gamma only once every cell had trained
-    taken = tmp_path / "taken"
-    taken.write_text("kept\n")
-    out = taken / "sub" if how == "below-a-file" else taken
-    text = BASE_CONFIG.replace("seeds = 0, 1", "seeds = 0")
-    if how == "config":
-        text = text.replace("output_dir = out", f"output_dir = {out}")
-    args = [command, "--config", str(write_config(tmp_path, text))]
-    assert main(args + (["--out", str(out)] if how != "config" else [])) == 2
-    assert capsys.readouterr().err == (
-        f"config error: output directory {out}: {taken} is not a directory\n")
-    assert taken.read_text() == "kept\n"
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.ini", "taken"]
-
-
 def test_summary_path_that_is_a_directory_is_rejected(tmp_path, capsys):
     # it used to end in an IsADirectoryError traceback
     results = tmp_path / "results.csv"
@@ -1242,64 +899,6 @@ def test_summary_path_that_is_a_directory_is_rejected(tmp_path, capsys):
     out = tmp_path / "new" / "dir" / "summary.csv"
     assert main(["summarize", "--results", str(results), "--out", str(out)]) == 0
     assert out.read_text().startswith("dataset,gamma,method,n_runs,")
-
-
-@pytest.mark.parametrize("command", ["train", "sweep-gamma"])
-def test_cell_config_error_leaves_no_output_dir(tmp_path, capsys, command):
-    # the default unbiased_per_user (40) exceeds num_items (25); the spec is
-    # built, and rejected, before the first cell runs
-    path = write_config(tmp_path, BASE_CONFIG.replace("unbiased_per_user = 8\n", ""))
-    out = tmp_path / "out"
-    assert main([command, "--config", str(path), "--out", str(out)]) == 2
-    assert capsys.readouterr().err.startswith("config error: simulation: ")
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("args, where", [
-    (["train"], "mf, seed 0, gamma 0.5"),
-    (["train", "--seeds", "1,0", "--threads", "2"], "mf, seed 1, gamma 0.5"),
-    (["sweep-gamma", "--gammas", "0.25,0.75", "--threads", "2"], "mf, seed 0, gamma 0.25"),
-], ids=["train", "train-pool", "sweep-pool"])
-def test_diverged_cell_is_a_training_error(tmp_path, capsys, args, where):
-    # the first method to diverge in the first such cell, the seeds and gammas
-    # taken as listed, at any worker count
-    text = BASE_CONFIG.replace("learning_rate = 0.01", "learning_rate = 1e200")
-    path = write_config(tmp_path, text)
-    out = tmp_path / "out"
-    assert main([*args, "--config", str(path), "--out", str(out)]) == 1
-    assert capsys.readouterr().err.endswith(
-        f"training error: {where}: non-finite loss at epoch 1 (train nan, validation nan)\n")
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("old, new, message", [
-    ("seed = 3", "seed = 3\ntarget_rating_distribution = 0.5, 0.2, 0.1, 0.1, 0.05, 0.05",
-     "target_rating_distribution needs one entry per rating 1..5, got 6"),
-    ("seed = 3", "seed = 3\nrating_propensities = 0.1, 0.2, 0.3",
-     "rating_propensities needs one entry per rating 1..5, got 3"),
-    ("num_users = 30", "num_users = 0", "num_users must be at least 1, got 0"),
-    ("seed = 3", "seed = 3\nengagement_rank = -1", "engagement_rank must be nonnegative, got -1"),
-    *(("seed = 3", f"seed = 3\nengagement_noise = {v}",
-       f"engagement_noise must be finite and nonnegative, got {v}")
-      for v in ("-1.0", "nan", "inf")),
-    *(("seed = 3", f"seed = 3\npowerlaw_eta = {v}",
-       f"powerlaw_eta must be finite and above 1, got {v}") for v in ("inf", "nan")),
-    ("seed = 3", "seed = 3\ntarget_rating_distribution = 1.2, -0.2, 0, 0, 0",
-     "target_rating_distribution must be nonnegative and sum to 1, "
-     "got (1.2, -0.2, 0.0, 0.0, 0.0)"),
-    ("seed = 3", "seed = 3\ntarget_rating_distribution = nan, 0.2, 0.1, 0.1, 0.1",
-     "target_rating_distribution must be nonnegative and sum to 1, got (nan, 0.2, 0.1, 0.1, 0.1)"),
-], ids=["six-ratings", "three-propensities", "no-users", "negative-rank", "negative-noise",
-        "nan-noise", "inf-noise", "inf-eta", "nan-eta", "negative-rating-share",
-        "nan-rating-share"])
-def test_unsimulatable_spec_is_a_config_error(tmp_path, capsys, old, new, message):
-    # each used to end in a traceback, in a data error once simulated, or (a
-    # NaN rating share, an infinite noise) in a run that exited 0
-    path = write_config(tmp_path, BASE_CONFIG.replace(old, new))
-    out = tmp_path / "out"
-    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 2
-    assert capsys.readouterr().err == f"config error: simulation: {message}\n"
-    assert not out.exists()
 
 
 def test_unknown_log_level_is_a_usage_error(tmp_path, capsys):
@@ -1348,64 +947,17 @@ def test_missing_simulation_key_named(tmp_path, capsys):
     assert (out / "sweep_results.csv").exists()
 
 
-def test_main_reports_propensity_errors(tmp_path, capsys):
-    # without smoothing, (item, rating) cells unseen in the small mcar sample
-    # give the joint estimator a zero prior
-    path = write_config(tmp_path, BASE_CONFIG.replace("alpha2 = 2", "alpha2 = 0"))
-    code = main(["train", "--config", str(path), "--out", str(tmp_path / "out"),
-                 "--seeds", "0"])
-    assert code == 2
-    assert "propensity error: alpha2=0 with (item, rating) cells unseen" in \
-        capsys.readouterr().err
+def test_main_reports_propensity_errors(tmp_path):
+    run_row(table_row("test_main_reports_propensity_errors"), tmp_path)
 
 
-SINGLE_POINT_TUNE = """
-[tune]
-learning_rate = 0.01
-l2_weight = 1e-6
-embedding_dim = 4
-alpha1 = 2
-alpha2 = 2
-"""
-
-
-@pytest.mark.parametrize("command", ["train", "tune", "sweep-gamma"])
-@pytest.mark.parametrize("threads", ["0", "-3"])
-def test_threads_below_one_is_a_usage_error(tmp_path, capsys, command, threads):
+@pytest.mark.parametrize("invoke", [cmd_train, cmd_tune, cmd_sweep_gamma])
+def test_commands_reject_threads_below_one(tmp_path, invoke):
     path = write_config(tmp_path, BASE_CONFIG + SINGLE_POINT_TUNE)
-    out = tmp_path / "out"
-    with pytest.raises(SystemExit) as exc:
-        main([command, "--config", str(path), "--out", str(out), "--threads", threads])
-    assert exc.value.code == 2
-    assert "--threads: must be at least 1" in capsys.readouterr().err
-    assert not out.exists()
-    invoke = {"train": cmd_train, "tune": cmd_tune, "sweep-gamma": cmd_sweep_gamma}[command]
-    with pytest.raises(ValueError, match="threads must be at least 1"):
-        invoke(load_config(path), out, threads=int(threads))
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("command, option, value, message", [
-    ("train", "--threads", "x", "--threads: invalid literal for int() with base 10: 'x'"),
-    ("train", "--seeds", "1,x", "--seeds: invalid literal for int() with base 10: 'x'"),
-    ("train", "--seeds", "1,2,1", "--seeds: must be nonempty without repeats, got [1, 2, 1]"),
-    ("train", "--seeds", "0,-1", "--seeds: must be nonnegative, got -1"),
-    ("sweep-gamma", "--seeds", "-2", "--seeds: must be nonnegative, got -2"),
-    ("sweep-gamma", "--seeds", ",", "--seeds: must be nonempty without repeats, got []"),
-    ("sweep-gamma", "--gammas", "0.5,abc", "--gammas: could not convert string to float: 'abc'"),
-    ("sweep-gamma", "--gammas", "0,0.0",
-     "--gammas: must be nonempty without repeats, got [0.0, 0.0]"),
-    ("sweep-gamma", "--gammas", ",", "--gammas: must be nonempty without repeats, got []"),
-], ids=["threads-not-int", "seeds-not-int", "seeds-repeated", "seeds-negative",
-        "sweep-seeds-negative", "seeds-empty", "gammas-not-float", "gammas-repeated",
-        "gammas-empty"])
-def test_malformed_option_is_a_usage_error(tmp_path, capsys, command, option, value, message):
-    out = tmp_path / "out"
-    with pytest.raises(SystemExit) as exc:
-        main([command, "--config", str(write_config(tmp_path)), "--out", str(out), option, value])
-    assert exc.value.code == 2
-    assert message in capsys.readouterr().err
-    assert not out.exists()
+    for threads in (0, -3):
+        with pytest.raises(ValueError, match="threads must be at least 1"):
+            invoke(load_config(path), tmp_path / "out", threads=threads)
+    assert not (tmp_path / "out").exists()
 
 
 def test_workers_default_to_the_usable_cores_capped_at_the_units(tmp_path, monkeypatch):
@@ -1500,3 +1052,24 @@ def test_tune_table_and_divergence_log_do_not_depend_on_the_workers(tmp_path, ca
     for method in ("mf_ips_pop", "mf_ips_pos", "mf_ips_mf"):
         assert np.isfinite(float(rows[method]["validation_score"]))
         assert rows[method]["learning_rate"] == "0.01"
+
+
+def test_every_outcome_of_main_has_a_table_row():
+    # each `except` branch of main prints "<kind> error: <message>" and
+    # returns the exit status; an argparse usage error exits 2
+    outcomes = {(": error: argument ", 2)}
+    for handler in ast.walk(ast.parse(textwrap.dedent(inspect.getsource(main)))):
+        if isinstance(handler, ast.ExceptHandler):
+            text = next(n for n in ast.walk(handler) if isinstance(n, ast.JoinedStr))
+            status = next(n for n in ast.walk(handler) if isinstance(n, ast.Return))
+            outcomes.add((text.values[0].value, status.value.value))
+    assert {text for text, _ in outcomes} >= {
+        "config error: ", "propensity error: ", "data error: ", "training error: "}
+    assert [(text, status) for text, status in outcomes
+            if not any(case.status == status and text in case.stderr for case in CASES)] == []
+
+
+def test_every_table_row_has_a_test():
+    tests = {name for scope in (globals(), vars(TestConfigParsing), vars(TestTrainCommand))
+             for name in scope if name.startswith("test_")}
+    assert {case.group for case in CASES} <= tests

@@ -376,3 +376,8 @@ def test_constructor_rejects_misshaped_groups(group, value, match):
     arrays[group] = value
     with pytest.raises(ValueError, match=match):
         MFParameters(**arrays)
+
+
+def test_init_params_names_a_nonpositive_dimension():
+    with pytest.raises(ValueError, match=r"^dim must be positive, got 0$"):
+        init_params(3, 4, 0, seed=0)
