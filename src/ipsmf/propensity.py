@@ -295,26 +295,36 @@ def estimate_mf_propensity(
 
     The observation matrix is never built: the observed cells are their
     sorted flat indices (the sorted pair codes), and the base rate is their
-    count over the cells. Each step works in two preallocated (U, I)
-    buffers: the clipped scores ``s`` and a work buffer that first holds the
-    per-cell log-likelihood and then the logit gradient. One ``P @ Q.T``
-    fills ``s``; the elementwise passes then run on row blocks of about
-    ``_FIT_BLOCK_CELLS`` cells, which stay in cache between passes, and
-    write the observed cells of each block through their indices. ``s`` lies
-    in ``[1e-12, 1 - 1e-12]``, so both logs are finite and
+    count over the cells. Each step is one pass over row blocks of about
+    ``_FIT_BLOCK_CELLS`` cells, each block's work done in one block buffer
+    while it stays in cache. One product
+    ``-[P | a | 1 | 1] @ [Q | 1 | b | c].T`` of the block's rows gives their
+    negated logits, every offset folded in, whose ``exp`` the sigmoid takes;
+    an overflow to a score of 0 is clipped like a tiny score. The scores are
+    clipped to ``[1e-12, 1 - 1e-12]``, and the logit gradient ``G = s - obs``
+    overwrites them, the observed cells written through their indices. Two
+    products give the block's gradients: its rows' user gradients from
+    ``G @ [Q | 1 | b | c]`` and, negated, its share of the item gradients
+    from ``G.T @ -[P | a | 1 | 1]``, the offsets' through the ones columns.
+    Then ``1 - G``, with the observed cells' scores, overwrites the
+    gradient: both logs are finite, and
     ``obs * log(s) + (1 - obs) * log(1 - s)`` equals the log of ``s`` at an
     observed cell and of ``1 - s`` elsewhere bit for bit (the zero-weighted
-    term adds -0.0): one log per cell is taken instead of two. The gradient
-    ``(s - obs) / (U * I)`` is ``s / (U * I)``, with ``(s - 1) / (U * I)`` at
-    the observed cells. The loss mean, the gradient sums and products run
-    over the whole (U, I) buffers; the L2 term (one multiply and one add)
-    and the Adam step over the whole packed parameter buffers.
+    term adds -0.0), so one log per cell is taken instead of two, and the
+    block's sum is added to the step's. Every product has one block height:
+    a short last block is computed at full height over rows of the block
+    before it, whose gradient rows it zeroes, since OpenBLAS picks its kernel
+    by shape. The loss is the blocks' sums over ``U * I``; the
+    ``1 / (U * I)`` scaling, the L2 term (one multiply and one add) and the
+    Adam step run once per step, over the whole packed buffers. The sums run
+    per block, so the table's last bits depend on ``_FIT_BLOCK_CELLS``, and
+    on nothing else of the host.
 
     The loop's matrix products run with OpenBLAS at one thread (see
     :mod:`ipsmf.blas`), so the fit does not depend on the host's cores. The
     returned table holds the unclipped sigmoid scores of the best
-    parameters, built in ``s``; its dot products use the per-pair ``einsum``
-    reduction, not ``P @ Q.T``, whose BLAS sums can differ in the last bit.
+    parameters; its dot products use the per-pair ``einsum`` reduction, not
+    a BLAS product, whose sums can differ in the last bit.
     """
     _check_rules(dict(max_steps=max_steps, learning_rate=learning_rate, l2_weight=l2_weight,
                       tol=tol), _FIT_RULES)
@@ -327,45 +337,63 @@ def estimate_mf_propensity(
     params = init_params(n_users, n_items, dim, seed, scale=0.1, global_offset=c)
     state = init_adam_state(params)
     grads = params.copy()  # every group is overwritten each step
-    s = np.empty((n_users, n_items))
-    w = np.empty_like(s)
-    block_rows = max(1, _FIT_BLOCK_CELLS // n_items)
-    blocks = []  # (rows, their observed cells as flat indices into s[rows])
-    for r in range(0, n_users, block_rows):
-        lo, hi = np.searchsorted(cells, [r * n_items, (r + block_rows) * n_items])
-        blocks.append((slice(r, r + block_rows), cells[lo:hi] - r * n_items))
-    best_loss, best, prev_loss, converged = np.inf, None, np.inf, False
+    best = params.copy()
+    # row blocks of _FIT_BLOCK_CELLS // n_items rows (at least one), evened
+    # out so that the last is as full as it can be
+    n_blocks = -(-n_users // max(1, _FIT_BLOCK_CELLS // n_items))
+    height = -(-n_users // n_blocks)
+    blocks = []  # (start, stop, their observed cells as flat indices from row start)
+    for start in range(0, n_users, height):
+        stop = min(start + height, n_users)
+        lo, hi = np.searchsorted(cells, [start * n_items, stop * n_items])
+        blocks.append((start, stop, cells[lo:hi] - start * n_items))
+    # -[P | a | 1 | 1] and [Q | 1 | b | c], refreshed from the parameters each step
+    left, right = np.full((n_users, dim + 3), -1.0), np.ones((n_items, dim + 3))
+    scores = np.empty((height, n_items))  # negated logits, scores, logit gradient, logs
+    user_part = np.empty((height, dim + 3))
+    item_part, item_sum = np.empty((n_items, dim + 3)), np.empty((n_items, dim + 3))
+    best_loss, prev_loss, converged = np.inf, np.inf, False
 
     # a diverging step overflows to inf or NaN, which no loss is below: the
     # fit stops at the first step that leaves a parameter non-finite and
     # returns the best parameters seen, not a floating-point warning, even
     # where warnings are errors; no later step could make them finite again
     with one_blas_thread(), np.errstate(over="ignore", invalid="ignore"):
-        for step in range(1, max_steps + 1):  # the three products go through BLAS
-            np.matmul(params.user_emb, params.item_emb.T, out=s)
-            for rows, obs in blocks:
-                sb = _sigmoid_of_logits(s, params, rows)
+        for step in range(1, max_steps + 1):  # the three block products go through BLAS
+            np.negative(params.user_emb, out=left[:, :dim])
+            np.negative(params.user_off, out=left[:, dim])
+            right[:, :dim], right[:, dim + 1], right[:, dim + 2] = (
+                params.item_emb, params.item_off, params.global_off)
+            item_sum[...] = 0.0
+            log_sum = 0.0
+            for start, stop, obs in blocks:
+                low = stop - height
+                np.matmul(left[low:stop], right.T, out=scores)
+                # an overflow to a score of 0 is clipped like a tiny score
+                sb = _sigmoid_of_negated(scores[start - low:])
                 np.clip(sb, 1e-12, 1.0 - 1e-12, out=sb)
-                wb = np.subtract(1.0, sb, out=w[rows])
-                wb.put(obs, sb.take(obs))
-                np.log(wb, out=wb)
-            loss = float(-np.mean(w) + l2_weight * params.squared_norm())
+                at_obs = sb.take(obs)
+                sb.put(obs, at_obs - 1.0)
+                scores[:start - low] = 0.0  # the rows of the block before add nothing
+                np.matmul(scores, right, out=user_part)
+                grads.user_emb[start:stop] = user_part[start - low:, :dim]
+                grads.user_off[start:stop] = user_part[start - low:, dim]
+                item_sum -= np.matmul(scores.T, left[low:stop], out=item_part)
+                np.subtract(1.0, sb, out=sb)  # 1 - s where unobserved
+                sb.put(obs, at_obs)
+                log_sum += float(np.log(sb, out=sb).sum())
+            loss = float(-log_sum / n_cells + l2_weight * params.squared_norm())
             if loss < best_loss:
-                best_loss, best = loss, params.copy()
+                best_loss = loss
+                np.copyto(best._buffer, params._buffer)
             if np.isfinite(prev_loss) and abs(prev_loss - loss) <= tol * max(abs(prev_loss), 1.0):
                 converged = True
                 break
             prev_loss = loss
 
-            for rows, obs in blocks:
-                sb = s[rows]
-                wb = np.divide(sb, n_cells, out=w[rows])
-                wb.put(obs, (sb.take(obs) - 1.0) / n_cells)
-            np.matmul(w, params.item_emb, out=grads.user_emb)
-            np.matmul(w.T, params.user_emb, out=grads.item_emb)
-            np.sum(w, axis=1, out=grads.user_off)
-            np.sum(w, axis=0, out=grads.item_off)
-            np.sum(w, out=grads.global_off)
+            grads.item_emb[...], grads.item_off[...] = item_sum[:, :dim], item_sum[:, dim + 1]
+            np.sum(grads.item_off, out=grads.global_off)
+            grads._buffer /= n_cells
             grads._buffer += np.multiply(params._buffer, 2 * l2_weight)
             adam_step(params, grads, state, PARAM_GROUPS, learning_rate)
             finite = np.isfinite(params._buffer).all()
@@ -378,42 +406,37 @@ def estimate_mf_propensity(
             "seen (loss %.6g)", f"in {max_steps} steps" if finite else
             f"(its parameters are non-finite after step {step})", best_loss,
         )
-    np.einsum("ud,id->ui", best.user_emb, best.item_emb, out=s)
-    for rows, _ in blocks:
-        _sigmoid_of_logits(s, best, rows)
-    return PropensityModel(family="mf_learned", table=s)
+    table = np.einsum("ud,id->ui", best.user_emb, best.item_emb)
+    for start, stop, _ in blocks:
+        block = table[start:stop]
+        block += best.user_off[start:stop, None]
+        block += best.item_off[None, :]
+        np.subtract(-best.global_off, block, out=block)  # -c - x is -(x + c) bit for bit
+        # exp of at most _MAX_EXP_ARG: a logit below about -709 gives a tiny
+        # positive score instead of an overflow to 0
+        np.minimum(block, _MAX_EXP_ARG, out=block)
+        _sigmoid_of_negated(block)
+    return PropensityModel(family="mf_learned", table=table)
 
 
 # the largest float64 whose exp is finite
 _MAX_EXP_ARG = float(np.log(np.finfo(float).max))
 
-# The cells of one row block of the observation-model fit's elementwise
-# passes: 64k float64 cells are 512 KB in each of the two (U, I) buffers, so
-# a block stays in a 2 MB L2 cache from its first pass to its last. On a
-# 2-vCPU Xeon VM (2 MB L2 per core) at 1,000 x 500, dimension 8 and 90
-# steps, blocks of 16k to 1M cells wrote the same table bytes; 32k-131k
-# took 0.65-0.68 s, 16k 0.74 s and one block of the whole matrix 0.81 s.
+# The cells of one row block of the observation-model fit: 64k float64 cells
+# are 512 KB in its block buffer, so a block stays in a 2 MB L2 cache from its
+# product to its log. The table's last bits depend on it. On a 2-vCPU Xeon VM
+# (2 MB L2 per core) at 1,000 x 500, dimension 8 and 90 steps, the fastest of
+# 9 fits took 0.31 s at 64k and 32k cells, 0.34 s at 16k, 0.40 s at 128k,
+# 0.41 s at 256k and 0.43 s with the whole matrix in one block.
 _FIT_BLOCK_CELLS = 1 << 16
 
 
-def _sigmoid_of_logits(s, params, rows):
-    """Overwrite the row block ``s[rows]`` of the (user, item) dot products
-    of `params` with ``1 / (1 + exp(-(s + a[:, None] + b[None, :] + c)))``,
-    where ``a, b, c`` are its offset groups, and return the block. The sums
-    are taken in that order; ``-c - x`` is the negated ``x + c`` bit for bit.
-
-    ``exp`` is taken of at most ``_MAX_EXP_ARG``, so a logit below about -709
-    gives a tiny positive score instead of an overflow to 0; every other cell
-    is unchanged."""
-    block = s[rows]
-    block += params.user_off[rows, None]
-    block += params.item_off[None, :]
-    np.subtract(-params.global_off, block, out=block)
-    np.minimum(block, _MAX_EXP_ARG, out=block)
+def _sigmoid_of_negated(block):
+    """Overwrite the negated logits `block` with their scores
+    ``1 / (1 + exp(block))`` and return it."""
     np.exp(block, out=block)
     np.add(1.0, block, out=block)
-    np.divide(1.0, block, out=block)
-    return block
+    return np.divide(1.0, block, out=block)
 
 
 def clip(model: PropensityModel, tau: float) -> PropensityModel:

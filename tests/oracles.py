@@ -345,9 +345,73 @@ def fit_reference(data, propensity_model, config):
 
 def estimate_mf_propensity_reference(train, num_users, num_items, *, dim, learning_rate,
                                      max_steps, seed, l2_weight=5e-4, tol=1e-8):
-    """The observation-model fit through full-matrix temporaries, two logs per
-    cell and its own Adam loop. Returns ((P, Q, a, b, c), losses, converged),
-    where `losses` holds the loss of every step evaluated."""
+    """The observation-model fit through whole-matrix temporaries, two logs
+    per cell and its own Adam loop: the loss is the mean over the matrix and
+    the gradients are products of the scaled logit-gradient matrix. Returns
+    ((P, Q, a, b, c), losses, converged), where `losses` holds the loss of
+    every step evaluated."""
+    def whole_matrix(obs, P, Q, a, b, c):
+        logits = P @ Q.T + a[:, None] + b[None, :] + c
+        s = np.clip(1.0 / (1.0 + np.exp(-logits)), 1e-12, 1.0 - 1e-12)
+        mean_ll = np.mean(obs * np.log(s) + (1.0 - obs) * np.log(1.0 - s))
+        g = (s - obs) / obs.size
+        return mean_ll, [g @ Q, g.T @ P, g.sum(axis=1), g.sum(axis=0), np.array(g.sum())]
+
+    return _observation_fit_reference(
+        train, num_users, num_items, whole_matrix, dim=dim, learning_rate=learning_rate,
+        max_steps=max_steps, seed=seed, l2_weight=l2_weight, tol=tol)
+
+
+def estimate_mf_propensity_blocked_reference(train, num_users, num_items, *, block_cells, dim,
+                                             learning_rate, max_steps, seed, l2_weight=5e-4,
+                                             tol=1e-8):
+    """The observation-model fit in the fit's summation order, through new
+    arrays, two logs per cell and its own Adam loop. The rows run in the
+    fit's blocks: ``block_cells // num_items`` rows (at least one), evened
+    out, a short last block taken at full height over the rows before it
+    with their gradient rows zeroed. Per block, with ``L = -[P | a | 1 | 1]``
+    and ``R = [Q | 1 | b | c]``, ``L @ R.T`` gives the negated logits, the
+    log-likelihood sum is added to the step's, and ``G @ R`` and
+    ``-(G.T @ L)`` give the block's gradients; the loss is the sum over the
+    cells, and the item offsets' gradients summed give the global one.
+    Returns what :func:`estimate_mf_propensity_reference` returns."""
+    n_blocks = -(-num_users // max(1, block_cells // num_items))
+    height = -(-num_users // n_blocks)
+    starts = range(0, num_users, height)
+
+    def blocked(obs, P, Q, a, b, c):
+        left = -np.column_stack([P, a, np.ones(num_users), np.ones(num_users)])
+        right = np.column_stack([Q, np.ones(num_items), b, np.full(num_items, c)])
+        total = 0.0
+        user_grad = np.zeros((num_users, dim + 3))
+        item_grad = np.zeros((num_items, dim + 3))
+        for start in starts:
+            stop = min(start + height, num_users)
+            low = stop - height
+            negated_logits = (left[low:stop] @ right.T)[start - low:]
+            s = np.clip(1.0 / (1.0 + np.exp(negated_logits)), 1e-12, 1.0 - 1e-12)
+            o = obs[start:stop]
+            total += float(np.sum(o * np.log(s) + (1.0 - o) * np.log(1.0 - s)))
+            g = np.zeros((height, num_items))
+            g[start - low:] = s - o
+            user_grad[start:stop] = (g @ right)[start - low:]
+            item_grad = item_grad - g.T @ left[low:stop]
+        n = obs.size
+        item_off = item_grad[:, dim + 1].copy()
+        sums = [user_grad[:, :dim], item_grad[:, :dim], user_grad[:, dim], item_off,
+                np.array(item_off.sum())]
+        return total / n, [x / n for x in sums]
+
+    return _observation_fit_reference(
+        train, num_users, num_items, blocked, dim=dim, learning_rate=learning_rate,
+        max_steps=max_steps, seed=seed, l2_weight=l2_weight, tol=tol)
+
+
+def _observation_fit_reference(train, num_users, num_items, loss_and_grads, *, dim,
+                               learning_rate, max_steps, seed, l2_weight, tol):
+    """The observation-model fit's Adam loop around ``loss_and_grads(obs, P,
+    Q, a, b, c)``, which returns the mean log-likelihood over the cells and
+    the data gradients of (P, Q, a, b, c)."""
     obs = np.zeros((num_users, num_items))
     obs[train.users, train.items] = 1.0
     rng = np.random.default_rng(seed)
@@ -361,18 +425,12 @@ def estimate_mf_propensity_reference(train, num_users, num_items, *, dim, learni
     params = [P, Q, a, b, np.array(c)]
     moments = [(np.zeros_like(p), np.zeros_like(p)) for p in params]
     beta1, beta2, eps = 0.9, 0.999, 1e-8
-    n_cells = num_users * num_items
     best_loss, best_params, prev_loss, converged = np.inf, None, np.inf, False
     losses = []
 
     for step in range(1, max_steps + 1):
-        logits = params[0] @ params[1].T + params[2][:, None] + params[3][None, :] + params[4]
-        s = 1.0 / (1.0 + np.exp(-logits))
-        s = np.clip(s, 1e-12, 1.0 - 1e-12)
-        loss = float(
-            -np.mean(obs * np.log(s) + (1.0 - obs) * np.log(1.0 - s))
-            + l2_weight * sum(np.sum(p**2) for p in params)
-        )
+        mean_ll, data_grads = loss_and_grads(obs, *params)
+        loss = float(-mean_ll + l2_weight * sum(np.sum(p**2) for p in params))
         losses.append(loss)
         if loss < best_loss:
             best_loss = loss
@@ -382,14 +440,7 @@ def estimate_mf_propensity_reference(train, num_users, num_items, *, dim, learni
             break
         prev_loss = loss
 
-        g = (s - obs) / n_cells
-        grads = [
-            g @ params[1] + 2 * l2_weight * params[0],
-            g.T @ params[0] + 2 * l2_weight * params[1],
-            g.sum(axis=1) + 2 * l2_weight * params[2],
-            g.sum(axis=0) + 2 * l2_weight * params[3],
-            np.array(g.sum()) + 2 * l2_weight * params[4],
-        ]
+        grads = [g + 2 * l2_weight * p for g, p in zip(data_grads, params)]
         for k, (grad, (m, v)) in enumerate(zip(grads, moments)):
             m[...] = beta1 * m + (1.0 - beta1) * grad
             v[...] = beta2 * v + (1.0 - beta2) * grad**2

@@ -1,5 +1,6 @@
 import logging
 import re
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -45,6 +46,7 @@ from ipsmf.propensity import (
 )
 
 from oracles import (
+    estimate_mf_propensity_blocked_reference,
     estimate_mf_propensity_reference,
     estimate_multifactorial_table_reference,
     mf_learned_scores_reference,
@@ -515,22 +517,64 @@ def test_observation_fit_steps_through_adam_step(monkeypatch, caplog):
     assert sizes == [n_users * dim + n_items * dim + n_users + n_items + 1] * steps
 
 
+def all_cells(n_users, n_items):
+    return tuple(a.ravel() for a in np.meshgrid(
+        np.arange(n_users), np.arange(n_items), indexing="ij"))
+
+
+def test_observation_fit_holds_no_matrix_beside_its_table():
+    # 1,200 x 900 is 17 row blocks of 71 rows: the fit's traced peak is the
+    # returned 8.64 MB table plus 2.9 MB (measured) of block buffer,
+    # observed-cell indices, parameters and Adam state. The whole-matrix fit
+    # held two more 8-byte (U, I) buffers, 19.3 MB in all
+    train = random_observations(1200, 900, 0.05, seed=6)
+    tracemalloc.start()
+    try:
+        table = estimate_mf_propensity(train, dim=8, max_steps=3).table
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < table.nbytes + 4_000_000
+
+
+@pytest.mark.parametrize("shape, density, kwargs", [
+    ((10, 10), 0.3, dict(dim=2, learning_rate=0.2, max_steps=400, seed=0)),
+    ((300, 500), 0.05, dict(dim=8, learning_rate=0.05, max_steps=300, seed=0)),
+], ids=["small", "c6-shape"])
+def test_observation_fit_near_the_whole_matrix_reference(monkeypatch, shape, density, kwargs):
+    # the fit sums per row block where the whole-matrix reference sums over
+    # the matrix, so the tables differ in their last bits: at most 3.6e-15
+    # relative (measured) on these fits, which stop at the same step (147
+    # and 114)
+    train = random_observations(*shape, density, seed=kwargs["seed"])
+    with one_blas_thread():
+        factors, losses, converged = estimate_mf_propensity_reference(
+            train, *shape, **kwargs)
+    steps = []
+    real = propensity.adam_step
+    monkeypatch.setattr(propensity, "adam_step", lambda *a: (steps.append(1), real(*a)))
+    table = estimate_mf_propensity(train, **kwargs).table.ravel()
+    want = mf_learned_scores_reference(factors, *all_cells(*shape))
+    assert converged and len(steps) + 1 == len(losses) < kwargs["max_steps"]
+    assert np.max(np.abs(table - want) / want) <= 1e-14
+
+
 class TestMFLearnedMatchesReference:
-    """The in-place, one-log fit stepped by ``adam_step`` returns a table
-    that holds, bit for bit at every (user, item), the per-pair scores of the
-    factors fitted by the allocating two-log fit with its own Adam loop."""
+    """The in-place, one-log, row-block fit stepped by ``adam_step`` returns
+    a table that holds, bit for bit at every (user, item), the per-pair
+    scores of the factors fitted by the allocating two-log fit in the same
+    row blocks and products, with its own Adam loop."""
 
     def fit_both(self, train, **kwargs):
         # the fit runs its matrix products at one OpenBLAS thread, and a
         # threaded product can differ in the last bit, so the reference's
         # products run at one thread too
         with one_blas_thread():
-            factors, losses, converged = estimate_mf_propensity_reference(
-                train, train.num_users, train.num_items, **kwargs)
+            factors, losses, converged = estimate_mf_propensity_blocked_reference(
+                train, train.num_users, train.num_items,
+                block_cells=propensity._FIT_BLOCK_CELLS, **kwargs)
         model = estimate_mf_propensity(train, **kwargs)
-        users, items = (a.ravel() for a in np.meshgrid(
-            np.arange(train.num_users), np.arange(train.num_items), indexing="ij"))
-        want = mf_learned_scores_reference(factors, users, items)
+        want = mf_learned_scores_reference(factors, *all_cells(train.num_users, train.num_items))
         assert model.table.shape == (train.num_users, train.num_items)
         assert model.table.tobytes() == want.tobytes()
         return losses, converged
@@ -575,9 +619,10 @@ class TestMFLearnedMatchesReference:
     ], ids=["partial-last-block", "one-row-blocks", "block-without-observations",
             "fully-observed-row", "one-cell"])
     def test_row_block_edges(self, monkeypatch, block_cells, shape, empty_rows, full_rows):
-        # the elementwise passes run on blocks of block_cells // num_items
-        # rows (at least one), writing each block's observed cells through
-        # their offsets in the block
+        # the fit runs on blocks of block_cells // num_items rows (at least
+        # one), evened out, writing each block's observed cells through their
+        # offsets in the block; partial-last-block's 7 rows are blocks of 2,
+        # the last computed at full height over row 5 of the block before it
         monkeypatch.setattr(propensity, "_FIT_BLOCK_CELLS", block_cells)
         observed = np.random.default_rng(5).random(shape) < 0.3
         observed[list(empty_rows)] = False
